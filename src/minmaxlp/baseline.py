@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ContractViolation, EmptyProblem, NonFiniteInput
 from .geometry import Point2, _product_sign
-from .model import Solution2, Status
+from .model import Solution2, Status, as_rows
 
 __all__ = ["HullChain", "lower_hull", "solve_baseline"]
 
@@ -84,8 +84,13 @@ def lower_hull(dp: Sequence[Point2]) -> HullChain:
 
 
 def solve_baseline(cs: Sequence) -> Solution2:
-    """Same contract as solver2d.solve, via an explicit hull."""
-    if not cs:
+    """Same contract as solver2d.solve, via an explicit hull.
+
+    Accepts the same inputs: rows whose first two fields are (a, b), or an
+    (n, k >= 2) array.
+    """
+    cs = as_rows(cs)
+    if len(cs) == 0:
         raise EmptyProblem("solve_baseline: no constraints")
     isfin = math.isfinite
     dpx = []

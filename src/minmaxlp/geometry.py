@@ -270,6 +270,32 @@ def _sum_diff_sign(pos: tuple, neg: tuple) -> int:
     return (total > 0) - (total < 0)
 
 
+def _orient_sign(ax: float, ay: float, bx: float, by: float,
+                 cx: float, cy: float) -> int:
+    """Exact sign of (bx - ax)*(cy - ay) - (by - ay)*(cx - ax).
+
+    Decided on the six doubles themselves, not on their rounded
+    differences, so it holds for every finite input, including coordinates
+    whose differences overflow.  Each double is an integer over a power of
+    two; scaled to the largest denominator all six become integers, and the
+    integer determinant has the sign sought.
+    """
+    try:
+        (nax, dax), (nay, day), (nbx, dbx), (nby, dby), (ncx, dcx), \
+            (ncy, dcy) = (ax.as_integer_ratio(), ay.as_integer_ratio(),
+                          bx.as_integer_ratio(), by.as_integer_ratio(),
+                          cx.as_integer_ratio(), cy.as_integer_ratio())
+    except (OverflowError, ValueError):
+        raise NonFiniteInput(
+            "orientation predicate requires finite inputs") from None
+    den = max(dax, day, dbx, dby, dcx, dcy)
+    ix = nax * (den // dax)
+    iy = nay * (den // day)
+    det = ((nbx * (den // dbx) - ix) * (ncy * (den // dcy) - iy)
+           - (nby * (den // dby) - iy) * (ncx * (den // dcx) - ix))
+    return (det > 0) - (det < 0)
+
+
 def exact_product_compare(u1: float, v1: float, u2: float, v2: float) -> Sign:
     """Exact sign of u1*v2 - v1*u2.
 

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 from .geometry import Point2
 
 
@@ -67,3 +69,22 @@ class Solution3:
     y: float
     t: float
     status: Status = Status.OPTIMAL
+
+
+def checked_array(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, once checked to hold one constraint per row."""
+    if arr.ndim != 2 or arr.shape[1] < 2:
+        raise ValueError(
+            f"constraint array must have shape (n, k >= 2), got {arr.shape}")
+    return arr
+
+
+def as_rows(cs):
+    """``cs`` itself, or the rows of an (n, k >= 2) array as Python lists.
+
+    Row consumers read the first fields of each row, so an array reads the
+    same as the list of its rows.
+    """
+    if isinstance(cs, np.ndarray):
+        return checked_array(cs).tolist()
+    return cs

@@ -24,6 +24,17 @@ def orient_oracle(p0, p1, p2):
     return (d > 0) - (d < 0)
 
 
+def orient_points_oracle(ax, ay, bx, by, cx, cy):
+    """Sign of the orientation determinant of the points themselves.
+
+    Unlike orient_oracle, the differences are rational too, so this is the
+    turn of the three given points even when a float difference overflows.
+    """
+    ax, ay, bx, by, cx, cy = map(Fraction, (ax, ay, bx, by, cx, cy))
+    d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (d > 0) - (d < 0)
+
+
 def product_compare_oracle(u1, v1, u2, v2):
     d = Fraction(u1) * Fraction(v2) - Fraction(v1) * Fraction(u2)
     return (d > 0) - (d < 0)

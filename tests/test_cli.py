@@ -114,6 +114,18 @@ class TestMain:
         got = json.loads(out)
         assert got["t"] == 0 and got["x"] == 0
 
+    def test_solve2d_abs_exact_fit(self, tmp_path, capsys):
+        # eight residuals |a*x - 0.1*a| that all vanish at x = 0.1; the
+        # rounded products make the duals nearly, not exactly, collinear
+        f = tmp_path / "fit.txt"
+        a = (1.0, -2.5, 3.25, 0.75, -1.5, 4.0, -3.0, 2.0)
+        f.write_text("".join(f"{v!r},{-(0.1 * v)!r}\n" for v in a))
+        code, out, err = self.run(capsys, "solve2d", str(f), "--mode", "abs",
+                                  "--validate")
+        assert code == 0, err
+        got = json.loads(out)
+        assert abs(got["t"]) <= 1e-15 and abs(got["x"] - 0.1) <= 1e-15
+
     def test_solve2d_validate(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
         f.write_text("2,-1\n-1,0\n0.5,0\n")

@@ -1,15 +1,18 @@
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (close, corpus2d, eval_max_2, exact_intercept,
-                      ordered_pair)
-from minmaxlp import (Constraint2, ContractViolation, EmptyProblem,
+                      ordered_pair, orient_points_oracle)
+from minmaxlp import (Constraint2, ContractViolation, EmptyProblem, GenSpec,
                       NonFiniteInput, Point2, Sign, Status, advance, brute2d,
-                      check_certificate, expand_absolute, orientation_exact,
-                      partition, solve, solve_boxed, to_dual_points)
+                      check_certificate, expand_absolute, gen2d,
+                      orientation_exact, partition, solve, solve_baseline,
+                      solve_boxed, solver2d, to_dual_points)
 
 # Coefficients on a coarse grid keep every pairwise crossing well
 # conditioned, so the oracle comparison tolerance is honest while ties and
@@ -284,3 +287,208 @@ class TestCertificate:
         from minmaxlp import Solution2
         with pytest.raises(ValueError):
             check_certificate([(1, 0)], Solution2(Status.UNBOUNDED), 1e-9)
+
+
+# --- exactness on the original points, and the numpy path ----------------
+
+def _fit_rows(m, slope, seed, ripple=0.0):
+    """m residual rows (a, c) of |a*x + c| fitted exactly at x = slope.
+
+    With ripple > 0 every residual is off by +-ripple at x = slope.  The
+    sign of the offset times a alternates from row to row, so moving x
+    either way makes some residual grow: the optimum is t = ripple.
+    """
+    rng = random.Random(seed)
+    a = [rng.gauss(0.0, 10 ** 0.5) for _ in range(m)]
+    return [(x, -(slope * x + math.copysign(ripple, x) * (-1) ** i))
+            for i, x in enumerate(a)]
+
+
+def _supports_all(cs, sol):
+    """The final pivot pair straddles the axis and, by rational arithmetic
+    on the original coordinates, no dual point lies below its line."""
+    (lx, ly), (rx, ry) = ordered_pair(sol.pivot_pairs[-1])
+    if not lx <= 0.0 <= rx:
+        return False
+    for a, b in ((c[0], c[1]) for c in cs):
+        if orient_points_oracle(lx, ly, rx, ry, a, -b) < 0:
+            return False
+    return True
+
+
+def _bits(sol):
+    """(status, x, t, iterations, pivot_pairs) with every float as hex, so
+    equal values differ when their bits do (0.0 against -0.0)."""
+    h = lambda v: None if v is None else float(v).hex()  # noqa: E731
+    return (sol.status, h(sol.x), h(sol.t), sol.iterations,
+            tuple((h(p.x), h(p.y), h(q.x), h(q.y))
+                  for p, q in sol.pivot_pairs))
+
+
+@pytest.fixture
+def columnar_path(monkeypatch):
+    """Force every problem onto the numpy path."""
+    monkeypatch.setattr(solver2d, "_COLUMNAR_MIN_N", 1)
+
+
+def _on_both_paths(monkeypatch, fn):
+    """[fn() on the list path, fn() on the numpy path]."""
+    out = []
+    for cut in (10 ** 9, 1):
+        monkeypatch.setattr(solver2d, "_COLUMNAR_MIN_N", cut)
+        out.append(fn())
+    return out
+
+
+class TestExactFits:
+    """Fits whose residuals vanish (or equioscillate) at one x: every dual
+    point is nearly collinear with every pair, so nearly every comparison
+    goes to the exact predicate."""
+
+    @pytest.mark.parametrize("m", [8, 10, 12])
+    @pytest.mark.parametrize("slope", [0.1, 0.125])
+    def test_exact_fit_has_zero_objective(self, m, slope):
+        for seed in range(15):
+            cs = expand_absolute(_fit_rows(m, slope, seed))
+            sol = solve(cs)
+            assert sol.status is Status.OPTIMAL
+            assert abs(sol.t) <= 1e-12
+            assert close(sol.t, solve_baseline(cs).t, 1e-12)
+            assert close(sol.t, brute2d(cs).t, 1e-9)
+            assert close(sol.x, slope, 1e-12)
+            assert _supports_all(cs, sol)
+
+    @pytest.mark.parametrize("m", [8, 10, 12])
+    def test_equiripple_fit(self, m):
+        for seed in range(15):
+            cs = expand_absolute(_fit_rows(m, 0.1, seed, ripple=0.25))
+            sol = solve(cs)
+            assert close(sol.t, 0.25, 1e-12)
+            assert close(sol.t, solve_baseline(cs).t, 1e-12)
+            assert _supports_all(cs, sol)
+
+    def test_exact_fit_on_numpy_path(self, columnar_path):
+        for seed in range(10):
+            cs = expand_absolute(_fit_rows(12, 0.1, seed))
+            sol = solve(cs)
+            assert abs(sol.t) <= 1e-12 and _supports_all(cs, sol)
+
+    def test_large_exact_fit(self):
+        # above the size threshold nearly every candidate survives the
+        # vectorised filter and the exact loop decides
+        cs = expand_absolute(_fit_rows(400, 0.1, 7))
+        sol = solve(cs)
+        assert abs(sol.t) <= 1e-12
+        assert close(sol.t, solve_baseline(cs).t, 1e-12)
+        assert _supports_all(cs, sol)
+
+
+class TestNonFiniteAnswer:
+    def test_overflowing_differences_give_exact_answer(self, monkeypatch):
+        # finite input whose dual coordinate differences overflow; the
+        # objective max(|1e308*(x + 1)|, x) is 0 at x = -1
+        cs = [(1e308, 1e308), (-1e308, -1e308), (1.0, 0.0)]
+        for sol in _on_both_paths(monkeypatch, lambda: solve(cs)):
+            assert sol.status is Status.OPTIMAL
+            assert (sol.x, sol.t) == (-1.0, 0.0)
+
+    def test_unrepresentable_answer_raises(self, monkeypatch):
+        # the two lines cross at x = 5e599
+        cs = [(1e-300, 0.0), (-1e-300, 1e300)]
+
+        def raises():
+            with pytest.raises(NonFiniteInput):
+                solve(cs)
+
+        _on_both_paths(monkeypatch, raises)
+
+
+SMALL = 5
+LARGE = solver2d._COLUMNAR_MIN_N + 9
+
+
+class TestInputEdge:
+    """Arrays, long rows and bad values on both sides of the size threshold."""
+
+    @pytest.mark.parametrize("n", [SMALL, LARGE])
+    def test_array_input(self, n):
+        rows = gen2d(GenSpec(n=n, seed=31))
+        arr = np.array(rows)
+        assert _bits(solve(arr)) == _bits(solve(rows))
+        got, want = solve_baseline(arr), solve_baseline(rows)
+        assert (got.status, got.x, got.t) == (want.status, want.x, want.t)
+        assert type(got.t) is float and type(solve(arr).t) is float
+        assert expand_absolute(arr) == expand_absolute(rows)
+        assert solve_boxed(arr, -1.0, 1.0) == solve_boxed(rows, -1.0, 1.0)
+
+    def test_empty_array_rejected(self):
+        empty = np.empty((0, 2))
+        for fn in (solve, solve_baseline, expand_absolute):
+            with pytest.raises(EmptyProblem):
+                fn(empty)
+
+    @pytest.mark.parametrize("k", [1, LARGE // 2 + 1])
+    def test_rows_with_extra_fields(self, k):
+        rows = [(1.0, 0.0, 99.0), (-1.0, 1.0, 7.0)] * k
+        sol = solve(rows)
+        assert (sol.status, sol.x, sol.t) == (Status.OPTIMAL, 0.5, 0.5)
+        assert solve_baseline(rows).t == 0.5
+        assert _bits(solve(np.array(rows))) == _bits(sol)
+        assert expand_absolute(rows)[:2] == [Constraint2(1.0, 0.0),
+                                             Constraint2(-1.0, -0.0)]
+
+    @pytest.mark.parametrize("n", [SMALL, LARGE])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_names_first_bad_constraint(self, n, bad):
+        rows = [(1.0, 0.0), (-1.0, 1.0)] * n
+        rows[3] = (bad, 0.0)
+        rows[4] = (1.0, bad)
+        for fn in (solve, solve_baseline):
+            for cs in (rows, np.array(rows)):
+                with pytest.raises(NonFiniteInput, match="constraint 3 "):
+                    fn(cs)
+
+
+def _differential_cases():
+    """Float inputs (the list path keeps int inputs as ints)."""
+    cases = {}
+    for n in (1, 2, 3, 10, 57, 300):
+        for k in range(6):
+            cases[f"gauss/{n}/{k}"] = gen2d(GenSpec(n=n, seed=90 + n), index=k)
+    cases["duplicates"] = [(1.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (-1.0, 0.0),
+                           (0.0, 0.0), (2.0, 0.0), (-2.0, 0.0)]
+    cases["collinear"] = [(float(k), 0.5 * k) for k in range(-6, 7)] * 2
+    cases["repeated"] = [(2.0, -1.0), (-1.0, 0.0), (0.5, 0.0)] * 5
+    for slope in (0.1, 0.125):
+        for m in (8, 12):
+            cases[f"fit/{slope}/{m}"] = expand_absolute(
+                _fit_rows(m, slope, m))
+    cases["mirrored"] = [(-1.0, 0.0), (-2.0, 1.0), (0.0, 0.5), (-0.5, -1.0),
+                         (-3.0, 2.0), (-0.0, -4.0)]
+    cases["all-negative"] = [(-1.0, 0.0), (-2.0, 3.0)]
+    cases["all-positive"] = [(1.0, 0.0), (2.0, 3.0)]
+    cases["zero-slopes"] = [(0.0, 5.0), (0.0, 3.0), (-0.0, 5.0)]
+    cases["signed-zeros"] = [(0.0, -0.0), (-0.0, 0.0), (1.0, 0.0),
+                             (-1.0, -0.0), (0.0, 0.0)]
+    cases["zero-slopes-signed"] = [(-0.0, -0.0), (0.0, 0.0), (0.0, -0.0)]
+    cases["zero-slopes-signed-2"] = [(0.0, 0.0), (-0.0, -0.0)]
+    return cases
+
+
+class TestPathsAgree:
+    """The list path and the numpy path take the same decision at every
+    step, so their solutions agree bit for bit."""
+
+    @pytest.mark.parametrize("name,cs", list(_differential_cases().items()))
+    def test_bitwise_equal(self, monkeypatch, name, cs):
+        rows, cols = _on_both_paths(monkeypatch, lambda: _bits(solve(cs)))
+        assert rows == cols
+
+    def test_large_gaussian_instances(self, monkeypatch):
+        for n in (200, 2000):
+            for k in range(3):
+                cs = gen2d(GenSpec(n=n, seed=5), index=k)
+                rows, cols = _on_both_paths(monkeypatch,
+                                            lambda: _bits(solve(cs)))
+                assert rows == cols
