@@ -3,7 +3,9 @@
 The package solves min over x of max_i |a_i x + b_i| style problems via
 point/line duality: the one-variable case with an exact pivoting solver
 conjectured to run in linear time, the box-constrained two-variable case
-with a provably safe constraint pruner in front of an exhaustive oracle.
+with Seidel's randomized incremental LP in expected linear time.  A
+provably safe constraint pruner and exhaustive oracles sit beside them
+as tools and references.
 """
 
 from .baseline import HullChain, lower_hull, solve_baseline

@@ -8,12 +8,13 @@ quadratic oracle is out of reach; it is deliberately simple, not fast.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, EmptyProblem, NonFiniteInput
-from .geometry import Point2, _product_sign
+from .geometry import _ERRBOUND, _NO_UNDERFLOW, Point2, _orient_sign
 from .model import Solution2, Status, as_rows
 
 __all__ = ["HullChain", "lower_hull", "solve_baseline"]
@@ -51,7 +52,13 @@ def _sorted_unique_xy(xs: Sequence[float], ys: Sequence[float]):
 
 
 def _chain(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
-    """Monotone-chain lower hull over x-sorted, x-unique points."""
+    """Monotone-chain lower hull over x-sorted, x-unique points.
+
+    Each turn is decided on the original points: a float filter with the
+    shared error bound settles almost all of them, and the exact
+    orientation predicate of the three points settles the rest, so a
+    rounded or overflowing difference never decides a turn.
+    """
     hx: list[float] = []
     hy: list[float] = []
     for i in range(len(xs)):
@@ -60,9 +67,21 @@ def _chain(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
         while len(hx) >= 2:
             ax = hx[-2]
             ay = hy[-2]
+            bx = hx[-1] - ax
+            by = hy[-1] - ay
+            cx = px - ax
+            cy = py - ay
             # Pop while the middle point is not strictly convex (collinear
-            # points are dropped; the edge line is unchanged).
-            if _product_sign(hx[-1] - ax, hy[-1] - ay, px - ax, py - ay) > 0:
+            # points are dropped; the edge line is unchanged), i.e. while
+            # the orientation bx*cy - by*cx is not positive.
+            p = bx * cy
+            q = by * cx
+            detsum = abs(p) + abs(q)
+            if detsum >= _NO_UNDERFLOW and abs(p - q) > _ERRBOUND * detsum:
+                convex = p > q
+            else:
+                convex = _orient_sign(ax, ay, hx[-1], hy[-1], px, py) > 0
+            if convex:
                 break
             hx.pop()
             hy.pop()
@@ -118,7 +137,19 @@ def solve_baseline(cs: Sequence) -> Solution2:
         return Solution2(Status.OPTIMAL, x=0.0, t=-hy[0], iterations=0)
     for k in range(len(hx) - 1):
         if hx[k] <= 0.0 <= hx[k + 1]:
-            m = (hy[k + 1] - hy[k]) / (hx[k + 1] - hx[k])
-            return Solution2(Status.OPTIMAL, x=m, t=m * hx[k] - hy[k],
-                             iterations=0)
+            x1, y1, x2, y2 = hx[k], hy[k], hx[k + 1], hy[k + 1]
+            m = (y2 - y1) / (x2 - x1)
+            t = m * x1 - y1
+            if not (math.isfinite(m) and math.isfinite(t)):
+                # A difference or a product overflowed: form the line exactly.
+                mq = ((Fraction(y2) - Fraction(y1))
+                      / (Fraction(x2) - Fraction(x1)))
+                try:
+                    m = float(mq)
+                    t = float(mq * Fraction(x1) - Fraction(y1))
+                except OverflowError:
+                    raise NonFiniteInput(
+                        "solve_baseline: the optimal x or t lies outside the "
+                        "double range") from None
+            return Solution2(Status.OPTIMAL, x=m, t=t, iterations=0)
     raise ContractViolation("hull spans the axis but no crossing edge found")

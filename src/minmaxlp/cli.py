@@ -279,7 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(p, "cross-check against the hull baseline")
     p.set_defaults(fn=_cmd_solve2d)
 
-    p = sub.add_parser("solve3d", help="prune + oracle over the unit box")
+    p = sub.add_parser("solve3d",
+                       help="randomized incremental LP over the unit box, "
+                            "expected linear time")
     add_io(p, "cross-check against the unpruned oracle (n <= 60)")
     p.set_defaults(fn=_cmd_solve3d)
 

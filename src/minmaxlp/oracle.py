@@ -56,10 +56,14 @@ def brute2d(cs) -> Solution2:
     if (a == 0).all():
         return Solution2(Status.OPTIMAL, x=0.0, t=float(b.max()), iterations=0)
     ii, jj = np.triu_indices(a.size, k=1)
-    da = a[ii] - a[jj]
-    keep = da != 0.0
-    xs = (b[jj] - b[ii])[keep] / da[keep]
-    ts = _eval_max_1d(a, b, xs)
+    # Near the ends of the double range a difference can overflow and a
+    # crossing come out inf or NaN; such a candidate evaluates to inf or
+    # NaN, which sort last, so it is never chosen over a finite one.
+    with np.errstate(over="ignore", invalid="ignore"):
+        da = a[ii] - a[jj]
+        keep = da != 0.0
+        xs = (b[jj] - b[ii])[keep] / da[keep]
+        ts = _eval_max_1d(a, b, xs)
     k = np.lexsort((xs, ts))[0]
     return Solution2(Status.OPTIMAL, x=float(xs[k]), t=float(ts[k]),
                      iterations=0)
@@ -75,28 +79,46 @@ def _edge_candidates(s, o):
 
 
 def _triple_candidates(a, b, c):
-    """In-box solutions (x, y) of all three-way equal-value systems."""
+    """In-box solutions (x, y) of all three-way equal-value systems.
+
+    Triples i < j < k are enumerated in lexicographic order, in batches of
+    consecutive first indices holding about max(n^2, 2^16) triples, so
+    memory stays O(n^2) and small problems take one batch: the pairs (j, k)
+    of a given i are a suffix of the pairs j < k of all constraints.
+    """
     n = a.size
     if n < 3:
         return np.empty(0), np.empty(0)
-    ii, jj, kk = np.array(
-        np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    ).reshape(3, -1)
-    tri = (ii < jj) & (jj < kk)
-    ii, jj, kk = ii[tri], jj[tri], kk[tri]
-    a1 = a[ii] - a[jj]
-    b1 = b[ii] - b[jj]
-    r1 = c[jj] - c[ii]
-    a2 = a[ii] - a[kk]
-    b2 = b[ii] - b[kk]
-    r2 = c[kk] - c[ii]
-    det = a1 * b2 - b1 * a2
-    ok = det != 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = (r1 * b2 - b1 * r2) / det
-        y = (a1 * r2 - r1 * a2) / det
-    ok &= (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
-    return x[ok], y[ok]
+    pj, pk = np.triu_indices(n, k=1)
+    budget = max(n * n, 1 << 16)
+    xs = []
+    ys = []
+    i = 0
+    while i < n - 2:
+        parts = []
+        count = 0
+        while i < n - 2 and count < budget:
+            # the (i + 1)(2n - i - 2)/2 pairs with j <= i come first
+            first = (i + 1) * (2 * n - i - 2) // 2
+            parts.append((np.full(pj.size - first, i), pj[first:], pk[first:]))
+            count += pj.size - first
+            i += 1
+        ii, jj, kk = (np.concatenate(col) for col in zip(*parts))
+        a1 = a[ii] - a[jj]
+        b1 = b[ii] - b[jj]
+        r1 = c[jj] - c[ii]
+        a2 = a[ii] - a[kk]
+        b2 = b[ii] - b[kk]
+        r2 = c[kk] - c[ii]
+        det = a1 * b2 - b1 * a2
+        ok = det != 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = (r1 * b2 - b1 * r2) / det
+            y = (a1 * r2 - r1 * a2) / det
+        ok &= (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
+        xs.append(x[ok])
+        ys.append(y[ok])
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 def _eval_max_2d(a, b, c, xs, ys):

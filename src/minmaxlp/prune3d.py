@@ -1,24 +1,43 @@
-"""Safe constraint discarding for the box-constrained two-variable problem.
+"""The box-constrained two-variable problem: an exact-decision LP solver,
+safe constraint discarding, and the four box-edge reductions.
 
-Constraints map to dual points (a, b, -c).  Relative to a dual point of
-minimal z, two classes of points can be dropped without changing the
-objective anywhere on the closed unit box: points "behind" it (smaller x
-and y, larger z), whose supporting planes all slope downward in x or y,
-and points "too steep" with respect to it, whose supporting planes all
-rise faster than 1 in x or in y.  Either way the supporting slope leaves
-the box, so at every box point some surviving constraint attains the
-maximum and the pruned problem is exactly equivalent.
+``solve3d`` minimises max_i (a_i*x + b_i*y + c_i) over the unit box as the
+linear program min t subject to a_i*x + b_i*y + c_i <= t, by Seidel's
+randomized incremental algorithm in expected linear time.  Constraints are
+taken in a fixed-seed random order; one that the current optimum violates
+pins the optimum to its plane, which leaves a two-variable problem on that
+plane, and a violated half-plane there leaves an interval on its line.
+Every violation test is decided exactly: a float filter with a proven error
+bound settles almost all of them, and rational arithmetic on the same
+doubles settles the rest.
+
+The pruner maps constraints to dual points (a, b, -c).  Relative to a dual
+point of minimal z, two classes of points can be dropped without changing
+the objective anywhere on the closed unit box: points "behind" it (smaller
+x and y, larger z), whose supporting planes all slope downward in x or y,
+and points "too steep" with respect to it, whose supporting planes all rise
+faster than 1 in x or in y.  Either way the supporting slope leaves the
+box, so at every box point some surviving constraint attains the maximum
+and the pruned problem is exactly equivalent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
+from operator import itemgetter
 from typing import Sequence
 
-from .errors import EmptyProblem
-from .geometry import Point3, _sum_diff_sign
+import numpy as np
+
+from .errors import ContractViolation, EmptyProblem, NonFiniteInput
+from .geometry import Point3, _product_sign, _sum_diff_sign
 from .model import Constraint2, Constraint3, Solution2, Solution3
-from .oracle import brute3d_box
+# Unused here, but perfbench/spans.py traces prune3d.brute3d_box by
+# rebinding it, so the name stays a module attribute.
+from .oracle import brute3d_box  # noqa: F401
 from .solver2d import solve_boxed
 
 __all__ = [
@@ -141,30 +160,259 @@ def boundary_via_2d(cs: Sequence) -> list[tuple[str, Solution2]]:
     return [(edge, solve_boxed(induced[edge], 0.0, 1.0)) for edge in EDGE_IDS]
 
 
-def solve3d(cs: Sequence, validate: bool = False) -> Solution3:
-    """Prune, then minimise over the unit box with the exhaustive oracle.
+# The order in which solve3d inserts constraints: random, so the expected
+# running time is linear for every input, and seeded, so the same input
+# always gives the same answer.
+_ORDER_SEED = 0x5E1DE1
+# Error bound of the float filters, relative to the sum of the magnitudes
+# involved: each filtered value takes at most five roundings (4u), and the
+# factor 2 covers the rounding of the bound itself.
+_EVAL = 8.0 * 2.0 ** -53
+# An interval that comes out empty is accepted when some point of it misses
+# every constraint by at most this much, relative to the largest
+# coefficient; rounding accounts for about 2**-47.
+_SLACK = 2.0 ** -40
+# Coefficients of magnitude inside [1/_SAFE, _SAFE] keep every product of
+# two of them normal and finite; other problems are rescaled by a power of
+# two, which is exact.
+_SAFE = 2.0 ** 500
 
-    Discarded constraints never attain the maximum anywhere on the box, so
-    the reduced problem has the same optimum as the full one while the
-    cubic interior enumeration runs on fewer constraints.  With
-    ``validate`` the four edge restrictions of the full problem are solved
-    as well and checked for consistency: no edge value may undercut the
-    reported optimum, and when the optimum sits on the boundary the best
+
+def solve3d(cs: Sequence, validate: bool = False) -> Solution3:
+    """Minimise max_i (a_i*x + b_i*y + c_i) over the unit box.
+
+    ``cs`` is a sequence of rows whose first three fields are
+    (a_i, b_i, c_i), or an (n, k >= 3) array.  Among the optimal points the
+    one with the smallest x, then the smallest y, is sought: the objective
+    is lexicographic in (t, x, y).  The returned t is the objective
+    re-evaluated at the returned point over all constraints.  Raises
+    NonFiniteInput for a non-finite coefficient, naming the first such
+    constraint, and ContractViolation if a subproblem comes out empty by
+    more than rounding, which exact arithmetic rules out.
+
+    With ``validate`` the four edge restrictions are solved as well, and
+    ContractViolation is raised unless they agree with the answer: no edge
+    value may undercut t, and when the point sits on the boundary the best
     edge value must match it.
     """
-    if not cs:
+    a0, b0, c0 = _columns(cs)
+    if a0.size == 0:
         raise EmptyProblem("solve3d: no constraints")
-    report = prune(cs)
-    sol = brute3d_box(report.kept)
+    x, y = _seidel(a0, b0, c0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = float(np.max(a0 * x + b0 * y + c0)) + 0.0
+    if not math.isfinite(t):
+        t = _exact_max(a0, b0, c0, x, y)
+    sol = Solution3(x=x, y=y, t=t)
     if validate:
-        edge_best = min(s.t for _, s in boundary_via_2d(cs))
-        tol = 1e-9 * max(1.0, abs(sol.t))
-        if edge_best < sol.t - tol:
-            raise AssertionError(
-                f"boundary value {edge_best} undercuts reported optimum {sol.t}")
-        on_edge = sol.x in (0.0, 1.0) or sol.y in (0.0, 1.0)
-        if on_edge and abs(edge_best - sol.t) > tol:
-            raise AssertionError(
-                f"boundary optimum {sol.t} not reproduced by edge solves "
-                f"(best {edge_best})")
+        _check_edges(cs, sol)
     return sol
+
+
+def _check_edges(cs: Sequence, sol: Solution3) -> None:
+    """Raise ContractViolation unless ``sol`` agrees with the four box-edge
+    optima of ``cs`` to 1e-9: no edge value may undercut sol.t, and when
+    the point sits on the boundary the best edge value must match it."""
+    edge_best = min(s.t for _, s in boundary_via_2d(cs))
+    tol = 1e-9 * max(1.0, abs(sol.t))
+    if edge_best < sol.t - tol:
+        raise ContractViolation(
+            f"boundary value {edge_best} undercuts reported optimum {sol.t}")
+    on_edge = sol.x in (0.0, 1.0) or sol.y in (0.0, 1.0)
+    if on_edge and abs(edge_best - sol.t) > tol:
+        raise ContractViolation(
+            f"boundary optimum {sol.t} not reproduced by edge solves "
+            f"(best {edge_best})")
+
+
+def _columns(cs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The a, b and c columns of ``cs`` as float64 arrays, checked finite."""
+    if isinstance(cs, np.ndarray):
+        if cs.ndim != 2 or cs.shape[1] < 3:
+            raise ValueError("constraint array must have shape (n, k >= 3), "
+                             f"got {cs.shape}")
+        a, b, c = (np.asarray(cs[:, k], dtype=float) for k in range(3))
+    else:
+        n = len(cs)
+        a, b, c = (np.fromiter(map(itemgetter(k), cs), float, n)
+                   for k in range(3))
+    # A sum is finite only if every term is; a sum that overflows merely
+    # sends the check on to the elementwise test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a.sum() + b.sum() + c.sum()
+    if not math.isfinite(total):
+        finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
+        if not finite.all():
+            raise NonFiniteInput(
+                f"constraint {int(np.argmin(finite))} is not finite")
+    return a, b, c
+
+
+def _exact_max(a0, b0, c0, x: float, y: float) -> float:
+    """max_i (a_i*x + b_i*y + c_i) in rational arithmetic, then rounded."""
+    fx, fy = Fraction(x), Fraction(y)
+    best = max(Fraction(a) * fx + Fraction(b) * fy + Fraction(c)
+               for a, b, c in zip(a0, b0, c0))
+    try:
+        return float(best)
+    except OverflowError:
+        raise NonFiniteInput(
+            "solve3d: the optimal t lies outside the double range") from None
+
+
+def _exceeds(a: float, b: float, c: float, x: float, y: float,
+             t: float) -> bool:
+    """a*x + b*y + c > t, decided exactly on the given doubles."""
+    F = Fraction
+    return F(a) * F(x) + F(b) * F(y) + F(c) > F(t)
+
+
+def _clamp(v: float) -> float:
+    """``v`` clamped to [0, 1], with -0.0 mapped to 0.0."""
+    return 0.0 if v <= 0.0 else (1.0 if v >= 1.0 else v)
+
+
+@cache
+def _seed_sequence() -> np.random.SeedSequence:
+    """The hashed ``_ORDER_SEED``, built on first use: importing
+    numpy.random at package import would cost every user of the package
+    about 5 MB and some milliseconds."""
+    return np.random.SeedSequence(_ORDER_SEED)
+
+
+def _seidel(a0: np.ndarray, b0: np.ndarray,
+            c0: np.ndarray) -> tuple[float, float]:
+    """The lexicographically smallest (t, x, y) optimum's (x, y).
+
+    Outer level of the incremental LP: constraint k is inserted in turn,
+    and when it lies strictly above ``t``, an upper bound of the objective
+    at the current point over the constraints inserted so far, the new
+    optimum lies on its plane.  ``t`` is recomputed after each such step
+    from all inserted constraints, padded by the evaluation error, so a
+    constraint found above it is above each of them.
+    """
+    n = a0.size
+    rng = np.random.Generator(np.random.SFC64(_seed_sequence()))
+    order = rng.permutation(n)
+    scale = float(max(np.abs(a0).max(), np.abs(b0).max(), np.abs(c0).max()))
+    if scale > _SAFE or 0.0 < scale < 1.0 / _SAFE:
+        f = math.ldexp(1.0, -math.frexp(scale)[1])
+        a0, b0, c0 = a0 * f, b0 * f, c0 * f
+        scale *= f
+    elif scale == 0.0:
+        scale = 1.0
+    # Gathered in insertion order as fresh floats, so the loops below walk
+    # memory in order.
+    a, b, c = a0[order].tolist(), b0[order].tolist(), c0[order].tolist()
+    x = y = 0.0
+    # Nothing is inserted yet: d is inf, and both tests send constraint 0
+    # to its plane.
+    t = err = -math.inf
+    for k, (ak, bk, ck) in enumerate(zip(a, b, c)):
+        d = ak * x + bk * y + ck - t
+        if d < -err or (d <= err and not _exceeds(ak, bk, ck, x, y, t)):
+            continue
+        x, y = _solve_on_plane(a, b, c, k, scale)
+        k1 = k + 1
+        top = max([u * x + v * y + w
+                   for u, v, w in zip(a[:k1], b[:k1], c[:k1])])
+        t = top + 2.0 * _EVAL * (3.0 * scale + abs(top))
+        err = _EVAL * (3.0 * scale + abs(t))
+    return x, y
+
+
+def _solve_on_plane(a: list, b: list, c: list, m: int,
+                    scale: float) -> tuple[float, float]:
+    """Minimise constraint m's plane over the box where it is the highest
+    of constraints 0..m, lexicographically in (value, x, y).
+
+    Constraint j < m becomes the half-plane u_j*x + v_j*y <= w_j with
+    (u_j, v_j, w_j) = (a_j - a_m, b_j - b_m, c_m - c_j), in rounded
+    differences; the half-planes are inserted in order, and one violated
+    by the current point pins the point to its line.
+    """
+    am, bm, cm = a[m], b[m], c[m]
+    x = 0.0 if am >= 0.0 else 1.0
+    y = 0.0 if bm >= 0.0 else 1.0
+    us = [v - am for v in a[:m]]
+    vs = [v - bm for v in b[:m]]
+    ws = [cm - v for v in c[:m]]
+    err = _EVAL * 6.0 * scale
+    for j, (u, v, w) in enumerate(zip(us, vs, ws)):
+        d = u * x + v * y - w
+        if d < -err or (d <= err and not _exceeds(u, v, 0.0, x, y, w)):
+            continue
+        x, y = _solve_on_line(us, vs, ws, j, am, bm, scale)
+    return x, y
+
+
+def _solve_on_line(us: list, vs: list, ws: list, j: int, am: float,
+                   bm: float, scale: float) -> tuple[float, float]:
+    """The lexicographically smallest (am*x + bm*y, x, y) point of the box
+    on the line u_j*x + v_j*y = w_j that satisfies half-planes 0..j-1.
+
+    The line is parametrised by the coordinate whose coefficient is smaller
+    in magnitude, s, so the other one, r = (w - u*s)/v, stays well
+    conditioned; every half-plane p*s + q*r <= r0 becomes a bound on s.
+    """
+    u, v, w = us[j], vs[j], ws[j]
+    swap = abs(v) < abs(u)
+    if swap:
+        u, v = v, u
+        ps, qs = vs, us
+    else:
+        ps, qs = us, vs
+    if v == 0.0:
+        raise ContractViolation(
+            "solve3d: a half-plane with zero normal is violated")
+    if v < 0.0:
+        u, v, w = -u, -v, -w
+    lo, hi = 0.0, 1.0
+    # Set when the floats say some half-plane misses the line: exactly,
+    # none can, so the point found is then checked to miss by rounding only.
+    missed = False
+    # r = (w - u*s)/v in [0, 1] means u*s <= w and u*s >= w - v.
+    if u > 0.0:
+        hi = min(hi, w / u)
+        lo = max(lo, (w - v) / u)
+    elif u < 0.0:
+        lo = max(lo, w / u)
+        hi = min(hi, (w - v) / u)
+    elif not 0.0 <= w <= v:
+        missed = True
+    for p, q, r0 in zip(ps[:j], qs[:j], ws[:j]):
+        # p*s + q*(w - u*s)/v <= r0, times v > 0
+        den = p * v - q * u
+        num = r0 * v - q * w
+        if den > 0.0:
+            bound = num / den
+            if bound < hi:
+                hi = bound
+        elif den < 0.0:
+            bound = num / den
+            if bound > lo:
+                lo = bound
+        elif num < 0.0:
+            missed = True
+    if swap:
+        # s is y and r is x: the objective rises along s by
+        # sign(bm*v - am*u), and x = (w - u*s)/v falls along s when u > 0.
+        g = _product_sign(bm, am, u, v)
+        at_lo = g > 0 or (g == 0 and u <= 0.0)
+    else:
+        # s is x: the objective rises along s by sign(am*v - bm*u).
+        at_lo = _product_sign(am, bm, u, v) >= 0
+    ends = (lo, hi) if at_lo else (hi, lo)
+    worst = math.inf
+    for s in ends:
+        s = _clamp(s)
+        r = _clamp((w - u * s) / v)
+        x, y = (r, s) if swap else (s, r)
+        if lo <= hi and not missed:
+            return x, y
+        worst = max([p * x + q * y - r0
+                     for p, q, r0 in zip(us[:j + 1], vs[:j + 1], ws[:j + 1])])
+        if worst <= _SLACK * scale:
+            return x, y
+    raise ContractViolation(
+        f"solve3d: a subproblem is empty by {worst!r}, more than rounding")

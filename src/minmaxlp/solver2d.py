@@ -262,8 +262,10 @@ def _solve_rows(cs: Sequence) -> Solution2:
     left: list[int] = []
     right: list[int] = []
     for i, c in enumerate(cs):
-        a = c[0]
-        b = c[1]
+        # float() here, as the numpy path does, so int rows give float
+        # answers and pivot pairs, with the same signed zeros.
+        a = float(c[0])
+        b = float(c[1])
         if not (isfin(a) and isfin(b)):
             raise NonFiniteInput(f"constraint {i} is not finite")
         dpx[i] = a

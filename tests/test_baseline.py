@@ -101,6 +101,23 @@ class TestSolveBaseline:
                 if a.status is Status.OPTIMAL:
                     assert close(a.t, b.t, 1e-12)
 
+    def test_overflowing_differences_give_exact_answer(self):
+        # p1 - p0 overflows for the first two dual points; every turn is
+        # decided on the points themselves, and the answer line exactly
+        cs = [(1e308, 1e308), (-1e308, -1e308), (1.0, 0.0)]
+        sol = solve_baseline(cs)
+        assert (sol.status, sol.x, sol.t) == (Status.OPTIMAL, -1.0, 0.0)
+        ref = solve(cs)
+        assert (ref.x, ref.t) == (sol.x, sol.t)
+
+    def test_hull_turns_exact_near_double_range(self):
+        # collinear and barely convex triples whose differences overflow
+        big = 1.5e308
+        pts = [Point2(-big, big), Point2(0.0, 0.0), Point2(big, -big)]
+        assert lower_hull(pts) == [pts[0], pts[2]]
+        dip = [Point2(-big, big), Point2(0.0, -1.0), Point2(big, -big)]
+        assert lower_hull(dip) == dip
+
     def test_agreement_through_numpy_sort_path(self):
         for cs in corpus2d(6000, 3, seed=31):
             a = solve(cs)

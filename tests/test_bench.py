@@ -28,6 +28,27 @@ class TestRunScaling:
                            validate_fraction=1.0)
         assert r.solver == "brute2d"
 
+    def test_box3d_solver(self):
+        # n = 20 is re-checked against the oracle, n = 80 against the edges
+        results = run_scaling("box3d", sizes=[20, 80], batch=4, seed=6,
+                              validate_fraction=1.0)
+        assert [r.n for r in results] == [20, 80]
+        assert all(r.solver == "box3d" and r.mean_s > 0 for r in results)
+        assert results[0].mean_iterations is None
+
+    def test_box3d_check_rejects_a_wrong_answer(self):
+        from minmaxlp import ContractViolation, GenSpec, Solution3, gen3d
+        from minmaxlp.bench import _check_box3d
+        for n in (20, 80):
+            inst = gen3d(GenSpec(n=n, seed=7, dim=3))
+            # the right objective, but at a point of an edge that is not
+            # optimal: the oracle (n = 20) or the edge solves (n = 80) object
+            t = max(a * 0.0 + b * 0.5 + c for a, b, c in inst)
+            with pytest.raises(ContractViolation, match="oracle|boundary"):
+                _check_box3d(inst, Solution3(x=0.0, y=0.5, t=t))
+            with pytest.raises(ContractViolation, match="objective"):
+                _check_box3d(inst, Solution3(x=0.0, y=0.5, t=t - 1.0))
+
     def test_unknown_solver(self):
         with pytest.raises(ValueError):
             run_scaling("simplex", sizes=[10], batch=1, seed=0)

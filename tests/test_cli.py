@@ -148,6 +148,15 @@ class TestMain:
         code, _, err = self.run(capsys, "solve2d", "/nonexistent/x.txt")
         assert code == 2
 
+    def test_validate_near_double_range(self, tmp_path, capsys):
+        # the baseline that --validate runs answers this input exactly too
+        f = tmp_path / "p.txt"
+        f.write_text("1e308,1e308\n-1e308,-1e308\n1,0\n")
+        code, out, _ = self.run(capsys, "solve2d", str(f), "--validate")
+        assert code == 0
+        got = json.loads(out)
+        assert (got["x"], got["t"]) == (-1.0, 0.0)
+
     def test_solve3d(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
         f.write_text("1,0,0\n-1,0,0\n0,1,0\n0,-1,0\n")

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,14 @@ class TestBrute2d:
     def test_empty(self):
         with pytest.raises(EmptyProblem):
             brute2d([])
+
+    def test_no_warnings_near_double_range(self):
+        # pairwise differences overflow and crossings come out NaN; they
+        # must neither warn nor be chosen
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = brute2d([(1e308, 1e308), (-1e308, -1e308), (1.0, 0.0)])
+        assert (sol.x, sol.t) == (-1.0, 0.0)
 
     def test_permutation_invariant(self):
         rng = random.Random(0)

@@ -450,8 +450,13 @@ class TestInputEdge:
                     fn(cs)
 
 
+def _int_rows(n, seed):
+    rng = random.Random(seed)
+    return [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n)]
+
+
 def _differential_cases():
-    """Float inputs (the list path keeps int inputs as ints)."""
+    """Float inputs, and int inputs on both sides of the size threshold."""
     cases = {}
     for n in (1, 2, 3, 10, 57, 300):
         for k in range(6):
@@ -473,6 +478,10 @@ def _differential_cases():
                              (-1.0, -0.0), (0.0, 0.0)]
     cases["zero-slopes-signed"] = [(-0.0, -0.0), (0.0, 0.0), (0.0, -0.0)]
     cases["zero-slopes-signed-2"] = [(0.0, 0.0), (-0.0, -0.0)]
+    cases["int/duplicates"] = [(1, 0), (1, 0), (-1, 0), (-1, 0), (0, 0),
+                               (2, 0), (-2, 0)]
+    for n in (SMALL, LARGE):
+        cases[f"int/grid/{n}"] = _int_rows(n, seed=n)
     return cases
 
 
@@ -484,6 +493,16 @@ class TestPathsAgree:
     def test_bitwise_equal(self, monkeypatch, name, cs):
         rows, cols = _on_both_paths(monkeypatch, lambda: _bits(solve(cs)))
         assert rows == cols
+
+    @pytest.mark.parametrize("n", [7, SMALL, LARGE])
+    def test_int_rows_solve_as_floats(self, n):
+        rows = (_int_rows(n, seed=n) if n != 7 else
+                [(1, 0), (1, 0), (-1, 0), (-1, 0), (0, 0), (2, 0), (-2, 0)])
+        as_floats = [(float(a), float(b)) for a, b in rows]
+        sol = solve(rows)
+        assert _bits(sol) == _bits(solve(as_floats))
+        assert all(type(v) is float for pair in sol.pivot_pairs
+                   for p in pair for v in p)
 
     def test_large_gaussian_instances(self, monkeypatch):
         for n in (200, 2000):
