@@ -8,22 +8,20 @@ provably safe constraint pruner and exhaustive oracles sit beside them
 as tools and references.
 """
 
-from .baseline import HullChain, lower_hull, solve_baseline
-from .bench import (BenchResult, IterationRow, fit_loglog_slope,
-                    iteration_stats, run_scaling)
+from .baseline import lower_hull, solve_baseline
+from .bench import BenchResult, fit_loglog_slope, run_scaling
 from .errors import (ContractViolation, EmptyProblem, MixedArity,
                      NonFiniteInput, ParseError)
 from .geometry import (Line2, Plane3, Point2, Point3, Sign, dual_of_line,
                        dual_of_plane, dual_of_point, dual_of_point2,
                        exact_product_compare, orientation_exact)
 from .instances import GenSpec, gen2d, gen3d
-from .model import (Constraint2, Constraint3, Residual2, Solution2,
-                    Solution3, Status)
+from .model import Constraint2, Constraint3, Solution2, Solution3, Status
 from .oracle import brute2d, brute3d_box
 from .prune3d import (PruneReport, boundary_via_2d, find_pmin, is_behind,
                       is_too_steep, prune, solve3d)
-from .solver2d import (advance, check_certificate, expand_absolute,
-                       partition, solve, solve_boxed, to_dual_points)
+from .solver2d import (check_certificate, expand_absolute, solve, solve_boxed,
+                       to_dual_points)
 
 __version__ = "0.1.0"
 
@@ -31,17 +29,16 @@ __all__ = [
     "Sign", "Point2", "Point3", "Line2", "Plane3",
     "dual_of_plane", "dual_of_point", "dual_of_line", "dual_of_point2",
     "orientation_exact", "exact_product_compare",
-    "Status", "Constraint2", "Constraint3", "Residual2",
+    "Status", "Constraint2", "Constraint3",
     "Solution2", "Solution3",
-    "expand_absolute", "to_dual_points", "partition", "advance",
+    "expand_absolute", "to_dual_points",
     "solve", "solve_boxed", "check_certificate",
-    "HullChain", "lower_hull", "solve_baseline",
+    "lower_hull", "solve_baseline",
     "brute2d", "brute3d_box",
     "PruneReport", "find_pmin", "is_behind", "is_too_steep", "prune",
     "solve3d", "boundary_via_2d",
     "GenSpec", "gen2d", "gen3d",
-    "BenchResult", "IterationRow", "run_scaling", "iteration_stats",
-    "fit_loglog_slope",
+    "BenchResult", "run_scaling", "fit_loglog_slope",
     "EmptyProblem", "NonFiniteInput", "ParseError", "MixedArity",
     "ContractViolation",
 ]

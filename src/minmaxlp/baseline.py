@@ -3,52 +3,33 @@
 O(n log n) by construction, exact thanks to the shared sign predicates.
 This module exists to cross-check the pivoting solver at sizes where the
 quadratic oracle is out of reach; it is deliberately simple, not fast.
+Points are read and sorted in numpy; the hull chain is built in Python,
+one exact turn decision at a time.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, EmptyProblem, NonFiniteInput
-from .geometry import _ERRBOUND, _NO_UNDERFLOW, Point2, _orient_sign
-from .model import Solution2, Status, as_rows
+from .errors import ContractViolation, EmptyProblem
+from .geometry import (_ERRBOUND, _NO_UNDERFLOW, Point2, _line_through,
+                       _orient_sign)
+from .model import Solution2, Status, columns
 
-__all__ = ["HullChain", "lower_hull", "solve_baseline"]
-
-# Ordered left to right; consecutive triples turn strictly counter-clockwise.
-HullChain = list[Point2]
-
-_NP_SORT_CUTOFF = 4096
+__all__ = ["lower_hull", "solve_baseline"]
 
 
-def _sorted_unique_xy(xs: Sequence[float], ys: Sequence[float]):
+def _sorted_unique_xy(xs: np.ndarray, ys: np.ndarray):
     """Coordinates sorted by (x, y) with one point per x: the lowest.
 
     Points sharing an x but sitting higher can never be on the lower hull.
     """
-    n = len(xs)
-    if n > _NP_SORT_CUTOFF:
-        ax = np.asarray(xs)
-        ay = np.asarray(ys)
-        order = np.lexsort((ay, ax))
-        sx = ax[order]
-        sy = ay[order]
-        _, first = np.unique(sx, return_index=True)
-        return sx[first].tolist(), sy[first].tolist()
-    pts = sorted(zip(xs, ys))
-    ux: list[float] = []
-    uy: list[float] = []
-    prev = None
-    for x, y in pts:
-        if x != prev:
-            ux.append(x)
-            uy.append(y)
-            prev = x
-    return ux, uy
+    order = np.lexsort((ys, xs))
+    sx = xs[order]
+    _, first = np.unique(sx, return_index=True)
+    return sx[first].tolist(), ys[order[first]].tolist()
 
 
 def _chain(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
@@ -90,14 +71,15 @@ def _chain(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
     return hx, hy
 
 
-def lower_hull(dp: Sequence[Point2]) -> HullChain:
+def lower_hull(dp: Sequence[Point2]) -> list[Point2]:
     """Lower convex hull of a point set, left to right.
 
-    Every input point lies on or above every edge of the returned chain.
+    Consecutive triples of the chain turn strictly counter-clockwise, and
+    every input point lies on or above every edge of it.
     """
-    if not dp:
+    if len(dp) == 0:
         raise EmptyProblem("lower_hull: no points")
-    xs, ys = _sorted_unique_xy([p[0] for p in dp], [p[1] for p in dp])
+    xs, ys = _sorted_unique_xy(*columns(dp, 2))
     hx, hy = _chain(xs, ys)
     return [Point2(x, y) for x, y in zip(hx, hy)]
 
@@ -108,48 +90,20 @@ def solve_baseline(cs: Sequence) -> Solution2:
     Accepts the same inputs: rows whose first two fields are (a, b), or an
     (n, k >= 2) array.
     """
-    cs = as_rows(cs)
     if len(cs) == 0:
         raise EmptyProblem("solve_baseline: no constraints")
-    isfin = math.isfinite
-    dpx = []
-    dpy = []
-    any_left = False
-    any_right = False
-    for i, c in enumerate(cs):
-        a = c[0]
-        b = c[1]
-        if not (isfin(a) and isfin(b)):
-            raise NonFiniteInput(f"constraint {i} is not finite")
-        dpx.append(a)
-        dpy.append(-b)
-        if a <= 0.0:
-            any_left = True
-        if a >= 0.0:
-            any_right = True
-    if not any_left or not any_right:
+    a, b = columns(cs, 2)
+    if not ((a <= 0.0).any() and (a >= 0.0).any()):
         # All dual points strictly on one side of the vertical axis.
         return Solution2(Status.UNBOUNDED)
-    xs, ys = _sorted_unique_xy(dpx, dpy)
+    xs, ys = _sorted_unique_xy(a, -b)
     hx, hy = _chain(xs, ys)
     if len(hx) == 1:
         # Only possible when every slope is zero.
         return Solution2(Status.OPTIMAL, x=0.0, t=-hy[0], iterations=0)
     for k in range(len(hx) - 1):
         if hx[k] <= 0.0 <= hx[k + 1]:
-            x1, y1, x2, y2 = hx[k], hy[k], hx[k + 1], hy[k + 1]
-            m = (y2 - y1) / (x2 - x1)
-            t = m * x1 - y1
-            if not (math.isfinite(m) and math.isfinite(t)):
-                # A difference or a product overflowed: form the line exactly.
-                mq = ((Fraction(y2) - Fraction(y1))
-                      / (Fraction(x2) - Fraction(x1)))
-                try:
-                    m = float(mq)
-                    t = float(mq * Fraction(x1) - Fraction(y1))
-                except OverflowError:
-                    raise NonFiniteInput(
-                        "solve_baseline: the optimal x or t lies outside the "
-                        "double range") from None
+            m, t = _line_through(hx[k], hy[k], hx[k + 1], hy[k + 1],
+                                 "solve_baseline")
             return Solution2(Status.OPTIMAL, x=m, t=t, iterations=0)
     raise ContractViolation("hull spans the axis but no crossing edge found")

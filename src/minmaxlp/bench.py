@@ -16,7 +16,7 @@ import statistics
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .baseline import solve_baseline
 from .errors import ContractViolation
@@ -26,8 +26,7 @@ from .oracle import brute2d, brute3d_box
 from .prune3d import _check_edges, solve3d
 from .solver2d import solve
 
-__all__ = ["BenchResult", "IterationRow", "run_scaling", "iteration_stats",
-           "fit_loglog_slope"]
+__all__ = ["BenchResult", "run_scaling", "fit_loglog_slope"]
 
 SOLVERS: dict[str, Callable] = {
     "hough2d": solve,
@@ -52,12 +51,6 @@ class BenchResult:
     median_s: float
     mean_iterations: float | None = None
     max_iterations: int | None = None
-
-
-class IterationRow(NamedTuple):
-    n: int
-    mean_pivots: float
-    max_pivots: int
 
 
 def _check_against(reference: Callable, inst, sol) -> None:
@@ -135,20 +128,6 @@ def run_scaling(solver: str, sizes: Sequence[int], batch: int, seed: int,
             max_iterations=max(iters) if iters else None,
         ))
     return results
-
-
-def iteration_stats(sizes: Sequence[int], batch: int,
-                    seed: int) -> list[IterationRow]:
-    """Mean and max pivot scans per size for the pivoting solver."""
-    rows = []
-    n_min = min(sizes)
-    for n in sizes:
-        eff = max(1, (batch * n_min) // n)
-        spec = GenSpec(n=n, seed=seed)
-        counts = [solve(gen2d(spec, index=k)).iterations
-                  for k in range(1, eff + 1)]
-        rows.append(IterationRow(n, statistics.fmean(counts), max(counts)))
-    return rows
 
 
 def fit_loglog_slope(results: Sequence[BenchResult]) -> float:

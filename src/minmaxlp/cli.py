@@ -115,11 +115,28 @@ def _require_arity(cs, want: int, sub: str):
             f"{sub} needs {want}-field constraints, input has {have}")
 
 
+def _apply_mode(cs, mode: str):
+    """``cs``, or with mode "abs" each residual row r as the pair r, -r."""
+    if mode != "abs":
+        return cs
+    if len(cs[0]) == 2:
+        return expand_absolute(cs)
+    return [c for row in cs
+            for c in (Constraint3(*row), Constraint3(-row[0], -row[1], -row[2]))]
+
+
+def _require_validate_size(cs) -> None:
+    """Keep --validate's cubic 3D oracle to problems it finishes quickly."""
+    if len(cs) > _VALIDATE_3D_MAX_N:
+        raise ParseError(
+            f"--validate supports at most {_VALIDATE_3D_MAX_N} constraints "
+            f"in 3D, got {len(cs)}")
+
+
 def _cmd_solve2d(args) -> int:
     cs = parse_constraints(_read_input(args.input))
     _require_arity(cs, 2, "solve2d")
-    if args.mode == "abs":
-        cs = expand_absolute(cs)
+    cs = _apply_mode(cs, args.mode)
     sol = solve(cs)
     if args.validate:
         ref = solve_baseline(cs)
@@ -142,13 +159,9 @@ def _compare_2d(sol: Solution2, ref: Solution2) -> None:
 def _cmd_solve3d(args) -> int:
     cs = parse_constraints(_read_input(args.input))
     _require_arity(cs, 3, "solve3d")
-    if args.mode == "abs":
-        cs = [c for row in cs
-              for c in (Constraint3(*row), Constraint3(-row[0], -row[1], -row[2]))]
-    if args.validate and len(cs) > _VALIDATE_3D_MAX_N:
-        raise ParseError(
-            f"--validate supports at most {_VALIDATE_3D_MAX_N} constraints "
-            f"in 3D, got {len(cs)}")
+    cs = _apply_mode(cs, args.mode)
+    if args.validate:
+        _require_validate_size(cs)
     sol = solve3d(cs, validate=args.validate)
     if args.validate:
         ref = brute3d_box(cs)
@@ -165,10 +178,7 @@ def _cmd_prune3d(args) -> int:
     _require_arity(cs, 3, "prune3d")
     report = prune(cs)
     if args.validate:
-        if len(cs) > _VALIDATE_3D_MAX_N:
-            raise ParseError(
-                f"--validate supports at most {_VALIDATE_3D_MAX_N} "
-                f"constraints in 3D, got {len(cs)}")
+        _require_validate_size(cs)
         full = brute3d_box(cs)
         kept = brute3d_box(report.kept)
         tol = 1e-9 * max(1.0, abs(full.t))
@@ -180,17 +190,12 @@ def _cmd_prune3d(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cs = parse_constraints(_read_input(args.input))
+    cs = _apply_mode(parse_constraints(_read_input(args.input)), args.mode)
     if len(cs[0]) == 2:
-        if args.mode == "abs":
-            cs = expand_absolute(cs)
         sol = brute2d(cs)
         if args.validate:
             _compare_2d(sol, solve_baseline(cs))
     else:
-        if args.mode == "abs":
-            cs = [c for row in cs for c in
-                  (Constraint3(*row), Constraint3(-row[0], -row[1], -row[2]))]
         sol = brute3d_box(cs)
     print(emit_solution(sol, args.format))
     return 0

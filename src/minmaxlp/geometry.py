@@ -6,10 +6,12 @@ z = x0*x + y0*y - z0 (one dimension lower, the same with y in place of z).
 The map is an involution and reverses above/below relations, which turns
 upper envelopes of planes into lower convex hulls of points.
 
-Sign predicates return an exact three-valued result.  The determinant sign
-is evaluated with error-free float transforms (two-product / two-sum
-expansions) after normalising exponents, so the result is exact for every
-finite double, including denormals, without any epsilon.
+Sign predicates return an exact three-valued result.  A float filter with
+a proven error bound (Shewchuk's orientation filter) decides almost every
+sign; the rest are decided in integers: every finite double is an integer
+over a power of two, so scaled to a common denominator the determinant or
+sum becomes an integer expression of the same sign.  The result is exact
+for every finite double, including denormals, without any epsilon.
 """
 
 from __future__ import annotations
@@ -96,7 +98,6 @@ def dual_of_point2(p: Point2) -> Line2:
 
 # --- exact sign arithmetic ------------------------------------------------
 
-_SPLITTER = 134217729.0  # 2**27 + 1, splits a double into two 26-bit halves
 _EPS = 2.0 ** -53
 _ERRBOUND = (3.0 + 16.0 * _EPS) * _EPS
 # Below this magnitude the relative error bound no longer holds because the
@@ -104,118 +105,9 @@ _ERRBOUND = (3.0 + 16.0 * _EPS) * _EPS
 _NO_UNDERFLOW = 1e-280
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bv = s - a
-    return s, (a - (s - bv)) + (b - bv)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ah = _SPLITTER * a
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLITTER * b
-    bh = bh - (bh - b)
-    bl = b - bh
-    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-
-
-def _expansion_sum_zeroelim(e: list[float], f: list[float]) -> list[float]:
-    """Sum two nonoverlapping increasing-magnitude expansions exactly.
-
-    The result is zero-eliminated; its last component is the largest and
-    carries the sign of the whole sum.
-    """
-    elen = len(e)
-    flen = len(f)
-    enow = e[0]
-    fnow = f[0]
-    eindex = findex = 0
-    if (fnow > enow) == (fnow > -enow):
-        q = enow
-        eindex = 1
-        enow = e[1] if elen > 1 else 0.0
-    else:
-        q = fnow
-        findex = 1
-        fnow = f[1] if flen > 1 else 0.0
-    h: list[float] = []
-    if eindex < elen and findex < flen:
-        if (fnow > enow) == (fnow > -enow):
-            qnew = enow + q
-            hh = q - (qnew - enow)
-            eindex += 1
-            enow = e[eindex] if eindex < elen else 0.0
-        else:
-            qnew = fnow + q
-            hh = q - (qnew - fnow)
-            findex += 1
-            fnow = f[findex] if findex < flen else 0.0
-        q = qnew
-        if hh != 0.0:
-            h.append(hh)
-        while eindex < elen and findex < flen:
-            if (fnow > enow) == (fnow > -enow):
-                qnew, hh = _two_sum(q, enow)
-                eindex += 1
-                enow = e[eindex] if eindex < elen else 0.0
-            else:
-                qnew, hh = _two_sum(q, fnow)
-                findex += 1
-                fnow = f[findex] if findex < flen else 0.0
-            q = qnew
-            if hh != 0.0:
-                h.append(hh)
-    while eindex < elen:
-        qnew, hh = _two_sum(q, enow)
-        eindex += 1
-        enow = e[eindex] if eindex < elen else 0.0
-        q = qnew
-        if hh != 0.0:
-            h.append(hh)
-    while findex < flen:
-        qnew, hh = _two_sum(q, fnow)
-        findex += 1
-        fnow = f[findex] if findex < flen else 0.0
-        q = qnew
-        if hh != 0.0:
-            h.append(hh)
-    if q != 0.0 or not h:
-        h.append(q)
-    return h
-
-
 def _slow_sign(u1: float, v1: float, u2: float, v2: float) -> int:
     """Exact sign of u1*v2 - v1*u2, no magnitude restrictions."""
-    s1 = ((u1 > 0.0) - (u1 < 0.0)) * ((v2 > 0.0) - (v2 < 0.0))
-    s2 = ((v1 > 0.0) - (v1 < 0.0)) * ((u2 > 0.0) - (u2 < 0.0))
-    if s1 != s2:
-        return 1 if s1 > s2 else -1
-    if s1 == 0:
-        return 0
-    # Both products share a strict sign; compare magnitudes on normalised
-    # mantissas so the error-free products never overflow or underflow.
-    m1, e1 = math.frexp(u1)
-    m2, e2 = math.frexp(v2)
-    m3, e3 = math.frexp(v1)
-    m4, e4 = math.frexp(u2)
-    d = (e1 + e2) - (e3 + e4)
-    if d > 1:
-        return s1
-    if d < -1:
-        return -s1
-    ahi, alo = _two_prod(abs(m1), abs(m2))
-    bhi, blo = _two_prod(abs(m3), abs(m4))
-    if d:
-        ahi = math.ldexp(ahi, d)
-        alo = math.ldexp(alo, d)
-    top = _expansion_sum_zeroelim([alo, ahi], [-blo, -bhi])[-1]
-    if top > 0.0:
-        return s1
-    if top < 0.0:
-        return -s1
-    return 0
+    return _orient_sign(0.0, 0.0, u1, v1, u2, v2)
 
 
 def _product_sign(u1: float, v1: float, u2: float, v2: float) -> int:
@@ -256,20 +148,6 @@ def _product_sign(u1: float, v1: float, u2: float, v2: float) -> int:
     return _slow_sign(u1, v1, u2, v2)
 
 
-def _sum_diff_sign(pos: tuple, neg: tuple) -> int:
-    """Exact sign of sum(pos) - sum(neg) for finite doubles."""
-    if max(abs(v) for v in pos + neg) < 1e300:
-        e = [0.0]
-        for v in pos:
-            e = _expansion_sum_zeroelim(e, [v])
-        for v in neg:
-            e = _expansion_sum_zeroelim(e, [-v])
-        top = e[-1]
-        return (top > 0.0) - (top < 0.0)
-    total = sum(map(Fraction, pos)) - sum(map(Fraction, neg))
-    return (total > 0) - (total < 0)
-
-
 def _orient_sign(ax: float, ay: float, bx: float, by: float,
                  cx: float, cy: float) -> int:
     """Exact sign of (bx - ax)*(cy - ay) - (by - ay)*(cx - ax).
@@ -294,6 +172,43 @@ def _orient_sign(ax: float, ay: float, bx: float, by: float,
     det = ((nbx * (den // dbx) - ix) * (ncy * (den // dcy) - iy)
            - (nby * (den // dby) - iy) * (ncx * (den // dcx) - ix))
     return (det > 0) - (det < 0)
+
+
+def _sum_diff_sign(pos: tuple, neg: tuple) -> int:
+    """Exact sign of sum(pos) - sum(neg) for finite doubles.
+
+    As in ``_orient_sign``, every double scaled to the largest denominator
+    is an integer, and the integer sum has the sign sought.
+    """
+    pr = [v.as_integer_ratio() for v in pos]
+    nr = [v.as_integer_ratio() for v in neg]
+    den = max(d for _, d in pr + nr)
+    total = (sum(num * (den // d) for num, d in pr)
+             - sum(num * (den // d) for num, d in nr))
+    return (total > 0) - (total < 0)
+
+
+def _line_through(x1: float, y1: float, x2: float, y2: float,
+                  caller: str) -> tuple[float, float]:
+    """Slope m and negated intercept t of the line through (x1, y1) and
+    (x2, y2), so that the line is y = m*x - t; x1 != x2.
+
+    Formed in floats, or exactly when a difference or a product overflows.
+    Raises NonFiniteInput, naming ``caller``, when m or t lies outside the
+    double range.
+    """
+    m = (y2 - y1) / (x2 - x1)
+    t = m * x1 - y1
+    if not (math.isfinite(m) and math.isfinite(t)):
+        mq = (Fraction(y2) - Fraction(y1)) / (Fraction(x2) - Fraction(x1))
+        try:
+            m = float(mq)
+            t = float(mq * Fraction(x1) - Fraction(y1))
+        except OverflowError:
+            raise NonFiniteInput(
+                f"{caller}: the optimal x or t lies outside the double range"
+            ) from None
+    return m, t
 
 
 def exact_product_compare(u1: float, v1: float, u2: float, v2: float) -> Sign:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NonFiniteInput
 from .geometry import Point2
 
 
@@ -29,18 +32,6 @@ class Constraint3(NamedTuple):
     a: float
     b: float
     c: float
-
-
-class Residual2(NamedTuple):
-    """An absolute-value term |a*x + c|.
-
-    The ``b`` field carries the y-coefficient of the full two-variable
-    residual |a*x + b*y + c|; the one-variable pipeline ignores it.
-    """
-
-    a: float
-    c: float
-    b: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -71,12 +62,39 @@ class Solution3:
     status: Status = Status.OPTIMAL
 
 
-def checked_array(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself, once checked to hold one constraint per row."""
-    if arr.ndim != 2 or arr.shape[1] < 2:
+def _check_shape(arr: np.ndarray, k: int) -> None:
+    if arr.ndim != 2 or arr.shape[1] < k:
         raise ValueError(
-            f"constraint array must have shape (n, k >= 2), got {arr.shape}")
-    return arr
+            f"constraint array must have shape (n, k >= {k}), got {arr.shape}")
+
+
+def columns(cs, k: int) -> list[np.ndarray]:
+    """The first ``k`` fields of every constraint as float64 columns.
+
+    ``cs`` is a sequence of rows or an (n, >= k) array.  Raises ValueError
+    for a row or array with fewer than ``k`` fields, and NonFiniteInput for
+    a non-finite field, naming the first such constraint.
+    """
+    if isinstance(cs, np.ndarray):
+        _check_shape(cs, k)
+        cols = [np.asarray(cs[:, j], dtype=float) for j in range(k)]
+    else:
+        n = len(cs)
+        try:
+            cols = [np.fromiter(map(itemgetter(j), cs), float, n)
+                    for j in range(k)]
+        except IndexError:
+            raise ValueError(f"constraints need at least {k} fields") from None
+    # A sum is finite only if every term is; a sum that overflows merely
+    # sends the check on to the elementwise test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(col.sum() for col in cols)
+    if not math.isfinite(total):
+        finite = np.logical_and.reduce([np.isfinite(col) for col in cols])
+        if not finite.all():
+            raise NonFiniteInput(
+                f"constraint {int(np.argmin(finite))} is not finite")
+    return cols
 
 
 def as_rows(cs):
@@ -86,5 +104,6 @@ def as_rows(cs):
     same as the list of its rows.
     """
     if isinstance(cs, np.ndarray):
-        return checked_array(cs).tolist()
+        _check_shape(cs, 2)
+        return cs.tolist()
     return cs

@@ -10,19 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyProblem, NonFiniteInput
-from .model import Solution2, Solution3, Status
+from .errors import EmptyProblem
+from .model import Solution2, Solution3, Status, columns
 
 __all__ = ["brute2d", "brute3d_box"]
-
-
-def _as_columns(cs, width):
-    arr = np.asarray([tuple(c) for c in cs], dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != width:
-        raise ValueError(f"expected {width}-field constraints")
-    if not np.isfinite(arr).all():
-        raise NonFiniteInput("constraints must be finite")
-    return [arr[:, k] for k in range(width)]
 
 
 def _eval_max_1d(a, b, xs):
@@ -50,7 +41,7 @@ def brute2d(cs) -> Solution2:
     """
     if len(cs) == 0:
         raise EmptyProblem("brute2d: no constraints")
-    a, b = _as_columns(cs, 2)
+    a, b = columns(cs, 2)
     if (a > 0).all() or (a < 0).all():
         return Solution2(Status.UNBOUNDED)
     if (a == 0).all():
@@ -148,7 +139,7 @@ def brute3d_box(cs) -> Solution3:
     """
     if len(cs) == 0:
         raise EmptyProblem("brute3d_box: no constraints")
-    a, b, c = _as_columns(cs, 3)
+    a, b, c = columns(cs, 3)
 
     px = [np.zeros(1), np.zeros(1), np.ones(1), np.ones(1)]
     py = [np.zeros(1), np.ones(1), np.zeros(1), np.ones(1)]

@@ -27,14 +27,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, EmptyProblem, NonFiniteInput
 from .geometry import Point3, _product_sign, _sum_diff_sign
-from .model import Constraint2, Constraint3, Solution2, Solution3
+from .model import Constraint2, Constraint3, Solution2, Solution3, columns
 # Unused here, but perfbench/spans.py traces prune3d.brute3d_box by
 # rebinding it, so the name stays a module attribute.
 from .oracle import brute3d_box  # noqa: F401
@@ -148,9 +147,9 @@ def boundary_via_2d(cs: Sequence) -> list[tuple[str, Solution2]]:
     the free variable; each edge is then exactly a boxed one-variable
     min-max over [0, 1].
     """
-    if not cs:
+    if len(cs) == 0:
         raise EmptyProblem("boundary_via_2d: no constraints")
-    rows = [(c[0], c[1], c[2]) for c in cs]
+    rows = list(zip(*(col.tolist() for col in columns(cs, 3))))
     induced = {
         "x=0": [Constraint2(b, c) for a, b, c in rows],
         "x=1": [Constraint2(b, a + c) for a, b, c in rows],
@@ -186,16 +185,17 @@ def solve3d(cs: Sequence, validate: bool = False) -> Solution3:
     one with the smallest x, then the smallest y, is sought: the objective
     is lexicographic in (t, x, y).  The returned t is the objective
     re-evaluated at the returned point over all constraints.  Raises
-    NonFiniteInput for a non-finite coefficient, naming the first such
-    constraint, and ContractViolation if a subproblem comes out empty by
-    more than rounding, which exact arithmetic rules out.
+    ValueError for a row with fewer than three fields, NonFiniteInput for a
+    non-finite coefficient, naming the first such constraint, and
+    ContractViolation if a subproblem comes out empty by more than
+    rounding, which exact arithmetic rules out.
 
     With ``validate`` the four edge restrictions are solved as well, and
     ContractViolation is raised unless they agree with the answer: no edge
     value may undercut t, and when the point sits on the boundary the best
     edge value must match it.
     """
-    a0, b0, c0 = _columns(cs)
+    a0, b0, c0 = columns(cs, 3)
     if a0.size == 0:
         raise EmptyProblem("solve3d: no constraints")
     x, y = _seidel(a0, b0, c0)
@@ -223,29 +223,6 @@ def _check_edges(cs: Sequence, sol: Solution3) -> None:
         raise ContractViolation(
             f"boundary optimum {sol.t} not reproduced by edge solves "
             f"(best {edge_best})")
-
-
-def _columns(cs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The a, b and c columns of ``cs`` as float64 arrays, checked finite."""
-    if isinstance(cs, np.ndarray):
-        if cs.ndim != 2 or cs.shape[1] < 3:
-            raise ValueError("constraint array must have shape (n, k >= 3), "
-                             f"got {cs.shape}")
-        a, b, c = (np.asarray(cs[:, k], dtype=float) for k in range(3))
-    else:
-        n = len(cs)
-        a, b, c = (np.fromiter(map(itemgetter(k), cs), float, n)
-                   for k in range(3))
-    # A sum is finite only if every term is; a sum that overflows merely
-    # sends the check on to the elementwise test.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = a.sum() + b.sum() + c.sum()
-    if not math.isfinite(total):
-        finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
-        if not finite.all():
-            raise NonFiniteInput(
-                f"constraint {int(np.argmin(finite))} is not finite")
-    return a, b, c
 
 
 def _exact_max(a0, b0, c0, x: float, y: float) -> float:

@@ -24,24 +24,21 @@ problems run over Python lists.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from operator import itemgetter
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, EmptyProblem, NonFiniteInput
-from .geometry import _ERRBOUND, _NO_UNDERFLOW, Point2, _orient_sign
+from .geometry import (_ERRBOUND, _NO_UNDERFLOW, Point2, _line_through,
+                       _orient_sign)
 # Unused here, but perfbench/spans.py traces solver2d._product_sign by
 # rebinding it, so the name stays a module attribute.
 from .geometry import _product_sign  # noqa: F401
-from .model import Constraint2, Solution2, Status, as_rows, checked_array
+from .model import Constraint2, Solution2, Status, as_rows, columns
 
 __all__ = [
     "expand_absolute",
     "to_dual_points",
-    "partition",
-    "advance",
     "solve",
     "solve_boxed",
     "check_certificate",
@@ -76,22 +73,6 @@ def expand_absolute(rows: Sequence) -> list[Constraint2]:
 def to_dual_points(cs: Sequence) -> list[Point2]:
     """Map each constraint (a, b) to its dual point (a, -b)."""
     return [Point2(c[0], -c[1]) for c in cs]
-
-
-def partition(dp: Sequence[Point2]) -> tuple[list[Point2], list[Point2]]:
-    """Split dual points into L (x <= 0) and R (x > 0).
-
-    Points exactly on the vertical axis go to L; the pivot rules treat them
-    like any other left point.
-    """
-    left: list[Point2] = []
-    right: list[Point2] = []
-    for p in dp:
-        if p[0] <= 0.0:
-            left.append(p)
-        else:
-            right.append(p)
-    return left, right
 
 
 def _scan(xs: Sequence[float], ys: Sequence[float], idxs: Sequence[int],
@@ -202,33 +183,6 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float) -> int:
     return int(keep[k])
 
 
-def advance(fixed: Point2, candidates: Sequence[Point2],
-            side: Literal["L", "R"]) -> Point2:
-    """Extreme-turn pivot step.
-
-    With side "R" the fixed point is on the left and the result is the
-    candidate minimising the slope of the line from the fixed point; with
-    side "L" it is the left candidate maximising the slope of the line into
-    the fixed point.  Either way no candidate ends up strictly below the
-    chosen line.
-    """
-    if not candidates:
-        raise ContractViolation("advance: empty candidate set")
-    xs = [p[0] for p in candidates]
-    idxs = list(range(len(candidates)))
-    if side == "R":
-        ys = [p[1] for p in candidates]
-        i = _scan(xs, ys, idxs, fixed[0], fixed[1])
-    elif side == "L":
-        # Negating y turns the maximal-slope rule into the minimal-slope
-        # scan without touching the exactness of any comparison.
-        ys = [-p[1] for p in candidates]
-        i = _scan(xs, ys, idxs, fixed[0], -fixed[1])
-    else:
-        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-    return Point2(candidates[i][0], candidates[i][1])
-
-
 def solve(cs: Sequence) -> Solution2:
     """Minimise max_i (a_i * x + b_i) over all real x.
 
@@ -236,21 +190,16 @@ def solve(cs: Sequence) -> Solution2:
     an (n, k >= 2) array.  Returns UNBOUNDED when every slope is strictly
     positive or strictly negative.  Otherwise the result is OPTIMAL; t is
     the unique optimal objective and x one point attaining it.  Raises
-    NonFiniteInput for a non-finite coefficient, naming the first such
-    constraint, and for an answer outside the double range.
+    ValueError for a row with fewer than two fields, NonFiniteInput for a
+    non-finite coefficient, naming the first such constraint, and for an
+    answer outside the double range.
     """
     n = len(cs)
     if n == 0:
         raise EmptyProblem("solve: no constraints")
     if n < _COLUMNAR_MIN_N:
         return _solve_rows(as_rows(cs))
-    if isinstance(cs, np.ndarray):
-        a = np.asarray(checked_array(cs)[:, 0], dtype=float)
-        b = np.asarray(cs[:, 1], dtype=float)
-    else:
-        a = np.fromiter(map(itemgetter(0), cs), float, n)
-        b = np.fromiter(map(itemgetter(1), cs), float, n)
-    return _solve_columns(a, b)
+    return _solve_columns(*columns(cs, 2))
 
 
 def _solve_rows(cs: Sequence) -> Solution2:
@@ -261,19 +210,22 @@ def _solve_rows(cs: Sequence) -> Solution2:
     dpy = [0.0] * n
     left: list[int] = []
     right: list[int] = []
-    for i, c in enumerate(cs):
-        # float() here, as the numpy path does, so int rows give float
-        # answers and pivot pairs, with the same signed zeros.
-        a = float(c[0])
-        b = float(c[1])
-        if not (isfin(a) and isfin(b)):
-            raise NonFiniteInput(f"constraint {i} is not finite")
-        dpx[i] = a
-        dpy[i] = -b
-        if a <= 0.0:
-            left.append(i)
-        else:
-            right.append(i)
+    try:
+        for i, c in enumerate(cs):
+            # float() here, as the numpy path does, so int rows give float
+            # answers and pivot pairs, with the same signed zeros.
+            a = float(c[0])
+            b = float(c[1])
+            if not (isfin(a) and isfin(b)):
+                raise NonFiniteInput(f"constraint {i} is not finite")
+            dpx[i] = a
+            dpy[i] = -b
+            if a <= 0.0:
+                left.append(i)
+            else:
+                right.append(i)
+    except IndexError:
+        raise ValueError("constraints need at least 2 fields") from None
     if not left:
         return Solution2(Status.UNBOUNDED)
     if not right:
@@ -314,15 +266,6 @@ def _solve_columns(a: np.ndarray, b: np.ndarray) -> Solution2:
     formed where it is needed, and the left side's scans read b itself.
     """
     n = a.size
-    # A sum is finite only if every term is; a sum that overflows merely
-    # sends the check on to the elementwise test.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = a.sum() + b.sum()
-    if not math.isfinite(total):
-        finite = np.isfinite(a) & np.isfinite(b)
-        if not finite.all():
-            raise NonFiniteInput(
-                f"constraint {int(np.argmin(finite))} is not finite")
     on_right = a > 0.0
     il = np.flatnonzero(~on_right)
     if il.size == 0:
@@ -395,20 +338,7 @@ def _pivot(n: int, i_l: int, scan_right: Callable[[int], int],
         if iters > limit:
             raise ContractViolation("pivot loop exceeded its iteration bound")
 
-    x1, y1 = point(i_l)
-    x2, y2 = point(i_r)
-    m = (y2 - y1) / (x2 - x1)
-    t = m * x1 - y1
-    if not (math.isfinite(m) and math.isfinite(t)):
-        # A difference or a product overflowed: form the line exactly.
-        mq = (Fraction(y2) - Fraction(y1)) / (Fraction(x2) - Fraction(x1))
-        try:
-            m = float(mq)
-            t = float(mq * Fraction(x1) - Fraction(y1))
-        except OverflowError:
-            raise NonFiniteInput(
-                "solve: the optimal x or t lies outside the double range"
-            ) from None
+    m, t = _line_through(*point(i_l), *point(i_r), "solve")
     recorded = tuple((Point2(*point(i)), Point2(*point(j))) for i, j in pairs)
     return Solution2(Status.OPTIMAL, x=m, t=t, iterations=iters,
                      pivot_pairs=recorded)

@@ -4,8 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import close, corpus2d
 from minmaxlp import (EmptyProblem, Point2, Sign, Status, lower_hull,
-                      orientation_exact, solve, solve_baseline,
-                      to_dual_points)
+                      orientation_exact, solve, solve_baseline)
 
 coord = st.integers(-500, 500).map(lambda k: k / 50.0)
 point_lists = st.lists(st.tuples(coord, coord).map(lambda p: Point2(*p)),
@@ -52,19 +51,6 @@ class TestLowerHull:
     def test_idempotent(self, pts):
         chain = lower_hull(pts)
         assert lower_hull(chain) == chain
-
-    def test_numpy_sort_path_matches_python_path(self):
-        # the large-input branch must build the identical hull
-        inst = corpus2d(6000, 1, seed=77)[0]
-        pts = to_dual_points(inst)
-        via_numpy = lower_hull(pts)
-        from minmaxlp import baseline
-        old = baseline._NP_SORT_CUTOFF
-        baseline._NP_SORT_CUTOFF = 10 ** 9
-        try:
-            assert lower_hull(pts) == via_numpy
-        finally:
-            baseline._NP_SORT_CUTOFF = old
 
 
 class TestSolveBaseline:

@@ -1,7 +1,9 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from minmaxlp import (BenchResult, fit_loglog_slope, iteration_stats,
-                      run_scaling)
+from minmaxlp import BenchResult, fit_loglog_slope, run_scaling
 
 
 class TestRunScaling:
@@ -60,15 +62,26 @@ class TestRunScaling:
 
 class TestIterationStats:
     def test_two_point_instances_pivot_at_most_twice(self):
-        (row,) = iteration_stats(sizes=[2], batch=50, seed=4)
-        assert row.n == 2
-        assert row.max_pivots <= 2
+        (r,) = run_scaling("hough2d", sizes=[2], batch=50, seed=4)
+        assert r.n == 2
+        assert r.max_iterations <= 2
 
     def test_rows_and_bound(self):
-        rows = iteration_stats(sizes=[10, 100], batch=10, seed=5)
+        rows = run_scaling("hough2d", sizes=[10, 100], batch=10, seed=5)
         assert [r.n for r in rows] == [10, 100]
         for r in rows:
-            assert 1 <= r.mean_pivots <= r.max_pivots <= r.n
+            assert 1 <= r.mean_iterations <= r.max_iterations <= r.n
+
+
+def test_trace_points_resolve():
+    # The benchmark traces the package by rebinding module attributes; a
+    # renamed or deleted one would break every traced run.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr, name, _, _ in spans.rebind_points():
+        assert callable(getattr(module, attr, None)), name
 
 
 class TestSlopeFit:

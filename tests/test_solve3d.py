@@ -177,6 +177,7 @@ class TestContract:
         assert solve3d(np.array(rows)) == solve3d(rows)
         wide = np.hstack([np.array(rows), np.ones((n, 1))])
         assert solve3d(wide) == solve3d(rows)
+        assert solve3d(wide, validate=True) == solve3d(rows)
 
     def test_narrow_array_rejected(self):
         with pytest.raises(ValueError):

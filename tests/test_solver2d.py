@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import (close, corpus2d, eval_max_2, exact_intercept,
                       ordered_pair, orient_points_oracle)
-from minmaxlp import (Constraint2, ContractViolation, EmptyProblem, GenSpec,
-                      NonFiniteInput, Point2, Sign, Status, advance, brute2d,
+from minmaxlp import (Constraint2, EmptyProblem, GenSpec, NonFiniteInput,
+                      Point2, Sign, Status, brute2d, brute3d_box,
                       check_certificate, expand_absolute, gen2d,
-                      orientation_exact, partition, solve, solve_baseline,
+                      orientation_exact, solve, solve3d, solve_baseline,
                       solve_boxed, solver2d, to_dual_points)
 
 # Coefficients on a coarse grid keep every pairwise crossing well
@@ -33,8 +33,8 @@ class TestExpandAbsolute:
         assert expand_absolute([row]) == [Constraint2(*e) for e in expected]
 
     def test_accepts_residual_type(self):
-        from minmaxlp import Residual2
-        got = expand_absolute([Residual2(2, -1), Residual2(a=0, c=5)])
+        # residual rows (a, c); a third field (a y-coefficient) is ignored
+        got = expand_absolute([(2, -1), (0, 5, 7)])
         assert got == [Constraint2(2, -1), Constraint2(-2, 1),
                        Constraint2(0, 5), Constraint2(0, -5)]
 
@@ -54,51 +54,66 @@ class TestDualAndPartition:
         assert to_dual_points([(2, -1)]) == [Point2(2, 1)]
 
     def test_partition_examples(self):
-        left, right = partition([Point2(1, 0), Point2(-1, 0)])
-        assert left == [Point2(-1, 0)] and right == [Point2(1, 0)]
-        left, right = partition([Point2(0, -0.5), Point2(1, 0)])
-        assert left == [Point2(0, -0.5)] and right == [Point2(1, 0)]
-        left, right = partition([Point2(2, 1), Point2(3, 0)])
-        assert left == [] and right == [Point2(2, 1), Point2(3, 0)]
+        # solve splits the dual points at x = 0, axis points going left:
+        # every pivot pair is (left point, right point)
+        sol = solve([(1, 0), (-1, 0)])
+        assert sol.pivot_pairs[0] == (Point2(-1, 0), Point2(1, 0))
+        sol = solve([(0, 0.5), (1, 0)])
+        assert sol.pivot_pairs[0] == (Point2(0, -0.5), Point2(1, 0))
+        assert solve([(2, -1), (3, 0)]).status is Status.UNBOUNDED
 
-    def test_partition_covers_input(self):
-        pts = [Point2(x / 7.0 - 0.5, x) for x in range(20)]
-        left, right = partition(pts)
-        assert sorted(left + right) == sorted(pts)
+
+def _advance(fixed, cands, side):
+    """The pivot's advance step as solve runs it, through ``_scan``.
+
+    Side "R" takes the candidate of minimal slope from the fixed point,
+    side "L" the one of maximal slope into it: the scan over negated y.
+    """
+    sgn = 1 if side == "R" else -1
+    i = solver2d._scan([p[0] for p in cands], [sgn * p[1] for p in cands],
+                       range(len(cands)), fixed[0], sgn * fixed[1])
+    return cands[i]
 
 
 class TestAdvance:
     def test_scanning_right_takes_min_slope(self):
-        got = advance(Point2(-1, 0), [Point2(1, 0), Point2(2, 1)], "R")
+        got = _advance(Point2(-1, 0), [Point2(1, 0), Point2(2, 1)], "R")
         assert got == Point2(1, 0)
 
     def test_scanning_left_takes_max_slope(self):
-        got = advance(Point2(1, 0), [Point2(-1, 0), Point2(0, -0.5)], "L")
+        got = _advance(Point2(1, 0), [Point2(-1, 0), Point2(0, -0.5)], "L")
         assert got == Point2(0, -0.5)
 
     def test_singleton(self):
-        assert advance(Point2(-1, 0), [Point2(1, 0)], "R") == Point2(1, 0)
+        assert _advance(Point2(-1, 0), [Point2(1, 0)], "R") == Point2(1, 0)
 
     def test_chosen_line_supports_candidates(self):
         rng = random.Random(4)
         fixed = Point2(-1.0, 0.25)
         cands = [Point2(rng.uniform(0.1, 5), rng.uniform(-5, 5))
                  for _ in range(60)]
-        best = advance(fixed, cands, "R")
+        best = _advance(fixed, cands, "R")
         for c in cands:
             assert orientation_exact(fixed, best, c) is not Sign.NEGATIVE
 
     def test_collinear_tiebreak_prefers_far_point(self):
         cands = [Point2(1, 1), Point2(3, 3), Point2(2, 2)]
-        assert advance(Point2(0, 0), cands, "R") == Point2(3, 3)
+        assert _advance(Point2(0, 0), cands, "R") == Point2(3, 3)
 
-    def test_empty_candidates(self):
-        with pytest.raises(ContractViolation):
-            advance(Point2(0, 0), [], "R")
+    def test_empty_candidates(self, monkeypatch):
+        # solve settles a side without candidates before any scan
+        scan = solver2d._scan
 
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            advance(Point2(0, 0), [Point2(1, 1)], "X")
+        def nonempty_scan(xs, ys, idxs, fx, fy):
+            assert len(idxs) > 0
+            return scan(xs, ys, idxs, fx, fy)
+
+        monkeypatch.setattr(solver2d, "_scan", nonempty_scan)
+        for k in (1, LARGE):
+            assert solve([(1, 0), (2, 1)] * k).status is Status.UNBOUNDED
+            assert solve([(-1, 0), (-2, 1)] * k).status is Status.UNBOUNDED
+            assert solve([(0, 1), (0, 3)] * k).t == 3
+            assert solve([(0, 1), (-1, 3)] * k).t == 1
 
 
 class TestSolve:
@@ -436,6 +451,16 @@ class TestInputEdge:
         assert _bits(solve(np.array(rows))) == _bits(sol)
         assert expand_absolute(rows)[:2] == [Constraint2(1.0, 0.0),
                                              Constraint2(-1.0, -0.0)]
+
+    @pytest.mark.parametrize("n", [SMALL, LARGE])
+    @pytest.mark.parametrize("fn,k", [(solve, 2), (solve_baseline, 2),
+                                      (brute2d, 2), (solve3d, 3),
+                                      (brute3d_box, 3)])
+    def test_short_rows_rejected(self, fn, k, n):
+        rows = [(1.0, 0.0, 0.0)[:k], (-1.0, 1.0, 0.0)[:k]] * n
+        rows[3] = rows[3][:k - 1]
+        with pytest.raises(ValueError, match="at least"):
+            fn(rows)
 
     @pytest.mark.parametrize("n", [SMALL, LARGE])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
