@@ -8,7 +8,7 @@ provably safe constraint pruner and exhaustive oracles sit beside them
 as tools and references.
 """
 
-from .baseline import lower_hull, solve_baseline
+from .baseline import check2d, lower_hull, solve_baseline
 from .bench import BenchResult, fit_loglog_slope, run_scaling
 from .errors import (ContractViolation, EmptyProblem, MixedArity,
                      NonFiniteInput, ParseError)
@@ -18,8 +18,8 @@ from .geometry import (Line2, Plane3, Point2, Point3, Sign, dual_of_line,
 from .instances import GenSpec, gen2d, gen3d
 from .model import Constraint2, Constraint3, Solution2, Solution3, Status
 from .oracle import brute2d, brute3d_box
-from .prune3d import (PruneReport, boundary_via_2d, find_pmin, is_behind,
-                      is_too_steep, prune, solve3d)
+from .prune3d import (PruneReport, boundary_via_2d, check3d, find_pmin,
+                      is_behind, is_too_steep, prune, solve3d)
 from .solver2d import (check_certificate, expand_absolute, solve, solve_boxed,
                        to_dual_points)
 
@@ -33,10 +33,10 @@ __all__ = [
     "Solution2", "Solution3",
     "expand_absolute", "to_dual_points",
     "solve", "solve_boxed", "check_certificate",
-    "lower_hull", "solve_baseline",
+    "lower_hull", "solve_baseline", "check2d",
     "brute2d", "brute3d_box",
     "PruneReport", "find_pmin", "is_behind", "is_too_steep", "prune",
-    "solve3d", "boundary_via_2d",
+    "solve3d", "check3d", "boundary_via_2d",
     "GenSpec", "gen2d", "gen3d",
     "BenchResult", "run_scaling", "fit_loglog_slope",
     "EmptyProblem", "NonFiniteInput", "ParseError", "MixedArity",

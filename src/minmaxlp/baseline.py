@@ -9,7 +9,7 @@ one exact turn decision at a time.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .geometry import (_ERRBOUND, _NO_UNDERFLOW, Point2, _line_through,
                        _orient_sign)
 from .model import Solution2, Status, columns
 
-__all__ = ["lower_hull", "solve_baseline"]
+__all__ = ["lower_hull", "solve_baseline", "check2d"]
 
 
 def _sorted_unique_xy(xs: np.ndarray, ys: np.ndarray):
@@ -107,3 +107,18 @@ def solve_baseline(cs: Sequence) -> Solution2:
                                  "solve_baseline")
             return Solution2(Status.OPTIMAL, x=m, t=t, iterations=0)
     raise ContractViolation("hull spans the axis but no crossing edge found")
+
+
+def check2d(cs: Sequence, sol: Solution2,
+            reference: Callable[[Sequence], Solution2]) -> None:
+    """Raise ContractViolation unless ``reference(cs)`` agrees with ``sol``:
+    the same status and, when optimal, t within 1e-12 * max(1, |sol.t|)."""
+    ref = reference(cs)
+    if sol.status is not ref.status:
+        raise ContractViolation(
+            f"validation failed: status {sol.status.value} vs "
+            f"{ref.status.value}")
+    if (sol.status is Status.OPTIMAL
+            and not abs(sol.t - ref.t) <= 1e-12 * max(1.0, abs(sol.t))):
+        raise ContractViolation(
+            f"validation failed: t={sol.t} vs reference {ref.t}")

@@ -4,9 +4,10 @@ Times solve calls only; instance generation happens outside the clock and
 one warm-up solve per size is discarded.  Batch sizes shrink with n so a
 full sweep stays desk-scale: at size n the harness runs
 ``max(1, batch * min(sizes) // n)`` instances.  A sample of results is
-re-checked against an independent solver on every run.  The 2D solvers
-run on ``gen2d`` instances; ``box3d`` runs ``solve3d`` on ``gen3d``
-instances.
+re-checked on every run.  The 2D solvers run on ``gen2d`` instances and
+are checked by ``check2d`` against ``solve_baseline`` (``solve`` for the
+baseline itself); ``box3d`` runs ``solve3d`` on ``gen3d`` instances and
+is checked by ``check3d``.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ from functools import partial
 from time import perf_counter
 from typing import Callable, Sequence
 
-from .baseline import solve_baseline
-from .errors import ContractViolation
+from .baseline import check2d, solve_baseline
 from .instances import GenSpec, gen2d, gen3d
-from .model import Status
-from .oracle import brute2d, brute3d_box
-from .prune3d import _check_edges, solve3d
+from .oracle import brute2d
+from .prune3d import check3d, solve3d
 from .solver2d import solve
 
 __all__ = ["BenchResult", "run_scaling", "fit_loglog_slope"]
@@ -36,9 +35,6 @@ SOLVERS: dict[str, Callable] = {
 }
 
 _BRUTE2D_MAX_N = 2000
-# box3d answers up to this size are re-checked against the cubic oracle,
-# larger ones against the four box-edge restrictions.
-_BRUTE3D_CHECK_MAX_N = 60
 
 
 @dataclass(frozen=True)
@@ -53,37 +49,6 @@ class BenchResult:
     max_iterations: int | None = None
 
 
-def _check_against(reference: Callable, inst, sol) -> None:
-    ref = reference(inst)
-    if ref.status is not sol.status:
-        raise ContractViolation(
-            f"validation mismatch: status {sol.status} vs {ref.status}")
-    if sol.status is Status.OPTIMAL:
-        tol = 1e-12 * max(1.0, abs(ref.t))
-        if abs(sol.t - ref.t) > tol:
-            raise ContractViolation(
-                f"validation mismatch: t {sol.t} vs {ref.t}")
-
-
-def _check_box3d(inst, sol) -> None:
-    """Re-check a box3d answer: in the box, t the objective there, and t
-    equal to the oracle's (small n) or consistent with the edge optima."""
-    if not (0.0 <= sol.x <= 1.0 and 0.0 <= sol.y <= 1.0):
-        raise ContractViolation(
-            f"validation mismatch: ({sol.x}, {sol.y}) outside the box")
-    value = max(c[0] * sol.x + c[1] * sol.y + c[2] for c in inst)
-    if value != sol.t:
-        raise ContractViolation(
-            f"validation mismatch: objective {value} at the answer, t {sol.t}")
-    if len(inst) <= _BRUTE3D_CHECK_MAX_N:
-        ref = brute3d_box(inst).t
-        if abs(sol.t - ref) > 1e-9 * max(1.0, abs(ref)):
-            raise ContractViolation(
-                f"validation mismatch: t {sol.t} vs oracle {ref}")
-        return
-    _check_edges(inst, sol)
-
-
 def run_scaling(solver: str, sizes: Sequence[int], batch: int, seed: int,
                 validate_fraction: float = 0.01) -> list[BenchResult]:
     """Time ``solver`` over the given sizes on seeded Gaussian instances."""
@@ -95,10 +60,10 @@ def run_scaling(solver: str, sizes: Sequence[int], batch: int, seed: int,
     if solver == "brute2d" and max(sizes) > _BRUTE2D_MAX_N:
         raise ValueError(f"brute2d is quadratic; limit n to {_BRUTE2D_MAX_N}")
     if solver == "box3d":
-        dim, make, check = 3, gen3d, _check_box3d
+        dim, make, check = 3, gen3d, check3d
     else:
         reference = solve_baseline if solver != "baseline_hull" else solve
-        dim, make, check = 2, gen2d, partial(_check_against, reference)
+        dim, make, check = 2, gen2d, partial(check2d, reference=reference)
     n_min = min(sizes)
     results = []
     for n in sizes:

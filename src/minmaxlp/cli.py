@@ -21,18 +21,16 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import bench as bench_mod
-from .baseline import solve_baseline
+from .baseline import check2d, solve_baseline
 from .errors import (ContractViolation, EmptyProblem, MixedArity,
                      NonFiniteInput, ParseError)
 from .instances import GenSpec, gen2d, gen3d
 from .model import Constraint2, Constraint3, Solution2, Solution3, Status
 from .oracle import brute2d, brute3d_box
-from .prune3d import PruneReport, prune, solve3d
+from .prune3d import _ORACLE_MAX_N, PruneReport, check3d, prune, solve3d
 from .solver2d import expand_absolute, solve
 
 __all__ = ["parse_constraints", "emit_solution", "main"]
-
-_VALIDATE_3D_MAX_N = 60
 
 
 def parse_constraints(text: str) -> list[Constraint2] | list[Constraint3]:
@@ -125,50 +123,24 @@ def _apply_mode(cs, mode: str):
             for c in (Constraint3(*row), Constraint3(-row[0], -row[1], -row[2]))]
 
 
-def _require_validate_size(cs) -> None:
-    """Keep --validate's cubic 3D oracle to problems it finishes quickly."""
-    if len(cs) > _VALIDATE_3D_MAX_N:
-        raise ParseError(
-            f"--validate supports at most {_VALIDATE_3D_MAX_N} constraints "
-            f"in 3D, got {len(cs)}")
-
-
 def _cmd_solve2d(args) -> int:
     cs = parse_constraints(_read_input(args.input))
     _require_arity(cs, 2, "solve2d")
     cs = _apply_mode(cs, args.mode)
     sol = solve(cs)
     if args.validate:
-        ref = solve_baseline(cs)
-        _compare_2d(sol, ref)
+        check2d(cs, sol, solve_baseline)
     print(emit_solution(sol, args.format))
     return 0
-
-
-def _compare_2d(sol: Solution2, ref: Solution2) -> None:
-    if sol.status is not ref.status:
-        raise ContractViolation(
-            f"validation failed: status {sol.status.value} vs {ref.status.value}")
-    if sol.status is Status.OPTIMAL:
-        tol = 1e-12 * max(1.0, abs(ref.t))
-        if abs(sol.t - ref.t) > tol:
-            raise ContractViolation(
-                f"validation failed: t={sol.t} vs baseline {ref.t}")
 
 
 def _cmd_solve3d(args) -> int:
     cs = parse_constraints(_read_input(args.input))
     _require_arity(cs, 3, "solve3d")
     cs = _apply_mode(cs, args.mode)
+    sol = solve3d(cs)
     if args.validate:
-        _require_validate_size(cs)
-    sol = solve3d(cs, validate=args.validate)
-    if args.validate:
-        ref = brute3d_box(cs)
-        tol = 1e-9 * max(1.0, abs(ref.t))
-        if abs(sol.t - ref.t) > tol:
-            raise ContractViolation(
-                f"validation failed: t={sol.t} vs oracle {ref.t}")
+        check3d(cs, sol)
     print(emit_solution(sol, args.format))
     return 0
 
@@ -178,7 +150,12 @@ def _cmd_prune3d(args) -> int:
     _require_arity(cs, 3, "prune3d")
     report = prune(cs)
     if args.validate:
-        _require_validate_size(cs)
+        # Pruning soundness, not an answer: the optimum of the kept
+        # constraints must match the full problem's, by the cubic oracle.
+        if len(cs) > _ORACLE_MAX_N:
+            raise ParseError(
+                f"--validate supports at most {_ORACLE_MAX_N} constraints "
+                f"in 3D, got {len(cs)}")
         full = brute3d_box(cs)
         kept = brute3d_box(report.kept)
         tol = 1e-9 * max(1.0, abs(full.t))
@@ -194,7 +171,7 @@ def _cmd_oracle(args) -> int:
     if len(cs[0]) == 2:
         sol = brute2d(cs)
         if args.validate:
-            _compare_2d(sol, solve_baseline(cs))
+            check2d(cs, sol, solve_baseline)
     else:
         sol = brute3d_box(cs)
     print(emit_solution(sol, args.format))
@@ -281,24 +258,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--validate", action="store_true", help=validate_help)
 
     p = sub.add_parser("solve2d", help="pivoting solver, one variable")
-    add_io(p, "cross-check against the hull baseline")
+    add_io(p, "check status and t against the hull baseline")
     p.set_defaults(fn=_cmd_solve2d)
 
     p = sub.add_parser("solve3d",
                        help="randomized incremental LP over the unit box, "
                             "expected linear time")
-    add_io(p, "cross-check against the unpruned oracle (n <= 60)")
+    add_io(p, "check the answer: in the box, t the objective there, no "
+              "edge optimum below t, the oracle's t (n <= 60)")
     p.set_defaults(fn=_cmd_solve3d)
 
     p = sub.add_parser("prune3d", help="report safe constraint discards")
     p.add_argument("input", help="constraint file, or '-' for stdin")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.add_argument("--validate", action="store_true",
-                   help="verify the pruned optimum matches (n <= 60)")
+                   help="check the kept optimum by the oracle (n <= 60)")
     p.set_defaults(fn=_cmd_prune3d)
 
     p = sub.add_parser("oracle", help="brute-force reference solve")
-    add_io(p, "2D only: cross-check against the hull baseline")
+    add_io(p, "2D only: check status and t against the hull baseline")
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("gen", help="emit seeded Gaussian instances")

@@ -8,9 +8,12 @@ oracle is quadratic in the constraint count, the boxed 2D oracle cubic.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
-from .errors import EmptyProblem
+from .errors import EmptyProblem, NonFiniteInput
 from .model import Solution2, Solution3, Status, columns
 
 __all__ = ["brute2d", "brute3d_box"]
@@ -103,9 +106,8 @@ def _triple_candidates(a, b, c):
         r2 = c[kk] - c[ii]
         det = a1 * b2 - b1 * a2
         ok = det != 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = (r1 * b2 - b1 * r2) / det
-            y = (a1 * r2 - r1 * a2) / det
+        x = (r1 * b2 - b1 * r2) / det
+        y = (a1 * r2 - r1 * a2) / det
         ok &= (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
         xs.append(x[ok])
         ys.append(y[ok])
@@ -126,6 +128,22 @@ def _eval_max_2d(a, b, c, xs, ys):
     return ts
 
 
+def _exact_max(a, b, c, x: float, y: float) -> float:
+    """max_i (a_i*x + b_i*y + c_i) in rational arithmetic, rounded to a
+    double; -inf or inf when it lies outside the double range."""
+    fx, fy = Fraction(x), Fraction(y)
+    best = max(Fraction(ai) * fx + Fraction(bi) * fy + Fraction(ci)
+               for ai, bi, ci in zip(a, b, c))
+    try:
+        return float(best)
+    except OverflowError:
+        return math.inf if best > 0 else -math.inf
+
+
+# Near the ends of the double range a difference, product or sum can
+# overflow.  A candidate point built from one is a wrong point, not a wrong
+# value, and a candidate value that overflows is evaluated again exactly.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def brute3d_box(cs) -> Solution3:
     """Minimise max_i (a_i*x + b_i*y + c_i) over the unit box.
 
@@ -135,7 +153,8 @@ def brute3d_box(cs) -> Solution3:
     on the four box edges, and the four corners.  Singular triple systems
     are skipped; whatever optimum they might describe is degenerate and is
     still covered by the remaining candidates.  Ties go to the smallest
-    (x, y) lexicographically.
+    (x, y) lexicographically.  Raises NonFiniteInput when the optimal t
+    lies outside the double range.
     """
     if len(cs) == 0:
         raise EmptyProblem("brute3d_box: no constraints")
@@ -164,5 +183,11 @@ def brute3d_box(cs) -> Solution3:
     cx = np.concatenate(px)
     cy = np.concatenate(py)
     ts = _eval_max_2d(a, b, c, cx, cy)
+    for k in np.flatnonzero(~np.isfinite(ts)).tolist():
+        ts[k] = _exact_max(a, b, c, cx[k], cy[k])
     k = np.lexsort((cy, cx, ts))[0]
-    return Solution3(x=float(cx[k]), y=float(cy[k]), t=float(ts[k]))
+    t = float(ts[k])
+    if not math.isfinite(t):
+        raise NonFiniteInput(
+            "brute3d_box: the optimal t lies outside the double range")
+    return Solution3(x=float(cx[k]), y=float(cy[k]), t=t)

@@ -34,9 +34,7 @@ import numpy as np
 from .errors import ContractViolation, EmptyProblem, NonFiniteInput
 from .geometry import Point3, _product_sign, _sum_diff_sign
 from .model import Constraint2, Constraint3, Solution2, Solution3, columns
-# Unused here, but perfbench/spans.py traces prune3d.brute3d_box by
-# rebinding it, so the name stays a module attribute.
-from .oracle import brute3d_box  # noqa: F401
+from .oracle import _exact_max, brute3d_box
 from .solver2d import solve_boxed
 
 __all__ = [
@@ -46,6 +44,7 @@ __all__ = [
     "is_too_steep",
     "prune",
     "solve3d",
+    "check3d",
     "boundary_via_2d",
 ]
 
@@ -111,9 +110,11 @@ def is_too_steep(p: Point3, q: Point3) -> bool:
 
 def prune(cs: Sequence) -> PruneReport:
     """Single pass dropping every dual point behind or too steep w.r.t. the anchor."""
-    if not cs:
+    a, b, c = columns(cs, 3)
+    if a.size == 0:
         raise EmptyProblem("prune: no constraints")
-    dp = [Point3(c[0], c[1], -c[2]) for c in cs]
+    rows = list(zip(a.tolist(), b.tolist(), c.tolist()))
+    dp = [Point3(ai, bi, -ci) for ai, bi, ci in rows]
     anchor_i = find_pmin(dp)
     anchor = dp[anchor_i]
     kept: list[Constraint3] = []
@@ -123,7 +124,7 @@ def prune(cs: Sequence) -> PruneReport:
     examined = 0
     for i, p in enumerate(dp):
         if i == anchor_i:
-            kept.append(Constraint3(*cs[i][:3]))
+            kept.append(Constraint3(*rows[i]))
             kept_idx.append(i)
             continue
         examined += 1
@@ -133,7 +134,7 @@ def prune(cs: Sequence) -> PruneReport:
         if is_too_steep(p, anchor):
             n_steep += 1
             continue
-        kept.append(Constraint3(*cs[i][:3]))
+        kept.append(Constraint3(*rows[i]))
         kept_idx.append(i)
     return PruneReport(kept=tuple(kept), kept_indices=tuple(kept_idx),
                        discarded_behind=n_behind, discarded_steep=n_steep,
@@ -159,6 +160,8 @@ def boundary_via_2d(cs: Sequence) -> list[tuple[str, Solution2]]:
     return [(edge, solve_boxed(induced[edge], 0.0, 1.0)) for edge in EDGE_IDS]
 
 
+# Problems up to this size are checked against the cubic oracle.
+_ORACLE_MAX_N = 60
 # The order in which solve3d inserts constraints: random, so the expected
 # running time is linear for every input, and seeded, so the same input
 # always gives the same answer.
@@ -177,7 +180,7 @@ _SLACK = 2.0 ** -40
 _SAFE = 2.0 ** 500
 
 
-def solve3d(cs: Sequence, validate: bool = False) -> Solution3:
+def solve3d(cs: Sequence) -> Solution3:
     """Minimise max_i (a_i*x + b_i*y + c_i) over the unit box.
 
     ``cs`` is a sequence of rows whose first three fields are
@@ -188,53 +191,63 @@ def solve3d(cs: Sequence, validate: bool = False) -> Solution3:
     ValueError for a row with fewer than three fields, NonFiniteInput for a
     non-finite coefficient, naming the first such constraint, and
     ContractViolation if a subproblem comes out empty by more than
-    rounding, which exact arithmetic rules out.
-
-    With ``validate`` the four edge restrictions are solved as well, and
-    ContractViolation is raised unless they agree with the answer: no edge
-    value may undercut t, and when the point sits on the boundary the best
-    edge value must match it.
+    rounding, which exact arithmetic rules out.  ``check3d`` checks the
+    answer.
     """
     a0, b0, c0 = columns(cs, 3)
     if a0.size == 0:
         raise EmptyProblem("solve3d: no constraints")
     x, y = _seidel(a0, b0, c0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = float(np.max(a0 * x + b0 * y + c0)) + 0.0
+    t = _objective(a0, b0, c0, x, y)
     if not math.isfinite(t):
-        t = _exact_max(a0, b0, c0, x, y)
-    sol = Solution3(x=x, y=y, t=t)
-    if validate:
-        _check_edges(cs, sol)
-    return sol
-
-
-def _check_edges(cs: Sequence, sol: Solution3) -> None:
-    """Raise ContractViolation unless ``sol`` agrees with the four box-edge
-    optima of ``cs`` to 1e-9: no edge value may undercut sol.t, and when
-    the point sits on the boundary the best edge value must match it."""
-    edge_best = min(s.t for _, s in boundary_via_2d(cs))
-    tol = 1e-9 * max(1.0, abs(sol.t))
-    if edge_best < sol.t - tol:
-        raise ContractViolation(
-            f"boundary value {edge_best} undercuts reported optimum {sol.t}")
-    on_edge = sol.x in (0.0, 1.0) or sol.y in (0.0, 1.0)
-    if on_edge and abs(edge_best - sol.t) > tol:
-        raise ContractViolation(
-            f"boundary optimum {sol.t} not reproduced by edge solves "
-            f"(best {edge_best})")
-
-
-def _exact_max(a0, b0, c0, x: float, y: float) -> float:
-    """max_i (a_i*x + b_i*y + c_i) in rational arithmetic, then rounded."""
-    fx, fy = Fraction(x), Fraction(y)
-    best = max(Fraction(a) * fx + Fraction(b) * fy + Fraction(c)
-               for a, b, c in zip(a0, b0, c0))
-    try:
-        return float(best)
-    except OverflowError:
         raise NonFiniteInput(
-            "solve3d: the optimal t lies outside the double range") from None
+            "solve3d: the optimal t lies outside the double range")
+    return Solution3(x=x, y=y, t=t)
+
+
+def check3d(cs: Sequence, sol: Solution3) -> None:
+    """Raise ContractViolation unless ``sol`` answers the box problem ``cs``.
+
+    ``cs`` is read like ``solve3d``'s.  In order: (x, y) lies in the unit
+    box; t is finite and equals, bitwise, the objective at (x, y) as
+    ``solve3d`` evaluates it; no box-edge optimum (``boundary_via_2d``)
+    undercuts t, and when the point is on the boundary the best edge
+    optimum matches t; for at most ``_ORACLE_MAX_N`` constraints, t matches
+    ``brute3d_box``.  Matches are relative to the checked t, 1e-9 * max(1,
+    |t|), so a non-finite reference value never passes.
+    """
+    a, b, c = columns(cs, 3)
+    if a.size == 0:
+        raise EmptyProblem("check3d: no constraints")
+    x, y, t = sol.x, sol.y, sol.t
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise ContractViolation(f"check3d: ({x}, {y}) lies outside the box")
+    value = _objective(a, b, c, x, y)
+    if not (math.isfinite(t) and value == t):
+        raise ContractViolation(
+            f"check3d: the objective at ({x}, {y}) is {value}, not t={t}")
+    tol = 1e-9 * max(1.0, abs(t))
+    edge_best = min(s.t for _, s in boundary_via_2d(cs))
+    if not edge_best >= t - tol:
+        raise ContractViolation(
+            f"check3d: boundary value {edge_best} undercuts t={t}")
+    on_edge = x in (0.0, 1.0) or y in (0.0, 1.0)
+    if on_edge and not abs(edge_best - t) <= tol:
+        raise ContractViolation(
+            f"check3d: t={t} on the boundary, but the best boundary value "
+            f"is {edge_best}")
+    if a.size <= _ORACLE_MAX_N:
+        ref = brute3d_box(cs).t
+        if not abs(ref - t) <= tol:
+            raise ContractViolation(f"check3d: t={t} vs oracle {ref}")
+
+
+def _objective(a, b, c, x: float, y: float) -> float:
+    """max_i (a_i*x + b_i*y + c_i) in floats, evaluated again exactly when
+    that overflows; -inf or inf when it lies outside the double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = float(np.max(a * x + b * y + c)) + 0.0
+    return t if math.isfinite(t) else _exact_max(a, b, c, x, y)
 
 
 def _exceeds(a: float, b: float, c: float, x: float, y: float,

@@ -39,17 +39,17 @@ class TestRunScaling:
         assert results[0].mean_iterations is None
 
     def test_box3d_check_rejects_a_wrong_answer(self):
-        from minmaxlp import ContractViolation, GenSpec, Solution3, gen3d
-        from minmaxlp.bench import _check_box3d
+        from minmaxlp import (ContractViolation, GenSpec, Solution3, check3d,
+                              gen3d)
         for n in (20, 80):
             inst = gen3d(GenSpec(n=n, seed=7, dim=3))
             # the right objective, but at a point of an edge that is not
-            # optimal: the oracle (n = 20) or the edge solves (n = 80) object
+            # optimal: the edge solves object, before the oracle (n = 20)
             t = max(a * 0.0 + b * 0.5 + c for a, b, c in inst)
             with pytest.raises(ContractViolation, match="oracle|boundary"):
-                _check_box3d(inst, Solution3(x=0.0, y=0.5, t=t))
+                check3d(inst, Solution3(x=0.0, y=0.5, t=t))
             with pytest.raises(ContractViolation, match="objective"):
-                _check_box3d(inst, Solution3(x=0.0, y=0.5, t=t - 1.0))
+                check3d(inst, Solution3(x=0.0, y=0.5, t=t - 1.0))
 
     def test_unknown_solver(self):
         with pytest.raises(ValueError):

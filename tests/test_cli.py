@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from minmaxlp import (Constraint2, Constraint3, EmptyProblem, MixedArity,
-                      ParseError, Solution2, Solution3, Status, prune)
+                      ParseError, Solution2, Solution3, Status, brute3d_box,
+                      prune)
 from minmaxlp.cli import emit_solution, main, parse_constraints
 
 
@@ -164,6 +165,35 @@ class TestMain:
         assert code == 0
         got = json.loads(out)
         assert got["t"] == 0 and "y" in got
+
+    def test_solve3d_validate_near_double_range(self, tmp_path, capsys,
+                                                monkeypatch):
+        from minmaxlp import prune3d
+        calls = []
+
+        def oracle(cs):
+            calls.append(len(cs))
+            return brute3d_box(cs)
+        monkeypatch.setattr(prune3d, "brute3d_box", oracle)
+        f = tmp_path / "p.txt"
+        f.write_text("-9e307,-9e307,9e307\n")
+        code, out, _ = self.run(capsys, "solve3d", str(f), "--validate")
+        assert code == 0 and json.loads(out)["t"] == -9e307
+        assert calls == [1]
+
+    def test_validate_sizes(self, tmp_path, capsys):
+        # solve3d checks any size, by the edge optima beyond 60 rows; the
+        # pruning check of prune3d runs the cubic oracle only up to 60
+        big = tmp_path / "big.txt"
+        assert main(["gen", "--dim", "3", "--n", "1000", "--seed", "1",
+                     "--out", str(big)]) == 0
+        code, _, err = self.run(capsys, "solve3d", str(big), "--validate")
+        assert code == 0, err
+        rows = tmp_path / "rows.txt"
+        assert main(["gen", "--dim", "3", "--n", "61", "--seed", "1",
+                     "--out", str(rows)]) == 0
+        code, _, err = self.run(capsys, "prune3d", str(rows), "--validate")
+        assert code == 2 and "at most 60" in err
 
     def test_prune3d(self, tmp_path, capsys):
         f = tmp_path / "p.txt"

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import brute_edge_min, close, corpus3d, eval_max_3
-from minmaxlp import (EmptyProblem, Status, brute2d, brute3d_box,
-                      solve_boxed)
+from minmaxlp import (EmptyProblem, NonFiniteInput, Status, brute2d,
+                      brute3d_box, solve3d, solve_boxed)
 
 
 class TestBrute2d:
@@ -67,6 +67,17 @@ class TestBrute3dBox:
     def test_empty(self):
         with pytest.raises(EmptyProblem):
             brute3d_box([])
+
+    def test_values_near_the_double_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the corner value -9e307 - 9e307 + 9e307 overflows in floats
+            sol = brute3d_box([(-9e307, -9e307, 9e307)])
+            assert (sol.x, sol.y, sol.t) == (1.0, 1.0, -9e307)
+            # the minimum, at x = 1, lies below the double range
+            for fn in (brute3d_box, solve3d):
+                with pytest.raises(NonFiniteInput, match="double range"):
+                    fn([(-1e308, 0.0, -1e308)])
 
     def test_duplication_invariant(self):
         for cs in corpus3d(9, 10, seed=5):

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import close, corpus3d
-from minmaxlp import (Constraint3, EmptyProblem, Point3, boundary_via_2d,
-                      brute3d_box, find_pmin, is_behind, is_too_steep, prune,
+from minmaxlp import (Constraint3, EmptyProblem, GenSpec, NonFiniteInput,
+                      Point3, boundary_via_2d, brute3d_box, check3d,
+                      find_pmin, gen3d, is_behind, is_too_steep, prune,
                       solve3d)
 
 
@@ -122,6 +124,19 @@ class TestPrune:
         with pytest.raises(EmptyProblem):
             prune([])
 
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_reads_rows_and_arrays_alike(self, as_array):
+        rows = [list(c) for c in gen3d(GenSpec(n=40, seed=15, dim=3))]
+        read = np.array if as_array else list
+        report = prune(read(rows))
+        assert report == prune([tuple(r) for r in rows])
+        assert all(type(c) is Constraint3 for c in report.kept)
+        with pytest.raises(ValueError):
+            prune(read([r[:2] for r in rows]))
+        rows[7][1] = math.nan
+        with pytest.raises(NonFiniteInput, match="constraint 7 "):
+            prune(read(rows))
+
     def test_soundness_small_corpus(self):
         for cs in corpus3d(12, 25, seed=15):
             full = brute3d_box(cs)
@@ -174,7 +189,7 @@ class TestSolve3d:
 
     def test_validate_mode(self):
         for cs in corpus3d(15, 10, seed=18):
-            solve3d(cs, validate=True)  # must not raise
+            check3d(cs, solve3d(cs))  # must not raise
 
     def test_empty(self):
         with pytest.raises(EmptyProblem):

@@ -10,8 +10,8 @@ import pytest
 
 from conftest import close, corpus3d, eval_max_3
 from minmaxlp import (ContractViolation, EmptyProblem, GenSpec,
-                      NonFiniteInput, boundary_via_2d, brute3d_box, gen3d,
-                      prune3d, solve3d)
+                      NonFiniteInput, boundary_via_2d, brute3d_box, check3d,
+                      gen3d, prune3d, solve3d)
 
 
 def assert_answer(cs, sol, tol=1e-9, scale=1.0):
@@ -177,7 +177,15 @@ class TestContract:
         assert solve3d(np.array(rows)) == solve3d(rows)
         wide = np.hstack([np.array(rows), np.ones((n, 1))])
         assert solve3d(wide) == solve3d(rows)
-        assert solve3d(wide, validate=True) == solve3d(rows)
+        check3d(wide, solve3d(wide))
+
+    def test_checked_near_the_double_range(self):
+        # the objective at the optimum (1, 1) overflows in floats, and the
+        # exact value is -9e307
+        cs = [(-9e307, -9e307, 9e307)]
+        sol = solve3d(cs)
+        assert (sol.x, sol.y, sol.t) == (1.0, 1.0, -9e307)
+        check3d(cs, sol)
 
     def test_narrow_array_rejected(self):
         with pytest.raises(ValueError):
