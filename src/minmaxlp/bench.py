@@ -8,6 +8,10 @@ re-checked on every run.  The 2D solvers run on ``gen2d`` instances and
 are checked by ``check2d`` against ``solve_baseline`` (``solve`` for the
 baseline itself); ``box3d`` runs ``solve3d`` on ``gen3d`` instances and
 is checked by ``check3d``.
+
+At the default batch of 100 and sizes 1e3..1e5, the 1e5 point is one
+instance, so the ``box3d`` log-log slope swings from run to run; quote
+box slopes from ``minmaxlp bench --solver box3d --batch 1000``.
 """
 
 from __future__ import annotations

@@ -20,6 +20,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import bench as bench_mod
 from .baseline import check2d, solve_baseline
 from .errors import (ContractViolation, EmptyProblem, MixedArity,
@@ -114,13 +116,14 @@ def _require_arity(cs, want: int, sub: str):
 
 
 def _apply_mode(cs, mode: str):
-    """``cs``, or with mode "abs" each residual row r as the pair r, -r."""
+    """``cs``, or with mode "abs" each residual row r as the pair r, -r;
+    in 3D the pairs form one (2n, 3) array."""
     if mode != "abs":
         return cs
     if len(cs[0]) == 2:
         return expand_absolute(cs)
-    return [c for row in cs
-            for c in (Constraint3(*row), Constraint3(-row[0], -row[1], -row[2]))]
+    rows = np.asarray(cs, dtype=float)
+    return np.stack((rows, -rows), axis=1).reshape(-1, 3)
 
 
 def _cmd_solve2d(args) -> int:

@@ -114,37 +114,17 @@ def _product_sign(u1: float, v1: float, u2: float, v2: float) -> int:
     """Exact sign of u1*v2 - v1*u2 as an int in {-1, 0, 1}.
 
     A rounded-float filter decides the easy cases; everything within the
-    rounding error bound is resolved by the exact path.
+    rounding error bound, and every product that may have underflowed or
+    overflowed, is resolved by the exact path.
     """
     if not (math.isfinite(u1) and math.isfinite(v1)
             and math.isfinite(u2) and math.isfinite(v2)):
         raise NonFiniteInput("sign predicate requires finite inputs")
     p = u1 * v2
     q = v1 * u2
-    if p > 0.0:
-        if q <= 0.0:
-            return 1
-        detsum = p + q
-    elif p < 0.0:
-        if q >= 0.0:
-            return -1
-        detsum = -p - q
-    else:
-        if q > 0.0:
-            return -1
-        if q < 0.0:
-            return 1
-        # p == q == 0.0 is conclusive only when neither product underflowed
-        if (u1 == 0.0 or v2 == 0.0) and (v1 == 0.0 or u2 == 0.0):
-            return 0
-        return _slow_sign(u1, v1, u2, v2)
-    if detsum >= _NO_UNDERFLOW:
-        det = p - q
-        err = _ERRBOUND * detsum
-        if det > err:
-            return 1
-        if det < -err:
-            return -1
+    detsum = abs(p) + abs(q)
+    if detsum >= _NO_UNDERFLOW and abs(p - q) > _ERRBOUND * detsum:
+        return 1 if p > q else -1
     return _slow_sign(u1, v1, u2, v2)
 
 

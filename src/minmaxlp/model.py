@@ -1,10 +1,12 @@
-"""Problem and solution value types shared by the solver modules."""
+"""Problem and solution value types, the constraint reader and the
+objective evaluator shared by the solver modules."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -95,6 +97,34 @@ def columns(cs, k: int) -> list[np.ndarray]:
             raise NonFiniteInput(
                 f"constraint {int(np.argmin(finite))} is not finite")
     return cols
+
+
+def objective(cols, *point: float) -> float:
+    """max_i (a_i*x + b_i) over columns (a, b) at x, or
+    max_i (a_i*x + b_i*y + c_i) over columns (a, b, c) at (x, y).
+
+    Summed left to right in floats, and evaluated again exactly when that
+    overflows; -inf or inf when the maximum lies outside the double range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = cols[0] * point[0]
+        for col, p in zip(cols[1:-1], point[1:]):
+            v += col * p
+        v += cols[-1]
+        t = float(np.max(v)) + 0.0
+    return t if math.isfinite(t) else exact_objective(cols, *point)
+
+
+def exact_objective(cols, *point: float) -> float:
+    """``objective`` in rational arithmetic, rounded to a double; -inf or
+    inf when it lies outside the double range."""
+    fs = [Fraction(p) for p in point] + [1]
+    best = max(sum(Fraction(v) * f for v, f in zip(row, fs))
+               for row in zip(*(col.tolist() for col in cols)))
+    try:
+        return float(best)
+    except OverflowError:
+        return math.inf if best > 0 else -math.inf
 
 
 def as_rows(cs):

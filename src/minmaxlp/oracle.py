@@ -9,12 +9,11 @@ oracle is quadratic in the constraint count, the boxed 2D oracle cubic.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import EmptyProblem, NonFiniteInput
-from .model import Solution2, Solution3, Status, columns
+from .model import Solution2, Solution3, Status, columns, exact_objective
 
 __all__ = ["brute2d", "brute3d_box"]
 
@@ -128,18 +127,6 @@ def _eval_max_2d(a, b, c, xs, ys):
     return ts
 
 
-def _exact_max(a, b, c, x: float, y: float) -> float:
-    """max_i (a_i*x + b_i*y + c_i) in rational arithmetic, rounded to a
-    double; -inf or inf when it lies outside the double range."""
-    fx, fy = Fraction(x), Fraction(y)
-    best = max(Fraction(ai) * fx + Fraction(bi) * fy + Fraction(ci)
-               for ai, bi, ci in zip(a, b, c))
-    try:
-        return float(best)
-    except OverflowError:
-        return math.inf if best > 0 else -math.inf
-
-
 # Near the ends of the double range a difference, product or sum can
 # overflow.  A candidate point built from one is a wrong point, not a wrong
 # value, and a candidate value that overflows is evaluated again exactly.
@@ -184,7 +171,7 @@ def brute3d_box(cs) -> Solution3:
     cy = np.concatenate(py)
     ts = _eval_max_2d(a, b, c, cx, cy)
     for k in np.flatnonzero(~np.isfinite(ts)).tolist():
-        ts[k] = _exact_max(a, b, c, cx[k], cy[k])
+        ts[k] = exact_objective((a, b, c), cx[k], cy[k])
     k = np.lexsort((cy, cx, ts))[0]
     t = float(ts[k])
     if not math.isfinite(t):

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import ContractViolation, EmptyProblem, NonFiniteInput
 from .geometry import Point3, _product_sign, _sum_diff_sign
-from .model import Constraint2, Constraint3, Solution2, Solution3, columns
-from .oracle import _exact_max, brute3d_box
+from .model import Constraint3, Solution2, Solution3, columns, objective
+from .oracle import brute3d_box
 from .solver2d import solve_boxed
 
 __all__ = [
@@ -146,18 +146,16 @@ def boundary_via_2d(cs: Sequence) -> list[tuple[str, Solution2]]:
 
     Fixing one coordinate of the box turns every constraint into a line in
     the free variable; each edge is then exactly a boxed one-variable
-    min-max over [0, 1].
+    min-max over [0, 1].  An offset a + c or b + c that overflows raises
+    NonFiniteInput, naming the constraint.
     """
-    if len(cs) == 0:
+    a, b, c = columns(cs, 3)
+    if a.size == 0:
         raise EmptyProblem("boundary_via_2d: no constraints")
-    rows = list(zip(*(col.tolist() for col in columns(cs, 3))))
-    induced = {
-        "x=0": [Constraint2(b, c) for a, b, c in rows],
-        "x=1": [Constraint2(b, a + c) for a, b, c in rows],
-        "y=0": [Constraint2(a, c) for a, b, c in rows],
-        "y=1": [Constraint2(a, b + c) for a, b, c in rows],
-    }
-    return [(edge, solve_boxed(induced[edge], 0.0, 1.0)) for edge in EDGE_IDS]
+    with np.errstate(over="ignore"):
+        induced = ((b, c), (b, a + c), (a, c), (a, b + c))
+    return [(edge, solve_boxed(np.column_stack(cols), 0.0, 1.0))
+            for edge, cols in zip(EDGE_IDS, induced)]
 
 
 # Problems up to this size are checked against the cubic oracle.
@@ -198,7 +196,7 @@ def solve3d(cs: Sequence) -> Solution3:
     if a0.size == 0:
         raise EmptyProblem("solve3d: no constraints")
     x, y = _seidel(a0, b0, c0)
-    t = _objective(a0, b0, c0, x, y)
+    t = objective((a0, b0, c0), x, y)
     if not math.isfinite(t):
         raise NonFiniteInput(
             "solve3d: the optimal t lies outside the double range")
@@ -222,7 +220,7 @@ def check3d(cs: Sequence, sol: Solution3) -> None:
     x, y, t = sol.x, sol.y, sol.t
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ContractViolation(f"check3d: ({x}, {y}) lies outside the box")
-    value = _objective(a, b, c, x, y)
+    value = objective((a, b, c), x, y)
     if not (math.isfinite(t) and value == t):
         raise ContractViolation(
             f"check3d: the objective at ({x}, {y}) is {value}, not t={t}")
@@ -240,14 +238,6 @@ def check3d(cs: Sequence, sol: Solution3) -> None:
         ref = brute3d_box(cs).t
         if not abs(ref - t) <= tol:
             raise ContractViolation(f"check3d: t={t} vs oracle {ref}")
-
-
-def _objective(a, b, c, x: float, y: float) -> float:
-    """max_i (a_i*x + b_i*y + c_i) in floats, evaluated again exactly when
-    that overflows; -inf or inf when it lies outside the double range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = float(np.max(a * x + b * y + c)) + 0.0
-    return t if math.isfinite(t) else _exact_max(a, b, c, x, y)
 
 
 def _exceeds(a: float, b: float, c: float, x: float, y: float,

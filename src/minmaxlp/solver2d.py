@@ -34,7 +34,7 @@ from .geometry import (_ERRBOUND, _NO_UNDERFLOW, Point2, _line_through,
 # Unused here, but perfbench/spans.py traces solver2d._product_sign by
 # rebinding it, so the name stays a module attribute.
 from .geometry import _product_sign  # noqa: F401
-from .model import Constraint2, Solution2, Status, as_rows, columns
+from .model import Constraint2, Solution2, Status, as_rows, columns, objective
 
 __all__ = [
     "expand_absolute",
@@ -345,28 +345,36 @@ def _pivot(n: int, i_l: int, scan_right: Callable[[int], int],
 
 
 def solve_boxed(cs: Sequence, lo: float, hi: float) -> Solution2:
-    """Minimise max_i (a_i * x + b_i) over x in [lo, hi].
+    """Minimise max_i (a_i * x + b_i) over x in the finite box [lo, hi].
 
-    Runs the unconstrained solver first; when its optimum falls outside the
-    box (or the problem is unbounded) the objective is convex piecewise
-    linear, so the boxed optimum sits at the nearer endpoint.
+    ``cs`` is read like ``solve``'s.  The unconstrained optimum is returned
+    unchanged when it lies in the box.  Otherwise the convex objective is
+    monotone on the box, and the endpoint with the smaller objective value
+    is the optimum, ``lo`` on a tie.  Raises ValueError for a box that is
+    empty or not finite, and NonFiniteInput when the optimal t lies outside
+    the double range.
     """
-    cs = as_rows(cs)
-    if len(cs) == 0:
+    cols = columns(cs, 2)
+    if cols[0].size == 0:
         raise EmptyProblem("solve_boxed: no constraints")
-    if not lo <= hi:
-        raise ValueError(f"invalid box: lo={lo!r} > hi={hi!r}")
-    sol = solve(cs)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"invalid box: lo={lo!r}, hi={hi!r}")
+    try:
+        sol = solve(cs)
+    except NonFiniteInput:
+        # The input is finite, and the unconstrained t lies between two
+        # intercepts: only x is out of range, and so outside the box.
+        sol = Solution2(Status.UNBOUNDED)
     if sol.status is Status.OPTIMAL and lo <= sol.x <= hi:
         return sol
-    if sol.status is Status.OPTIMAL:
-        end = lo if sol.x < lo else hi
-    else:
-        # All slopes share a strict sign: increasing means the minimum is at
-        # the left endpoint, decreasing at the right one.
-        end = lo if cs[0][0] > 0.0 else hi
-    t = max(c[0] * end + c[1] for c in cs)
-    return Solution2(Status.OPTIMAL, x=end, t=t, iterations=sol.iterations)
+    t_lo = objective(cols, lo)
+    t_hi = objective(cols, hi)
+    x, t = (lo, t_lo) if t_lo <= t_hi else (hi, t_hi)
+    if not math.isfinite(t):
+        raise NonFiniteInput(
+            "solve_boxed: the optimal t lies outside the double range")
+    return Solution2(Status.OPTIMAL, x=float(x), t=t,
+                     iterations=sol.iterations)
 
 
 def check_certificate(cs: Sequence, sol: Solution2, eps: float) -> bool:
@@ -374,23 +382,15 @@ def check_certificate(cs: Sequence, sol: Solution2, eps: float) -> bool:
 
     True iff every constraint value at sol.x stays below sol.t + eps and the
     eps-active set contains both a slope <= 0 and a slope >= 0; for a convex
-    piecewise-linear maximum that certifies a global minimum.
+    piecewise-linear maximum that certifies a global minimum.  ``cs`` is
+    read like ``solve``'s.
     """
     if sol.status is not Status.OPTIMAL:
         raise ValueError("certificate check requires an optimal solution")
-    x = sol.x
-    t_hi = sol.t + eps
-    t_lo = sol.t - eps
-    has_down = False
-    has_up = False
-    for c in cs:
-        a = c[0]
-        v = a * x + c[1]
-        if v > t_hi:
-            return False
-        if v >= t_lo:
-            if a <= 0.0:
-                has_down = True
-            if a >= 0.0:
-                has_up = True
-    return has_down and has_up
+    a, b = columns(cs, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = a * sol.x + b
+    if (v > sol.t + eps).any():
+        return False
+    active = a[v >= sol.t - eps]
+    return bool((active <= 0.0).any() and (active >= 0.0).any())

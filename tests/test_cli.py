@@ -7,7 +7,7 @@ import pytest
 from minmaxlp import (Constraint2, Constraint3, EmptyProblem, MixedArity,
                       ParseError, Solution2, Solution3, Status, brute3d_box,
                       prune)
-from minmaxlp.cli import emit_solution, main, parse_constraints
+from minmaxlp.cli import _apply_mode, emit_solution, main, parse_constraints
 
 
 class TestParseConstraints:
@@ -180,6 +180,25 @@ class TestMain:
         code, out, _ = self.run(capsys, "solve3d", str(f), "--validate")
         assert code == 0 and json.loads(out)["t"] == -9e307
         assert calls == [1]
+
+    def test_solve3d_validate_optimum_near_double_range(self, tmp_path,
+                                                         capsys):
+        # the x = 0 edge's unconstrained optimum, x = 2e308, is out of range
+        f = tmp_path / "p.txt"
+        f.write_text("0,0,1e308\n0,0.5,0\n")
+        code, out, err = self.run(capsys, "solve3d", str(f), "--validate")
+        assert code == 0, err
+        assert json.loads(out) == {"status": "optimal", "x": 0.0, "y": 0.0,
+                                   "t": 1e308}
+
+    def test_abs_mode_3d_pairs(self):
+        rows = [Constraint3(1.0, -2.0, 0.0), Constraint3(-0.0, 3.5, -1e308)]
+        old = [c for row in rows
+               for c in (row, Constraint3(-row[0], -row[1], -row[2]))]
+        got = _apply_mode(rows, "abs")
+        assert got.shape == (4, 3)
+        for g, o in zip(got.tolist(), old):
+            assert [v.hex() for v in g] == [v.hex() for v in o]
 
     def test_validate_sizes(self, tmp_path, capsys):
         # solve3d checks any size, by the edge optima beyond 60 rows; the

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from conftest import (close, corpus2d, eval_max_2, exact_intercept,
                       ordered_pair, orient_points_oracle)
 from minmaxlp import (Constraint2, EmptyProblem, GenSpec, NonFiniteInput,
-                      Point2, Sign, Status, brute2d, brute3d_box,
-                      check_certificate, expand_absolute, gen2d,
-                      orientation_exact, solve, solve3d, solve_baseline,
-                      solve_boxed, solver2d, to_dual_points)
+                      Point2, Sign, Solution2, Status, boundary_via_2d,
+                      brute2d, brute3d_box, check_certificate,
+                      expand_absolute, gen2d, gen3d, orientation_exact,
+                      solve, solve3d, solve_baseline, solve_boxed, solver2d,
+                      to_dual_points)
 
 # Coefficients on a coarse grid keep every pairwise crossing well
 # conditioned, so the oracle comparison tolerance is honest while ties and
@@ -271,6 +272,27 @@ class TestSolveBoxed:
         with pytest.raises(EmptyProblem):
             solve_boxed([], 0, 1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_answers_near_the_double_range(self):
+        # the unconstrained optimum x = 2e308 is out of range, but the
+        # boxed one is finite
+        sol = solve_boxed([(0.0, 1e308), (0.5, 0.0)], 0.0, 1.0)
+        assert (sol.status, sol.x, sol.t) == (Status.OPTIMAL, 0.0, 1e308)
+        # the only box point's value, 3e308, is not a double
+        with pytest.raises(NonFiniteInput):
+            solve_boxed([(1.5e308, 1.5e308), (-1.0, 0.0)], 1.0, 1.0)
+
+    @pytest.mark.parametrize("lo,hi", [(-math.inf, 0.0), (0.0, math.inf),
+                                       (math.nan, 1.0)])
+    def test_non_finite_box_rejected(self, lo, hi):
+        with pytest.raises(ValueError):
+            solve_boxed([(1.0, 0.0)], lo, hi)
+
+    def test_endpoint_tie_goes_to_lo(self):
+        # a flat objective; the unconstrained answer x = 0 is right of the box
+        sol = solve_boxed([(0.0, 1.0)], -3.0, -2.0)
+        assert (sol.x, sol.t) == (-3.0, 1.0)
+
     @settings(max_examples=200, deadline=None)
     @given(grid_constraints)
     def test_boxed_is_min_over_box(self, cs):
@@ -297,6 +319,12 @@ class TestCertificate:
         cs = [(1, 0), (-1, 0)]
         fake = solve(cs).__class__(status=Status.OPTIMAL, x=0.0, t=-0.1)
         assert not check_certificate(cs, fake, 1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_row_rejected(self):
+        sol = Solution2(Status.OPTIMAL, x=0.0, t=0.0)
+        with pytest.raises(NonFiniteInput, match="constraint 1 "):
+            check_certificate([(1.0, 0.0), (math.nan, 0.0)], sol, 1e-9)
 
     def test_requires_optimal_status(self):
         from minmaxlp import Solution2
@@ -435,6 +463,8 @@ class TestInputEdge:
         assert type(got.t) is float and type(solve(arr).t) is float
         assert expand_absolute(arr) == expand_absolute(rows)
         assert solve_boxed(arr, -1.0, 1.0) == solve_boxed(rows, -1.0, 1.0)
+        rows3 = gen3d(GenSpec(n=n, seed=31, dim=3))
+        assert boundary_via_2d(np.array(rows3)) == boundary_via_2d(rows3)
 
     def test_empty_array_rejected(self):
         empty = np.empty((0, 2))
