@@ -16,7 +16,8 @@ from .geometry import (Line2, Plane3, Point2, Point3, Sign, dual_of_line,
                        dual_of_plane, dual_of_point, dual_of_point2,
                        exact_product_compare, orientation_exact)
 from .instances import GenSpec, gen2d, gen3d
-from .model import Constraint2, Constraint3, Solution2, Solution3, Status
+from .model import (Constraint2, Constraint3, Problem, Solution2, Solution3,
+                    Status)
 from .oracle import brute2d, brute3d_box
 from .prune3d import (PruneReport, boundary_via_2d, check3d, find_pmin,
                       is_behind, is_too_steep, prune, solve3d)
@@ -29,7 +30,7 @@ __all__ = [
     "Sign", "Point2", "Point3", "Line2", "Plane3",
     "dual_of_plane", "dual_of_point", "dual_of_line", "dual_of_point2",
     "orientation_exact", "exact_product_compare",
-    "Status", "Constraint2", "Constraint3",
+    "Status", "Constraint2", "Constraint3", "Problem",
     "Solution2", "Solution3",
     "expand_absolute", "to_dual_points",
     "solve", "solve_boxed", "check_certificate",

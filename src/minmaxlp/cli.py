@@ -14,6 +14,7 @@ Exit codes: 0 success (an unbounded verdict is a valid answer),
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -27,7 +28,8 @@ from .baseline import check2d, solve_baseline
 from .errors import (ContractViolation, EmptyProblem, MixedArity,
                      NonFiniteInput, ParseError)
 from .instances import GenSpec, gen2d, gen3d
-from .model import Constraint2, Constraint3, Solution2, Solution3, Status
+from .model import (Problem, Solution2, Solution3, Status, columns,
+                    signed_pairs)
 from .oracle import brute2d, brute3d_box
 from .prune3d import _ORACLE_MAX_N, PruneReport, check3d, prune, solve3d
 from .solver2d import expand_absolute, solve
@@ -35,8 +37,31 @@ from .solver2d import expand_absolute, solve
 __all__ = ["parse_constraints", "emit_solution", "main"]
 
 
-def parse_constraints(text: str) -> list[Constraint2] | list[Constraint3]:
-    """Parse constraint text; arity (2 or 3 fields) picks the problem type."""
+def parse_constraints(text: str) -> Problem:
+    """Parse constraint text; arity (2 or 3 fields) picks the problem type.
+
+    Text of plain ASCII numbers in a uniform layout is read in one
+    vectorised pass; any other text, and any text that pass rejects, is
+    read line by line, which names the first bad line.  Both read every
+    field as ``float(field)`` does.
+    """
+    # loadtxt splits lines only at \n and \r\n and would take '#' as a
+    # comment anywhere on a line, where the line scan splits at every line
+    # break str.splitlines knows and takes only whole-line comments.
+    if (text and text.isascii() and not text.isspace()
+            and not any(c in text for c in "#\v\f\x1c\x1d\x1e")):
+        try:
+            rows = np.loadtxt(io.StringIO(text), ndmin=2,
+                              delimiter="," if "," in text else None)
+            if rows.shape[0] and rows.shape[1] in (2, 3):
+                return Problem(*rows.T)
+        except (ValueError, NonFiniteInput):
+            pass
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Problem:
+    """``parse_constraints`` one line at a time."""
     rows: list[tuple[float, ...]] = []
     arity: int | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -64,9 +89,7 @@ def parse_constraints(text: str) -> list[Constraint2] | list[Constraint3]:
         rows.append(vals)
     if arity is None:
         raise EmptyProblem("no constraints in input")
-    if arity == 2:
-        return [Constraint2(*r) for r in rows]
-    return [Constraint3(*r) for r in rows]
+    return Problem(*np.array(rows).T)
 
 
 def _solution_dict(sol) -> dict:
@@ -99,7 +122,8 @@ def emit_solution(sol, fmt: str = "json") -> str:
 
 
 def _format_constraints(cs) -> str:
-    return "\n".join(",".join(repr(float(v)) for v in c) for c in cs) + "\n"
+    fields = [map(repr, col.tolist()) for col in columns(cs, len(cs[0]))]
+    return "\n".join(map(",".join, zip(*fields))) + "\n"
 
 
 def _read_input(path: str) -> str:
@@ -115,15 +139,13 @@ def _require_arity(cs, want: int, sub: str):
             f"{sub} needs {want}-field constraints, input has {have}")
 
 
-def _apply_mode(cs, mode: str):
-    """``cs``, or with mode "abs" each residual row r as the pair r, -r;
-    in 3D the pairs form one (2n, 3) array."""
+def _apply_mode(cs: Problem, mode: str) -> Problem:
+    """``cs``, or with mode "abs" each residual row r as the pair r, -r."""
     if mode != "abs":
         return cs
     if len(cs[0]) == 2:
         return expand_absolute(cs)
-    rows = np.asarray(cs, dtype=float)
-    return np.stack((rows, -rows), axis=1).reshape(-1, 3)
+    return signed_pairs(columns(cs, 3))
 
 
 def _cmd_solve2d(args) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Constraint2, Constraint3
+from .model import Problem
 
 __all__ = ["GenSpec", "gen2d", "gen3d"]
 
@@ -48,30 +48,27 @@ class GenSpec:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
 
 
-def _gaussians(seed: int, index: int, count: int, sigma: float) -> np.ndarray:
-    pairs = (count + 1) // 2
+def _gaussians(seed: int, index: int, pairs: int,
+               sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """sigma * (z0, z1) of the first ``pairs`` Box-Muller pairs, as the
+    column of every pair's z0 and the column of its z1."""
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
     u = np.random.Generator(np.random.Philox(key=key)).random(2 * pairs)
     r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
     ang = _TWO_PI * u[1::2]
-    z = np.empty(2 * pairs)
-    z[0::2] = r * np.cos(ang)
-    z[1::2] = r * np.sin(ang)
-    return sigma * z[:count]
+    return sigma * (r * np.cos(ang)), sigma * (r * np.sin(ang))
 
 
-def gen2d(spec: GenSpec, index: int = 0) -> list[Constraint2]:
+def gen2d(spec: GenSpec, index: int = 0) -> Problem:
     """Instance ``index`` of the stream named by ``spec`` (dim 2)."""
     if spec.dim != 2:
         raise ValueError("gen2d requires a dim=2 spec")
-    g = _gaussians(spec.seed, index, 2 * spec.n, spec.sigma)
-    return [Constraint2(a, b) for a, b in g.reshape(spec.n, 2).tolist()]
+    return Problem(*_gaussians(spec.seed, index, spec.n, spec.sigma))
 
 
-def gen3d(spec: GenSpec, index: int = 0) -> list[Constraint3]:
+def gen3d(spec: GenSpec, index: int = 0) -> Problem:
     """Instance ``index`` of the stream named by ``spec`` (dim 3)."""
     if spec.dim != 3:
         raise ValueError("gen3d requires a dim=3 spec")
-    g = _gaussians(spec.seed, index, 4 * spec.n, spec.sigma)
-    rows = g.reshape(spec.n, 4).tolist()
-    return [Constraint3(a, b, c) for a, b, c, _ in rows]
+    z0, z1 = _gaussians(spec.seed, index, 2 * spec.n, spec.sigma)
+    return Problem(z0[0::2], z1[0::2], z0[1::2])

@@ -4,10 +4,12 @@ objective evaluator shared by the solver modules."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import itemgetter
+from itertools import chain
+from operator import index, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -64,39 +66,132 @@ class Solution3:
     status: Status = Status.OPTIMAL
 
 
+class Problem(Sequence):
+    """A min-max problem held as k = 2 or 3 read-only float64 columns.
+
+    ``Problem(a, b)`` is the one-variable problem with slopes ``a`` and
+    intercepts ``b``, ``Problem(a, b, c)`` the box problem; the columns are
+    converted to float64 and checked finite once, here.  A problem also
+    reads as the list of its rows, ``Constraint2`` or ``Constraint3`` of
+    Python floats: ``len``, indexing, slicing (a view of the same type),
+    iteration and ``==`` against a list of rows or another problem behave
+    as on that list, and ``np.asarray(p)`` is the (n, k) array of its rows.
+    ``columns`` hands the columns to the solvers without a copy.
+    """
+
+    __slots__ = ("_cols",)
+
+    def __init__(self, *cols):
+        cols = [np.asarray(col, dtype=float) for col in cols]
+        if not (len(cols) in (2, 3) and all(col.ndim == 1 for col in cols)
+                and len({col.size for col in cols}) == 1):
+            raise ValueError("a problem needs 2 or 3 columns of one length")
+        _check_finite(cols)
+        for i, col in enumerate(cols):
+            cols[i] = col.view()
+            cols[i].flags.writeable = False
+        self._cols = tuple(cols)
+
+    @classmethod
+    def _of(cls, cols) -> Problem:
+        """A problem on float64 columns known to be finite, which nothing
+        writes while the problem lives."""
+        p = object.__new__(cls)
+        p._cols = tuple(cols)
+        return p
+
+    @property
+    def _row(self):
+        return Constraint2 if len(self._cols) == 2 else Constraint3
+
+    def __len__(self) -> int:
+        return self._cols[0].size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Problem._of(col[i] for col in self._cols)
+        i = index(i)
+        return self._row._make([float(col[i]) for col in self._cols])
+
+    def __iter__(self):
+        return map(self._row, *(col.tolist() for col in self._cols))
+
+    def __eq__(self, other):
+        if isinstance(other, Problem):
+            return (len(self._cols) == len(other._cols)
+                    and len(self) == len(other)
+                    and all(np.array_equal(p, q)
+                            for p, q in zip(self._cols, other._cols)))
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __reduce__(self):
+        # Copies and unpickled problems are built, and frozen, anew.
+        return Problem, self._cols
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("the rows of a problem are built by a copy")
+        return np.stack(self._cols, axis=1).astype(dtype or float, copy=False)
+
+    def __repr__(self) -> str:
+        return f"<Problem: {len(self)} {self._row.__name__} rows>"
+
+
 def _check_shape(arr: np.ndarray, k: int) -> None:
     if arr.ndim != 2 or arr.shape[1] < k:
         raise ValueError(
             f"constraint array must have shape (n, k >= {k}), got {arr.shape}")
 
 
-def columns(cs, k: int) -> list[np.ndarray]:
-    """The first ``k`` fields of every constraint as float64 columns.
+def _check_finite(cols) -> None:
+    """Raise NonFiniteInput naming the first row of ``cols``, k columns or
+    a (k, n) array, with a non-finite field."""
+    finite = np.isfinite(cols)
+    if not finite.all():
+        raise NonFiniteInput(
+            f"constraint {int(np.argmin(finite.all(axis=0)))} is not finite")
 
-    ``cs`` is a sequence of rows or an (n, >= k) array.  Raises ValueError
-    for a row or array with fewer than ``k`` fields, and NonFiniteInput for
-    a non-finite field, naming the first such constraint.
+
+def columns(cs, k: int) -> Sequence[np.ndarray]:
+    """The first ``k`` fields of every constraint as k float64 columns.
+
+    ``cs`` is a ``Problem``, whose columns come back as they are, a
+    sequence of rows or an (n, >= k) array, whose columns come back as one
+    (k, n) array.  Raises ValueError for a problem, row or array with fewer
+    than ``k`` fields, and NonFiniteInput for a non-finite field, naming
+    the first such constraint.
     """
+    if isinstance(cs, Problem):
+        if len(cs._cols) < k:
+            raise ValueError(f"constraints need at least {k} fields")
+        return cs._cols[:k]
     if isinstance(cs, np.ndarray):
         _check_shape(cs, k)
-        cols = [np.asarray(cs[:, j], dtype=float) for j in range(k)]
+        cols = np.asarray(cs[:, :k], dtype=float).T
     else:
         n = len(cs)
+        fields = chain.from_iterable(map(itemgetter(*range(k)), cs))
         try:
-            cols = [np.fromiter(map(itemgetter(j), cs), float, n)
-                    for j in range(k)]
+            cols = np.fromiter(fields, float, k * n).reshape(n, k).T
         except IndexError:
             raise ValueError(f"constraints need at least {k} fields") from None
-    # A sum is finite only if every term is; a sum that overflows merely
-    # sends the check on to the elementwise test.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = sum(col.sum() for col in cols)
-    if not math.isfinite(total):
-        finite = np.logical_and.reduce([np.isfinite(col) for col in cols])
-        if not finite.all():
-            raise NonFiniteInput(
-                f"constraint {int(np.argmin(finite))} is not finite")
+    _check_finite(cols)
     return cols
+
+
+def signed_pairs(cols) -> Problem:
+    """The problem whose rows are r, -r for each row r of the finite
+    columns ``cols``, in row order: the residuals |r| as constraints."""
+    n = cols[0].size
+    out = np.empty((len(cols), n, 2))
+    out[:, :, 0] = cols
+    np.negative(out[:, :, 0], out=out[:, :, 1])
+    out.flags.writeable = False
+    return Problem._of(out.reshape(len(cols), 2 * n))
 
 
 def objective(cols, *point: float) -> float:
@@ -125,15 +220,3 @@ def exact_objective(cols, *point: float) -> float:
         return float(best)
     except OverflowError:
         return math.inf if best > 0 else -math.inf
-
-
-def as_rows(cs):
-    """``cs`` itself, or the rows of an (n, k >= 2) array as Python lists.
-
-    Row consumers read the first fields of each row, so an array reads the
-    same as the list of its rows.
-    """
-    if isinstance(cs, np.ndarray):
-        _check_shape(cs, 2)
-        return cs.tolist()
-    return cs

@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import ContractViolation, EmptyProblem, NonFiniteInput
 from .geometry import Point3, _product_sign, _sum_diff_sign
-from .model import Constraint3, Solution2, Solution3, columns, objective
+from .model import (Constraint3, Problem, Solution2, Solution3, columns,
+                    objective)
 from .oracle import brute3d_box
 from .solver2d import solve_boxed
 
@@ -153,9 +154,10 @@ def boundary_via_2d(cs: Sequence) -> list[tuple[str, Solution2]]:
     if a.size == 0:
         raise EmptyProblem("boundary_via_2d: no constraints")
     with np.errstate(over="ignore"):
-        induced = ((b, c), (b, a + c), (a, c), (a, b + c))
-    return [(edge, solve_boxed(np.column_stack(cols), 0.0, 1.0))
-            for edge, cols in zip(EDGE_IDS, induced)]
+        induced = (Problem._of((b, c)), Problem(b, a + c),
+                   Problem._of((a, c)), Problem(a, b + c))
+    return [(edge, solve_boxed(p, 0.0, 1.0))
+            for edge, p in zip(EDGE_IDS, induced)]
 
 
 # Problems up to this size are checked against the cubic oracle.

@@ -13,12 +13,13 @@ decide go to the exact orientation predicate of the three points
 themselves.  The only division happens once at the end, when the answer
 line's slope is formed.
 
-Problems of ``_COLUMNAR_MIN_N`` constraints or more are scanned in numpy:
-the rows become float64 columns once, and each pivot scan takes the float
-argmin of slopes in one vectorised pass, drops every candidate the error
-bound proves worse than that provisional winner, and hands the survivors
-(usually the winner alone) to the same exact scan loop that smaller
-problems run over Python lists.
+Every input is read as float64 columns (``model.columns``; a ``Problem``
+already holds them).  Problems of ``_COLUMNAR_MIN_N`` constraints or more
+are scanned in numpy: each pivot scan takes the float argmin of slopes in
+one vectorised pass, drops every candidate the error bound proves worse
+than that provisional winner, and hands the survivors, if more than the
+winner alone, to the same exact scan loop that smaller problems run over
+the columns as Python lists.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .geometry import (_ERRBOUND, _NO_UNDERFLOW, Point2, _line_through,
 # Unused here, but perfbench/spans.py traces solver2d._product_sign by
 # rebinding it, so the name stays a module attribute.
 from .geometry import _product_sign  # noqa: F401
-from .model import Constraint2, Solution2, Status, as_rows, columns, objective
+from .model import Problem, Solution2, Status, columns, objective, signed_pairs
 
 __all__ = [
     "expand_absolute",
@@ -45,29 +46,23 @@ __all__ = [
 ]
 
 # Problems with at least this many constraints take the numpy path.  Below
-# it numpy's fixed per-call cost (about 80 us a solve) outweighs the
-# vectorised scan: on Gaussian instances, on a 2-CPU x86-64 host with
-# numpy 2.4, the two paths take the same time between 192 and 256
-# constraints, and the list path is 1.5-3x faster at 64-128.
-_COLUMNAR_MIN_N = 192
+# it numpy's fixed per-call cost (about 30 us a solve) outweighs the
+# vectorised scan: on Gaussian instances already held as columns, on a
+# 2-CPU x86-64 host with numpy 2.4, both paths take 30 us at 96
+# constraints, and the list path is 2x faster at 32.
+_COLUMNAR_MIN_N = 96
 
 
-def expand_absolute(rows: Sequence) -> list[Constraint2]:
+def expand_absolute(rows: Sequence) -> Problem:
     """Rewrite residual terms |a*x + c| as constraint pairs.
 
     Each row contributes (a, c) and (-a, -c): both signed copies must stay
     below the objective bound, so the pair encodes the absolute value.
-    ``rows`` may also be an (n, k >= 2) array; only (a, c) are read.
+    ``rows`` is read like ``solve``'s; only (a, c) are read.
     """
-    rows = as_rows(rows)
     if len(rows) == 0:
         raise EmptyProblem("no residuals to expand")
-    out: list[Constraint2] = []
-    for r in rows:
-        a, c = r[0], r[1]
-        out.append(Constraint2(a, c))
-        out.append(Constraint2(-a, -c))
-    return out
+    return signed_pairs(columns(rows, 2))
 
 
 def to_dual_points(cs: Sequence) -> list[Point2]:
@@ -161,24 +156,28 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float) -> int:
     proves positive lies strictly above the winner's line and cannot win;
     NaN, inf and possible underflow count as not proven.  The survivors,
     the true winner always among them, go to ``_scan`` in index order, so
-    ties resolve exactly as in a scan over all candidates.
+    ties resolve exactly as in a scan over all candidates.  Runs with
+    numpy's floating-point warnings off, as ``_solve_columns`` does.
     """
-    with np.errstate(all="ignore"):
-        dx = xs - fx
-        dy = ys - fy
-        p = np.divide(dy, dx)
-        w = int(np.argmin(p))
-        bx = float(dx[w])
-        by = float(dy[w])
-        # p = bx*cy and q = by*cx for every candidate c, in reused buffers.
-        p = np.multiply(dy, bx, out=p)
-        q = np.multiply(dx, by, out=dx)
-        det = np.subtract(p, q, out=dy)
-        detsum = np.abs(p, out=p)
-        detsum += np.abs(q, out=q)
-        proven = detsum >= _NO_UNDERFLOW
-        proven &= det > np.multiply(detsum, _ERRBOUND, out=q)
-    keep = np.flatnonzero(~proven)
+    dx = xs - fx
+    dy = ys - fy
+    p = np.divide(dy, dx)
+    w = int(p.argmin())
+    bx = float(dx[w])
+    by = float(dy[w])
+    # p = bx*cy and q = by*cx for every candidate c, in reused buffers.
+    p = np.multiply(dy, bx, out=p)
+    q = np.multiply(dx, by, out=dx)
+    det = np.subtract(p, q, out=dy)
+    detsum = np.abs(p, out=p)
+    detsum += np.abs(q, out=q)
+    # The bound holds where detsum >= _NO_UNDERFLOW, which det > bound
+    # implies, since detsum >= det.
+    bound = np.multiply(detsum, _ERRBOUND, out=q)
+    bound += _NO_UNDERFLOW
+    keep = np.logical_not(det > bound).nonzero()[0]
+    if keep.size == 1:
+        return int(keep[0])
     k = _scan(xs[keep].tolist(), ys[keep].tolist(), range(keep.size), fx, fy)
     return int(keep[k])
 
@@ -186,91 +185,75 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float) -> int:
 def solve(cs: Sequence) -> Solution2:
     """Minimise max_i (a_i * x + b_i) over all real x.
 
-    ``cs`` is a sequence of rows whose first two fields are (a_i, b_i), or
-    an (n, k >= 2) array.  Returns UNBOUNDED when every slope is strictly
-    positive or strictly negative.  Otherwise the result is OPTIMAL; t is
-    the unique optimal objective and x one point attaining it.  Raises
-    ValueError for a row with fewer than two fields, NonFiniteInput for a
-    non-finite coefficient, naming the first such constraint, and for an
-    answer outside the double range.
+    ``cs`` is a ``Problem``, a sequence of rows whose first two fields are
+    (a_i, b_i), or an (n, k >= 2) array.  Returns UNBOUNDED when every
+    slope is strictly positive or strictly negative.  Otherwise the result
+    is OPTIMAL; t is the unique optimal objective and x one point attaining
+    it.  Raises ValueError for a row with fewer than two fields,
+    NonFiniteInput for a non-finite coefficient, naming the first such
+    constraint, and for an answer outside the double range.
     """
-    n = len(cs)
-    if n == 0:
+    if len(cs) == 0:
         raise EmptyProblem("solve: no constraints")
-    if n < _COLUMNAR_MIN_N:
-        return _solve_rows(as_rows(cs))
-    return _solve_columns(*columns(cs, 2))
+    return _solve(*columns(cs, 2))
 
 
-def _solve_rows(cs: Sequence) -> Solution2:
+def _solve(a: np.ndarray, b: np.ndarray) -> Solution2:
+    """``solve`` on finite float64 columns, on the path that suits n."""
+    if a.size < _COLUMNAR_MIN_N:
+        return _solve_lists(a.tolist(), b.tolist())
+    with np.errstate(all="ignore"):
+        return _solve_columns(a, b)
+
+
+def _solve_lists(a: list, b: list) -> Solution2:
     """``solve`` with the dual points held in Python lists."""
-    n = len(cs)
-    isfin = math.isfinite
-    dpx = [0.0] * n
-    dpy = [0.0] * n
-    left: list[int] = []
-    right: list[int] = []
-    try:
-        for i, c in enumerate(cs):
-            # float() here, as the numpy path does, so int rows give float
-            # answers and pivot pairs, with the same signed zeros.
-            a = float(c[0])
-            b = float(c[1])
-            if not (isfin(a) and isfin(b)):
-                raise NonFiniteInput(f"constraint {i} is not finite")
-            dpx[i] = a
-            dpy[i] = -b
-            if a <= 0.0:
-                left.append(i)
-            else:
-                right.append(i)
-    except IndexError:
-        raise ValueError("constraints need at least 2 fields") from None
+    left = [i for i, v in enumerate(a) if v <= 0.0]
     if not left:
         return Solution2(Status.UNBOUNDED)
+    right = [i for i, v in enumerate(a) if v > 0.0]
+    dpy = [-v for v in b]
     if not right:
-        if all(dpx[i] == 0.0 for i in left):
+        if all(a[i] == 0.0 for i in left):
             # Every slope is zero: the objective is the constant max b_i.
             return Solution2(Status.OPTIMAL, x=0.0, t=-min(dpy), iterations=0)
         # Slopes are all <= 0 with at least one negative: mirror x so the
         # strictly negative slopes land on the right side, solve, mirror back.
-        return _mirror_back(
-            _solve_rows([Constraint2(-c[0], c[1]) for c in cs]))
-
-    dpy_neg = [-v for v in dpy]
+        return _mirror_back(_solve_lists([-v for v in a], b))
 
     # Start from the lowest left point (ties to the smaller x); any left
     # point is a valid start, the lowest one just pivots less.
     i_l = left[0]
     ly = dpy[i_l]
-    lx = dpx[i_l]
+    lx = a[i_l]
     for i in left:
         y = dpy[i]
-        if y < ly or (y == ly and dpx[i] < lx):
+        if y < ly or (y == ly and a[i] < lx):
             i_l = i
             ly = y
-            lx = dpx[i]
+            lx = a[i]
 
+    # The left side's scans see the points mirrored in y, (a, b) itself.
     return _pivot(
-        n, i_l,
-        lambda i: _scan(dpx, dpy, right, dpx[i], dpy[i]),
-        lambda i: _scan(dpx, dpy_neg, left, dpx[i], dpy_neg[i]),
-        lambda i: (dpx[i], dpy[i]))
+        len(a), i_l,
+        lambda i: _scan(a, dpy, right, a[i], dpy[i]),
+        lambda i: _scan(a, b, left, a[i], b[i]),
+        lambda i: (a[i], dpy[i]))
 
 
 def _solve_columns(a: np.ndarray, b: np.ndarray) -> Solution2:
-    """``solve`` on float64 columns of slopes ``a`` and intercepts ``b``.
+    """``solve`` on float64 columns of slopes ``a`` and intercepts ``b``,
+    run with numpy's floating-point warnings off.
 
-    Every step makes the same choice as ``_solve_rows``, so both give
+    Every step makes the same choice as ``_solve_lists``, so both give
     bitwise the same solution; the dual y coordinate -b of a point is
     formed where it is needed, and the left side's scans read b itself.
     """
-    n = a.size
     on_right = a > 0.0
-    il = np.flatnonzero(~on_right)
+    il = np.logical_not(on_right).nonzero()[0]
     if il.size == 0:
         return Solution2(Status.UNBOUNDED)
-    ir = np.flatnonzero(on_right)
+    ir = on_right.nonzero()[0]
     if ir.size == 0:
         if not a.any():
             # Every slope is zero: the objective is the constant max b_i.
@@ -284,14 +267,14 @@ def _solve_columns(a: np.ndarray, b: np.ndarray) -> Solution2:
     yr = b[ir]
     np.negative(yr, out=yr)
     # The lowest left point, ties to the smaller x (first index on a tie).
-    top = np.flatnonzero(yl_neg == yl_neg.max())
-    i_l = int(il[top[np.argmin(xl[top])]])
+    top = (yl_neg == yl_neg[yl_neg.argmax()]).nonzero()[0]
+    i_l = int(il[top[xl[top].argmin()]])
 
     def point(i):
         return float(a[i]), -float(b[i])
 
     return _pivot(
-        n, i_l,
+        a.size, i_l,
         lambda i: int(ir[_filtered_scan(xr, yr, float(a[i]), -float(b[i]))]),
         lambda i: int(il[_filtered_scan(xl, yl_neg, float(a[i]), float(b[i]))]),
         point)
@@ -360,7 +343,7 @@ def solve_boxed(cs: Sequence, lo: float, hi: float) -> Solution2:
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"invalid box: lo={lo!r}, hi={hi!r}")
     try:
-        sol = solve(cs)
+        sol = _solve(*cols)
     except NonFiniteInput:
         # The input is finite, and the unconstrained t lies between two
         # intercepts: only x is out of range, and so outside the box.

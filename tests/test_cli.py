@@ -1,13 +1,19 @@
 import json
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from minmaxlp import (Constraint2, Constraint3, EmptyProblem, MixedArity,
-                      ParseError, Solution2, Solution3, Status, brute3d_box,
-                      prune)
-from minmaxlp.cli import _apply_mode, emit_solution, main, parse_constraints
+                      ParseError, Problem, Solution2, Solution3, Status,
+                      brute3d_box, prune)
+from minmaxlp import cli
+from minmaxlp.cli import (_apply_mode, _format_constraints, emit_solution,
+                          main, parse_constraints)
+
+_line_scan = cli._parse_lines
 
 
 class TestParseConstraints:
@@ -45,6 +51,102 @@ class TestParseConstraints:
     def test_empty(self):
         with pytest.raises(EmptyProblem):
             parse_constraints("# nothing here\n")
+
+
+# (text, whether the vectorised pass reads it)
+PARSE_CASES = [
+    ("1,0\n-1,2.5\n", True),
+    ("0.1,-0.0\n5e-324,1e308\n-1.7976931348623157e308,+.5\n", True),
+    ("1 0 0\n-1 2 3\n", True),
+    ("1,0\r\n-1,2\r\n", True),
+    ("1 0\n  \n\t\n2 3\n", True),
+    (" 1 , 2 \n3,4", True),
+    ("1,0\n2,3 # note\n", False),
+    ("# head\n1,0\n", False),
+    ("1,0\n   \n\t\n2,3\n", False),
+    ("1,0,\n2,3,\n", False),
+    ("1,,0\n", False),
+    ("1,0\n,\n", False),
+    ("1_0,2\n", False),
+    ("0x1p3,2\n", False),
+    ("nan,1\n", False),
+    ("1,0\n1,inf\n", False),
+    ("1,-Infinity\n", False),
+    ("1e400,0\n", False),
+    ("1,2\n3\n", False),
+    ("1,2\n3,4,5\n", False),
+    ("1 2 3\n4 5\n", False),
+    ("1,2,3,4\n", False),
+    ("5\n6\n", False),
+    ("1,2\r3,4\r", False),
+    ("1\x0b2,3\n", False),
+    ("1,2\x0c3,4\n", False),
+    ("1,2\x1c3,4\n", False),
+    ("1,2\u20283,4\n", False),
+    ("\u0661,2\n", False),
+    ("1.5\x00,2\n", False),
+    ("", False),
+    ("\n \n", False),
+]
+
+
+def _outcome(fn, text):
+    """Rows as float hex, or the exception's type, message and line."""
+    try:
+        p = fn(text)
+    except ValueError as e:
+        return type(e), str(e), getattr(e, "line", None)
+    return [tuple(v.hex() for v in row) for row in p]
+
+
+class TestParsePaths:
+    """The vectorised parse and the line scan read every text alike."""
+
+    @pytest.mark.parametrize("text,fast", PARSE_CASES)
+    def test_same_as_line_scan(self, text, fast, monkeypatch):
+        scans = []
+
+        def counted(t):
+            scans.append(t)
+            return _line_scan(t)
+
+        monkeypatch.setattr(cli, "_parse_lines", counted)
+        assert _outcome(parse_constraints, text) == _outcome(_line_scan, text)
+        assert (not scans) == fast
+
+    def test_random_texts(self):
+        rng = random.Random(5)
+        pieces = ["1", "-2.5", "0", "1e3", "+", ",", " ", ",", "\n", "\n",
+                  "\r\n", "\r", "\t", "#", "nan", "1_0", "\x0b", "\x1f",
+                  "\u2028", "e", "."]
+        for _ in range(3000):
+            text = "".join(rng.choice(pieces)
+                           for _ in range(rng.randint(0, 14)))
+            assert (_outcome(parse_constraints, text)
+                    == _outcome(_line_scan, text)), repr(text)
+
+    def test_generated_text_is_read_in_one_pass(self, monkeypatch):
+        from minmaxlp import GenSpec, gen2d, gen3d
+        monkeypatch.setattr(cli, "_parse_lines", None)
+        for cs in (gen2d(GenSpec(n=300, seed=4)),
+                   gen3d(GenSpec(n=300, seed=4, dim=3))):
+            text = _format_constraints(cs)
+            got = parse_constraints(text)
+            assert [[v.hex() for v in r] for r in got] == \
+                [[float(f).hex() for f in line.split(",")]
+                 for line in text.splitlines()]
+            assert got == cs
+
+
+class TestFormatConstraints:
+    @pytest.mark.parametrize("rows", [
+        [(0.1, -0.0), (5e-324, 1e308), (1e16, 1e-5), (-1e22, 123.0)],
+        [(1.0, 2.0, 3.0), (0.0, -0.0, 2.2250738585072014e-308)]])
+    def test_same_text_as_per_value_repr(self, rows):
+        want = "\n".join(",".join(repr(float(v)) for v in r)
+                         for r in rows) + "\n"
+        assert _format_constraints(rows) == want
+        assert _format_constraints(Problem(*zip(*rows))) == want
 
 
 class TestEmitSolution:
@@ -196,8 +298,8 @@ class TestMain:
         old = [c for row in rows
                for c in (row, Constraint3(-row[0], -row[1], -row[2]))]
         got = _apply_mode(rows, "abs")
-        assert got.shape == (4, 3)
-        for g, o in zip(got.tolist(), old):
+        assert np.asarray(got).shape == (4, 3)
+        for g, o in zip(got, old):
             assert [v.hex() for v in g] == [v.hex() for v in o]
 
     def test_validate_sizes(self, tmp_path, capsys):
@@ -284,6 +386,13 @@ class TestMain:
         code, out, _ = self.run(capsys, "solve2d", "-")
         assert code == 0
         assert json.loads(out)["t"] == 0
+
+    def test_malformed_stdin_names_the_line(self, monkeypatch, capsys):
+        import io
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1,0\n-1,zero\n"))
+        code, out, err = self.run(capsys, "solve2d", "-")
+        assert code == 2 and out == ""
+        assert "line 2" in err
 
     def test_console_script_runs(self, tmp_path):
         f = tmp_path / "p.txt"

@@ -1,0 +1,141 @@
+import copy
+import pickle
+
+import numpy as np
+import pytest
+
+from minmaxlp import (Constraint2, Constraint3, GenSpec, NonFiniteInput,
+                      Problem, gen2d, gen3d)
+from minmaxlp.model import columns
+
+ROWS = [Constraint2(1.0, -2.0), Constraint2(-0.0, 3.5), Constraint2(2.5, 0.0),
+        Constraint2(-4.0, 1e308), Constraint2(5e-324, -1.0)]
+
+
+@pytest.fixture
+def prob():
+    return Problem([r.a for r in ROWS], [r.b for r in ROWS])
+
+
+class TestSequence:
+    """A problem reads like the list of its rows."""
+
+    def test_len_iter_unpack(self, prob):
+        assert len(prob) == len(ROWS)
+        assert list(prob) == ROWS
+        first, *_, last = prob
+        assert (first, last) == (ROWS[0], ROWS[-1])
+        assert all(type(r) is Constraint2 for r in prob)
+        assert all(type(v) is float for r in prob for v in r)
+
+    @pytest.mark.parametrize("i", range(-len(ROWS), len(ROWS)))
+    def test_index(self, prob, i):
+        row = prob[i]
+        assert type(row) is Constraint2 and row == ROWS[i]
+        assert [v.hex() for v in row] == [v.hex() for v in ROWS[i]]
+        assert all(type(v) is float for v in row)
+
+    @pytest.mark.parametrize("i", [len(ROWS), -len(ROWS) - 1])
+    def test_index_out_of_range(self, prob, i):
+        with pytest.raises(IndexError):
+            prob[i]
+
+    def test_non_integer_index(self, prob):
+        with pytest.raises(TypeError):
+            prob[1.0]
+
+    @pytest.mark.parametrize("outer,inner", [
+        (slice(None), slice(None)), (slice(1, 4), slice(1, None)),
+        (slice(None, None, -1), slice(1, None, 2)), (slice(-3, None), slice(-1)),
+        (slice(4, 1), slice(None)), (slice(0, 5, 2), slice(None, None, -1))])
+    def test_slices_of_slices(self, prob, outer, inner):
+        got = prob[outer][inner]
+        assert isinstance(got, Problem)
+        assert got == ROWS[outer][inner]
+        assert list(got) == ROWS[outer][inner]
+        assert len(got) == len(ROWS[outer][inner])
+
+    def test_equality_both_orders(self, prob):
+        same = Problem(np.array([r.a for r in ROWS]),
+                       np.array([r.b for r in ROWS]))
+        other = prob[:-1]
+        assert prob == ROWS and ROWS == prob
+        assert prob == same and same == prob
+        assert not (prob != ROWS) and not (ROWS != prob)
+        assert prob != other and other != prob
+        assert prob != ROWS[:-1] and ROWS[:-1] != prob
+        assert prob != [tuple(r) for r in ROWS][::-1]
+        assert prob != tuple(ROWS)  # a list is never equal to a tuple
+        three = Problem(*([r[j] for r in ROWS] for j in range(2)),
+                        [0.0] * len(ROWS))
+        assert prob != three and three != prob
+        assert three == [Constraint3(*r, 0.0) for r in ROWS]
+
+    def test_as_array(self, prob):
+        arr = np.asarray(prob)
+        assert arr.shape == (len(ROWS), 2) and arr.dtype == np.float64
+        assert arr.tolist() == [list(r) for r in ROWS]
+        assert np.asarray(prob, dtype=float).shape == (len(ROWS), 2)
+        assert np.asarray(prob[:0]).shape == (0, 2)
+
+    def test_writes_raise(self, prob):
+        with pytest.raises(TypeError):
+            prob[0] = Constraint2(0.0, 0.0)
+        with pytest.raises(TypeError):
+            del prob[0]
+        for col in columns(prob, 2) + columns(prob[1:3], 2):
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 7.0
+        assert prob == ROWS
+
+    def test_built_from_a_writable_array_stays_put(self):
+        a = np.array([1.0, -1.0])
+        p = Problem(a, np.zeros(2))
+        with pytest.raises(ValueError, match="read-only"):
+            columns(p, 2)[0][0] = 3.0
+        assert p[0] == (1.0, 0.0)
+
+    def test_copies_stay_read_only(self, prob):
+        for got in (pickle.loads(pickle.dumps(prob)), copy.deepcopy(prob),
+                    copy.copy(prob)):
+            assert isinstance(got, Problem) and got == prob
+            assert not any(c.flags.writeable for c in columns(got, 2))
+
+    def test_unhashable(self, prob):
+        with pytest.raises(TypeError):
+            hash(prob)
+
+
+class TestBuild:
+    def test_checked_finite_once(self):
+        with pytest.raises(NonFiniteInput, match="constraint 2 "):
+            Problem([0.0, 1.0, np.nan], [1.0, 2.0, 3.0])
+        with pytest.raises(NonFiniteInput, match="constraint 1 "):
+            Problem([0.0, 1.0], [1.0, -np.inf], [0.0, 0.0])
+        # sums that overflow are not themselves a fault
+        Problem([1e308, 1e308], [1e308, -1e308])
+
+    @pytest.mark.parametrize("cols", [
+        ([1.0],), ([1.0], [1.0], [1.0], [1.0]), ([1.0, 2.0], [1.0]),
+        ([[1.0]], [[2.0]])])
+    def test_bad_shapes(self, cols):
+        with pytest.raises(ValueError):
+            Problem(*cols)
+
+    def test_columns_of_a_problem(self):
+        p = gen3d(GenSpec(n=7, seed=3, dim=3))
+        a, b = columns(p, 2)
+        assert a.tolist() == [r.a for r in p] and b.tolist() == [r.b for r in p]
+        assert len(columns(p, 3)) == 3
+        with pytest.raises(ValueError, match="at least 3"):
+            columns(gen2d(GenSpec(n=7, seed=3)), 3)
+
+
+def test_generator_slices_share_memory():
+    pool = gen2d(GenSpec(n=1000, seed=8))
+    part = pool[250:500]
+    for whole, col in zip(columns(pool, 2), columns(part, 2)):
+        assert np.shares_memory(whole, col)
+        assert col.tolist() == whole[250:500].tolist()
+    assert columns(part, 2)[0] is columns(part, 2)[0]  # no copy per read
+    assert part == list(pool)[250:500]

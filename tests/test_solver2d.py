@@ -447,7 +447,8 @@ class TestNonFiniteAnswer:
 
 
 SMALL = 5
-LARGE = solver2d._COLUMNAR_MIN_N + 9
+LARGE = 201  # a fixed size, so test ids stay put when the threshold moves
+assert SMALL < solver2d._COLUMNAR_MIN_N <= LARGE
 
 
 class TestInputEdge:
@@ -558,6 +559,19 @@ class TestPathsAgree:
         assert _bits(sol) == _bits(solve(as_floats))
         assert all(type(v) is float for pair in sol.pivot_pairs
                    for p in pair for v in p)
+
+    @pytest.mark.parametrize("n", [SMALL, LARGE])
+    def test_int_residuals_expand_as_floats(self, monkeypatch, n):
+        # Residuals negate in float64, so an int 0 becomes -0.0 in the
+        # negated copy, where a Python int negation kept 0.
+        rows = _int_rows(n, seed=n + 1) + [(0, 0), (2, 0), (0, -3)]
+        cs = expand_absolute(rows)
+        want = [(float(a), float(c), -float(a), -float(c)) for a, c in rows]
+        assert [[v.hex() for v in r] for r in cs] == \
+            [[v.hex() for v in w[k:k + 2]] for w in want for k in (0, 2)]
+        as_floats = [tuple(r) for r in cs]
+        got = _on_both_paths(monkeypatch, lambda: _bits(solve(cs)))
+        assert got[0] == got[1] == _bits(solve(as_floats))
 
     def test_large_gaussian_instances(self, monkeypatch):
         for n in (200, 2000):
