@@ -4,19 +4,21 @@ O(n log n) by construction, exact thanks to the shared sign predicates.
 This module exists to cross-check the pivoting solver at sizes where the
 quadratic oracle is out of reach; it is deliberately simple, not fast.
 Points are read and sorted in numpy; the hull chain is built in Python,
-one exact turn decision at a time.
+one exact turn decision at a time.  ``check2d``, the certificate check of
+a one-variable answer, lives here too; it calls no solver.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, EmptyProblem
 from .geometry import (_ERRBOUND, _NO_UNDERFLOW, Point2, _line_through,
                        _orient_sign)
-from .model import Solution2, Status, columns
+from .model import Solution2, Status, certify, columns
 
 __all__ = ["lower_hull", "solve_baseline", "check2d"]
 
@@ -109,16 +111,42 @@ def solve_baseline(cs: Sequence) -> Solution2:
     raise ContractViolation("hull spans the axis but no crossing edge found")
 
 
-def check2d(cs: Sequence, sol: Solution2,
-            reference: Callable[[Sequence], Solution2]) -> None:
-    """Raise ContractViolation unless ``reference(cs)`` agrees with ``sol``:
-    the same status and, when optimal, t within 1e-12 * max(1, |sol.t|)."""
-    ref = reference(cs)
-    if sol.status is not ref.status:
+def check2d(cs: Sequence, sol: Solution2) -> None:
+    """Raise ContractViolation unless ``sol`` answers ``cs``, by an exact
+    weak-duality certificate.
+
+    UNBOUNDED holds iff every slope is > 0 or every slope is < 0.  For an
+    OPTIMAL answer, the best near-tight constraint at ``sol.x`` with a <= 0
+    and the best with a >= 0 get multipliers lambda >= 0, summing to 1,
+    with sum(lambda * a) = 0; the weighted intercept sum(lambda * b) is an
+    exact lower bound on the optimum (``model.certify`` has the rule).
+    Near-tight, not merely best: the best constraint at a rounded x can be
+    a shallow one whose crossing lies far below the optimum, where the
+    steep true support is still within its own rounding of the maximum.
+    O(n) numpy work and O(1) Fraction work; no reference solver.
+    """
+    a, b = columns(cs, 2)
+    if a.size == 0:
+        raise EmptyProblem("check2d: no constraints")
+    unbounded = bool((a > 0.0).all() or (a < 0.0).all())
+    if (sol.status is Status.UNBOUNDED) is not unbounded:
         raise ContractViolation(
-            f"validation failed: status {sol.status.value} vs "
-            f"{ref.status.value}")
-    if (sol.status is Status.OPTIMAL
-            and not abs(sol.t - ref.t) <= 1e-12 * max(1.0, abs(sol.t))):
-        raise ContractViolation(
-            f"validation failed: t={sol.t} vs reference {ref.t}")
+            f"check2d: status {sol.status.value}, but "
+            + ("every slope has one strict sign" if unbounded
+               else "the slopes do not all share a strict sign"))
+    if unbounded:
+        return
+
+    def lower_bound(idx, values):
+        on_left = a[idx] <= 0.0
+        on_right = a[idx] >= 0.0
+        if not (on_left.any() and on_right.any()):
+            return None
+        i = idx[on_left][np.argmax(values[on_left])]
+        j = idx[on_right][np.argmax(values[on_right])]
+        ai, bi, aj, bj = map(Fraction, (a[i], b[i], a[j], b[j]))
+        if ai == aj:
+            return max(bi, bj)  # both slopes are 0
+        return (aj * bi - ai * bj) / (aj - ai)
+
+    certify((a, b), (sol.x,), sol.t, lower_bound, "check2d")

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteInput
-from .geometry import Point2
+from .errors import ContractViolation, NonFiniteInput
+from .geometry import _EPS, Point2
 
 
 class Status(str, Enum):
@@ -210,13 +210,107 @@ def objective(cols, *point: float) -> float:
     return t if math.isfinite(t) else exact_objective(cols, *point)
 
 
+# The answer checks' rounding bounds, in units of the unit roundoff.  A
+# constraint value a*x + b or a*x + b*y + c formed in floats is within
+# gamma_3 * S of the exact one, S the sum of its terms' magnitudes
+# (Higham, Accuracy and Stability of Numerical Algorithms, 3.1); S formed
+# in floats loses at most three roundings, so _EVAL_ERR times it covers
+# gamma_3 * S, and _EVAL_TINY covers products that underflow (each off by
+# at most 2**-1075).
+_EVAL_ERR = 4.0 * _EPS
+_EVAL_TINY = 2.0 ** -1070
+# A right answer is exact up to the roundings that form it.  The
+# one-variable solvers form x with three roundings and t by evaluating one
+# supporting constraint at x, so at x both supports, and every constraint
+# that can attain the maximum, evaluate within about (3 + 2)u times their
+# own and the top constraint's magnitude sums of the top value.  _TIGHT
+# keeps a margin over that.  The box solver's point comes from float
+# quotients on the lines of rounded plane differences; its error is not
+# bounded this way, and on near-degenerate inputs it can be larger.
+_TIGHT = 8.0 * _EPS
+
+
+def certify(cols, point: tuple, t: float, lower_bound, who: str) -> None:
+    """Raise ContractViolation unless ``t`` is the optimum up to rounding,
+    by weak duality.
+
+    The constraints near-tight at ``point`` are those whose values there
+    lie within _TIGHT times their own and the top constraint's magnitude
+    sums (|a*x| + |b| or |a*x| + |b*y| + |c|) of the top value, and those
+    within 2 W of it.  ``lower_bound(idx, values)`` gets their indices and
+    values and returns an exact lower bound L on the optimum (a Fraction)
+    built from them, or None.  The top value plus its proven rounding
+    bound is an upper bound U on the objective at ``point``.  The optimum
+    lies in [L, U]; both ends must lie within W of t, where W is
+    (2 * _TIGHT + _EVAL_ERR) times the largest magnitude sum S among the
+    first set: a supporting constraint evaluates at most _TIGHT * 2S below
+    the top value, and at most _EVAL_ERR * S from its own float value.
+    Where the terms far exceed |t| (cancellation), W is wider than a few
+    ulps of t.
+    """
+    if not (math.isfinite(t) and all(map(math.isfinite, point))):
+        raise ContractViolation(f"{who}: the answer is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, s = _values(cols, point)
+    F = Fraction
+    tight, err, tiny = _TIGHT, _EVAL_ERR, _EVAL_TINY
+    if not (np.isfinite(v).all() and np.isfinite(s).all()):
+        # A term overflows: every value and scale again, in Fractions.
+        v, s = _values([np.array(list(map(F, col.tolist())), dtype=object)
+                        for col in cols], tuple(map(F, point)))
+        tight, err, tiny = F(_TIGHT), 0, 0
+    top = int(np.argmax(v))
+    # Every constraint outside ``near`` evaluates below the top value by
+    # more than both rounding bounds, so it cannot attain the maximum.
+    near = v >= v[top] - tight * s[top] - tight * s - 2 * tiny
+    scale = F(s[near].max())
+    bound = (2 * F(_TIGHT) + F(err)) * scale + 3 * F(tiny)
+    upper = F(v[top]) + F(err) * scale + F(tiny)
+    # A certificate that holds can put only little weight on constraints
+    # more than 2 W below the top; all others may take part.  At a point
+    # off by rounding from a vertex where many constraints meet, the first
+    # set alone can miss the supports on one side.
+    cut = F(v[top]) - 2 * bound
+    near |= v >= (cut if v.dtype == object else float(cut))
+    idx = near.nonzero()[0]
+    if upper - F(t) > bound:
+        raise ContractViolation(
+            f"{who}: the objective at {point} reaches {_to_float(upper)!r},"
+            f" above t={t} by more than the rounding bound "
+            f"{_to_float(bound)!r}")
+    lower = lower_bound(idx, v[idx])
+    if lower is None:
+        raise ContractViolation(
+            f"{who}: no near-tight constraints certify t={t} at {point}")
+    if F(t) - lower > bound:
+        raise ContractViolation(
+            f"{who}: t={t} lies above the lower bound {_to_float(lower)!r} "
+            f"by more than the rounding bound {_to_float(bound)!r}")
+
+
+def _values(cols, point):
+    """Each constraint's value at ``point`` and the sum of its terms'
+    magnitudes, as ``objective`` forms them."""
+    v = cols[0] * point[0]
+    s = abs(v)
+    for col, p in zip(cols[1:-1], point[1:]):
+        term = col * p
+        v = v + term
+        s = s + abs(term)
+    return v + cols[-1], s + abs(cols[-1])
+
+
 def exact_objective(cols, *point: float) -> float:
     """``objective`` in rational arithmetic, rounded to a double; -inf or
     inf when it lies outside the double range."""
     fs = [Fraction(p) for p in point] + [1]
-    best = max(sum(Fraction(v) * f for v, f in zip(row, fs))
-               for row in zip(*(col.tolist() for col in cols)))
+    return _to_float(max(sum(Fraction(v) * f for v, f in zip(row, fs))
+                         for row in zip(*(col.tolist() for col in cols))))
+
+
+def _to_float(q: Fraction) -> float:
+    """``q`` rounded to a double; -inf or inf outside the double range."""
     try:
-        return float(best)
+        return float(q)
     except OverflowError:
-        return math.inf if best > 0 else -math.inf
+        return math.inf if q > 0 else -math.inf

@@ -8,8 +8,7 @@ from minmaxlp import BenchResult, fit_loglog_slope, run_scaling
 
 class TestRunScaling:
     def test_smoke_fields(self):
-        results = run_scaling("hough2d", sizes=[20, 40], batch=6, seed=1,
-                              validate_fraction=1.0)
+        results = run_scaling("hough2d", sizes=[20, 40], batch=6, seed=1)
         assert [r.n for r in results] == [20, 40]
         assert results[0].batch == 6
         assert results[1].batch == 3  # scaled down by n
@@ -20,20 +19,17 @@ class TestRunScaling:
             assert r.max_iterations <= r.n
 
     def test_baseline_solver(self):
-        (r,) = run_scaling("baseline_hull", sizes=[30], batch=4, seed=2,
-                           validate_fraction=1.0)
+        (r,) = run_scaling("baseline_hull", sizes=[30], batch=4, seed=2)
         assert r.solver == "baseline_hull"
         assert r.mean_iterations is None
 
     def test_brute_solver_small(self):
-        (r,) = run_scaling("brute2d", sizes=[15], batch=4, seed=3,
-                           validate_fraction=1.0)
+        (r,) = run_scaling("brute2d", sizes=[15], batch=4, seed=3)
         assert r.solver == "brute2d"
 
     def test_box3d_solver(self):
-        # n = 20 is re-checked against the oracle, n = 80 against the edges
-        results = run_scaling("box3d", sizes=[20, 80], batch=4, seed=6,
-                              validate_fraction=1.0)
+        # every instance is certified
+        results = run_scaling("box3d", sizes=[20, 80], batch=4, seed=6)
         assert [r.n for r in results] == [20, 80]
         assert all(r.solver == "box3d" and r.mean_s > 0 for r in results)
         assert results[0].mean_iterations is None
@@ -44,9 +40,9 @@ class TestRunScaling:
         for n in (20, 80):
             inst = gen3d(GenSpec(n=n, seed=7, dim=3))
             # the right objective, but at a point of an edge that is not
-            # optimal: the edge solves object, before the oracle (n = 20)
+            # optimal: no multipliers bound the optimum up to t
             t = max(a * 0.0 + b * 0.5 + c for a, b, c in inst)
-            with pytest.raises(ContractViolation, match="oracle|boundary"):
+            with pytest.raises(ContractViolation, match="lower bound"):
                 check3d(inst, Solution3(x=0.0, y=0.5, t=t))
             with pytest.raises(ContractViolation, match="objective"):
                 check3d(inst, Solution3(x=0.0, y=0.5, t=t - 1.0))

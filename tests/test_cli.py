@@ -62,7 +62,11 @@ PARSE_CASES = [
     ("1 0\n  \n\t\n2 3\n", True),
     (" 1 , 2 \n3,4", True),
     ("1,0\n2,3 # note\n", False),
-    ("# head\n1,0\n", False),
+    ("# head\n1,0\n", True),
+    ("# head, with a comma\n1,0\n# tail\r\n2,3\n", True),
+    ("  # head\n1 0\n", True),
+    ("  # head\n1,0\n", False),
+    ("1,0\n#\r2,3\n", False),
     ("1,0\n   \n\t\n2,3\n", False),
     ("1,0,\n2,3,\n", False),
     ("1,,0\n", False),
@@ -252,7 +256,7 @@ class TestMain:
         assert code == 2
 
     def test_validate_near_double_range(self, tmp_path, capsys):
-        # the baseline that --validate runs answers this input exactly too
+        # the certificate holds although 1e308 * x cancels against 1e308
         f = tmp_path / "p.txt"
         f.write_text("1e308,1e308\n-1e308,-1e308\n1,0\n")
         code, out, _ = self.run(capsys, "solve2d", str(f), "--validate")
@@ -281,7 +285,17 @@ class TestMain:
         f.write_text("-9e307,-9e307,9e307\n")
         code, out, _ = self.run(capsys, "solve3d", str(f), "--validate")
         assert code == 0 and json.loads(out)["t"] == -9e307
-        assert calls == [1]
+        assert calls == []  # the certificate needs no oracle
+
+    def test_solve3d_validate_offset_overflows(self, tmp_path, capsys):
+        # the x = 1 edge offset a + c = 2e308 overflows; the certificate
+        # forms no offsets and accepts the right answer
+        f = tmp_path / "p.txt"
+        f.write_text("1e308,0,1e308\n-1e308,0.5,0\n")
+        code, out, err = self.run(capsys, "solve3d", str(f), "--validate")
+        assert code == 0, err
+        assert json.loads(out) == {"status": "optimal", "x": 0.0, "y": 0.0,
+                                   "t": 1e308}
 
     def test_solve3d_validate_optimum_near_double_range(self, tmp_path,
                                                          capsys):
@@ -303,18 +317,19 @@ class TestMain:
             assert [v.hex() for v in g] == [v.hex() for v in o]
 
     def test_validate_sizes(self, tmp_path, capsys):
-        # solve3d checks any size, by the edge optima beyond 60 rows; the
-        # pruning check of prune3d runs the cubic oracle only up to 60
+        # solve3d and the pruning check of prune3d certify any size
         big = tmp_path / "big.txt"
         assert main(["gen", "--dim", "3", "--n", "1000", "--seed", "1",
                      "--out", str(big)]) == 0
         code, _, err = self.run(capsys, "solve3d", str(big), "--validate")
         assert code == 0, err
+        code, _, err = self.run(capsys, "prune3d", str(big), "--validate")
+        assert code == 0, err
         rows = tmp_path / "rows.txt"
         assert main(["gen", "--dim", "3", "--n", "61", "--seed", "1",
                      "--out", str(rows)]) == 0
         code, _, err = self.run(capsys, "prune3d", str(rows), "--validate")
-        assert code == 2 and "at most 60" in err
+        assert code == 0, err
 
     def test_prune3d(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
@@ -334,7 +349,7 @@ class TestMain:
     def test_oracle_3d(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
         f.write_text("1,0,0\n-1,0,0\n0,1,0\n0,-1,0\n")
-        code, out, _ = self.run(capsys, "oracle", str(f))
+        code, out, _ = self.run(capsys, "oracle", str(f), "--validate")
         assert code == 0
         assert json.loads(out)["t"] == 0
 
