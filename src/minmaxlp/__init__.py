@@ -21,8 +21,7 @@ from .model import (Constraint2, Constraint3, Problem, Solution2, Solution3,
 from .oracle import brute2d, brute3d_box
 from .prune3d import (PruneReport, boundary_via_2d, check3d, find_pmin,
                       is_behind, is_too_steep, prune, solve3d)
-from .solver2d import (check_certificate, expand_absolute, solve, solve_boxed,
-                       to_dual_points)
+from .solver2d import expand_absolute, solve, solve_boxed, to_dual_points
 
 __version__ = "0.1.0"
 
@@ -33,7 +32,7 @@ __all__ = [
     "Status", "Constraint2", "Constraint3", "Problem",
     "Solution2", "Solution3",
     "expand_absolute", "to_dual_points",
-    "solve", "solve_boxed", "check_certificate",
+    "solve", "solve_boxed",
     "lower_hull", "solve_baseline", "check2d",
     "brute2d", "brute3d_box",
     "PruneReport", "find_pmin", "is_behind", "is_too_steep", "prune",

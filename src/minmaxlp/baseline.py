@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, EmptyProblem
-from .geometry import (_ERRBOUND, _NO_UNDERFLOW, Point2, _line_through,
-                       _orient_sign)
+from .geometry import Point2, _line_through, _orient
 from .model import Solution2, Status, certify, columns
 
 __all__ = ["lower_hull", "solve_baseline", "check2d"]
@@ -37,35 +36,16 @@ def _sorted_unique_xy(xs: np.ndarray, ys: np.ndarray):
 def _chain(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
     """Monotone-chain lower hull over x-sorted, x-unique points.
 
-    Each turn is decided on the original points: a float filter with the
-    shared error bound settles almost all of them, and the exact
-    orientation predicate of the three points settles the rest, so a
+    Each turn is ``geometry._orient`` of the original points, so a
     rounded or overflowing difference never decides a turn.
     """
     hx: list[float] = []
     hy: list[float] = []
-    for i in range(len(xs)):
-        px = xs[i]
-        py = ys[i]
-        while len(hx) >= 2:
-            ax = hx[-2]
-            ay = hy[-2]
-            bx = hx[-1] - ax
-            by = hy[-1] - ay
-            cx = px - ax
-            cy = py - ay
-            # Pop while the middle point is not strictly convex (collinear
-            # points are dropped; the edge line is unchanged), i.e. while
-            # the orientation bx*cy - by*cx is not positive.
-            p = bx * cy
-            q = by * cx
-            detsum = abs(p) + abs(q)
-            if detsum >= _NO_UNDERFLOW and abs(p - q) > _ERRBOUND * detsum:
-                convex = p > q
-            else:
-                convex = _orient_sign(ax, ay, hx[-1], hy[-1], px, py) > 0
-            if convex:
-                break
+    for px, py in zip(xs, ys):
+        # Pop while the middle point is not strictly convex (collinear
+        # points are dropped; the edge line is unchanged).
+        while len(hx) >= 2 and _orient(hx[-2], hy[-2], hx[-1], hy[-1],
+                                       px, py) <= 0:
             hx.pop()
             hy.pop()
         hx.append(px)

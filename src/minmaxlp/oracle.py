@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import EmptyProblem, NonFiniteInput
-from .model import Solution2, Solution3, Status, columns, exact_objective
+from .model import Solution2, Solution3, Status, columns, objective
 
 __all__ = ["brute2d", "brute3d_box"]
 
@@ -127,9 +127,8 @@ def _eval_max_2d(a, b, c, xs, ys):
     return ts
 
 
-# Near the ends of the double range a difference, product or sum can
-# overflow.  A candidate point built from one is a wrong point, not a wrong
-# value, and a candidate value that overflows is evaluated again exactly.
+# A quotient of nearly parallel lines can overflow, and a singular triple
+# system divides by zero; such candidates fall outside the box.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def brute3d_box(cs) -> Solution3:
     """Minimise max_i (a_i*x + b_i*y + c_i) over the unit box.
@@ -142,10 +141,17 @@ def brute3d_box(cs) -> Solution3:
     still covered by the remaining candidates.  Ties go to the smallest
     (x, y) lexicographically.  Raises NonFiniteInput when the optimal t
     lies outside the double range.
+
+    The candidates are built from the columns scaled by the power of two
+    that puts the largest magnitude in [0.5, 1), so no product or
+    difference overflows; the scaling is exact unless a coefficient falls
+    below the normal range.  t is taken on the original columns.
     """
     if len(cs) == 0:
         raise EmptyProblem("brute3d_box: no constraints")
-    a, b, c = columns(cs, 3)
+    cols = columns(cs, 3)
+    e = math.frexp(float(max(np.abs(col).max() for col in cols)))[1]
+    a, b, c = (np.ldexp(col, -e) for col in cols)
 
     px = [np.zeros(1), np.zeros(1), np.ones(1), np.ones(1)]
     py = [np.zeros(1), np.ones(1), np.zeros(1), np.ones(1)]
@@ -170,11 +176,10 @@ def brute3d_box(cs) -> Solution3:
     cx = np.concatenate(px)
     cy = np.concatenate(py)
     ts = _eval_max_2d(a, b, c, cx, cy)
-    for k in np.flatnonzero(~np.isfinite(ts)).tolist():
-        ts[k] = exact_objective((a, b, c), cx[k], cy[k])
     k = np.lexsort((cy, cx, ts))[0]
-    t = float(ts[k])
+    x, y = float(cx[k]), float(cy[k])
+    t = objective(cols, x, y)
     if not math.isfinite(t):
         raise NonFiniteInput(
             "brute3d_box: the optimal t lies outside the double range")
-    return Solution3(x=float(cx[k]), y=float(cy[k]), t=t)
+    return Solution3(x=x, y=y, t=t)

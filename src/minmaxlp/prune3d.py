@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, EmptyProblem, NonFiniteInput
-from .geometry import Point3, _product_sign, _sum_diff_sign
+from .geometry import _EPS, Point3, _product_sign, _sum_diff_sign
 from .baseline import lower_hull
 from .model import (Problem, Solution2, Solution3, certify, columns,
                     objective)
@@ -170,7 +170,7 @@ _ORDER_SEED = 0x5E1DE1
 # Error bound of the float filters, relative to the sum of the magnitudes
 # involved: each filtered value takes at most five roundings (4u), and the
 # factor 2 covers the rounding of the bound itself.
-_EVAL = 8.0 * 2.0 ** -53
+_EVAL = 8.0 * _EPS
 # An interval that comes out empty is accepted when some point of it misses
 # every constraint by at most this much, relative to the largest
 # coefficient; rounding accounts for about 2**-47.
@@ -310,9 +310,9 @@ def _seidel(a0: np.ndarray, b0: np.ndarray,
     order = rng.permutation(n)
     scale = float(max(np.abs(a0).max(), np.abs(b0).max(), np.abs(c0).max()))
     if scale > _SAFE or 0.0 < scale < 1.0 / _SAFE:
-        f = math.ldexp(1.0, -math.frexp(scale)[1])
-        a0, b0, c0 = a0 * f, b0 * f, c0 * f
-        scale *= f
+        e = math.frexp(scale)[1]
+        a0, b0, c0 = np.ldexp(a0, -e), np.ldexp(b0, -e), np.ldexp(c0, -e)
+        scale = math.ldexp(scale, -e)
     elif scale == 0.0:
         scale = 1.0
     # Gathered in insertion order as fresh floats, so the loops below walk

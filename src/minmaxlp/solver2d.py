@@ -7,11 +7,11 @@ scanning the negative-x and positive-x dual sets for the extreme-slope
 point, never touching points that cannot improve the current supporting
 line.
 
-Every comparison is exact on the original coordinates: a float filter with
-a proven error bound decides almost all of them, and the few it cannot
-decide go to the exact orientation predicate of the three points
-themselves.  The only division happens once at the end, when the answer
-line's slope is formed.
+Every comparison is ``geometry._orient`` of the original coordinates: its
+float filter decides almost all of them, and the few it cannot decide go
+to the exact orientation predicate of the three points themselves.  The
+only division happens once at the end, when the answer line's slope is
+formed.
 
 Every input is read as float64 columns (``model.columns``; a ``Problem``
 already holds them).  Problems of ``_COLUMNAR_MIN_N`` constraints or more
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ContractViolation, EmptyProblem, NonFiniteInput
 from .geometry import (_ERRBOUND, _NO_UNDERFLOW, Point2, _line_through,
-                       _orient_sign)
+                       _orient)
 # Unused here, but perfbench/spans.py traces solver2d._product_sign by
 # rebinding it, so the name stays a module attribute.
 from .geometry import _product_sign  # noqa: F401
@@ -42,7 +42,6 @@ __all__ = [
     "to_dual_points",
     "solve",
     "solve_boxed",
-    "check_certificate",
 ]
 
 # Problems with at least this many constraints take the numpy path.  Below
@@ -78,73 +77,17 @@ def _scan(xs: Sequence[float], ys: Sequence[float], idxs: Sequence[int],
     A candidate wins when it lies strictly below the line through the fixed
     point and the current best; exact collinear ties go to the candidate
     farthest from the fixed point in x, and identical points to the first
-    in ``idxs``.  The float fast path only decides cases that are safely
-    outside the rounding error bound, or whose products are exactly zero;
-    every other case goes to the exact orientation of the original points.
+    in ``idxs``.  Every turn is ``geometry._orient`` of the original points.
     """
     it = iter(idxs)
     best = next(it)
-    bx = xs[best] - fx
-    by = ys[best] - fy
-    babs = abs(bx)
+    # Every candidate lies on side ``far`` of fx, so the farther of two
+    # has the larger far * x; negation is exact, a difference would round.
+    far = 1.0 if xs[best] > fx else -1.0
     for j in it:
-        cx = xs[j] - fx
-        cy = ys[j] - fy
-        p = bx * cy
-        q = by * cx
-        # Strictly signed rounded products carry the signs of the exact
-        # ones; a zero product is trusted only when one of its factors is
-        # zero, since a nonzero product can underflow to zero.
-        if p > 0.0:
-            if q < 0.0:
-                continue
-            detsum = p + q
-        elif p < 0.0:
-            if q > 0.0:
-                best = j
-                bx = cx
-                by = cy
-                babs = abs(cx)
-                continue
-            detsum = -p - q
-        elif bx == 0.0 or cy == 0.0:
-            if q > 0.0:
-                best = j
-                bx = cx
-                by = cy
-                babs = abs(cx)
-                continue
-            if q < 0.0:
-                continue
-            if by == 0.0 or cx == 0.0:
-                s = 0
-            else:
-                s = _orient_sign(fx, fy, xs[best], ys[best], xs[j], ys[j])
-            if s < 0 or (s == 0 and abs(cx) > babs):
-                best = j
-                bx = cx
-                by = cy
-                babs = abs(cx)
-            continue
-        else:
-            detsum = 0.0  # p underflowed: only the exact predicate can tell
-        det = p - q
-        if detsum >= _NO_UNDERFLOW:
-            err = _ERRBOUND * detsum
-            if det > err:
-                continue
-            if det < -err:
-                best = j
-                bx = cx
-                by = cy
-                babs = abs(cx)
-                continue
-        s = _orient_sign(fx, fy, xs[best], ys[best], xs[j], ys[j])
-        if s < 0 or (s == 0 and abs(cx) > babs):
+        s = _orient(fx, fy, xs[best], ys[best], xs[j], ys[j])
+        if s < 0 or (s == 0 and far * xs[j] > far * xs[best]):
             best = j
-            bx = cx
-            by = cy
-            babs = abs(cx)
     return best
 
 
@@ -358,22 +301,3 @@ def solve_boxed(cs: Sequence, lo: float, hi: float) -> Solution2:
             "solve_boxed: the optimal t lies outside the double range")
     return Solution2(Status.OPTIMAL, x=float(x), t=t,
                      iterations=sol.iterations)
-
-
-def check_certificate(cs: Sequence, sol: Solution2, eps: float) -> bool:
-    """Linear-time global optimality check for a claimed optimum.
-
-    True iff every constraint value at sol.x stays below sol.t + eps and the
-    eps-active set contains both a slope <= 0 and a slope >= 0; for a convex
-    piecewise-linear maximum that certifies a global minimum.  ``cs`` is
-    read like ``solve``'s.
-    """
-    if sol.status is not Status.OPTIMAL:
-        raise ValueError("certificate check requires an optimal solution")
-    a, b = columns(cs, 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = a * sol.x + b
-    if (v > sol.t + eps).any():
-        return False
-    active = a[v >= sol.t - eps]
-    return bool((active <= 0.0).any() and (active >= 0.0).any())

@@ -4,6 +4,13 @@ from fractions import Fraction
 
 from minmaxlp import GenSpec, gen2d, gen3d
 
+# Zeros of both signs, subnormals, the normal range's edges and
+# coordinates near +-1e308 whose differences overflow.
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+               2.2250738585072014e-308, -2.2250738585072014e-308,
+               1.0, -1.0, 0.1, 3.0, 1e308, -1e308,
+               1.7976931348623157e308, -1.7976931348623157e308)
+
 
 def close(got, want, tol):
     """Relative comparison with an absolute floor of 1."""

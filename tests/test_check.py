@@ -12,10 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from minmaxlp import (ContractViolation, GenSpec, Solution2, Solution3,
-                      Status, brute2d, brute3d_box, check2d, check3d,
-                      expand_absolute, gen2d, gen3d, solve, solve3d,
-                      solve_baseline)
+from minmaxlp import (ContractViolation, GenSpec, NonFiniteInput, Solution2,
+                      Solution3, Status, brute2d, brute3d_box, check2d,
+                      check3d, expand_absolute, gen2d, gen3d, solve,
+                      solve3d, solve_baseline)
 from minmaxlp import baseline, oracle, prune3d, solver2d
 from minmaxlp.model import columns, objective
 
@@ -115,24 +115,16 @@ def test_3d_right_answers_pass(cs, solver):
     check3d(cs, solver(cs))
 
 
-# Gaussian box problems scaled near the ends of the double range
+# Gaussian box problems scaled near the ends of the double range, and
+# into the subnormals
 SCALED3D = [np.asarray(gen3d(GenSpec(n=20, seed=6, dim=3), index=k)) * s
-            for s in (1e299, 1e-301) for k in range(3)]
+            for s in (1e299, 1e-301, 1e160, 2.0 ** -1060) for k in range(3)]
 
 
 @pytest.mark.parametrize("cs", SCALED3D)
 def test_3d_scaled_answers(cs):
-    # solve3d's answers pass.  brute3d_box's triple systems overflow (or
-    # underflow) to det = inf (or 0) and are skipped, so it can miss the
-    # interior vertex; the certificate then rejects its answer.
-    sol = solve3d(cs)
-    check3d(cs, sol)
-    ref = brute3d_box(cs)
-    if ref.t == sol.t:
-        check3d(cs, ref)
-    else:
-        with pytest.raises(ContractViolation, match="lower bound"):
-            check3d(cs, ref)
+    check3d(cs, solve3d(cs))
+    check3d(cs, brute3d_box(cs))
 
 
 @pytest.mark.parametrize("cs", _points(10_000, 2, 3), ids=["p0", "p1"])
@@ -181,7 +173,9 @@ def test_found_offset_overflow_input():
 
 def test_statuses():
     check2d([(1.0, 0.0), (2.0, 1.0)], Solution2(Status.UNBOUNDED))
+    check2d([(1, 0)], Solution2(Status.UNBOUNDED))
     check2d([(-1.0, 0.0)], Solution2(Status.UNBOUNDED))
+    check2d([(1, 0), (-1, 0)], Solution2(Status.OPTIMAL, x=0.0, t=0.0))
     check2d([(0.0, 1.0), (0.0, -2.0)], Solution2(Status.OPTIMAL, x=5.0, t=1.0))
     with pytest.raises(ContractViolation, match="status unbounded"):
         check2d([(1.0, 0.0), (0.0, 1.0)], Solution2(Status.UNBOUNDED))
@@ -190,6 +184,7 @@ def test_statuses():
                 Solution2(Status.OPTIMAL, x=0.0, t=1.0))
 
 
+@pytest.mark.filterwarnings("error")
 def test_malformed_answers():
     with pytest.raises(ContractViolation, match="outside the box"):
         check3d([(1.0, 0.0, 0.0)], Solution3(x=1.5, y=0.0, t=1.5))
@@ -198,6 +193,14 @@ def test_malformed_answers():
     with pytest.raises(ContractViolation, match="not finite"):
         check2d([(1.0, 0.0), (-1.0, 0.0)],
                 Solution2(Status.OPTIMAL, x=0.0, t=math.inf))
+    # a feasible point that is not optimal, and an infeasible one
+    with pytest.raises(ContractViolation, match="no near-tight"):
+        check2d([(1, 0), (-1, 0)], Solution2(Status.OPTIMAL, x=0.5, t=0.5))
+    with pytest.raises(ContractViolation, match="objective"):
+        check2d([(1, 0), (-1, 0)], Solution2(Status.OPTIMAL, x=0.0, t=-0.1))
+    with pytest.raises(NonFiniteInput, match="constraint 1 "):
+        check2d([(1.0, 0.0), (math.nan, 0.0)],
+                Solution2(Status.OPTIMAL, x=0.0, t=0.0))
     # a point whose objective overflows certifies no finite t
     with pytest.raises(ContractViolation, match="objective"):
         check2d([(1e308, 1e308), (-1.0, 0.0)],

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (orient_oracle, orient_points_oracle,
+from conftest import (EDGE_VALUES, orient_oracle, orient_points_oracle,
                       product_compare_oracle)
 from minmaxlp import (Line2, NonFiniteInput, Plane3, Point2, Point3, Sign,
                       dual_of_line, dual_of_plane, dual_of_point,
                       dual_of_point2, exact_product_compare,
                       orientation_exact)
-from minmaxlp.geometry import _orient_sign
+from minmaxlp.geometry import _orient, _orient_sign
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e150, max_value=1e150)
@@ -133,30 +133,31 @@ class TestOrientation:
             orientation_exact(Point2(-big, 0), Point2(big, 1), Point2(0, 1))
 
 
-# Zeros of both signs, subnormals, the normal range's edges and
-# coordinates near +-1e308 whose differences overflow.
-_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
-                2.2250738585072014e-308, -2.2250738585072014e-308,
-                1.0, -1.0, 0.1, 3.0, 1e308, -1e308,
-                1.7976931348623157e308, -1.7976931348623157e308)
 any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+# The exact predicate, and the float filter in front of it: every case
+# below runs through both.
+ORIENTS = (_orient_sign, _orient)
 
 
 class TestOrientSign:
     """The exact turn of the given points, not of their rounded differences."""
 
     def test_unit_triangle(self):
-        assert _orient_sign(0.0, 0.0, 1.0, 0.0, 0.0, 1.0) == 1
-        assert _orient_sign(0.0, 0.0, 0.0, 1.0, 1.0, 0.0) == -1
-        assert _orient_sign(0.0, 0.0, 1.0, 1.0, 2.0, 2.0) == 0
+        for orient in ORIENTS:
+            assert orient(0.0, 0.0, 1.0, 0.0, 0.0, 1.0) == 1
+            assert orient(0.0, 0.0, 0.0, 1.0, 1.0, 0.0) == -1
+            assert orient(0.0, 0.0, 1.0, 1.0, 2.0, 2.0) == 0
 
     def test_overflowing_differences_decided(self):
         # orientation_exact rejects this triple; the points turn left
         big = 1.6e308
-        assert _orient_sign(-big, 0.0, big, 1.0, 0.0, 1.0) == \
-            orient_points_oracle(-big, 0.0, big, 1.0, 0.0, 1.0) == 1
-        # three points on the line y = -x, two of them 2e308 apart
-        assert _orient_sign(-1e308, 1e308, 1e308, -1e308, 1.0, -1.0) == 0
+        for orient in ORIENTS:
+            assert orient(-big, 0.0, big, 1.0, 0.0, 1.0) == \
+                orient_points_oracle(-big, 0.0, big, 1.0, 0.0, 1.0) == 1
+            # three points on the line y = -x, two of them 2e308 apart
+            assert orient(-1e308, 1e308, 1e308, -1e308, 1.0, -1.0) == 0
 
     def test_rounded_differences_disagree(self):
         # Seen from (-1e-17, 0) the differences to (1, 1) and (2, 2) round
@@ -165,41 +166,49 @@ class TestOrientSign:
         assert orientation_exact(Point2(*args[:2]), Point2(*args[2:4]),
                                  Point2(*args[4:])) is Sign.ZERO
         assert orient_points_oracle(*args) == 1
-        assert _orient_sign(*args) == 1
+        for orient in ORIENTS:
+            assert orient(*args) == 1
 
     def test_edge_value_triples(self):
         rng = random.Random(20261018)
         for _ in range(20_000):
-            args = tuple(rng.choice(_EDGE_VALUES) for _ in range(6))
-            assert _orient_sign(*args) == orient_points_oracle(*args), args
+            args = tuple(rng.choice(EDGE_VALUES) for _ in range(6))
+            want = orient_points_oracle(*args)
+            for orient in ORIENTS:
+                assert orient(*args) == want, (orient.__name__, args)
 
     def test_signed_zeros_exhaustive(self):
         for args in itertools.product((0.0, -0.0, 5e-324), repeat=6):
-            assert _orient_sign(*args) == orient_points_oracle(*args), args
+            want = orient_points_oracle(*args)
+            for orient in ORIENTS:
+                assert orient(*args) == want, (orient.__name__, args)
 
     @settings(max_examples=2000, deadline=None)
     @given(any_finite, any_finite, any_finite, any_finite, any_finite,
            any_finite)
     def test_matches_rational_oracle(self, ax, ay, bx, by, cx, cy):
-        assert _orient_sign(ax, ay, bx, by, cx, cy) == \
-            orient_points_oracle(ax, ay, bx, by, cx, cy)
+        want = orient_points_oracle(ax, ay, bx, by, cx, cy)
+        for orient in ORIENTS:
+            assert orient(ax, ay, bx, by, cx, cy) == want, orient.__name__
 
     @settings(max_examples=300, deadline=None)
     @given(any_finite, any_finite, any_finite, any_finite)
     def test_collinear_and_antisymmetric(self, ax, ay, bx, by):
-        assert _orient_sign(ax, ay, bx, by, ax, ay) == 0
-        assert _orient_sign(ax, ay, bx, by, bx, by) == 0
-        assert _orient_sign(ax, ay, bx, by, 0.5, -0.25) == \
-            -_orient_sign(bx, by, ax, ay, 0.5, -0.25)
+        for orient in ORIENTS:
+            assert orient(ax, ay, bx, by, ax, ay) == 0
+            assert orient(ax, ay, bx, by, bx, by) == 0
+            assert orient(ax, ay, bx, by, 0.5, -0.25) == \
+                -orient(bx, by, ax, ay, 0.5, -0.25)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf")])
     def test_non_finite_rejected(self, bad):
-        for k in range(6):
-            args = [0.0, 0.0, 1.0, 0.0, 0.0, 1.0]
-            args[k] = bad
-            with pytest.raises(NonFiniteInput):
-                _orient_sign(*args)
+        for orient in ORIENTS:
+            for k in range(6):
+                args = [0.0, 0.0, 1.0, 0.0, 0.0, 1.0]
+                args[k] = bad
+                with pytest.raises(NonFiniteInput):
+                    orient(*args)
 
 
 class TestProductCompare:

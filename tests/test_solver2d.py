@@ -1,18 +1,19 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (close, corpus2d, eval_max_2, exact_intercept,
-                      ordered_pair, orient_points_oracle)
-from minmaxlp import (Constraint2, EmptyProblem, GenSpec, NonFiniteInput,
-                      Point2, Sign, Solution2, Status, boundary_via_2d,
-                      brute2d, brute3d_box, check_certificate,
-                      expand_absolute, gen2d, gen3d, orientation_exact,
-                      solve, solve3d, solve_baseline, solve_boxed, solver2d,
+from conftest import (EDGE_VALUES, close, corpus2d, eval_max_2,
+                      exact_intercept, ordered_pair, orient_points_oracle)
+from minmaxlp import (Constraint2, ContractViolation, EmptyProblem, GenSpec,
+                      NonFiniteInput, Point2, Sign, Solution2, Status,
+                      boundary_via_2d, brute2d, brute3d_box, check2d,
+                      expand_absolute, gen2d, gen3d, orientation_exact, solve,
+                      solve3d, solve_baseline, solve_boxed, solver2d,
                       to_dual_points)
 
 # Coefficients on a coarse grid keep every pairwise crossing well
@@ -76,6 +77,18 @@ def _advance(fixed, cands, side):
     return cands[i]
 
 
+def _rational_scan(xs, ys, fx, fy):
+    """``_scan``'s contract in rationals: the minimal slope from (fx, fy),
+    exact ties to the largest |x - fx|, identical points to the first."""
+    F = Fraction
+
+    def key(j):
+        dx = F(xs[j]) - F(fx)
+        return (F(ys[j]) - F(fy)) / dx, -abs(dx), j
+
+    return min(range(len(xs)), key=key)
+
+
 class TestAdvance:
     def test_scanning_right_takes_min_slope(self):
         got = _advance(Point2(-1, 0), [Point2(1, 0), Point2(2, 1)], "R")
@@ -100,6 +113,24 @@ class TestAdvance:
     def test_collinear_tiebreak_prefers_far_point(self):
         cands = [Point2(1, 1), Point2(3, 3), Point2(2, 2)]
         assert _advance(Point2(0, 0), cands, "R") == Point2(3, 3)
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_edge_value_candidates_match_rational_scan(self, side):
+        # Among these candidates the farther of two collinear ones can
+        # round to the same distance from the fixed point (1e308 - 0.1
+        # and 1e308 - 2.2e-308 are both 1e308), so the tie must be broken
+        # on the coordinates themselves.
+        rng = random.Random(20261018 + side)
+        for _ in range(4000):
+            fx, fy = rng.choice(EDGE_VALUES), rng.choice(EDGE_VALUES)
+            pool = [v for v in EDGE_VALUES if side * v > side * fx]
+            if not pool:
+                continue
+            n = rng.randint(1, 6)
+            xs = [rng.choice(pool) for _ in range(n)]
+            ys = [rng.choice(EDGE_VALUES) for _ in range(n)]
+            got = solver2d._scan(xs, ys, range(n), fx, fy)
+            assert got == _rational_scan(xs, ys, fx, fy), (fx, fy, xs, ys)
 
     def test_empty_candidates(self, monkeypatch):
         # solve settles a side without candidates before any scan
@@ -206,10 +237,7 @@ class TestSolveOnCorpus:
     def test_certificate_holds(self):
         for cs in self.corpus:
             sol = solve(cs)
-            if sol.status is Status.UNBOUNDED:
-                continue
-            scale = max(1.0, abs(sol.t), max(abs(c.b) for c in cs))
-            assert check_certificate(cs, sol, 1e-9 * scale)
+            check2d(cs, sol)
 
     def test_intercepts_strictly_decrease(self):
         seen_multi = 0
@@ -308,28 +336,30 @@ class TestSolveBoxed:
 class TestCertificate:
     def test_accepts_true_optimum(self):
         cs = [(1, 0), (-1, 0)]
-        assert check_certificate(cs, solve(cs), 1e-9)
+        check2d(cs, solve(cs))
 
     def test_rejects_feasible_non_optimum(self):
         cs = [(1, 0), (-1, 0)]
-        fake = solve(cs).__class__(status=Status.OPTIMAL, x=0.5, t=0.5)
-        assert not check_certificate(cs, fake, 1e-9)
+        fake = Solution2(Status.OPTIMAL, x=0.5, t=0.5)
+        with pytest.raises(ContractViolation, match="no near-tight"):
+            check2d(cs, fake)
 
     def test_rejects_infeasible(self):
         cs = [(1, 0), (-1, 0)]
-        fake = solve(cs).__class__(status=Status.OPTIMAL, x=0.0, t=-0.1)
-        assert not check_certificate(cs, fake, 1e-9)
+        fake = Solution2(Status.OPTIMAL, x=0.0, t=-0.1)
+        with pytest.raises(ContractViolation, match="objective"):
+            check2d(cs, fake)
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_row_rejected(self):
         sol = Solution2(Status.OPTIMAL, x=0.0, t=0.0)
         with pytest.raises(NonFiniteInput, match="constraint 1 "):
-            check_certificate([(1.0, 0.0), (math.nan, 0.0)], sol, 1e-9)
+            check2d([(1.0, 0.0), (math.nan, 0.0)], sol)
 
     def test_requires_optimal_status(self):
-        from minmaxlp import Solution2
-        with pytest.raises(ValueError):
-            check_certificate([(1, 0)], Solution2(Status.UNBOUNDED), 1e-9)
+        # a bounded problem must be answered OPTIMAL, with a point
+        with pytest.raises(ContractViolation, match="status unbounded"):
+            check2d([(1, 0), (-1, 0)], Solution2(Status.UNBOUNDED))
 
 
 # --- exactness on the original points, and the numpy path ----------------
