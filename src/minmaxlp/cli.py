@@ -20,6 +20,7 @@ import math
 import sys
 import warnings
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,10 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+# Built once per process: building the tree takes about 1 ms, a fifth of a
+# ``solve2d`` call on a few thousand rows, and ``parse_args`` leaves the
+# parser as it was.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="minmaxlp",

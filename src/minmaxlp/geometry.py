@@ -12,6 +12,10 @@ sign; the rest are decided in integers: every finite double is an integer
 over a power of two, so scaled to a common denominator the determinant or
 sum becomes an integer expression of the same sign.  The result is exact
 for every finite double, including denormals, without any epsilon.
+
+``_slope_threshold`` is the proven bound behind solver2d's slope
+prefilter, which compares rounded slopes instead of turns; its constants
+sit beside the orientation filter's.
 """
 
 from __future__ import annotations
@@ -104,6 +108,12 @@ _ERRBOUND = (3.0 + 16.0 * _EPS) * _EPS
 # products may be denormal; such comparisons take the exact path directly.
 _NO_UNDERFLOW = 1e-280
 
+# The slope prefilter's constants (see ``_slope_threshold``): the relative
+# term K = 8u, the absolute term, and the largest threshold it accepts.
+_SLOPE_REL = 8.0 * _EPS
+_SLOPE_ABS = 2.0 ** -1070
+_SLOPE_MAX = 2.0 ** 1000
+
 
 def _orient(ax: float, ay: float, bx: float, by: float,
             cx: float, cy: float) -> int:
@@ -113,7 +123,7 @@ def _orient(ax: float, ay: float, bx: float, by: float,
     determinant clears the error bound; NaN and inf never clear it, and
     the additive _NO_UNDERFLOW covers products that underflow.  Every other
     case goes to the exact predicate of the six doubles themselves.
-    ``_filtered_scan`` in solver2d runs the same filter vectorised.
+    solver2d's ``_det_survivors`` runs the same filter vectorised.
     """
     p = (bx - ax) * (cy - ay)
     q = (by - ay) * (cx - ax)
@@ -124,6 +134,46 @@ def _orient(ax: float, ay: float, bx: float, by: float,
     if det < -bound:
         return -1
     return _slow_sign(ax, ay, bx, by, cx, cy)
+
+
+def _slope_threshold(p: float) -> float:
+    """A threshold T such that a candidate whose rounded slope exceeds T
+    has a larger exact slope than the candidate whose rounded slope is
+    ``p``; NaN when no such T is proven.
+
+    A candidate c seen from a fixed point f has the exact slope
+    s = (cy - fy) / (cx - fx), cx != fx, and the rounded slope
+    p = fl(fl(cy - fy) / fl(cx - fx)), where neither difference overflows.
+    A difference is exact when it is subnormal and otherwise within a
+    factor 1 +- u of the truth (u = 2^-53).  The quotient is within
+    1 +- u, or within 2^-1075 absolute where it is subnormal.  So, with
+    Higham's gamma_3 = 3u / (1 - 3u) and a = 2^-1075,
+
+        |p - s| <= gamma_3 |s| + a.                                  (1)
+
+    Let p_w = ``p`` be candidate w's rounded slope, and s_c <= s_w.  As
+    g(s) = s + gamma_3 |s| + a increases with s, (1) gives
+    p_c <= g(s_c) <= g(s_w).  (1) at w bounds s_w from above, and with
+    (1 + gamma_3) / (1 - gamma_3) = 1 / (1 - 6u) that gives
+
+        g(s_w) <= (p_w + a) / (1 - 6u) + a    where p_w + a >= 0,
+        g(s_w) <= (p_w + a) * (1 - 6u) + a    elsewhere.
+
+    T is R / (1 - K) where R >= 0 and R / (1 + K) elsewhere, with
+    R = p_w + K |p_w| + _SLOPE_ABS and K = _SLOPE_REL = 8u, in floats.
+    Exactly, T is about p_w (1 + 16u) + 2^-1070 for p_w >= 0 and
+    p_w (1 - 16u) + 2^-1070 below, against bounds of p_w (1 +- 6u) + 2a.
+    The slack, 10u |p_w| and 30a, covers the four roundings that form T:
+    K |p_w| is exact but for underflow, and each operation errs by at most
+    u relative or a absolute.  So p_c > T proves s_c > s_w.
+
+    A quotient that overflows is +-inf.  A +inf quotient has s_c > 2^1023,
+    so T <= _SLOPE_MAX proves it larger than s_w <= T as well; a -inf p_w
+    makes T NaN.  T is returned only when |T| <= _SLOPE_MAX.
+    """
+    r = p + _SLOPE_REL * abs(p) + _SLOPE_ABS
+    t = r / (1.0 - _SLOPE_REL) if r >= 0.0 else r / (1.0 + _SLOPE_REL)
+    return t if abs(t) <= _SLOPE_MAX else math.nan
 
 
 def _product_sign(u1: float, v1: float, u2: float, v2: float) -> int:

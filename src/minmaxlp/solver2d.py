@@ -7,19 +7,23 @@ scanning the negative-x and positive-x dual sets for the extreme-slope
 point, never touching points that cannot improve the current supporting
 line.
 
-Every comparison is ``geometry._orient`` of the original coordinates: its
-float filter decides almost all of them, and the few it cannot decide go
-to the exact orientation predicate of the three points themselves.  The
-only division happens once at the end, when the answer line's slope is
-formed.
+Every decision is exact on the original coordinates.  The scan loop
+``_scan`` compares candidates with ``geometry._orient``: its float filter
+decides almost every turn, and the few it cannot decide go to the exact
+orientation predicate of the three points themselves.
 
 Every input is read as float64 columns (``model.columns``; a ``Problem``
 already holds them).  Problems of ``_COLUMNAR_MIN_N`` constraints or more
-are scanned in numpy: each pivot scan takes the float argmin of slopes in
-one vectorised pass, drops every candidate the error bound proves worse
-than that provisional winner, and hands the survivors, if more than the
-winner alone, to the same exact scan loop that smaller problems run over
-the columns as Python lists.
+are scanned in numpy by the slope prefilter (``_filtered_scan``): each
+pivot scan forms every candidate's rounded slope in one vectorised pass,
+and one comparison against a threshold from ``geometry._slope_threshold``
+drops every candidate whose exact slope is proven larger than the least
+rounded slope's.  The survivors, if more than one, go to the same exact
+loop that smaller problems run over the columns as Python lists.  The
+threshold's proof needs coordinate differences that do not overflow, which
+one range check per solve establishes; where it fails, or the threshold is
+too large, the scan keeps the survivors of the determinant filter that
+``_orient`` runs, vectorised (``_det_survivors``).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import ContractViolation, EmptyProblem, NonFiniteInput
 from .geometry import (_ERRBOUND, _NO_UNDERFLOW, Point2, _line_through,
-                       _orient)
+                       _orient, _slope_threshold)
 # Unused here, but perfbench/spans.py traces solver2d._product_sign by
 # rebinding it, so the name stays a module attribute.
 from .geometry import _product_sign  # noqa: F401
@@ -45,11 +49,13 @@ __all__ = [
 ]
 
 # Problems with at least this many constraints take the numpy path.  Below
-# it numpy's fixed per-call cost (about 30 us a solve) outweighs the
-# vectorised scan: on Gaussian instances already held as columns, on a
-# 2-CPU x86-64 host with numpy 2.4, both paths take 30 us at 96
-# constraints, and the list path is 2x faster at 32.
-_COLUMNAR_MIN_N = 96
+# it numpy's fixed per-call cost (about 45 us a solve) outweighs the
+# vectorised scan.  On Gaussian instances held as columns, on a 2-CPU
+# x86-64 host with numpy 2.4 (medians of 9 runs), the list path takes 43 us
+# at 48 constraints against 47 us, and 54 us at 64 against 46 us.  On exact
+# fits, where the exact predicates dominate both paths, the numpy path is
+# up to 10% slower from 48 to 80 constraints and level at 96.
+_COLUMNAR_MIN_N = 64
 
 
 def expand_absolute(rows: Sequence) -> Problem:
@@ -91,19 +97,51 @@ def _scan(xs: Sequence[float], ys: Sequence[float], idxs: Sequence[int],
     return best
 
 
-def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float) -> int:
-    """``_scan`` over numpy columns, with the float filter run vectorised.
+def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
+                   flip: bool, ranged: bool) -> int:
+    """``_scan`` over the numpy columns of the points (xs, ys), or
+    (xs, -ys) when ``flip``, seen from (fx, fy).
 
-    The float argmin of slopes from (fx, fy) gives a provisional winner.
-    Every candidate whose determinant against that winner the error bound
-    proves positive lies strictly above the winner's line and cannot win;
-    NaN, inf and possible underflow count as not proven.  The survivors,
-    the true winner always among them, go to ``_scan`` in index order, so
-    ties resolve exactly as in a scan over all candidates.  Runs with
-    numpy's floating-point warnings off, as ``_solve_columns`` does.
+    The slope prefilter: every rounded slope p = dy / dx is formed, and
+    ``geometry._slope_threshold`` of the least one gives a T such that
+    p > T proves a candidate's exact slope larger than that least one's.
+    The rest, the true winner and its exact ties always among them, go to
+    ``_scan`` in index order, so ties resolve exactly as in a scan over all
+    candidates.  The proof needs differences that do not overflow, which
+    ``ranged`` vouches for, and a T of moderate size; without either the
+    survivors are those of the determinant filter, ``_det_survivors``.
+    Runs with numpy's floating-point warnings off, as ``_solve_columns``
+    does.
     """
     dx = xs - fx
-    dy = ys - fy
+    # With flip the candidates' y is -ys: -fy - ys is their difference,
+    # rounded once, as (-ys) - fy would be.
+    dy = -fy - ys if flip else ys - fy
+    # In dx's buffer: a solve at n = 1e6 is 10% slower with a third array.
+    p = np.divide(dy, dx, out=dx)
+    t = _slope_threshold(p.item(p.argmin())) if ranged else math.nan
+    if math.isnan(t):
+        keep = _det_survivors(xs - fx, dy)
+    else:
+        keep = (p <= t).nonzero()[0]
+    if keep.size == 1:
+        return keep.item(0)
+    ks = -ys[keep] if flip else ys[keep]
+    k = _scan(xs[keep].tolist(), ks.tolist(), range(keep.size), fx, fy)
+    return int(keep[k])
+
+
+def _det_survivors(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Indices of the candidates at rounded differences (dx, dy) from the
+    fixed point that the determinant filter cannot prove worse than the
+    candidate of least rounded slope dy / dx.
+
+    A candidate whose determinant against that provisional winner the
+    error bound of ``geometry._orient`` proves positive lies strictly above
+    the winner's line and cannot win; NaN, inf and possible underflow count
+    as not proven, so this holds however the differences rounded or
+    overflowed.  Overwrites ``dx`` and ``dy``.
+    """
     p = np.divide(dy, dx)
     w = int(p.argmin())
     bx = float(dx[w])
@@ -118,11 +156,7 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float) -> int:
     # implies, since detsum >= det.
     bound = np.multiply(detsum, _ERRBOUND, out=q)
     bound += _NO_UNDERFLOW
-    keep = np.logical_not(det > bound).nonzero()[0]
-    if keep.size == 1:
-        return int(keep[0])
-    k = _scan(xs[keep].tolist(), ys[keep].tolist(), range(keep.size), fx, fy)
-    return int(keep[k])
+    return np.logical_not(det > bound).nonzero()[0]
 
 
 def solve(cs: Sequence) -> Solution2:
@@ -189,37 +223,48 @@ def _solve_columns(a: np.ndarray, b: np.ndarray) -> Solution2:
     run with numpy's floating-point warnings off.
 
     Every step makes the same choice as ``_solve_lists``, so both give
-    bitwise the same solution; the dual y coordinate -b of a point is
-    formed where it is needed, and the left side's scans read b itself.
+    bitwise the same solution.  The sides' columns hold b itself: the
+    right side's scans form their dual differences -b - fy as -fy - b, and
+    the left side's scans see the points mirrored in y, (a, b).
     """
     on_right = a > 0.0
-    il = np.logical_not(on_right).nonzero()[0]
-    if il.size == 0:
-        return Solution2(Status.UNBOUNDED)
     ir = on_right.nonzero()[0]
+    if ir.size == a.size:
+        return Solution2(Status.UNBOUNDED)
     if ir.size == 0:
         if not a.any():
             # Every slope is zero: the objective is the constant max b_i.
             return Solution2(Status.OPTIMAL, x=0.0,
                              t=float(b[np.argmax(b)]), iterations=0)
         return _mirror_back(_solve_columns(-a, b))
+    il = np.logical_not(on_right, out=on_right).nonzero()[0]
 
     xl = a[il]
-    yl_neg = b[il]
+    bl = b[il]
     xr = a[ir]
-    yr = b[ir]
-    np.negative(yr, out=yr)
-    # The lowest left point, ties to the smaller x (first index on a tie).
-    top = (yl_neg == yl_neg[yl_neg.argmax()]).nonzero()[0]
-    i_l = int(il[top[xl[top].argmin()]])
+    br = b[ir]
+    # The lowest left point, ties to the smaller x (first index on a tie);
+    # a unique one skips the tie break, which C5's n = 1e3 point feels.
+    bl_max = bl.item(bl.argmax())
+    top = (bl == bl_max).nonzero()[0]
+    i_l = il.item(top.item(0) if top.size == 1 else top[xl[top].argmin()])
+    # No difference the scans form overflows when the sides' extremes
+    # differ by a finite double: rounding is monotone, and every difference
+    # is at most that one.
+    ranged = (math.isfinite(xr.item(xr.argmax()) - xl.item(xl.argmin()))
+              and math.isfinite(max(bl_max, br.item(br.argmax()))
+                                - min(bl.item(bl.argmin()),
+                                      br.item(br.argmin()))))
 
     def point(i):
-        return float(a[i]), -float(b[i])
+        return a.item(i), -b.item(i)
 
     return _pivot(
         a.size, i_l,
-        lambda i: int(ir[_filtered_scan(xr, yr, float(a[i]), -float(b[i]))]),
-        lambda i: int(il[_filtered_scan(xl, yl_neg, float(a[i]), float(b[i]))]),
+        lambda i: ir.item(_filtered_scan(xr, br, a.item(i), -b.item(i),
+                                         True, ranged)),
+        lambda i: il.item(_filtered_scan(xl, bl, a.item(i), b.item(i),
+                                         False, ranged)),
         point)
 
 

@@ -409,6 +409,26 @@ class TestMain:
         assert code == 2 and out == ""
         assert "line 2" in err
 
+    def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
+        # one parser serves every call; a usage error, an input error and
+        # other subcommands in between leave later calls unchanged
+        f = tmp_path / "p.txt"
+        f.write_text("1,0\n-1,1\n")
+        assert cli._build_parser() is cli._build_parser()
+        first = self.run(capsys, "solve2d", str(f), "--format", "tsv")
+        with pytest.raises(SystemExit) as err:
+            main(["solve2d", str(f), "--mode", "nope"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main([])
+        capsys.readouterr()
+        assert self.run(capsys, "solve2d", "/nonexistent/x.txt")[0] == 2
+        assert self.run(capsys, "oracle", str(f))[0] == 0
+        assert self.run(capsys, "solve2d", str(f), "--format", "tsv") == first
+        code, out, _ = self.run(capsys, "solve2d", str(f))
+        assert code == 0 and json.loads(out)["x"] == 0.5
+
     def test_console_script_runs(self, tmp_path):
         f = tmp_path / "p.txt"
         f.write_text("1,0\n-1,1\n")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from minmaxlp import (Line2, NonFiniteInput, Plane3, Point2, Point3, Sign,
                       dual_of_line, dual_of_plane, dual_of_point,
                       dual_of_point2, exact_product_compare,
                       orientation_exact)
-from minmaxlp.geometry import _orient, _orient_sign
+from minmaxlp.geometry import (_EPS, _SLOPE_MAX, _orient, _orient_sign,
+                               _slope_threshold)
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e150, max_value=1e150)
@@ -183,6 +185,23 @@ class TestOrientSign:
             for orient in ORIENTS:
                 assert orient(*args) == want, (orient.__name__, args)
 
+    def test_underflowing_products_reordered(self):
+        # Both products are subnormal, so rounding them errs by up to half
+        # of 2^-1074 each, far beyond the relative bound; with the rounded
+        # differences they come out one unit apart in the wrong order.
+        # Only the filter's absolute term sends this case to the exact path.
+        h = float.fromhex
+        args = (h("-0x1.38792b613f371p-556"), 0.0,
+                h("0x1.6a7e3c198c20cp-502"), h("0x1.72d0637cc2346p-529"),
+                h("0x1.004f98994958ep-502"), h("0x1.0631c7f99c9c6p-529"))
+        ax, ay, bx, by, cx, cy = args
+        p = (bx - ax) * (cy - ay)
+        q = (by - ay) * (cx - ax)
+        assert 0.0 < p < 2.0 ** -1022 and p - q == 5e-324
+        assert orient_points_oracle(*args) == -1
+        for orient in ORIENTS:
+            assert orient(*args) == -1
+
     @settings(max_examples=2000, deadline=None)
     @given(any_finite, any_finite, any_finite, any_finite, any_finite,
            any_finite)
@@ -252,3 +271,38 @@ class TestProductCompare:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteInput):
             exact_product_compare(float("inf"), 1, 1, 1)
+
+
+def _slope_bound(p):
+    """The least threshold the proof of ``_slope_threshold`` needs after
+    the rounded slope ``p``, in rationals: (p + a) / (1 - 6u) + a where
+    p + a >= 0, else (p + a)(1 - 6u) + a, with a = 2^-1075."""
+    a = Fraction(1, 2 ** 1075)
+    u6 = 6 * Fraction(_EPS)
+    r = Fraction(p) + a
+    return (r / (1 - u6) if r >= 0 else r * (1 - u6)) + a
+
+
+class TestSlopeThreshold:
+    @pytest.mark.parametrize("p", [0.0, -0.0, 5e-324, -5e-324, 1e-323,
+                                   -2.2250738585072014e-308, 1.0, -1.0,
+                                   2.0 ** -1040, -(2.0 ** -1040),
+                                   _SLOPE_MAX / 2, -_SLOPE_MAX * 0.99])
+    def test_covers_the_bound(self, p):
+        assert Fraction(_slope_threshold(p)) >= _slope_bound(p)
+
+    @settings(max_examples=3000, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False,
+                     min_value=-(2.0 ** 999), max_value=2.0 ** 999))
+    def test_covers_the_bound_everywhere(self, p):
+        t = _slope_threshold(p)
+        assert Fraction(t) >= _slope_bound(p)
+        # and it stays within 20u (plus the absolute term) of p
+        assert abs(Fraction(t) - Fraction(p)) <= \
+            20 * Fraction(_EPS) * abs(Fraction(p)) + Fraction(1, 2 ** 1069)
+
+    @pytest.mark.parametrize("p", [float("inf"), float("-inf"),
+                                   float("nan"), 2.0 ** 1000,
+                                   -(2.0 ** 1001), 1.7976931348623157e308])
+    def test_no_threshold_beyond_the_limit(self, p):
+        assert math.isnan(_slope_threshold(p))

@@ -1,10 +1,11 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (EDGE_VALUES, close, corpus2d, eval_max_2,
@@ -571,6 +572,51 @@ def _differential_cases():
     return cases
 
 
+def _outcome(cs):
+    """``_bits`` of solve(cs), or the error it raises."""
+    try:
+        return _bits(solve(cs))
+    except NonFiniteInput as e:
+        return ("NonFiniteInput", str(e))
+
+
+# zeros of both signs and subnormals, with a few moderate values
+_TINY = tuple(v for v in EDGE_VALUES if abs(v) <= 3.0)
+_DBL_MAX = sys.float_info.max
+# Magnitudes from 2^1021 to DBL_MAX, mixed with moderate values: the
+# sides' extremes differ by a finite double in some problems and not in
+# others, so both the slope prefilter and its fallback run.
+_huge = st.builds(lambda v, neg: -v if neg else v,
+                  st.floats(min_value=2.0 ** 1021, max_value=_DBL_MAX)
+                  | st.floats(min_value=-1e3, max_value=1e3),
+                  st.booleans())
+
+_FAMILIES = {
+    "gauss": st.builds(lambda n, seed, k: gen2d(GenSpec(n=n, seed=seed),
+                                                index=k),
+                       st.integers(1, 300), st.integers(0, 2 ** 32 - 1),
+                       st.integers(0, 5)),
+    # small integers: duplicate and collinear duals, ties in every scan
+    "grid": st.lists(st.tuples(st.integers(-4, 4).map(float),
+                               st.integers(-4, 4).map(float)),
+                     min_size=1, max_size=150),
+    "exact-fit": st.builds(
+        lambda m, slope, seed, ripple: expand_absolute(
+            _fit_rows(m, slope, seed, ripple)),
+        st.integers(48, 120), st.sampled_from([0.1, 0.125, -3.0]),
+        st.integers(0, 10 ** 6), st.sampled_from([0.0, 0.25])),
+    "zeros-subnormals": st.lists(st.tuples(st.sampled_from(_TINY),
+                                           st.sampled_from(_TINY)),
+                                 min_size=1, max_size=120),
+    "scaled": st.builds(
+        lambda n, seed, ka, kb: [(math.ldexp(a, ka), math.ldexp(b, kb))
+                                 for a, b in gen2d(GenSpec(n=n, seed=seed))],
+        st.integers(1, 200), st.integers(0, 10 ** 6),
+        st.sampled_from([-1000, 0, 1000]), st.sampled_from([-1000, 0, 1000])),
+    "huge": st.lists(st.tuples(_huge, _huge), min_size=1, max_size=120),
+}
+
+
 class TestPathsAgree:
     """The list path and the numpy path take the same decision at every
     step, so their solutions agree bit for bit."""
@@ -610,3 +656,109 @@ class TestPathsAgree:
                 rows, cols = _on_both_paths(monkeypatch,
                                             lambda: _bits(solve(cs)))
                 assert rows == cols
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_random_problems_bitwise_equal(self, monkeypatch, family, data):
+        cs = data.draw(_FAMILIES[family])
+        rows, cols = _on_both_paths(monkeypatch, lambda: _outcome(cs))
+        assert rows == cols
+
+
+@pytest.fixture
+def det_calls(monkeypatch):
+    """The candidate counts of every call of the determinant filter."""
+    calls = []
+    survivors = solver2d._det_survivors
+
+    def spy(dx, dy):
+        calls.append(dx.size)
+        return survivors(dx, dy)
+
+    monkeypatch.setattr(solver2d, "_det_survivors", spy)
+    return calls
+
+
+class TestSlopePrefilter:
+    """``_filtered_scan``: the slope prefilter, its overflow guard and the
+    determinant filter it falls back on."""
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_edge_value_candidates_match_rational_scan(self, flip):
+        rng = random.Random(20261018 + flip)
+        for _ in range(3000):
+            fx, fy = rng.choice(EDGE_VALUES), rng.choice(EDGE_VALUES)
+            side = rng.choice((1, -1))
+            pool = [v for v in EDGE_VALUES if side * v > side * fx]
+            if not pool:
+                continue
+            n = rng.randint(1, 6)
+            xs = [rng.choice(pool) for _ in range(n)]
+            ys = [rng.choice(EDGE_VALUES) for _ in range(n)]
+            ranged = all(math.isfinite(x - fx) for x in xs) and \
+                all(math.isfinite(y - fy) for y in ys)
+            col = np.array([-y for y in ys] if flip else ys)
+            want = _rational_scan(xs, ys, fx, fy)
+            for guard in {ranged, False}:
+                with np.errstate(all="ignore"):
+                    got = solver2d._filtered_scan(np.array(xs), col, fx, fy,
+                                                  flip, guard)
+                assert got == want, (fx, fy, xs, ys, guard)
+
+    def test_reordered_subnormal_slopes(self, monkeypatch):
+        # Seen from f, b's and c's slopes are subnormal, and c's difference
+        # in x rounds: the rounded slopes come out one unit apart in the
+        # wrong order, so c, the winner, survives only by the threshold's
+        # absolute term.
+        h = float.fromhex
+        fx = h("-0x1.f4p-34")
+        bx, by = h("0x1.d7045a4339b98p+10"), h("0x1.7f15bfae23622p-1019")
+        cx, cy = h("0x1.0067f76631607p+20"), h("0x1.a113df58c6acfp-1010")
+        F = Fraction
+        assert cy / (cx - fx) > by / (bx - fx)
+        assert F(cy) / (F(cx) - F(fx)) < F(by) / (F(bx) - F(fx))
+        with np.errstate(all="ignore"):
+            assert solver2d._filtered_scan(np.array([bx, cx]),
+                                           np.array([-by, -cy]), fx, 0.0,
+                                           True, True) == 1
+        cs = [(fx, 0.0), (bx, -by), (cx, -cy)]
+        rows, cols = _on_both_paths(monkeypatch, lambda: solve(cs))
+        assert _bits(rows) == _bits(cols)
+        assert cols.pivot_pairs[0][1] == (cx, cy)
+
+    def test_determinant_fallback_with_underflowing_products(
+            self, monkeypatch, det_calls):
+        # The geometry test's triple whose products underflow and reorder:
+        # c is the winner.  Two far points make the x extremes 3.4e308
+        # apart, so the guard fails and the determinant filter decides.
+        h = float.fromhex
+        fx = h("-0x1.38792b613f371p-556")
+        bx, by = h("0x1.6a7e3c198c20cp-502"), h("0x1.72d0637cc2346p-529")
+        cx, cy = h("0x1.004f98994958ep-502"), h("0x1.0631c7f99c9c6p-529")
+        with np.errstate(all="ignore"):
+            assert solver2d._filtered_scan(np.array([bx, cx]),
+                                           np.array([by, cy]), fx, 0.0,
+                                           False, False) == 1
+        cs = [(fx, 0.0), (bx, -by), (cx, -cy),
+              (1.7e308, -1e307), (-1.7e308, -1e307)]
+        rows, cols = _on_both_paths(monkeypatch, lambda: solve(cs))
+        assert det_calls
+        assert _bits(rows) == _bits(cols)
+        assert cols.pivot_pairs[0][1] == (cx, cy)
+
+    @pytest.mark.parametrize("scale,fallback", [
+        (1.0, False), (2.0 ** 1021, False), (2.0 ** 1022, True),
+        (_DBL_MAX / 3, True)])
+    def test_guard_falls_back_only_where_differences_may_overflow(
+            self, monkeypatch, det_calls, scale, fallback):
+        # Slopes within +-2 * scale, both extremes taken: the sides' x
+        # extremes differ by 4 * scale, which overflows from 2^1022 on.
+        rows = [(scale * math.tanh(a), b) for a, b in
+                gen2d(GenSpec(n=LARGE, seed=3))]
+        rows += [(2 * scale, 0.0), (-2 * scale, 0.0)]
+        rows_sol, cols_sol = _on_both_paths(monkeypatch,
+                                            lambda: _outcome(rows))
+        assert rows_sol == cols_sol
+        assert bool(det_calls) is fallback
