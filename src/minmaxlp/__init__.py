@@ -19,8 +19,7 @@ from .instances import GenSpec, gen2d, gen3d
 from .model import (Constraint2, Constraint3, Problem, Solution2, Solution3,
                     Status)
 from .oracle import brute2d, brute3d_box
-from .prune3d import (PruneReport, boundary_via_2d, check3d, find_pmin,
-                      is_behind, is_too_steep, prune, solve3d)
+from .prune3d import PruneReport, boundary_via_2d, check3d, prune, solve3d
 from .solver2d import expand_absolute, solve, solve_boxed, to_dual_points
 
 __version__ = "0.1.0"
@@ -35,8 +34,7 @@ __all__ = [
     "solve", "solve_boxed",
     "lower_hull", "solve_baseline", "check2d",
     "brute2d", "brute3d_box",
-    "PruneReport", "find_pmin", "is_behind", "is_too_steep", "prune",
-    "solve3d", "check3d", "boundary_via_2d",
+    "PruneReport", "prune", "solve3d", "check3d", "boundary_via_2d",
     "GenSpec", "gen2d", "gen3d",
     "BenchResult", "run_scaling", "fit_loglog_slope",
     "EmptyProblem", "NonFiniteInput", "ParseError", "MixedArity",

@@ -140,8 +140,8 @@ def emit_solution(sol, fmt: str = "json") -> str:
         return json.dumps(d)
     if fmt == "tsv":
         return "\n".join(
-            f"{k}\t{','.join(map(repr, v)) if isinstance(v, list) else v!r}"
-            if not isinstance(v, str) else f"{k}\t{v}"
+            f"{k}\t{','.join(map(repr, v)) if isinstance(v, list) else v}"
+            if isinstance(v, (list, str)) else f"{k}\t{v!r}"
             for k, v in d.items())
     raise ValueError(f"unknown format {fmt!r}")
 

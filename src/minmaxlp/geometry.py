@@ -9,8 +9,8 @@ upper envelopes of planes into lower convex hulls of points.
 Sign predicates return an exact three-valued result.  A float filter with
 a proven error bound (Shewchuk's orientation filter) decides almost every
 sign; the rest are decided in integers: every finite double is an integer
-over a power of two, so scaled to a common denominator the determinant or
-sum becomes an integer expression of the same sign.  The result is exact
+over a power of two, so scaled to a common denominator the determinant
+becomes an integer expression of the same sign.  The result is exact
 for every finite double, including denormals, without any epsilon.
 
 ``_slope_threshold`` is the proven bound behind solver2d's slope
@@ -214,20 +214,6 @@ def _orient_sign(ax: float, ay: float, bx: float, by: float,
 # ``_orient`` reaches the exact predicate through this name, so a tracer
 # that rebinds it (perfbench/spans.py) sees every float-filter miss.
 _slow_sign = _orient_sign
-
-
-def _sum_diff_sign(pos: tuple, neg: tuple) -> int:
-    """Exact sign of sum(pos) - sum(neg) for finite doubles.
-
-    As in ``_orient_sign``, every double scaled to the largest denominator
-    is an integer, and the integer sum has the sign sought.
-    """
-    pr = [v.as_integer_ratio() for v in pos]
-    nr = [v.as_integer_ratio() for v in neg]
-    den = max(d for _, d in pr + nr)
-    total = (sum(num * (den // d) for num, d in pr)
-             - sum(num * (den // d) for num, d in nr))
-    return (total > 0) - (total < 0)
 
 
 def _line_through(x1: float, y1: float, x2: float, y2: float,

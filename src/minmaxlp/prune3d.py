@@ -19,7 +19,10 @@ x and y, larger z), whose supporting planes all slope downward in x or y,
 and points "too steep" with respect to it, whose supporting planes all rise
 faster than 1 in x or in y.  Either way the supporting slope leaves the
 box, so at every box point some surviving constraint attains the maximum
-and the pruned problem is exactly equivalent.
+and the pruned problem is exactly equivalent.  The pruner is one numpy pass
+over the input's columns; its "too steep" test is a float filter with a
+proven bound, and only the rows the filter leaves undecided are compared
+in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, EmptyProblem, NonFiniteInput
-from .geometry import _EPS, Point3, _product_sign, _sum_diff_sign
+from .geometry import _EPS, _product_sign
 from .baseline import lower_hull
 from .model import (Problem, Solution2, Solution3, certify, columns,
                     objective)
@@ -44,9 +47,6 @@ from .solver2d import solve_boxed
 
 __all__ = [
     "PruneReport",
-    "find_pmin",
-    "is_behind",
-    "is_too_steep",
     "prune",
     "solve3d",
     "check3d",
@@ -63,8 +63,6 @@ class PruneReport:
     ``kept`` is the problem of the kept rows, in input order;
     ``pmin_index`` refers to the original constraint list and always
     appears in ``kept_indices``.
-    ``pairs_examined`` counts behind/steep evaluations (one per non-anchor
-    point, the pass is single-sweep).
     """
 
     kept: Problem
@@ -72,77 +70,70 @@ class PruneReport:
     discarded_behind: int
     discarded_steep: int
     pmin_index: int
-    pairs_examined: int
 
 
-def find_pmin(dp: Sequence[Point3]) -> int:
-    """Index of a point with minimal z; ties resolve to the smallest (x, y).
-
-    Any minimal-z point works as the pruning anchor, the tie rule only
-    pins determinism.
-    """
-    if not dp:
-        raise EmptyProblem("find_pmin: no points")
-    best = 0
-    bz, bx, by = dp[0][2], dp[0][0], dp[0][1]
-    for i in range(1, len(dp)):
-        x, y, z = dp[i][0], dp[i][1], dp[i][2]
-        if z < bz or (z == bz and (x < bx or (x == bx and y < by))):
-            best, bx, by, bz = i, x, y, z
-    return best
-
-
-def is_behind(p: Point3, q: Point3) -> bool:
-    """True iff p.x < q.x, p.y < q.y and p.z > q.z, all strictly."""
-    return p[0] < q[0] and p[1] < q[1] and p[2] > q[2]
-
-
-def is_too_steep(p: Point3, q: Point3) -> bool:
-    """True iff p exceeds q in every coordinate and rises faster than the
-    combined run: (p.z - q.z) > (p.x - q.x) + (p.y - q.y).
-
-    The combined-run form is what makes discarding safe.  Any plane through
-    p that supports the point set from below satisfies
-    A*(p.x - q.x) + B*(p.y - q.y) >= (p.z - q.z) at q, so a rise exceeding
-    the summed runs forces A > 1 or B > 1; testing each run separately
-    would also discard points that support faces with both slopes inside
-    the unit box.  The comparison is evaluated exactly and division-free;
-    equality keeps the point.
-    """
-    if not (p[0] > q[0] and p[1] > q[1] and p[2] > q[2]):
-        return False
-    return _sum_diff_sign((p[2], q[0], q[1]), (q[2], p[0], p[1])) > 0
+# The "too steep" filter's error bound.  Against the anchor, a candidate's
+# exact differences P = z - az, Q = a - ax, R = b - ay are positive, with
+# rounded values dz, da, db, d = fl(fl(dz - da) - db) and s = dz + da + db.
+# A sum or difference of doubles is exact when subnormal and otherwise
+# within a factor 1 +- u (u = 2^-53); with no products, no error term is
+# absolute:
+#
+#     |d - (P - Q - R)| <= u |fl(dz - da) - db| + u |dz - da| + u (P + Q + R)
+#                       <= u (1 + u) s + u s + u s / (1 - u)  <  3.01 u s.
+#
+# The bound is fl(K * s') with s' = fl(fl(dz + da) + db) >= (1 - u)^2 s,
+# and K (1 - u)^2 s > 3.01 u s for K = 4u.  K is a power of two, so the
+# product is exact unless subnormal, and then the error, a multiple of
+# 2^-1074 below it, rounds no higher.  So |d| > bound proves the sign of
+# P - Q - R.  An overflowed difference makes the bound inf, and inf or NaN
+# never clears it.
+_STEEP_REL = 4.0 * _EPS
 
 
 def prune(cs: Sequence) -> PruneReport:
-    """Single pass dropping every dual point behind or too steep w.r.t. the anchor."""
+    """Drop every dual point behind or too steep with respect to the anchor.
+
+    ``cs`` is read like ``solve3d``'s; its dual points are (a, b, z) with
+    z = -c.  The anchor has minimal z, ties going to the smallest a, then
+    b, then index.  A point is behind when a < ax, b < ay and z > az, and
+    too steep when it exceeds the anchor in all three coordinates and
+    z - az > (a - ax) + (b - ay).  The combined run is what makes this
+    safe: any plane through the point that supports the point set from
+    below satisfies A*(a - ax) + B*(b - ay) >= z - az at the anchor, so a
+    rise exceeding the summed runs forces A > 1 or B > 1, while testing
+    each run alone would also drop points that support faces with both
+    slopes inside the unit box.  Equality keeps the point.  Rows the float
+    filter (``_STEEP_REL``) leaves undecided are compared in Fractions.
+    """
     a, b, c = columns(cs, 3)
     if a.size == 0:
         raise EmptyProblem("prune: no constraints")
-    dp = [Point3(ai, bi, -ci)
-          for ai, bi, ci in zip(a.tolist(), b.tolist(), c.tolist())]
-    anchor_i = find_pmin(dp)
-    anchor = dp[anchor_i]
-    kept_idx: list[int] = []
-    n_behind = 0
-    n_steep = 0
-    examined = 0
-    for i, p in enumerate(dp):
-        if i == anchor_i:
-            kept_idx.append(i)
-            continue
-        examined += 1
-        if is_behind(p, anchor):
-            n_behind += 1
-            continue
-        if is_too_steep(p, anchor):
-            n_steep += 1
-            continue
-        kept_idx.append(i)
-    return PruneReport(kept=Problem(a[kept_idx], b[kept_idx], c[kept_idx]),
-                       kept_indices=tuple(kept_idx),
-                       discarded_behind=n_behind, discarded_steep=n_steep,
-                       pmin_index=anchor_i, pairs_examined=examined)
+    z = -c
+    low = (z == z.min()).nonzero()[0]
+    anchor = int(low[np.lexsort((b[low], a[low]))[0]])
+    ax, ay, az = a[anchor].item(), b[anchor].item(), z[anchor].item()
+    drop = (a < ax) & (b < ay) & (z > az)
+    n_behind = int(drop.sum())
+    above = ((a > ax) & (b > ay) & (z > az)).nonzero()[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dz, da, db = z[above] - az, a[above] - ax, b[above] - ay
+        d = (dz - da) - db
+        bound = _STEEP_REL * ((dz + da) + db)
+        steep = d > bound
+        undecided = ~(steep | (d < -bound))
+    F = Fraction
+    rows = above[undecided]
+    steep[undecided] = [F(zi) - F(az) > F(ai) - F(ax) + F(bi) - F(ay)
+                        for ai, bi, zi in zip(a[rows].tolist(),
+                                              b[rows].tolist(),
+                                              z[rows].tolist())]
+    drop[above[steep]] = True
+    keep = (~drop).nonzero()[0]
+    return PruneReport(kept=Problem(a[keep], b[keep], c[keep]),
+                       kept_indices=tuple(keep.tolist()),
+                       discarded_behind=n_behind,
+                       discarded_steep=int(steep.sum()), pmin_index=anchor)
 
 
 def boundary_via_2d(cs: Sequence) -> list[tuple[str, Solution2]]:

@@ -47,6 +47,23 @@ def product_compare_oracle(u1, v1, u2, v2):
     return (d > 0) - (d < 0)
 
 
+def prune_oracle(rows):
+    """(kept_indices, discarded_behind, discarded_steep, pmin_index) of the
+    pruning rule on rows (a, b, c), in rational arithmetic: the dual points
+    are (a, b, -c), the anchor is the least (z, x, y, index), and a point is
+    dropped when it is behind the anchor or rises faster than its combined
+    run above it."""
+    pts = [(Fraction(r[0]), Fraction(r[1]), -Fraction(r[2])) for r in rows]
+    anchor = min(range(len(pts)),
+                 key=lambda i: (pts[i][2], pts[i][0], pts[i][1], i))
+    ax, ay, az = pts[anchor]
+    behind = [x < ax and y < ay and z > az for x, y, z in pts]
+    steep = [x > ax and y > ay and z > az and z - az > (x - ax) + (y - ay)
+             for x, y, z in pts]
+    kept = tuple(i for i in range(len(pts)) if not (behind[i] or steep[i]))
+    return kept, sum(behind), sum(steep), anchor
+
+
 def exact_intercept(pair):
     """Rational y-intercept of the line through a recorded pivot pair."""
     (x1, y1), (x2, y2) = sorted(pair)

@@ -187,6 +187,12 @@ class TestEmitSolution:
         assert lines["status"] == "optimal"
         assert float(lines["x"]) == 1.5
 
+    def test_tsv_prune_report(self):
+        report = prune([(0.5, 0.5, 0.0), (0.0, 0.0, -1.0), (1.0, 1.0, -0.5)])
+        text = emit_solution(report, fmt="tsv")
+        assert text.splitlines() == ["kept\t0,2", "discarded_behind\t1",
+                                     "discarded_steep\t0", "pmin_index\t0"]
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_solution(Solution2(Status.UNBOUNDED), fmt="xml")

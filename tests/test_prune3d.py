@@ -1,12 +1,13 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import close, corpus3d
+from conftest import EDGE_VALUES, close, corpus3d, prune_oracle
 from minmaxlp import (Constraint3, EmptyProblem, GenSpec, NonFiniteInput,
-                      Point3, boundary_via_2d, brute3d_box, check3d,
-                      find_pmin, gen3d, is_behind, is_too_steep, prune,
+                      boundary_via_2d, brute3d_box, check3d, gen3d, prune,
                       solve3d)
 
 
@@ -15,68 +16,146 @@ def constraints_for_duals(duals):
     return [Constraint3(x, y, -z) for x, y, z in duals]
 
 
+def pruned(*duals):
+    """prune's report on the constraints with the given dual points."""
+    return prune(constraints_for_duals(duals))
+
+
+def is_too_steep(p, q):
+    """Whether prune drops dual point p against the anchor q, whose z is
+    lower, as too steep."""
+    report = pruned(q, p)
+    assert report.pmin_index == 0 and report.discarded_behind == 0
+    return report.discarded_steep == 1
+
+
 class TestFindPmin:
+    """prune's anchor: a dual point of minimal z, ties going to the
+    smallest x, then the smallest y, then the first index."""
+
     def test_picks_min_z(self):
-        assert find_pmin([Point3(0, 0, 1), Point3(0.5, 0.5, 0)]) == 1
+        assert pruned((0, 0, 1), (0.5, 0.5, 0)).pmin_index == 1
 
     def test_tie_breaks_on_x_then_y(self):
-        assert find_pmin([Point3(1, 1, 0), Point3(2, 2, 0)]) == 0
-        assert find_pmin([Point3(1, 5, 0), Point3(1, 2, 0)]) == 1
+        assert pruned((1, 1, 0), (2, 2, 0)).pmin_index == 0
+        assert pruned((1, 5, 0), (1, 2, 0)).pmin_index == 1
+        assert pruned((1, 2, 0), (1, 2, 0)).pmin_index == 0
+        assert pruned((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)).pmin_index == 0
 
     def test_singleton(self):
-        assert find_pmin([Point3(0, 0, -3)]) == 0
+        report = pruned((0, 0, -3))
+        assert report.pmin_index == 0 and report.kept_indices == (0,)
 
     def test_empty(self):
         with pytest.raises(EmptyProblem):
-            find_pmin([])
+            prune(np.empty((0, 3)))
 
 
 class TestDiscardPredicates:
     def test_behind_examples(self):
-        assert is_behind(Point3(0, 0, 1), Point3(0.5, 0.5, 0))
-        assert not is_behind(Point3(0.5, 0, 1), Point3(0.5, 0.5, 0))
-        assert not is_behind(Point3(0, 0, 0), Point3(1, 1, 1))
+        assert pruned((0.5, 0.5, 0), (0, 0, 1)).discarded_behind == 1
+        assert pruned((0.5, 0.5, 0), (0.5, 0, 1)).kept_indices == (0, 1)
+        # the lower point is the anchor, and the higher one is not behind it
+        report = pruned((1, 1, 1), (0, 0, 0))
+        assert report.pmin_index == 1 and report.kept_indices == (0, 1)
 
     def test_too_steep_examples(self):
-        assert is_too_steep(Point3(1, 1, 3), Point3(0, 0, 0))
-        assert not is_too_steep(Point3(2, 1, 1.5), Point3(0, 0, 0))
-        assert not is_too_steep(Point3(1, 1, 1), Point3(1, 1, 0))
+        assert is_too_steep((1, 1, 3), (0, 0, 0))
+        assert not is_too_steep((2, 1, 1.5), (0, 0, 0))
+        assert not is_too_steep((1, 1, 1), (1, 1, 0))
 
     def test_rise_must_beat_combined_run(self):
         # steep in each coordinate alone is not enough: such points can
         # still carry faces with both slopes inside the unit box
-        assert not is_too_steep(Point3(1, 1, 1.5), Point3(0, 0, 0))
-        assert is_too_steep(Point3(1, 1, 2.5), Point3(0, 0, 0))
+        assert not is_too_steep((1, 1, 1.5), (0, 0, 0))
+        assert is_too_steep((1, 1, 2.5), (0, 0, 0))
 
     def test_rise_equal_to_combined_run_is_kept(self):
         # strict definitions: equality keeps the point
-        assert not is_too_steep(Point3(1, 1, 2), Point3(0, 0, 0))
-        assert not is_too_steep(Point3(2, 1, 2), Point3(1, 0, 0))
+        assert not is_too_steep((1, 1, 2), (0, 0, 0))
+        assert not is_too_steep((2, 1, 2), (1, 0, 0))
 
     def test_one_ulp_above_combined_run_is_discarded(self):
         z = math.nextafter(2.0, 3.0)
-        assert is_too_steep(Point3(1, 1, z), Point3(0, 0, 0))
+        assert is_too_steep((1, 1, z), (0, 0, 0))
 
     def test_huge_coordinates_fall_back_gracefully(self):
-        assert is_too_steep(Point3(1e301, 1e301, 3e301), Point3(0, 0, 0))
-        assert not is_too_steep(Point3(1e301, 1e301, 2e301), Point3(0, 0, 0))
+        assert is_too_steep((1e301, 1e301, 3e301), (0, 0, 0))
+        assert not is_too_steep((1e301, 1e301, 2e301), (0, 0, 0))
+        # differences that overflow are compared exactly
+        big = 1.7976931348623157e308
+        assert is_too_steep((1, 1, big), (0, 0, -big))
+        assert not is_too_steep((big, big, 1e308), (-big, -big, 0))
 
     def test_slope_comparison_is_exact(self):
         # stress with values whose differences round away the decision
-        from fractions import Fraction
         cases = [
-            (Point3(0.1 + (1.1 - 1.0), 0.2, 0.3 + (1.1 - 1.0)),
-             Point3(0.1, 0.1, 0.3)),
-            (Point3(1e16 + 2, 1e16 + 2, 2e16 + 3), Point3(1e16, 1e16, 2e16)),
-            (Point3(0.3, 0.3, 0.6), Point3(0.1, 0.1, 0.4)),
-            (Point3(1.0, 1.0, math.nextafter(2.0, 3.0)), Point3(0, 0, 0)),
+            ((0.1 + (1.1 - 1.0), 0.2, 0.3 + (1.1 - 1.0)), (0.1, 0.1, 0.3)),
+            ((1e16 + 2, 1e16 + 2, 2e16 + 3), (1e16, 1e16, 2e16)),
+            ((0.3, 0.3, 0.6), (0.1, 0.1, 0.4)),
+            ((1.0, 1.0, math.nextafter(2.0, 3.0)), (0, 0, 0)),
         ]
         for p, q in cases:
-            truth = (Fraction(p.z) - Fraction(q.z)) > \
-                (Fraction(p.x) - Fraction(q.x)) + \
-                (Fraction(p.y) - Fraction(q.y))
-            bigger = p.x > q.x and p.y > q.y and p.z > q.z
+            F = Fraction
+            truth = F(p[2]) - F(q[2]) > (F(p[0]) - F(q[0])) + \
+                (F(p[1]) - F(q[1]))
+            bigger = p[0] > q[0] and p[1] > q[1] and p[2] > q[2]
             assert is_too_steep(p, q) == (bigger and truth)
+
+
+def _c6_corpus(rng):
+    """The instances of acceptance criterion C6."""
+    return [gen3d(GenSpec(n=4 + (i % 57), seed=20260600, dim=3), index=i)
+            for i in range(500)]
+
+
+def _tie_grids(rng):
+    """Half-integer coefficients: duplicate points, equal z and exact
+    rise-equals-run ties."""
+    return [[tuple(rng.randint(-4, 4) / 2 for _ in range(3))
+             for _ in range(rng.randint(1, 40))] for _ in range(300)]
+
+
+def _edge_mixes(rng):
+    """Zeros of both signs, subnormals and coordinates near +-1e308."""
+    return [[tuple(rng.choice(EDGE_VALUES) for _ in range(3))
+             for _ in range(rng.randint(1, 30))] for _ in range(300)]
+
+
+def _steep_ties(rng):
+    """Points whose rise above one anchor is within a few ulps of their
+    combined run, at scales from 2^-1072 to 1e300."""
+    anchors = (0.0, -0.0, 0.1, -3.0, 1e16, 1e-300, 5e-324, 1e300)
+    runs = (1.0, 0.1, 0.2, 0.3, 0.7, 1e16, 1e-300, 2.0 ** -1072, 1e300)
+    problems = []
+    for _ in range(300):
+        ax, ay, az = (rng.choice(anchors) for _ in range(3))
+        rows = [(ax, ay, -az)]
+        for _ in range(rng.randint(1, 30)):
+            x = ax + rng.choice(runs + (rng.random(),))
+            y = ay + rng.choice(runs + (rng.random(),))
+            z = az + ((x - ax) + (y - ay))
+            for _ in range(rng.randint(0, 3)):
+                z = math.nextafter(z, rng.choice((-math.inf, math.inf)))
+            if all(map(math.isfinite, (x, y, z))):
+                rows.append((x, y, -z))
+        rng.shuffle(rows)
+        problems.append(rows)
+    return problems
+
+
+class TestAgainstRationalRule:
+    @pytest.mark.parametrize("family", [_c6_corpus, _tie_grids, _edge_mixes,
+                                        _steep_ties],
+                             ids=lambda f: f.__name__.strip("_"))
+    def test_report_matches_fraction_reference(self, family):
+        for rows in family(random.Random(2026)):
+            report = prune(rows)
+            kept, behind, steep, anchor = prune_oracle(rows)
+            assert (report.kept_indices, report.discarded_behind,
+                    report.discarded_steep, report.pmin_index) == \
+                (kept, behind, steep, anchor), rows
+            assert report.kept == [rows[i] for i in kept]
 
 
 class TestPrune:
@@ -101,11 +180,6 @@ class TestPrune:
         for cs in corpus3d(25, 30, seed=11):
             report = prune(cs)
             assert report.pmin_index in report.kept_indices
-
-    def test_single_pass_examines_each_point_once(self):
-        for n in (1, 2, 7, 30):
-            cs = corpus3d(n, 1, seed=12)[0]
-            assert prune(cs).pairs_examined == n - 1
 
     def test_idempotent(self):
         for cs in corpus3d(30, 30, seed=13):
