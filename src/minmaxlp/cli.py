@@ -8,7 +8,9 @@ are printed with Python's shortest round-trip representation, so emitted
 corpora re-parse to bit-identical values.
 
 Exit codes: 0 success (an unbounded verdict is a valid answer),
-2 input error, 3 internal contract violation.
+1 stdout closed before the output was written (a broken pipe, as in
+``minmaxlp prune3d big.txt | head``; nothing is reported), 2 input error,
+3 internal contract violation.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict
@@ -358,10 +361,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor at devnull, so that the interpreter's
+    flush at exit writes what is left there and does not raise again (the
+    Python docs' SIGPIPE recipe).  A stdout without one is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # A reader that left early shows up here, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _drop_stdout()
+        return 1
     except (ParseError, EmptyProblem, NonFiniteInput, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

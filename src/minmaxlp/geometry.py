@@ -6,12 +6,20 @@ z = x0*x + y0*y - z0 (one dimension lower, the same with y in place of z).
 The map is an involution and reverses above/below relations, which turns
 upper envelopes of planes into lower convex hulls of points.
 
-Sign predicates return an exact three-valued result.  A float filter with
-a proven error bound (Shewchuk's orientation filter) decides almost every
-sign; the rest are decided in integers: every finite double is an integer
-over a power of two, so scaled to a common denominator the determinant
-becomes an integer expression of the same sign.  The result is exact
-for every finite double, including denormals, without any epsilon.
+Sign predicates return an exact three-valued result.  There is one float
+filter, ``_orient``'s (Shewchuk's orientation filter, with a proven error
+bound), which decides almost every sign, and one exact arithmetic for the
+rest, ``_settle`` on integer images.  The image of a point set
+(``_images``) scales each x by D_x, the largest denominator among the xs,
+and each y by D_y, the largest among the ys: every finite double is an
+integer over a power of two, so each image x * D_x is an exact Python int.
+The images' determinant is the points' own times D_x * D_y > 0, and
+Python ints neither overflow nor underflow, so its sign is the turn of
+the points themselves.  ``_orient_sign`` settles one triple on the images
+of its three points; solver2d's scans build the images of a whole point
+set at their first miss and settle every miss of the solve on them.  The
+result is exact for every finite double, including denormals and
+coordinates whose differences overflow, without any epsilon.
 
 ``_slope_threshold`` is the proven bound behind solver2d's slope
 prefilter, which compares rounded slopes instead of turns; its constants
@@ -23,7 +31,8 @@ from __future__ import annotations
 import math
 from enum import IntEnum
 from fractions import Fraction
-from typing import NamedTuple
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 from .errors import NonFiniteInput
 
@@ -185,34 +194,77 @@ def _product_sign(u1: float, v1: float, u2: float, v2: float) -> int:
     return _orient(0.0, 0.0, u1, v1, u2, v2)
 
 
+def _images(vs: Sequence[float]) -> list[int]:
+    """The integer images v * D of the doubles ``vs``, where D is the
+    largest denominator of any v.
+
+    Every finite double is an integer n over a power of two d
+    (``as_integer_ratio``), so D is a multiple of every d and the image
+    n * (D / d) is exactly v * D.  Raises NonFiniteInput for a non-finite
+    value.
+    """
+    try:
+        ratios = [v.as_integer_ratio() for v in vs]
+    except (OverflowError, ValueError):
+        raise NonFiniteInput(
+            "orientation predicate requires finite inputs") from None
+    k = max(ratios, key=itemgetter(1))[1].bit_length()
+    return [n << (k - d.bit_length()) for n, d in ratios]
+
+
+class _ExactPoints:
+    """The points (xs, ys), and once ``_settle`` has built them, their
+    integer images: ``_images`` of xs and of ys.
+
+    Points made with ``mirrors`` negate that one's ys and share its
+    images, since mirroring in y negates every turn.
+    """
+
+    __slots__ = ("xs", "ys", "mirrors", "ints")
+
+    def __init__(self, xs: Sequence[float], ys: Sequence[float],
+                 mirrors: _ExactPoints | None = None):
+        self.xs = xs
+        self.ys = ys
+        self.mirrors = mirrors
+        self.ints: tuple[list[int], list[int]] | None = None
+
+
+def _settle(pts: _ExactPoints, a: int, b: int, c: int) -> int:
+    """Exact sign of the turn of points a, b and c of ``pts``, decided on
+    their integer images, which the first call builds.
+
+    An image is x * D_x or y * D_y, so the images' determinant is the
+    points' own times D_x * D_y > 0; Python ints neither overflow nor
+    underflow, so its sign is exact.
+    """
+    base = pts.mirrors or pts
+    ints = base.ints
+    if ints is None:
+        ints = base.ints = _images(base.xs), _images(base.ys)
+    xs, ys = ints
+    ax = xs[a]
+    ay = ys[a]
+    det = (xs[b] - ax) * (ys[c] - ay) - (ys[b] - ay) * (xs[c] - ax)
+    if pts.mirrors:
+        det = -det
+    return (det > 0) - (det < 0)
+
+
 def _orient_sign(ax: float, ay: float, bx: float, by: float,
                  cx: float, cy: float) -> int:
     """Exact sign of (bx - ax)*(cy - ay) - (by - ay)*(cx - ax).
 
-    Decided on the six doubles themselves, not on their rounded
-    differences, so it holds for every finite input, including coordinates
-    whose differences overflow.  Each double is an integer over a power of
-    two; scaled to the largest denominator all six become integers, and the
-    integer determinant has the sign sought.
+    Decided on the integer images of the three points, not on their
+    rounded differences, so it holds for every finite input, including
+    coordinates whose differences overflow.
     """
-    try:
-        (nax, dax), (nay, day), (nbx, dbx), (nby, dby), (ncx, dcx), \
-            (ncy, dcy) = (ax.as_integer_ratio(), ay.as_integer_ratio(),
-                          bx.as_integer_ratio(), by.as_integer_ratio(),
-                          cx.as_integer_ratio(), cy.as_integer_ratio())
-    except (OverflowError, ValueError):
-        raise NonFiniteInput(
-            "orientation predicate requires finite inputs") from None
-    den = max(dax, day, dbx, dby, dcx, dcy)
-    ix = nax * (den // dax)
-    iy = nay * (den // day)
-    det = ((nbx * (den // dbx) - ix) * (ncy * (den // dcy) - iy)
-           - (nby * (den // dby) - iy) * (ncx * (den // dcx) - ix))
-    return (det > 0) - (det < 0)
+    return _settle(_ExactPoints((ax, bx, cx), (ay, by, cy)), 0, 1, 2)
 
 
 # ``_orient`` reaches the exact predicate through this name, so a tracer
-# that rebinds it (perfbench/spans.py) sees every float-filter miss.
+# that rebinds it (perfbench/spans.py) sees every miss of ``_orient``;
+# solver2d's scans settle their misses through ``solver2d._settle``.
 _slow_sign = _orient_sign
 
 

@@ -130,7 +130,11 @@ def prune(cs: Sequence) -> PruneReport:
                                               z[rows].tolist())]
     drop[above[steep]] = True
     keep = (~drop).nonzero()[0]
-    return PruneReport(kept=Problem(a[keep], b[keep], c[keep]),
+    # Fresh gathers of columns ``columns`` checked finite, frozen here.
+    kept = (a[keep], b[keep], c[keep])
+    for col in kept:
+        col.flags.writeable = False
+    return PruneReport(kept=Problem._of(kept),
                        kept_indices=tuple(keep.tolist()),
                        discarded_behind=n_behind,
                        discarded_steep=int(steep.sum()), pmin_index=anchor)

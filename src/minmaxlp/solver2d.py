@@ -8,9 +8,16 @@ point, never touching points that cannot improve the current supporting
 line.
 
 Every decision is exact on the original coordinates.  The scan loop
-``_scan`` compares candidates with ``geometry._orient``: its float filter
-decides almost every turn, and the few it cannot decide go to the exact
-orientation predicate of the three points themselves.
+``_scan`` compares candidates with ``geometry._orient``'s float filter,
+inlined with its constants, which decides almost every turn.  Each turn
+it misses goes to ``geometry._settle``, the package's one exact
+arithmetic: an integer determinant on the integer images of the points
+(``geometry._images``), which the first miss of a solve builds and every
+later one reuses.  On the list path that is one set of images of all dual
+points, shared by both sides (the left side's scans see the points
+mirrored in y, which negates each turn); a numpy scan builds the images
+of its survivors and its fixed point.  A solve that misses nowhere builds
+no images.
 
 Every input is read as float64 columns (``model.columns``; a ``Problem``
 already holds them).  Problems of ``_COLUMNAR_MIN_N`` constraints or more
@@ -34,8 +41,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolation, EmptyProblem, NonFiniteInput
-from .geometry import (_ERRBOUND, _NO_UNDERFLOW, Point2, _line_through,
-                       _orient, _slope_threshold)
+# ``_scan`` settles every float-filter miss through the module attribute
+# ``_settle``, so a tracer that rebinds it counts them.
+from .geometry import (_ERRBOUND, _NO_UNDERFLOW, Point2, _ExactPoints,
+                       _line_through, _settle, _slope_threshold)
 # Unused here, but perfbench/spans.py traces solver2d._product_sign by
 # rebinding it, so the name stays a module attribute.
 from .geometry import _product_sign  # noqa: F401
@@ -75,25 +84,45 @@ def to_dual_points(cs: Sequence) -> list[Point2]:
     return [Point2(c[0], -c[1]) for c in cs]
 
 
-def _scan(xs: Sequence[float], ys: Sequence[float], idxs: Sequence[int],
-          fx: float, fy: float) -> int:
-    """Index of the candidate with minimal slope seen from (fx, fy).
+def _scan(pts: _ExactPoints, idxs: Sequence[int], f: int) -> int:
+    """Index of the candidate with minimal slope seen from point f of
+    ``pts``.
 
-    Candidates must all lie strictly on one side of the fixed point in x.
-    A candidate wins when it lies strictly below the line through the fixed
-    point and the current best; exact collinear ties go to the candidate
-    farthest from the fixed point in x, and identical points to the first
-    in ``idxs``.  Every turn is ``geometry._orient`` of the original points.
+    Candidates must all lie strictly on one side of point f in x.  A
+    candidate wins when it lies strictly below the line through point f
+    and the current best; exact collinear ties go to the candidate farthest
+    from point f in x, and identical points to the first in ``idxs``.
+    Every turn is ``geometry._orient``'s float filter on the points
+    themselves, and ``_settle`` decides each one the filter misses.
     """
+    xs = pts.xs
+    ys = pts.ys
+    fx = xs[f]
+    fy = ys[f]
     it = iter(idxs)
     best = next(it)
+    bx = xs[best]
+    by = ys[best]
     # Every candidate lies on side ``far`` of fx, so the farther of two
     # has the larger far * x; negation is exact, a difference would round.
-    far = 1.0 if xs[best] > fx else -1.0
+    far = 1.0 if bx > fx else -1.0
     for j in it:
-        s = _orient(fx, fy, xs[best], ys[best], xs[j], ys[j])
-        if s < 0 or (s == 0 and far * xs[j] > far * xs[best]):
-            best = j
+        cx = xs[j]
+        cy = ys[j]
+        p = (bx - fx) * (cy - fy)
+        q = (by - fy) * (cx - fx)
+        det = p - q
+        bound = _ERRBOUND * (abs(p) + abs(q)) + _NO_UNDERFLOW
+        if det > bound:
+            continue
+        # NaN and inf never clear the bound, as in ``_orient``.
+        if not det < -bound:
+            s = _settle(pts, f, best, j)
+            if s > 0 or (s == 0 and far * cx <= far * bx):
+                continue
+        best = j
+        bx = cx
+        by = cy
     return best
 
 
@@ -106,12 +135,12 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
     ``geometry._slope_threshold`` of the least one gives a T such that
     p > T proves a candidate's exact slope larger than that least one's.
     The rest, the true winner and its exact ties always among them, go to
-    ``_scan`` in index order, so ties resolve exactly as in a scan over all
-    candidates.  The proof needs differences that do not overflow, which
-    ``ranged`` vouches for, and a T of moderate size; without either the
-    survivors are those of the determinant filter, ``_det_survivors``.
-    Runs with numpy's floating-point warnings off, as ``_solve_columns``
-    does.
+    ``_scan`` in index order, with (fx, fy) after them, so ties resolve
+    exactly as in a scan over all candidates.  The proof needs differences
+    that do not overflow, which ``ranged`` vouches for, and a T of moderate
+    size; without either the survivors are those of the determinant
+    filter, ``_det_survivors``.  Runs with numpy's floating-point warnings
+    off, as ``_solve_columns`` does.
     """
     dx = xs - fx
     # With flip the candidates' y is -ys: -fy - ys is their difference,
@@ -126,8 +155,11 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
         keep = (p <= t).nonzero()[0]
     if keep.size == 1:
         return keep.item(0)
-    ks = -ys[keep] if flip else ys[keep]
-    k = _scan(xs[keep].tolist(), ks.tolist(), range(keep.size), fx, fy)
+    kx = xs[keep].tolist()
+    ky = (-ys[keep] if flip else ys[keep]).tolist()
+    kx.append(fx)
+    ky.append(fy)
+    k = _scan(_ExactPoints(kx, ky), range(keep.size), keep.size)
     return int(keep[k])
 
 
@@ -211,10 +243,14 @@ def _solve_lists(a: list, b: list) -> Solution2:
             lx = a[i]
 
     # The left side's scans see the points mirrored in y, (a, b) itself.
+    # Both sides' fixed points are dual points too, so one set of images
+    # serves every scan of the solve.
+    dual = _ExactPoints(a, dpy)
+    mirrored = _ExactPoints(a, b, dual)
     return _pivot(
         len(a), i_l,
-        lambda i: _scan(a, dpy, right, a[i], dpy[i]),
-        lambda i: _scan(a, b, left, a[i], b[i]),
+        lambda i: _scan(dual, right, i),
+        lambda i: _scan(mirrored, left, i),
         lambda i: (a[i], dpy[i]))
 
 

@@ -1,4 +1,6 @@
+import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -434,6 +436,39 @@ class TestMain:
         assert self.run(capsys, "solve2d", str(f), "--format", "tsv") == first
         code, out, _ = self.run(capsys, "solve2d", str(f))
         assert code == 0 and json.loads(out)["x"] == 0.5
+
+    def test_broken_pipe_exits_quietly(self, tmp_path, capsys, monkeypatch):
+        # A reader that closed stdout early is not an input error.
+        f = tmp_path / "p.txt"
+        f.write_text("1,0\n-1,1\n")
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["solve2d", str(f)])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+
+    def test_broken_pipe_in_a_process(self, tmp_path):
+        # stdout is a pipe whose reader is gone before the process starts:
+        # it exits 1, and nothing reaches stderr, not even when the
+        # interpreter flushes the still buffered answer at exit.
+        f = tmp_path / "p.txt"
+        f.write_text("1,0\n-1,1\n")
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONUNBUFFERED"}
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "minmaxlp.cli", "solve2d", str(f)],
+                stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(w)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
     def test_console_script_runs(self, tmp_path):
         f = tmp_path / "p.txt"

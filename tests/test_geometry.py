@@ -13,7 +13,8 @@ from minmaxlp import (Line2, NonFiniteInput, Plane3, Point2, Point3, Sign,
                       dual_of_line, dual_of_plane, dual_of_point,
                       dual_of_point2, exact_product_compare,
                       orientation_exact)
-from minmaxlp.geometry import (_EPS, _SLOPE_MAX, _orient, _orient_sign,
+from minmaxlp.geometry import (_EPS, _SLOPE_MAX, _ExactPoints, _images,
+                               _orient, _orient_sign, _settle,
                                _slope_threshold)
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
@@ -228,6 +229,63 @@ class TestOrientSign:
                 args[k] = bad
                 with pytest.raises(NonFiniteInput):
                     orient(*args)
+
+
+def _hard_point_sets():
+    """Point sets (xs, ys) whose turns the float filter cannot settle."""
+    rng = random.Random(20261018)
+    a = [rng.gauss(0.0, 10 ** 0.5) for _ in range(10)]
+    big, top = 1e308, 1.7976931348623157e308
+    return {
+        # exactly collinear through the origin, as in a dyadic exact fit
+        "dyadic": (a, [-(0.125 * v) for v in a]),
+        # near-collinear: each 0.1 * a rounds, as in an exact fit
+        "tenths": (a, [0.1 * v for v in a]),
+        "duplicates": ([1.0, 1.0, 0.1, 0.1, -2.5, 1.0, 0.1],
+                       [0.1, 0.1, 0.3, 0.3, 0.25, 0.1, 0.3]),
+        "zeros-subnormals": (
+            [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+             -0.0, 1e-323],
+            [-0.0, 0.0, 5e-324, 1e-310, -5e-324, 0.0, 1e-323, -1e-310]),
+        # differences overflow; the first four and the last two lie on
+        # the line y = -x
+        "overflowing": ([big, -big, top, -top, 1.0, 0.0, 5e-324, -1e-310],
+                        [-big, big, -top, top, -1.0, -0.0, 1.0, 1e308]),
+    }
+
+
+_HARD = _hard_point_sets()
+
+
+class TestImages:
+    """The integer images of a point set, and the turns ``_settle`` takes
+    on them, against Fractions."""
+
+    @pytest.mark.parametrize("name", sorted(_HARD))
+    def test_images_are_exact_multiples(self, name):
+        for vs in _HARD[name]:
+            scale = max(Fraction(v).denominator for v in vs)
+            got = _images(vs)
+            assert all(type(i) is int for i in got)
+            assert got == [Fraction(v) * scale for v in vs]
+
+    @pytest.mark.parametrize("name", sorted(_HARD))
+    def test_turns_match_fraction_determinant(self, name):
+        xs, ys = _HARD[name]
+        pts = _ExactPoints(xs, ys)
+        mirrored = _ExactPoints(xs, [-y for y in ys], pts)
+        for a, b, c in itertools.product(range(len(xs)), repeat=3):
+            want = orient_points_oracle(xs[a], ys[a], xs[b], ys[b],
+                                        xs[c], ys[c])
+            assert _settle(pts, a, b, c) == want, (a, b, c)
+            assert _settle(mirrored, a, b, c) == -want, (a, b, c)
+        # one set of images, shared with the mirrored points
+        assert pts.ints is not None and mirrored.ints is None
+
+    def test_non_finite_rejected(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(NonFiniteInput):
+                _images([0.0, bad])
 
 
 class TestProductCompare:

@@ -7,8 +7,9 @@ import pytest
 
 from conftest import EDGE_VALUES, close, corpus3d, prune_oracle
 from minmaxlp import (Constraint3, EmptyProblem, GenSpec, NonFiniteInput,
-                      boundary_via_2d, brute3d_box, check3d, gen3d, prune,
-                      solve3d)
+                      Problem, boundary_via_2d, brute3d_box, check3d, gen3d,
+                      prune, solve3d)
+from minmaxlp.model import columns
 
 
 def constraints_for_duals(duals):
@@ -210,6 +211,22 @@ class TestPrune:
         rows[7][1] = math.nan
         with pytest.raises(NonFiniteInput, match="constraint 7 "):
             prune(read(rows))
+
+    @pytest.mark.parametrize("read", ["rows", "array", "problem"])
+    def test_kept_columns_are_read_only_gathers(self, read):
+        cs = gen3d(GenSpec(n=60, seed=16, dim=3))
+        arr = np.array(cs, dtype=float)
+        given = {"rows": list(cs), "array": arr, "problem": cs}[read]
+        report = prune(given)
+        keep = list(report.kept_indices)
+        a, b, c = arr.T
+        assert report.kept == Problem(a[keep], b[keep], c[keep])
+        for col in columns(report.kept, 3):
+            assert col.dtype == np.float64 and not col.flags.writeable
+            assert not any(np.shares_memory(col, x)
+                           for x in (arr, *columns(cs, 3)))
+            with pytest.raises(ValueError):
+                col[0] = 0.0
 
     def test_soundness_small_corpus(self):
         for cs in corpus3d(12, 25, seed=15):

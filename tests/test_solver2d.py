@@ -13,9 +13,10 @@ from conftest import (EDGE_VALUES, close, corpus2d, eval_max_2,
 from minmaxlp import (Constraint2, ContractViolation, EmptyProblem, GenSpec,
                       NonFiniteInput, Point2, Sign, Solution2, Status,
                       boundary_via_2d, brute2d, brute3d_box, check2d,
-                      expand_absolute, gen2d, gen3d, orientation_exact, solve,
-                      solve3d, solve_baseline, solve_boxed, solver2d,
-                      to_dual_points)
+                      expand_absolute, gen2d, gen3d, geometry,
+                      orientation_exact, solve, solve3d, solve_baseline,
+                      solve_boxed, solver2d, to_dual_points)
+from minmaxlp.geometry import _orient_sign
 
 # Coefficients on a coarse grid keep every pairwise crossing well
 # conditioned, so the oracle comparison tolerance is honest while ties and
@@ -73,9 +74,15 @@ def _advance(fixed, cands, side):
     side "L" the one of maximal slope into it: the scan over negated y.
     """
     sgn = 1 if side == "R" else -1
-    i = solver2d._scan([p[0] for p in cands], [sgn * p[1] for p in cands],
-                       range(len(cands)), fixed[0], sgn * fixed[1])
+    i = _scan_from([p[0] for p in cands], [sgn * p[1] for p in cands],
+                   fixed[0], sgn * fixed[1])
     return cands[i]
+
+
+def _scan_from(xs, ys, fx, fy):
+    """``_scan`` over the candidates (xs, ys), seen from (fx, fy)."""
+    pts = solver2d._ExactPoints(list(xs) + [fx], list(ys) + [fy])
+    return solver2d._scan(pts, range(len(xs)), len(xs))
 
 
 def _rational_scan(xs, ys, fx, fy):
@@ -130,16 +137,16 @@ class TestAdvance:
             n = rng.randint(1, 6)
             xs = [rng.choice(pool) for _ in range(n)]
             ys = [rng.choice(EDGE_VALUES) for _ in range(n)]
-            got = solver2d._scan(xs, ys, range(n), fx, fy)
+            got = _scan_from(xs, ys, fx, fy)
             assert got == _rational_scan(xs, ys, fx, fy), (fx, fy, xs, ys)
 
     def test_empty_candidates(self, monkeypatch):
         # solve settles a side without candidates before any scan
         scan = solver2d._scan
 
-        def nonempty_scan(xs, ys, idxs, fx, fy):
+        def nonempty_scan(pts, idxs, *args):
             assert len(idxs) > 0
-            return scan(xs, ys, idxs, fx, fy)
+            return scan(pts, idxs, *args)
 
         monkeypatch.setattr(solver2d, "_scan", nonempty_scan)
         for k in (1, LARGE):
@@ -665,6 +672,117 @@ class TestPathsAgree:
         cs = data.draw(_FAMILIES[family])
         rows, cols = _on_both_paths(monkeypatch, lambda: _outcome(cs))
         assert rows == cols
+
+
+def _fit_degenerate(family, m, seed):
+    """Residual rows (a, c) of |a*x + c| with c = -(s*a + e): "exact"
+    (s = 0.1, e = 0), "dyadic" (s = 0.125, e = 0), "equiripple" (s = 0.1,
+    e = +-0.25 at random) and "noisy" (s = 0.1, e ~ N(0, 1e-9))."""
+    rng = np.random.default_rng([seed, m])
+    a = rng.normal(0.0, 10 ** 0.5, m)
+    if family in ("exact", "dyadic"):
+        c = -((0.125 if family == "dyadic" else 0.1) * a)
+    elif family == "equiripple":
+        c = -(0.1 * a + rng.choice((0.25, -0.25), m))
+    else:
+        c = -(0.1 * a + rng.normal(0.0, 1e-9, m))
+    return list(zip(a.tolist(), c.tolist()))
+
+
+def _per_call_settle(pts, a, b, c):
+    """``geometry._settle`` by the per-call predicate ``_orient_sign``:
+    the turn of the points as the scan sees them, with no shared images."""
+    xs, ys = pts.xs, pts.ys
+    return _orient_sign(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c])
+
+
+@pytest.fixture
+def settled(monkeypatch):
+    """Every miss a scan settles, as (points, a, b, c)."""
+    calls = []
+    settle = solver2d._settle
+
+    def spy(pts, a, b, c):
+        calls.append((pts, a, b, c))
+        return settle(pts, a, b, c)
+
+    monkeypatch.setattr(solver2d, "_settle", spy)
+    return calls
+
+
+@pytest.fixture
+def image_builds(monkeypatch):
+    """The length of every column whose images are built."""
+    builds = []
+    images = geometry._images
+
+    def spy(vs):
+        builds.append(len(vs))
+        return images(vs)
+
+    monkeypatch.setattr(geometry, "_images", spy)
+    return builds
+
+
+class TestSharedImages:
+    """The scans settle float-filter misses on integer images, built at
+    the first miss: once per solve on the list path, once per scan of its
+    survivors on the numpy path."""
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_random_problems_match_per_call_predicate(self, monkeypatch,
+                                                      family, data):
+        cs = data.draw(_FAMILIES[family])
+        want = _on_both_paths(monkeypatch, lambda: _outcome(cs))
+        monkeypatch.setattr(solver2d, "_settle", _per_call_settle)
+        assert _on_both_paths(monkeypatch, lambda: _outcome(cs)) == want
+
+    @pytest.mark.parametrize("family",
+                             ["dyadic", "equiripple", "exact", "noisy"])
+    def test_fit_degenerate_matches_per_call_predicate(self, monkeypatch,
+                                                       family):
+        cases = [expand_absolute(_fit_degenerate(family, m, seed))
+                 for m in (8, 10, 12) for seed in range(20)]
+        want = [_on_both_paths(monkeypatch, lambda: _bits(solve(cs)))
+                for cs in cases]
+        misses = []
+        monkeypatch.setattr(solver2d, "_settle",
+                            lambda *args: misses.append(args)
+                            or _per_call_settle(*args))
+        assert [_on_both_paths(monkeypatch, lambda: _bits(solve(cs)))
+                for cs in cases] == want
+        # noisy fits are far enough from collinear for the filter alone
+        assert bool(misses) is (family != "noisy")
+
+    def test_no_miss_builds_no_images(self, monkeypatch, settled,
+                                      image_builds):
+        for n in (2, 10, 60, SMALL, LARGE, 2000):
+            for k in range(3):
+                cs = gen2d(GenSpec(n=n, seed=7), index=k)
+                _on_both_paths(monkeypatch, lambda: solve(cs))
+        assert not settled
+        assert not image_builds
+
+    def test_list_path_builds_images_once(self, settled, image_builds):
+        # Both sides miss, and every scan reads the images of all 24 dual
+        # points that the first miss built; the left side's are mirrored.
+        cs = expand_absolute(_fit_degenerate("exact", 12, 0))
+        solve(cs)
+        assert {pts.mirrors is None for pts, *_ in settled} == {True, False}
+        assert image_builds == [24, 24]
+
+    def test_numpy_path_builds_images_per_scan(self, monkeypatch, settled,
+                                               image_builds):
+        # each scan that misses builds the images of its survivors and
+        # the fixed point, once
+        monkeypatch.setattr(solver2d, "_COLUMNAR_MIN_N", 1)
+        solve(expand_absolute(_fit_degenerate("exact", 200, 0)))
+        scanned = list({id(pts): len(pts.xs) for pts, *_ in settled}.values())
+        assert len(scanned) >= 2
+        assert image_builds == [n for n in scanned for _ in "xy"]
 
 
 @pytest.fixture
