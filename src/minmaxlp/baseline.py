@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, EmptyProblem
+from .errors import ContractViolation
 from .geometry import Point2, _line_through, _orient
 from .model import Solution2, Status, certify, columns
 
@@ -59,8 +59,6 @@ def lower_hull(dp: Sequence[Point2]) -> list[Point2]:
     Consecutive triples of the chain turn strictly counter-clockwise, and
     every input point lies on or above every edge of it.
     """
-    if len(dp) == 0:
-        raise EmptyProblem("lower_hull: no points")
     xs, ys = _sorted_unique_xy(*columns(dp, 2))
     hx, hy = _chain(xs, ys)
     return [Point2(x, y) for x, y in zip(hx, hy)]
@@ -72,8 +70,6 @@ def solve_baseline(cs: Sequence) -> Solution2:
     Accepts the same inputs: rows whose first two fields are (a, b), or an
     (n, k >= 2) array.
     """
-    if len(cs) == 0:
-        raise EmptyProblem("solve_baseline: no constraints")
     a, b = columns(cs, 2)
     if not ((a <= 0.0).any() and (a >= 0.0).any()):
         # All dual points strictly on one side of the vertical axis.
@@ -106,8 +102,6 @@ def check2d(cs: Sequence, sol: Solution2) -> None:
     O(n) numpy work and O(1) Fraction work; no reference solver.
     """
     a, b = columns(cs, 2)
-    if a.size == 0:
-        raise EmptyProblem("check2d: no constraints")
     unbounded = bool((a > 0.0).all() or (a < 0.0).all())
     if (sol.status is Status.UNBOUNDED) is not unbounded:
         raise ContractViolation(

@@ -228,6 +228,11 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"gen: --count must be at least 1, got {args.count}")
+    if args.out and (args.count != 1 or args.out_dir is not None):
+        raise ValueError("gen: --out writes one instance; it takes neither "
+                         "--count above 1 nor --out-dir")
     spec = GenSpec(n=args.n, sigma=args.sigma, seed=args.seed, dim=args.dim)
     make = gen2d if args.dim == 2 else gen3d
     if args.count == 1 and args.out_dir is None:
@@ -341,9 +346,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--index", type=int, default=0,
                    help="first instance index in the stream")
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--out", help="output file (single instance)")
-    p.add_argument("--out-dir", help="directory for multi-instance corpora")
+    p.add_argument("--count", type=int, default=1,
+                   help="instances to write, at least 1")
+    p.add_argument("--out", help="file for the one instance (default: "
+                                 "stdout)")
+    p.add_argument("--out-dir", help="directory for the --count instances, "
+                                     "as instance_<index>.txt")
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("bench", help="scaling benchmark")

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolation, NonFiniteInput
+from .errors import ContractViolation, EmptyProblem, NonFiniteInput
 from .geometry import _EPS, Point2
 
 
@@ -162,9 +162,14 @@ def columns(cs, k: int) -> Sequence[np.ndarray]:
     ``cs`` is a ``Problem``, whose columns come back as they are, a
     sequence of rows or an (n, >= k) array, whose columns come back as one
     (k, n) array.  Raises ValueError for a problem, row or array with fewer
-    than ``k`` fields, and NonFiniteInput for a non-finite field, naming
-    the first such constraint.
+    than ``k`` fields and for an array of any other shape, EmptyProblem for
+    no constraints at all, and NonFiniteInput for a non-finite field,
+    naming the first such constraint.
     """
+    if isinstance(cs, np.ndarray) and cs.ndim == 0:
+        _check_shape(cs, k)  # a 0-d array has no rows to count
+    if len(cs) == 0:
+        raise EmptyProblem("no constraints")
     if isinstance(cs, Problem):
         if len(cs._cols) < k:
             raise ValueError(f"constraints need at least {k} fields")
@@ -256,8 +261,7 @@ def certify(cols, point: tuple, t: float, lower_bound, who: str) -> None:
     tight, err, tiny = _TIGHT, _EVAL_ERR, _EVAL_TINY
     if not (np.isfinite(v).all() and np.isfinite(s).all()):
         # A term overflows: every value and scale again, in Fractions.
-        v, s = _values([np.array(list(map(F, col.tolist())), dtype=object)
-                        for col in cols], tuple(map(F, point)))
+        v, s = _values(_fractions(cols), tuple(map(F, point)))
         tight, err, tiny = F(_TIGHT), 0, 0
     top = int(np.argmax(v))
     # Every constraint outside ``near`` evaluates below the top value by
@@ -288,24 +292,34 @@ def certify(cols, point: tuple, t: float, lower_bound, who: str) -> None:
             f"by more than the rounding bound {_to_float(bound)!r}")
 
 
+def _terms(cols, point) -> list:
+    """Each constraint's terms at ``point``, in the order ``objective`` sums
+    them: a*x and b, or a*x, b*y and c."""
+    return [col * p for col, p in zip(cols, point)] + [cols[-1]]
+
+
 def _values(cols, point):
     """Each constraint's value at ``point`` and the sum of its terms'
     magnitudes, as ``objective`` forms them."""
-    v = cols[0] * point[0]
+    v, *rest = _terms(cols, point)
     s = abs(v)
-    for col, p in zip(cols[1:-1], point[1:]):
-        term = col * p
+    for term in rest:
         v = v + term
         s = s + abs(term)
-    return v + cols[-1], s + abs(cols[-1])
+    return v, s
+
+
+def _fractions(cols) -> list[np.ndarray]:
+    """The float columns ``cols`` as object columns of exact Fractions."""
+    return [np.array(list(map(Fraction, col.tolist())), dtype=object)
+            for col in cols]
 
 
 def exact_objective(cols, *point: float) -> float:
     """``objective`` in rational arithmetic, rounded to a double; -inf or
     inf when it lies outside the double range."""
-    fs = [Fraction(p) for p in point] + [1]
-    return _to_float(max(sum(Fraction(v) * f for v, f in zip(row, fs))
-                         for row in zip(*(col.tolist() for col in cols))))
+    terms = _terms(_fractions(cols), tuple(map(Fraction, point)))
+    return _to_float(max(sum(terms[1:], terms[0])))
 
 
 def _to_float(q: Fraction) -> float:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptyProblem, NonFiniteInput
+from .errors import NonFiniteInput
 from .model import Solution2, Solution3, Status, columns, objective
 
 __all__ = ["brute2d", "brute3d_box"]
@@ -41,8 +41,6 @@ def brute2d(cs) -> Solution2:
     intersection abscissa and taking the smallest value is exact up to
     float evaluation.  Ties in t resolve to the smallest x.
     """
-    if len(cs) == 0:
-        raise EmptyProblem("brute2d: no constraints")
     a, b = columns(cs, 2)
     if (a > 0).all() or (a < 0).all():
         return Solution2(Status.UNBOUNDED)
@@ -147,8 +145,6 @@ def brute3d_box(cs) -> Solution3:
     difference overflows; the scaling is exact unless a coefficient falls
     below the normal range.  t is taken on the original columns.
     """
-    if len(cs) == 0:
-        raise EmptyProblem("brute3d_box: no constraints")
     cols = columns(cs, 3)
     e = math.frexp(float(max(np.abs(col).max() for col in cols)))[1]
     a, b, c = (np.ldexp(col, -e) for col in cols)

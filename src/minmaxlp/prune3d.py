@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, EmptyProblem, NonFiniteInput
+from .errors import ContractViolation, NonFiniteInput
 from .geometry import _EPS, _product_sign
 from .baseline import lower_hull
 from .model import (Problem, Solution2, Solution3, certify, columns,
@@ -107,8 +107,6 @@ def prune(cs: Sequence) -> PruneReport:
     filter (``_STEEP_REL``) leaves undecided are compared in Fractions.
     """
     a, b, c = columns(cs, 3)
-    if a.size == 0:
-        raise EmptyProblem("prune: no constraints")
     z = -c
     low = (z == z.min()).nonzero()[0]
     anchor = int(low[np.lexsort((b[low], a[low]))[0]])
@@ -149,8 +147,6 @@ def boundary_via_2d(cs: Sequence) -> list[tuple[str, Solution2]]:
     NonFiniteInput, naming the constraint.
     """
     a, b, c = columns(cs, 3)
-    if a.size == 0:
-        raise EmptyProblem("boundary_via_2d: no constraints")
     with np.errstate(over="ignore"):
         induced = (Problem._of((b, c)), Problem(b, a + c),
                    Problem._of((a, c)), Problem(a, b + c))
@@ -191,8 +187,6 @@ def solve3d(cs: Sequence) -> Solution3:
     answer.
     """
     a0, b0, c0 = columns(cs, 3)
-    if a0.size == 0:
-        raise EmptyProblem("solve3d: no constraints")
     x, y = _seidel(a0, b0, c0)
     t = objective((a0, b0, c0), x, y)
     if not math.isfinite(t):
@@ -218,8 +212,6 @@ def check3d(cs: Sequence, sol: Solution3) -> None:
     O(h) Fraction work and no reference solver.
     """
     a, b, c = columns(cs, 3)
-    if a.size == 0:
-        raise EmptyProblem("check3d: no constraints")
     x, y = sol.x, sol.y
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ContractViolation(f"check3d: ({x}, {y}) lies outside the box")

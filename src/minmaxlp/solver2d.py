@@ -20,13 +20,15 @@ of its survivors and its fixed point.  A solve that misses nowhere builds
 no images.
 
 Every input is read as float64 columns (``model.columns``; a ``Problem``
-already holds them).  Problems of ``_COLUMNAR_MIN_N`` constraints or more
-are scanned in numpy by the slope prefilter (``_filtered_scan``): each
-pivot scan forms every candidate's rounded slope in one vectorised pass,
-and one comparison against a threshold from ``geometry._slope_threshold``
-drops every candidate whose exact slope is proven larger than the least
-rounded slope's.  The survivors, if more than one, go to the same exact
-loop that smaller problems run over the columns as Python lists.  The
+already holds them), and ``_solve`` decides the setup on them once: the
+sides, UNBOUNDED, the constant answer and the x-mirror.  Only the start
+search and the scans depend on size.  Below ``_COLUMNAR_MIN_N`` constraints
+both run over the columns as Python lists.  From there on they run in
+numpy, and each pivot scan is the slope prefilter (``_filtered_scan``): it
+forms every candidate's rounded slope in one vectorised pass, and one
+comparison against a threshold from ``geometry._slope_threshold`` drops
+every candidate whose exact slope is proven larger than the least rounded
+slope's.  The survivors, if more than one, go to ``_scan``.  The
 threshold's proof needs coordinate differences that do not overflow, which
 one range check per solve establishes; where it fails, or the threshold is
 too large, the scan keeps the survivors of the determinant filter that
@@ -40,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, EmptyProblem, NonFiniteInput
+from .errors import ContractViolation, NonFiniteInput
 # ``_scan`` settles every float-filter miss through the module attribute
 # ``_settle``, so a tracer that rebinds it counts them.
 from .geometry import (_ERRBOUND, _NO_UNDERFLOW, Point2, _ExactPoints,
@@ -74,8 +76,6 @@ def expand_absolute(rows: Sequence) -> Problem:
     below the objective bound, so the pair encodes the absolute value.
     ``rows`` is read like ``solve``'s; only (a, c) are read.
     """
-    if len(rows) == 0:
-        raise EmptyProblem("no residuals to expand")
     return signed_pairs(columns(rows, 2))
 
 
@@ -140,7 +140,7 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
     that do not overflow, which ``ranged`` vouches for, and a T of moderate
     size; without either the survivors are those of the determinant
     filter, ``_det_survivors``.  Runs with numpy's floating-point warnings
-    off, as ``_solve_columns`` does.
+    off, as ``_solve`` calls it.
     """
     dx = xs - fx
     # With flip the candidates' y is -ys: -fy - ys is their difference,
@@ -202,66 +202,17 @@ def solve(cs: Sequence) -> Solution2:
     NonFiniteInput for a non-finite coefficient, naming the first such
     constraint, and for an answer outside the double range.
     """
-    if len(cs) == 0:
-        raise EmptyProblem("solve: no constraints")
     return _solve(*columns(cs, 2))
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> Solution2:
-    """``solve`` on finite float64 columns, on the path that suits n."""
-    if a.size < _COLUMNAR_MIN_N:
-        return _solve_lists(a.tolist(), b.tolist())
-    with np.errstate(all="ignore"):
-        return _solve_columns(a, b)
+    """``solve`` on finite float64 columns of slopes ``a`` and intercepts
+    ``b``.
 
-
-def _solve_lists(a: list, b: list) -> Solution2:
-    """``solve`` with the dual points held in Python lists."""
-    left = [i for i, v in enumerate(a) if v <= 0.0]
-    if not left:
-        return Solution2(Status.UNBOUNDED)
-    right = [i for i, v in enumerate(a) if v > 0.0]
-    dpy = [-v for v in b]
-    if not right:
-        if all(a[i] == 0.0 for i in left):
-            # Every slope is zero: the objective is the constant max b_i.
-            return Solution2(Status.OPTIMAL, x=0.0, t=-min(dpy), iterations=0)
-        # Slopes are all <= 0 with at least one negative: mirror x so the
-        # strictly negative slopes land on the right side, solve, mirror back.
-        return _mirror_back(_solve_lists([-v for v in a], b))
-
-    # Start from the lowest left point (ties to the smaller x); any left
-    # point is a valid start, the lowest one just pivots less.
-    i_l = left[0]
-    ly = dpy[i_l]
-    lx = a[i_l]
-    for i in left:
-        y = dpy[i]
-        if y < ly or (y == ly and a[i] < lx):
-            i_l = i
-            ly = y
-            lx = a[i]
-
-    # The left side's scans see the points mirrored in y, (a, b) itself.
-    # Both sides' fixed points are dual points too, so one set of images
-    # serves every scan of the solve.
-    dual = _ExactPoints(a, dpy)
-    mirrored = _ExactPoints(a, b, dual)
-    return _pivot(
-        len(a), i_l,
-        lambda i: _scan(dual, right, i),
-        lambda i: _scan(mirrored, left, i),
-        lambda i: (a[i], dpy[i]))
-
-
-def _solve_columns(a: np.ndarray, b: np.ndarray) -> Solution2:
-    """``solve`` on float64 columns of slopes ``a`` and intercepts ``b``,
-    run with numpy's floating-point warnings off.
-
-    Every step makes the same choice as ``_solve_lists``, so both give
-    bitwise the same solution.  The sides' columns hold b itself: the
-    right side's scans form their dual differences -b - fy as -fy - b, and
-    the left side's scans see the points mirrored in y, (a, b).
+    The sides, UNBOUNDED, the constant answer and the x-mirror are decided
+    here once; only the start search and the scans differ by size.  The
+    dual points are (a, -b); the left side's scans see them mirrored in y,
+    (a, b).
     """
     on_right = a > 0.0
     ir = on_right.nonzero()[0]
@@ -270,17 +221,47 @@ def _solve_columns(a: np.ndarray, b: np.ndarray) -> Solution2:
     if ir.size == 0:
         if not a.any():
             # Every slope is zero: the objective is the constant max b_i.
-            return Solution2(Status.OPTIMAL, x=0.0,
-                             t=float(b[np.argmax(b)]), iterations=0)
-        return _mirror_back(_solve_columns(-a, b))
+            return Solution2(Status.OPTIMAL, x=0.0, t=b.item(b.argmax()),
+                             iterations=0)
+        # Slopes are all <= 0 with at least one negative: mirror x so the
+        # strictly negative slopes land on the right side, solve, mirror back.
+        return _mirror_back(_solve(-a, b))
     il = np.logical_not(on_right, out=on_right).nonzero()[0]
+
+    # Start from the lowest left point, ties to the smaller x and then the
+    # first index; any left point is a valid start, the lowest one just
+    # pivots less.
+    if a.size < _COLUMNAR_MIN_N:
+        xs = a.tolist()
+        ys = b.tolist()
+        dpy = [-v for v in ys]
+        left = il.tolist()
+        right = ir.tolist()
+        i_l = left[0]
+        ly = dpy[i_l]
+        lx = xs[i_l]
+        for i in left:
+            y = dpy[i]
+            if y < ly or (y == ly and xs[i] < lx):
+                i_l = i
+                ly = y
+                lx = xs[i]
+        # Both sides' fixed points are dual points too, so one set of
+        # images serves every scan of the solve.
+        dual = _ExactPoints(xs, dpy)
+        mirrored = _ExactPoints(xs, ys, dual)
+        return _pivot(
+            len(xs), i_l,
+            lambda i: _scan(dual, right, i),
+            lambda i: _scan(mirrored, left, i),
+            lambda i: (xs[i], dpy[i]))
 
     xl = a[il]
     bl = b[il]
     xr = a[ir]
     br = b[ir]
-    # The lowest left point, ties to the smaller x (first index on a tie);
-    # a unique one skips the tie break, which C5's n = 1e3 point feels.
+    # A unique lowest point skips the tie break, which C5's n = 1e3 point
+    # feels.
     bl_max = bl.item(bl.argmax())
     top = (bl == bl_max).nonzero()[0]
     i_l = il.item(top.item(0) if top.size == 1 else top[xl[top].argmin()])
@@ -291,17 +272,15 @@ def _solve_columns(a: np.ndarray, b: np.ndarray) -> Solution2:
               and math.isfinite(max(bl_max, br.item(br.argmax()))
                                 - min(bl.item(bl.argmin()),
                                       br.item(br.argmin()))))
-
-    def point(i):
-        return a.item(i), -b.item(i)
-
-    return _pivot(
-        a.size, i_l,
-        lambda i: ir.item(_filtered_scan(xr, br, a.item(i), -b.item(i),
-                                         True, ranged)),
-        lambda i: il.item(_filtered_scan(xl, bl, a.item(i), b.item(i),
-                                         False, ranged)),
-        point)
+    # The right side's scans form their dual differences -b - fy as -fy - b.
+    with np.errstate(all="ignore"):
+        return _pivot(
+            a.size, i_l,
+            lambda i: ir.item(_filtered_scan(xr, br, a.item(i), -b.item(i),
+                                             True, ranged)),
+            lambda i: il.item(_filtered_scan(xl, bl, a.item(i), b.item(i),
+                                             False, ranged)),
+            lambda i: (a.item(i), -b.item(i)))
 
 
 def _mirror_back(sol: Solution2) -> Solution2:
@@ -362,8 +341,6 @@ def solve_boxed(cs: Sequence, lo: float, hi: float) -> Solution2:
     the double range.
     """
     cols = columns(cs, 2)
-    if cols[0].size == 0:
-        raise EmptyProblem("solve_boxed: no constraints")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"invalid box: lo={lo!r}, hi={hi!r}")
     try:

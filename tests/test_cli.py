@@ -377,6 +377,20 @@ class TestMain:
         files = sorted((tmp_path / "corpus").glob("instance_*.txt"))
         assert len(files) == 3
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--count", "2", "--out", "one.txt"], "--out"),
+        (["--out", "x.txt", "--out-dir", "d"], "--out-dir"),
+        (["--count", "0"], "--count"),
+    ])
+    def test_gen_flag_misuse_writes_nothing(self, tmp_path, monkeypatch,
+                                            capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = self.run(capsys, "gen", "--n", "3", *argv)
+        assert code == 2
+        assert err.startswith("error: gen:") and flag in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_gen_then_solve_pipeline(self, tmp_path, capsys):
         f = tmp_path / "inst.txt"
         assert main(["gen", "--n", "100", "--seed", "3",

@@ -4,8 +4,11 @@ import pickle
 import numpy as np
 import pytest
 
-from minmaxlp import (Constraint2, Constraint3, GenSpec, NonFiniteInput,
-                      Problem, gen2d, gen3d)
+from minmaxlp import (Constraint2, Constraint3, EmptyProblem, GenSpec,
+                      NonFiniteInput, Problem, Solution2, Solution3, Status,
+                      boundary_via_2d, brute2d, brute3d_box, check2d, check3d,
+                      expand_absolute, gen2d, gen3d, lower_hull, prune,
+                      solve, solve3d, solve_baseline, solve_boxed)
 from minmaxlp.model import columns
 
 ROWS = [Constraint2(1.0, -2.0), Constraint2(-0.0, 3.5), Constraint2(2.5, 0.0),
@@ -139,3 +142,54 @@ def test_generator_slices_share_memory():
         assert col.tolist() == whole[250:500].tolist()
     assert columns(part, 2)[0] is columns(part, 2)[0]  # no copy per read
     assert part == list(pool)[250:500]
+
+
+# Every entry point that reads constraints, with the fields it reads.
+_READERS = {
+    "solve": (2, solve),
+    "expand_absolute": (2, expand_absolute),
+    "solve_boxed": (2, lambda cs: solve_boxed(cs, 0.0, 1.0)),
+    "solve_baseline": (2, solve_baseline),
+    "lower_hull": (2, lower_hull),
+    "check2d": (2, lambda cs: check2d(cs, Solution2(Status.UNBOUNDED))),
+    "brute2d": (2, brute2d),
+    "brute3d_box": (3, brute3d_box),
+    "prune": (3, prune),
+    "boundary_via_2d": (3, boundary_via_2d),
+    "solve3d": (3, solve3d),
+    "check3d": (3, lambda cs: check3d(cs, Solution3(0.0, 0.0, 0.0))),
+}
+
+
+class TestEmpty:
+    """``columns`` is the one gate for inputs without constraints.  Empty
+    lists for the other ten readers, and empty arrays for the four in
+    ``_ARRAYS_ELSEWHERE``, are tested beside each reader."""
+
+    _ARRAYS_ELSEWHERE = {"solve", "solve_baseline", "expand_absolute", "prune"}
+
+    @pytest.mark.parametrize("name", sorted(_READERS))
+    def test_zero_row_problem(self, name):
+        k, fn = _READERS[name]
+        with pytest.raises(EmptyProblem, match="^no constraints$"):
+            fn(Problem(*np.empty((k, 0))))
+
+    @pytest.mark.parametrize("name", sorted(set(_READERS) - _ARRAYS_ELSEWHERE))
+    def test_zero_row_array(self, name):
+        k, fn = _READERS[name]
+        with pytest.raises(EmptyProblem, match="^no constraints$"):
+            fn(np.empty((0, k)))
+
+    @pytest.mark.parametrize("name", ["check2d", "check3d"])
+    def test_empty_list(self, name):
+        with pytest.raises(EmptyProblem, match="^no constraints$"):
+            _READERS[name][1]([])
+
+    def test_flat_empty_array(self):
+        with pytest.raises(EmptyProblem):
+            solve(np.array([]))
+
+    @pytest.mark.parametrize("name", sorted(_READERS))
+    def test_zero_dim_array_is_a_shape_error(self, name):
+        with pytest.raises(ValueError, match="shape"):
+            _READERS[name][1](np.array(1.0))
