@@ -54,7 +54,15 @@ class BenchResult:
 
 def run_scaling(solver: str, sizes: Sequence[int], batch: int,
                 seed: int) -> list[BenchResult]:
-    """Time ``solver`` over the given sizes on seeded Gaussian instances."""
+    """Time ``solver`` over the given sizes on seeded Gaussian instances.
+
+    Raises ValueError before any solve for bad arguments, such as no
+    sizes, or a size or batch below 1.
+    """
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
+    if min(sizes) < 1:
+        raise ValueError(f"sizes must be at least 1, got {min(sizes)}")
     try:
         fn = SOLVERS[solver]
     except KeyError:

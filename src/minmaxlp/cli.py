@@ -2,10 +2,10 @@
 
 Constraint files hold one constraint per line, fields comma- or
 whitespace-separated: two fields (a, b) for the one-variable problem,
-three (a, b, c) for the boxed two-variable problem.  Blank lines and lines
-starting with '#' are ignored; the field count must be uniform.  Floats
-are printed with Python's shortest round-trip representation, so emitted
-corpora re-parse to bit-identical values.
+three (a, b, c) for the boxed two-variable problem.  Blank lines, lines
+starting with '#' and a leading byte-order mark are ignored; the field
+count must be uniform.  Floats are printed with Python's shortest round-trip
+representation, so emitted corpora re-parse to bit-identical values.
 
 Exit codes: 0 success (an unbounded verdict is a valid answer),
 1 stdout closed before the output was written (a broken pipe, as in
@@ -51,8 +51,9 @@ def parse_constraints(text: str) -> Problem:
     Text of plain ASCII numbers in a uniform layout is read in one
     vectorised pass; any other text, and any text that pass rejects, is
     read line by line, which names the first bad line.  Both read every
-    field as ``float(field)`` does.
+    field as ``float(field)`` does, once one leading U+FEFF is dropped.
     """
+    text = text.removeprefix("\ufeff")
     # loadtxt splits lines only at \n and \r\n and would take '#' as a
     # comment anywhere on a line, where the line scan splits at every line
     # break str.splitlines knows and takes only whole-line comments.

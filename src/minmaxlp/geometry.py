@@ -132,7 +132,7 @@ def _orient(ax: float, ay: float, bx: float, by: float,
     determinant clears the error bound; NaN and inf never clear it, and
     the additive _NO_UNDERFLOW covers products that underflow.  Every other
     case goes to the exact predicate of the six doubles themselves.
-    solver2d's ``_det_survivors`` runs the same filter vectorised.
+    solver2d's ``_scan`` runs the same filter inline, with its constants.
     """
     p = (bx - ax) * (cy - ay)
     q = (by - ay) * (cx - ax)

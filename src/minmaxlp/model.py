@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
+from numbers import Real
 from operator import index, itemgetter
 from typing import NamedTuple
 
@@ -235,6 +236,13 @@ _EVAL_TINY = 2.0 ** -1070
 _TIGHT = 8.0 * _EPS
 
 
+def require_finite(point: tuple, t: float, who: str) -> None:
+    """Raise ContractViolation unless t and every coordinate of ``point``
+    are finite numbers; a missing one (None) is not."""
+    if not all(isinstance(v, Real) and math.isfinite(v) for v in (t, *point)):
+        raise ContractViolation(f"{who}: the answer is not finite")
+
+
 def certify(cols, point: tuple, t: float, lower_bound, who: str) -> None:
     """Raise ContractViolation unless ``t`` is the optimum up to rounding,
     by weak duality.
@@ -253,8 +261,7 @@ def certify(cols, point: tuple, t: float, lower_bound, who: str) -> None:
     Where the terms far exceed |t| (cancellation), W is wider than a few
     ulps of t.
     """
-    if not (math.isfinite(t) and all(map(math.isfinite, point))):
-        raise ContractViolation(f"{who}: the answer is not finite")
+    require_finite(point, t, who)
     with np.errstate(over="ignore", invalid="ignore"):
         v, s = _values(cols, point)
     F = Fraction

@@ -39,7 +39,7 @@ from .errors import ContractViolation, NonFiniteInput
 from .geometry import _EPS, _product_sign
 from .baseline import lower_hull
 from .model import (Problem, Solution2, Solution3, certify, columns,
-                    objective)
+                    objective, require_finite)
 # Unused here, but perfbench/spans.py traces prune3d.brute3d_box by
 # rebinding it, so the name stays a module attribute.
 from .oracle import brute3d_box  # noqa: F401
@@ -213,6 +213,7 @@ def check3d(cs: Sequence, sol: Solution3) -> None:
     """
     a, b, c = columns(cs, 3)
     x, y = sol.x, sol.y
+    require_finite((x, y), sol.t, "check3d")
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ContractViolation(f"check3d: ({x}, {y}) lies outside the box")
     certify((a, b, c), (x, y), sol.t,

@@ -24,15 +24,15 @@ already holds them), and ``_solve`` decides the setup on them once: the
 sides, UNBOUNDED, the constant answer and the x-mirror.  Only the start
 search and the scans depend on size.  Below ``_COLUMNAR_MIN_N`` constraints
 both run over the columns as Python lists.  From there on they run in
-numpy, and each pivot scan is the slope prefilter (``_filtered_scan``): it
-forms every candidate's rounded slope in one vectorised pass, and one
-comparison against a threshold from ``geometry._slope_threshold`` drops
-every candidate whose exact slope is proven larger than the least rounded
-slope's.  The survivors, if more than one, go to ``_scan``.  The
-threshold's proof needs coordinate differences that do not overflow, which
-one range check per solve establishes; where it fails, or the threshold is
-too large, the scan keeps the survivors of the determinant filter that
-``_orient`` runs, vectorised (``_det_survivors``).
+numpy, and each pivot scan is the slope prefilter (``_filtered_scan``), the
+path's one filter: it forms every candidate's rounded slope in one
+vectorised pass, and one comparison against a threshold from
+``geometry._slope_threshold`` drops every candidate whose exact slope is
+proven larger than the least rounded slope's.  The survivors, if more than
+one, go to ``_scan``.  The threshold's proof needs coordinate differences
+that do not overflow, which each scan checks on its side's extremes, and a
+threshold of moderate size; a scan without both hands every candidate to
+``_scan``.
 """
 
 from __future__ import annotations
@@ -136,23 +136,22 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
     p > T proves a candidate's exact slope larger than that least one's.
     The rest, the true winner and its exact ties always among them, go to
     ``_scan`` in index order, with (fx, fy) after them, so ties resolve
-    exactly as in a scan over all candidates.  The proof needs differences
-    that do not overflow, which ``ranged`` vouches for, and a T of moderate
-    size; without either the survivors are those of the determinant
-    filter, ``_det_survivors``.  Runs with numpy's floating-point warnings
-    off, as ``_solve`` calls it.
+    exactly as in a scan over all candidates.  The proof needs a T of
+    moderate size and differences dx, dy that do not overflow, which
+    ``ranged`` vouches for; without either, every candidate goes to
+    ``_scan``.  Runs with numpy's floating-point warnings off, as
+    ``_solve`` calls it.
     """
-    dx = xs - fx
-    # With flip the candidates' y is -ys: -fy - ys is their difference,
-    # rounded once, as (-ys) - fy would be.
-    dy = -fy - ys if flip else ys - fy
-    # In dx's buffer: a solve at n = 1e6 is 10% slower with a third array.
-    p = np.divide(dy, dx, out=dx)
-    t = _slope_threshold(p.item(p.argmin())) if ranged else math.nan
-    if math.isnan(t):
-        keep = _det_survivors(xs - fx, dy)
-    else:
-        keep = (p <= t).nonzero()[0]
+    t = math.nan
+    if ranged:
+        dx = xs - fx
+        # With flip the candidates' y is -ys: -fy - ys is their difference,
+        # rounded once, as (-ys) - fy would be.
+        dy = -fy - ys if flip else ys - fy
+        # In dx's buffer: a third array slows a solve at n = 1e6 by 10%.
+        p = np.divide(dy, dx, out=dx)
+        t = _slope_threshold(p.item(p.argmin()))
+    keep = np.arange(xs.size) if math.isnan(t) else (p <= t).nonzero()[0]
     if keep.size == 1:
         return keep.item(0)
     kx = xs[keep].tolist()
@@ -163,32 +162,15 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
     return int(keep[k])
 
 
-def _det_survivors(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Indices of the candidates at rounded differences (dx, dy) from the
-    fixed point that the determinant filter cannot prove worse than the
-    candidate of least rounded slope dy / dx.
-
-    A candidate whose determinant against that provisional winner the
-    error bound of ``geometry._orient`` proves positive lies strictly above
-    the winner's line and cannot win; NaN, inf and possible underflow count
-    as not proven, so this holds however the differences rounded or
-    overflowed.  Overwrites ``dx`` and ``dy``.
+def _ranged(ext: tuple[float, float], fx: float, fb: float) -> bool:
+    """Whether a numpy scan from dual point (fx, -fb) forms no difference
+    that overflows, given ``ext``: its side's x farthest from the other
+    side, and least intercept.  Rounding is monotone, so the differences
+    from those two bound all others but those toward the largest
+    intercept; one of these that overflows makes the least rounded slope
+    -inf, whose ``_slope_threshold`` is NaN.
     """
-    p = np.divide(dy, dx)
-    w = int(p.argmin())
-    bx = float(dx[w])
-    by = float(dy[w])
-    # p = bx*cy and q = by*cx for every candidate c, in reused buffers.
-    p = np.multiply(dy, bx, out=p)
-    q = np.multiply(dx, by, out=dx)
-    det = np.subtract(p, q, out=dy)
-    detsum = np.abs(p, out=p)
-    detsum += np.abs(q, out=q)
-    # The bound holds where detsum >= _NO_UNDERFLOW, which det > bound
-    # implies, since detsum >= det.
-    bound = np.multiply(detsum, _ERRBOUND, out=q)
-    bound += _NO_UNDERFLOW
-    return np.logical_not(det > bound).nonzero()[0]
+    return math.isfinite(ext[0] - fx) and math.isfinite(ext[1] - fb)
 
 
 def solve(cs: Sequence) -> Solution2:
@@ -265,21 +247,19 @@ def _solve(a: np.ndarray, b: np.ndarray) -> Solution2:
     bl_max = bl.item(bl.argmax())
     top = (bl == bl_max).nonzero()[0]
     i_l = il.item(top.item(0) if top.size == 1 else top[xl[top].argmin()])
-    # No difference the scans form overflows when the sides' extremes
-    # differ by a finite double: rounding is monotone, and every difference
-    # is at most that one.
-    ranged = (math.isfinite(xr.item(xr.argmax()) - xl.item(xl.argmin()))
-              and math.isfinite(max(bl_max, br.item(br.argmax()))
-                                - min(bl.item(bl.argmin()),
-                                      br.item(br.argmin()))))
+    # Each side's extremes, which bound its scans' differences.
+    ext_r = (xr.item(xr.argmax()), br.item(br.argmin()))
+    ext_l = (xl.item(xl.argmin()), bl.item(bl.argmin()))
     # The right side's scans form their dual differences -b - fy as -fy - b.
     with np.errstate(all="ignore"):
         return _pivot(
             a.size, i_l,
-            lambda i: ir.item(_filtered_scan(xr, br, a.item(i), -b.item(i),
-                                             True, ranged)),
-            lambda i: il.item(_filtered_scan(xl, bl, a.item(i), b.item(i),
-                                             False, ranged)),
+            lambda i: ir.item(_filtered_scan(
+                xr, br, a.item(i), -b.item(i), True,
+                _ranged(ext_r, a.item(i), b.item(i)))),
+            lambda i: il.item(_filtered_scan(
+                xl, bl, a.item(i), b.item(i), False,
+                _ranged(ext_l, a.item(i), b.item(i)))),
             lambda i: (a.item(i), -b.item(i)))
 
 

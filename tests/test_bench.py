@@ -51,6 +51,21 @@ class TestRunScaling:
         with pytest.raises(ValueError):
             run_scaling("simplex", sizes=[10], batch=1, seed=0)
 
+    @pytest.mark.parametrize("sizes,batch,bad", [
+        ([0], 1, "sizes .* got 0"), ([10, -5], 4, "sizes .* got -5"),
+        ([10], 0, "batch .* got 0"), ([10], -3, "batch .* got -3"),
+        ([], 1, "empty")])
+    def test_bad_sizes_and_batch_raise_before_timing(self, monkeypatch,
+                                                     sizes, batch, bad):
+        import minmaxlp.bench as bench
+
+        def forbidden():
+            raise AssertionError("timed before checking its arguments")
+
+        monkeypatch.setattr(bench, "perf_counter", forbidden)
+        with pytest.raises(ValueError, match=bad):
+            run_scaling("hough2d", sizes=sizes, batch=batch, seed=0)
+
     def test_brute_size_guard(self):
         with pytest.raises(ValueError):
             run_scaling("brute2d", sizes=[10_000], batch=1, seed=0)

@@ -193,6 +193,12 @@ def test_malformed_answers():
     with pytest.raises(ContractViolation, match="not finite"):
         check2d([(1.0, 0.0), (-1.0, 0.0)],
                 Solution2(Status.OPTIMAL, x=0.0, t=math.inf))
+    # a missing field is no finite answer either
+    with pytest.raises(ContractViolation, match="check2d: .*not finite"):
+        check2d([(1.0, 0.0), (-1.0, 0.0)], Solution2(Status.OPTIMAL))
+    for x, t in [(None, 1.0), (0.0, None)]:
+        with pytest.raises(ContractViolation, match="check3d: .*not finite"):
+            check3d([(1.0, 0.0, 0.0)], Solution3(x=x, y=0.0, t=t))
     # a feasible point that is not optimal, and an infeasible one
     with pytest.raises(ContractViolation, match="no near-tight"):
         check2d([(1, 0), (-1, 0)], Solution2(Status.OPTIMAL, x=0.5, t=0.5))

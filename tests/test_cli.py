@@ -120,6 +120,25 @@ class TestParsePaths:
         assert _outcome(parse_constraints, text) == _outcome(_line_scan, text)
         assert (not scans) == fast
 
+    @pytest.mark.parametrize("text,fast", PARSE_CASES)
+    def test_leading_byte_order_mark_is_dropped(self, text, fast,
+                                                monkeypatch):
+        # Only parse_constraints drops it, so a text's line numbers, and
+        # its reading in one vectorised pass, are those without it.
+        scans = []
+        monkeypatch.setattr(cli, "_parse_lines",
+                            lambda t: scans.append(t) or _line_scan(t))
+        assert (_outcome(parse_constraints, "\ufeff" + text)
+                == _outcome(_line_scan, text))
+        assert (not scans) == fast
+
+    @pytest.mark.parametrize("text,line", [("\ufeff\ufeff1,0\n", 1),
+                                           ("1,0\n\ufeff2,3\n", 2),
+                                           ("1,\ufeff0\n", 1)])
+    def test_other_byte_order_marks_are_data(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}: cannot parse"):
+            parse_constraints(text)
+
     def test_random_texts(self):
         rng = random.Random(5)
         pieces = ["1", "-2.5", "0", "1e3", "+", ",", " ", ",", "\n", "\n",
@@ -416,6 +435,19 @@ class TestMain:
         code, _, err = self.run(capsys, "bench", "--solver", "simplex",
                                 "--sizes", "10", "--batch", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value", [("--sizes", "0"),
+                                            ("--sizes", "10,-5"),
+                                            ("--batch", "0"),
+                                            ("--batch", "-3")])
+    def test_bench_rejects_sizes_and_batch_below_one(self, capsys, flag,
+                                                     value):
+        args = {"--sizes": "10", "--batch": "1", flag: value}
+        code, out, err = self.run(capsys, "bench", *(v for kv in args.items()
+                                                     for v in kv))
+        assert code == 2
+        assert not out
+        assert err.startswith("error: ") and value.split(",")[-1] in err
 
     def test_stdin_input(self, tmp_path, capsys, monkeypatch):
         import io

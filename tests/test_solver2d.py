@@ -590,9 +590,9 @@ def _outcome(cs):
 # zeros of both signs and subnormals, with a few moderate values
 _TINY = tuple(v for v in EDGE_VALUES if abs(v) <= 3.0)
 _DBL_MAX = sys.float_info.max
-# Magnitudes from 2^1021 to DBL_MAX, mixed with moderate values: the
-# sides' extremes differ by a finite double in some problems and not in
-# others, so both the slope prefilter and its fallback run.
+# Magnitudes from 2^1021 to DBL_MAX, mixed with moderate values: a scan's
+# differences overflow in some problems and not in others, so both the
+# slope prefilter and the scans that hand over every candidate run.
 _huge = st.builds(lambda v, neg: -v if neg else v,
                   st.floats(min_value=2.0 ** 1021, max_value=_DBL_MAX)
                   | st.floats(min_value=-1e3, max_value=1e3),
@@ -786,22 +786,35 @@ class TestSharedImages:
 
 
 @pytest.fixture
-def det_calls(monkeypatch):
-    """The candidate counts of every call of the determinant filter."""
+def scanned(monkeypatch):
+    """Every ``_scan`` call as (candidates handed over, fixed point's x)."""
     calls = []
-    survivors = solver2d._det_survivors
+    scan = solver2d._scan
 
-    def spy(dx, dy):
-        calls.append(dx.size)
-        return survivors(dx, dy)
+    def spy(pts, idxs, f):
+        calls.append((len(idxs), pts.xs[f]))
+        return scan(pts, idxs, f)
 
-    monkeypatch.setattr(solver2d, "_det_survivors", spy)
+    monkeypatch.setattr(solver2d, "_scan", spy)
     return calls
 
 
+def _numpy_scans(monkeypatch, scanned, cs):
+    """The ``_scan`` calls of solve(cs) on the numpy path, as (candidates
+    handed over, candidates on the scanned side), once both paths have
+    agreed bit for bit."""
+    rows, cols = _on_both_paths(monkeypatch,
+                                lambda: scanned.clear() or _outcome(cs))
+    assert rows == cols
+    n_right = sum(a > 0 for a, _ in cs)
+    # A right-side scan is seen from a left point, x <= 0, and vice versa.
+    return [(k, n_right if fx <= 0 else len(cs) - n_right)
+            for k, fx in scanned]
+
+
 class TestSlopePrefilter:
-    """``_filtered_scan``: the slope prefilter, its overflow guard and the
-    determinant filter it falls back on."""
+    """``_filtered_scan``: the slope prefilter, and the scans without a
+    proven threshold, which hand every candidate to ``_scan``."""
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_edge_value_candidates_match_rational_scan(self, flip):
@@ -846,37 +859,70 @@ class TestSlopePrefilter:
         assert _bits(rows) == _bits(cols)
         assert cols.pivot_pairs[0][1] == (cx, cy)
 
-    def test_determinant_fallback_with_underflowing_products(
-            self, monkeypatch, det_calls):
+    def test_underflowing_triple_among_far_rows(self, monkeypatch,
+                                                scanned):
         # The geometry test's triple whose products underflow and reorder:
-        # c is the winner.  Two far points make the x extremes 3.4e308
-        # apart, so the guard fails and the determinant filter decides.
+        # c is the winner, with the threshold and without.
         h = float.fromhex
         fx = h("-0x1.38792b613f371p-556")
         bx, by = h("0x1.6a7e3c198c20cp-502"), h("0x1.72d0637cc2346p-529")
         cx, cy = h("0x1.004f98994958ep-502"), h("0x1.0631c7f99c9c6p-529")
-        with np.errstate(all="ignore"):
-            assert solver2d._filtered_scan(np.array([bx, cx]),
-                                           np.array([by, cy]), fx, 0.0,
-                                           False, False) == 1
+        for ranged in (True, False):
+            with np.errstate(all="ignore"):
+                assert solver2d._filtered_scan(np.array([bx, cx]),
+                                               np.array([by, cy]), fx, 0.0,
+                                               False, ranged) == 1
+        # Two far rows put the sides' x extremes 3.4e308 apart, but the
+        # first scan's differences from (fx, 0) stay finite, so it is
+        # filtered: b and c reach ``_scan``, the far right row does not.
         cs = [(fx, 0.0), (bx, -by), (cx, -cy),
               (1.7e308, -1e307), (-1.7e308, -1e307)]
-        rows, cols = _on_both_paths(monkeypatch, lambda: solve(cs))
-        assert det_calls
-        assert _bits(rows) == _bits(cols)
-        assert cols.pivot_pairs[0][1] == (cx, cy)
+        assert _numpy_scans(monkeypatch, scanned, cs)[0] == (2, 3)
+        assert solve(cs).pivot_pairs[0][1] == (cx, cy)
 
-    @pytest.mark.parametrize("scale,fallback", [
-        (1.0, False), (2.0 ** 1021, False), (2.0 ** 1022, True),
-        (_DBL_MAX / 3, True)])
-    def test_guard_falls_back_only_where_differences_may_overflow(
-            self, monkeypatch, det_calls, scale, fallback):
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 1021, 2.0 ** 1022,
+                                       _DBL_MAX / 3])
+    def test_scans_from_moderate_points_stay_filtered(self, monkeypatch,
+                                                      scanned, scale):
         # Slopes within +-2 * scale, both extremes taken: the sides' x
-        # extremes differ by 4 * scale, which overflows from 2^1022 on.
+        # extremes differ by 4 * scale, which overflows from 2^1022 on,
+        # but no fixed point lies far enough out for its own scan's
+        # differences to overflow.
         rows = [(scale * math.tanh(a), b) for a, b in
                 gen2d(GenSpec(n=LARGE, seed=3))]
         rows += [(2 * scale, 0.0), (-2 * scale, 0.0)]
-        rows_sol, cols_sol = _on_both_paths(monkeypatch,
-                                            lambda: _outcome(rows))
-        assert rows_sol == cols_sol
-        assert bool(det_calls) is fallback
+        assert all(k < side
+                   for k, side in _numpy_scans(monkeypatch, scanned, rows))
+
+    @pytest.mark.parametrize("extreme", ["x", "b_lo", "b_hi", "T"])
+    def test_unproven_scan_hands_every_candidate_to_scan(
+            self, monkeypatch, scanned, extreme):
+        # The first scan runs from the left point of largest b, fb.  Rows
+        # make its dx to the farthest right x overflow; or its dy to the
+        # right side's least b, while a right row at b = fb keeps the
+        # least rounded slope at 0; or its dy to the largest b, which makes
+        # that slope -inf; or that slope finite but below -2^1000, where
+        # the threshold stops.
+        rows = [tuple(r) for r in gen2d(GenSpec(n=LARGE, seed=4))]
+        if extreme == "x":
+            rows += [(-1e308, 100.0), (1e308, 0.0)]
+        elif extreme == "b_lo":
+            rows += [(-1.0, 1e308), (1.0, 1e308), (1.0, -1e308)]
+        elif extreme == "b_hi":
+            rows = [(a, b - 1e308 if a <= 0 else b) for a, b in rows]
+            rows.append((1.0, 1e308))
+        else:
+            rows.append((1.0, 1e305))
+        k, side = _numpy_scans(monkeypatch, scanned, rows)[0]
+        assert k == side
+
+    @pytest.mark.parametrize("n", [64, LARGE, 2000])
+    @pytest.mark.parametrize("far", [
+        [(1.7e308, -1e307), (-1.7e308, -1e307)],
+        [(1e308, 1e308), (-1e308, -1.7e308)],
+        [(-1.0, 1.7e308), (1.0, -1.7e308)]])
+    def test_gaussian_with_far_rows_agrees_across_paths(
+            self, monkeypatch, scanned, n, far):
+        for k in range(3):
+            rows = [tuple(r) for r in gen2d(GenSpec(n=n, seed=5), index=k)]
+            _numpy_scans(monkeypatch, scanned, rows + far)
