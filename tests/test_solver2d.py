@@ -880,17 +880,19 @@ class TestSlopePrefilter:
         assert _numpy_scans(monkeypatch, scanned, cs)[0] == (2, 3)
         assert solve(cs).pivot_pairs[0][1] == (cx, cy)
 
-    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 1021, 2.0 ** 1022,
-                                       _DBL_MAX / 3])
-    def test_scans_from_moderate_points_stay_filtered(self, monkeypatch,
-                                                      scanned, scale):
+    @pytest.mark.parametrize("scale,extremes_overflow", [
+        (1.0, False), (2.0 ** 1021, False), (2.0 ** 1022, True),
+        (_DBL_MAX / 3, True)])
+    def test_guard_falls_back_only_where_differences_may_overflow(
+            self, monkeypatch, scanned, scale, extremes_overflow):
         # Slopes within +-2 * scale, both extremes taken: the sides' x
         # extremes differ by 4 * scale, which overflows from 2^1022 on,
         # but no fixed point lies far enough out for its own scan's
-        # differences to overflow.
+        # differences to overflow, so every scan stays filtered.
         rows = [(scale * math.tanh(a), b) for a, b in
                 gen2d(GenSpec(n=LARGE, seed=3))]
         rows += [(2 * scale, 0.0), (-2 * scale, 0.0)]
+        assert math.isinf(4 * scale) is extremes_overflow
         assert all(k < side
                    for k, side in _numpy_scans(monkeypatch, scanned, rows))
 
