@@ -7,9 +7,15 @@ starting with '#' and a leading byte-order mark are ignored; the field
 count must be uniform.  Floats are printed with Python's shortest round-trip
 representation, so emitted corpora re-parse to bit-identical values.
 
+Input is UTF-8; bytes that do not decode are an input error naming their
+line.  ``gen`` writes its rows in blocks as it formats them, so it holds one
+block of text at a time, never the whole file.
+
 Exit codes: 0 success (an unbounded verdict is a valid answer),
 1 stdout closed before the output was written (a broken pipe, as in
 ``minmaxlp prune3d big.txt | head``; nothing is reported), 2 input error,
+including undecodable input, or out of memory (the input or the requested
+instance is too large for this machine; the message names the command),
 3 internal contract violation.
 """
 
@@ -24,6 +30,7 @@ import sys
 import warnings
 from dataclasses import asdict
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +59,10 @@ def parse_constraints(text: str) -> Problem:
     vectorised pass; any other text, and any text that pass rejects, is
     read line by line, which names the first bad line.  Both read every
     field as ``float(field)`` does, once one leading U+FEFF is dropped.
+    The vectorised pass holds a few MB of scratch whatever the size of the
+    text: loadtxt reads the lines of a ``StringIO``, which holds 4 bytes a
+    character, made of the text or, above _PARSE_BLOCK characters, of one
+    block of it at a time.
     """
     text = text.removeprefix("\ufeff")
     # loadtxt splits lines only at \n and \r\n and would take '#' as a
@@ -64,13 +75,31 @@ def parse_constraints(text: str) -> Problem:
             with warnings.catch_warnings():
                 # comment lines alone are no data; the line scan says so
                 warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(io.StringIO(text), ndmin=2,
+                lines = (io.StringIO(text) if len(text) <= _PARSE_BLOCK else
+                         chain.from_iterable(map(io.StringIO, _blocks(text))))
+                rows = np.loadtxt(lines, ndmin=2,
                                   delimiter="," if "," in text else None)
             if rows.shape[0] and rows.shape[1] in (2, 3):
                 return Problem(*rows.T)
         except (ValueError, NonFiniteInput):
             pass
     return _parse_lines(text)
+
+
+# Characters of text in one StringIO of the vectorised parse.  Below it the
+# whole text goes into one, which reads fastest; above, the blocks hold a
+# few MB at most, where the whole text's StringIO would hold 4 times it.
+_PARSE_BLOCK = 1 << 18
+
+
+def _blocks(text: str):
+    """``text`` in slices of at least _PARSE_BLOCK characters, each ending
+    just after a '\\n' but the last, which ends the text."""
+    i = 0
+    while i < len(text):
+        j = text.find("\n", i + _PARSE_BLOCK) + 1 or len(text)
+        yield text[i:j]
+        i = j
 
 
 def _comments_need_line_scan(text: str) -> bool:
@@ -150,15 +179,44 @@ def emit_solution(sol, fmt: str = "json") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+# Rows formatted at once by _write_constraints: about 2.7 MB of floats and
+# their reprs at two fields, whatever the number of rows.
+_BLOCK_ROWS = 1 << 14
+
+
+def _write_constraints(cs, out) -> None:
+    """Write the rows of ``cs`` to the text stream ``out``, one line each,
+    fields in shortest round-trip form and comma-separated, _BLOCK_ROWS
+    rows at a time."""
+    cols = columns(cs, len(cs[0]))
+    for i in range(0, len(cols[0]), _BLOCK_ROWS):
+        fields = [map(repr, col[i:i + _BLOCK_ROWS].tolist()) for col in cols]
+        out.write("\n".join(map(",".join, zip(*fields))) + "\n")
+
+
 def _format_constraints(cs) -> str:
-    fields = [map(repr, col.tolist()) for col in columns(cs, len(cs[0]))]
-    return "\n".join(map(",".join, zip(*fields))) + "\n"
+    out = io.StringIO()
+    _write_constraints(cs, out)
+    return out.getvalue()
 
 
 def _read_input(path: str) -> str:
+    """The text of the file ``path``, or of stdin for '-', decoded as UTF-8.
+    Bytes that do not decode raise ParseError naming their line, numbered
+    as the line scan numbers lines."""
     if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+        if not hasattr(sys.stdin, "buffer"):  # a text stream only
+            return sys.stdin.read()
+        data = sys.stdin.buffer.read()
+    else:
+        data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = len((data[:e.start].decode("utf-8") + "_").splitlines())
+        raise ParseError(f"line {line}: cannot decode byte "
+                         f"{data[e.start]:#04x} as UTF-8: {e.reason}",
+                         line=line) from None
 
 
 def _require_arity(cs, want: int, sub: str):
@@ -237,18 +295,20 @@ def _cmd_gen(args) -> int:
     spec = GenSpec(n=args.n, sigma=args.sigma, seed=args.seed, dim=args.dim)
     make = gen2d if args.dim == 2 else gen3d
     if args.count == 1 and args.out_dir is None:
-        text = _format_constraints(make(spec, index=args.index))
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
+        targets = [(args.index, args.out)]  # no --out: stdout
+    else:
+        out_dir = Path(args.out_dir or ".")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        targets = [(k, out_dir / f"instance_{k:05d}.txt")
+                   for k in range(args.index, args.index + args.count)]
+    for index, path in targets:
+        # Generated before its file is opened: a failure here leaves none.
+        cs = make(spec, index=index)
+        if path is None:
+            _write_constraints(cs, sys.stdout)
         else:
-            sys.stdout.write(text)
-        return 0
-    out_dir = Path(args.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for k in range(args.count):
-        text = _format_constraints(make(spec, index=args.index + k))
-        (out_dir / f"instance_{args.index + k:05d}.txt").write_text(
-            text, encoding="utf-8")
+            with open(path, "w", encoding="utf-8") as f:
+                _write_constraints(cs, f)
     return 0
 
 
@@ -395,6 +455,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ParseError, EmptyProblem, NonFiniteInput, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        detail = f": {e}" if str(e) else ""
+        print(f"error: {args.command}: out of memory{detail}", file=sys.stderr)
         return 2
     except (ContractViolation, AssertionError) as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -54,9 +54,19 @@ def _gaussians(seed: int, index: int, pairs: int,
     column of every pair's z0 and the column of its z1."""
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
     u = np.random.Generator(np.random.Philox(key=key)).random(2 * pairs)
-    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-    ang = _TWO_PI * u[1::2]
-    return sigma * (r * np.cos(ang)), sigma * (r * np.sin(ang))
+    # The steps of sigma * (r * cos(ang)), sigma * (r * sin(ang)), each on
+    # the same operands as written, with the exactly rounded ones in place:
+    # at most four columns are held at once, the uniforms counting as two.
+    r = np.log1p(np.negative(u[0::2]))
+    np.multiply(-2.0, r, out=r)
+    np.sqrt(r, out=r)
+    ang = np.multiply(_TWO_PI, u[1::2])
+    del u
+    z0, z1 = np.cos(ang), np.sin(ang)
+    for z in (z0, z1):
+        np.multiply(r, z, out=z)
+        np.multiply(sigma, z, out=z)
+    return z0, z1
 
 
 def gen2d(spec: GenSpec, index: int = 0) -> Problem:

@@ -149,12 +149,14 @@ def _check_shape(arr: np.ndarray, k: int) -> None:
 
 
 def _check_finite(cols) -> None:
-    """Raise NonFiniteInput naming the first row of ``cols``, k columns or
-    a (k, n) array, with a non-finite field."""
-    finite = np.isfinite(cols)
-    if not finite.all():
-        raise NonFiniteInput(
-            f"constraint {int(np.argmin(finite.all(axis=0)))} is not finite")
+    """Raise NonFiniteInput naming the first row of ``cols``, a (k, n)
+    array or k separate columns, with a non-finite field.  Separate columns
+    are checked one at a time, not stacked into a copy."""
+    blocks = (cols,) if isinstance(cols, np.ndarray) else cols
+    bad = [int(np.argmin(np.atleast_2d(np.isfinite(block)).all(axis=0)))
+           for block in blocks if not np.isfinite(block).all()]
+    if bad:
+        raise NonFiniteInput(f"constraint {min(bad)} is not finite")
 
 
 def columns(cs, k: int) -> Sequence[np.ndarray]:

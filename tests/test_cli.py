@@ -1,16 +1,18 @@
+import hashlib
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from minmaxlp import (Constraint2, Constraint3, EmptyProblem, MixedArity,
-                      ParseError, Problem, Solution2, Solution3, Status,
-                      brute3d_box, prune)
+from minmaxlp import (Constraint2, Constraint3, EmptyProblem, GenSpec,
+                      MixedArity, ParseError, Problem, Solution2, Solution3,
+                      Status, brute3d_box, gen2d, gen3d, prune)
 from minmaxlp import cli
 from minmaxlp.cli import (_apply_mode, _format_constraints, emit_solution,
                           main, parse_constraints)
@@ -150,6 +152,33 @@ class TestParsePaths:
             assert (_outcome(parse_constraints, text)
                     == _outcome(_line_scan, text)), repr(text)
 
+    @pytest.mark.parametrize("block", [1, 4])
+    def test_blocks_read_alike(self, block, monkeypatch):
+        # A long text reaches loadtxt a block at a time; the blocks hold the
+        # text's lines as they are, so outcome and reader stay the same.
+        rng = random.Random(block)
+        pieces = ["1", "-2.5", "0", "1e3", ",", " ", "\n", "\n", "\r\n",
+                  "\r", "\t", "#"]
+        texts = [text for text, _ in PARSE_CASES] + [
+            "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
+            for _ in range(500)]
+        want = []
+        for text in texts:
+            scans = []
+            monkeypatch.setattr(cli, "_parse_lines",
+                                lambda t: scans.append(t) or _line_scan(t))
+            want.append((_outcome(parse_constraints, text), not scans))
+        monkeypatch.setattr(cli, "_PARSE_BLOCK", block)
+        for text, expected in zip(texts, want):
+            scans = []
+            monkeypatch.setattr(cli, "_parse_lines",
+                                lambda t: scans.append(t) or _line_scan(t))
+            assert (_outcome(parse_constraints, text), not scans) == expected
+            if text:
+                blocks = list(cli._blocks(text))
+                assert "".join(blocks) == text
+                assert all(b.endswith("\n") for b in blocks[:-1])
+
     def test_generated_text_is_read_in_one_pass(self, monkeypatch):
         from minmaxlp import GenSpec, gen2d, gen3d
         monkeypatch.setattr(cli, "_parse_lines", None)
@@ -163,6 +192,30 @@ class TestParsePaths:
             assert got == cs
 
 
+    @pytest.mark.parametrize("dim,n", [(2, 1000), (2, 10_000), (2, 100_000),
+                                       (2, 1_000_000), (3, 1000),
+                                       (3, 10_000)])
+    def test_gen_files_read_bitwise_in_one_pass(self, dim, n, tmp_path,
+                                                monkeypatch):
+        # A gen file's rows are the generator's, bit for bit, and the
+        # vectorised pass reads them; up to 1e5 rows the text is also read
+        # by loadtxt through a StringIO, as it once was.
+        path = tmp_path / "g.txt"
+        assert main(["gen", "--dim", str(dim), "--n", str(n), "--seed", "2",
+                     "--out", str(path)]) == 0
+        text = cli._read_input(str(path))
+        monkeypatch.setattr(cli, "_parse_lines", None)
+        got = np.asarray(parse_constraints(text))
+        want = np.asarray((gen2d if dim == 2 else gen3d)(
+            GenSpec(n=n, seed=2, dim=dim)))
+        assert got.tobytes() == want.tobytes()
+        if n <= 100_000:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                old = np.loadtxt(io.StringIO(text), ndmin=2, delimiter=",")
+            assert got.tobytes() == old.tobytes()
+
+
 class TestFormatConstraints:
     @pytest.mark.parametrize("rows", [
         [(0.1, -0.0), (5e-324, 1e308), (1e16, 1e-5), (-1e22, 123.0)],
@@ -172,6 +225,94 @@ class TestFormatConstraints:
                          for r in rows) + "\n"
         assert _format_constraints(rows) == want
         assert _format_constraints(Problem(*zip(*rows))) == want
+
+
+# SHA-256 of the file `minmaxlp gen --dim D --n N --seed 1` wrote when it
+# formatted all rows into one string: (dim, n) -> digest.  The sizes
+# straddle the writer's block of 16384 rows.
+GEN_SHA256 = {
+    (2, 1): "f36b3747332e943a39996493a41127da05ae81cecc70b8cecb3765d3ba2d0203",
+    (2, 7): "f9b9fd6786324994993cac79560dbb6a877207eba8a3ac39db3ed46618844317",
+    (2, 16383):
+        "8113be1a7cd7207ba9a1b9bd2a44649756716b7b4ce3bec928120261debe552f",
+    (2, 16384):
+        "74bc1a7d8b49c66b1c345bef416ce6f8505abc7e963d3b1530fdf9a886104e48",
+    (2, 16385):
+        "904dcf411430fec3cdf5275f3a654a62523aa053f866e10888dbfb615be7b852",
+    (2, 100000):
+        "f604b05fe0e335d9786001050c8764eceee2a9bf1d4aba839f09f6a5e0723e98",
+    (3, 1): "46b4fe2721d466a9e563d791a770bcdeca9cdc5310a87beaad47c4d2707d2e3c",
+    (3, 7): "637ffd204e7f55d578f03c979770c2a7f8dbe7bcaeadabc367bcf4d14aa28fd1",
+    (3, 16383):
+        "fd2e038df06653d098cf00716f2f7e564db1c578a897d7cbc96c9c3eba75f432",
+    (3, 16384):
+        "2c365ba7a19a9b362c53df9087fd98a378c24786286270a12a64f82ece39f223",
+    (3, 16385):
+        "6533d20c48bb3f6c891e71361b53a6cabffed6f20e35e2b553bc417f65279db4",
+    (3, 100000):
+        "9f8f11ce6722b8ffe2239fbdac4b9270c1bbf065de482046e14e0de8da2a616c",
+}
+# The same for `--index 4 --count 2 --out-dir D`: (dim, n, index) -> digest.
+GEN_DIR_SHA256 = {
+    (2, 7, 4):
+        "54e13abfe130a32ab96fd68b922857da8516c3ffc90fae6a38ccfd202664c9a7",
+    (2, 7, 5):
+        "89dde4f5f3f3a637286798971d65dae68c82c0605c5c7ab3f3455e5eda6f727b",
+    (2, 16385, 4):
+        "c1b0bcbb7fd59faf61718c4d5e07713e159d4a504e163e02406cf79b7d8314eb",
+    (2, 16385, 5):
+        "26f3d756fbb601324746140e7fe422e925af46d19a6ecc3a095735da58a49dd2",
+    (3, 7, 4):
+        "56a9b0af76af5255eaeccb4e1cbb0c931cdcbab6fbd93743efa2775598f46888",
+    (3, 7, 5):
+        "524f1f67c5b43e021831f2ee7e498cd4efca0e6f6b3088ede94a3e7be715e845",
+    (3, 16385, 4):
+        "814227e13d5cd93ef729ce80f777f8bc293ee5acc5b521473a0d9d4c7f16dc9a",
+    (3, 16385, 5):
+        "a94080dc0b0f368566e9ee0cfc7d15525b81a8412cc8db5eb99b2204865d0bb0",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGenBytes:
+    """gen writes in blocks of rows the bytes it once wrote at once."""
+
+    def test_sizes_straddle_the_block(self):
+        assert cli._BLOCK_ROWS == 16384
+
+    @pytest.mark.parametrize("dim,n", sorted(GEN_SHA256))
+    def test_out_file(self, dim, n, tmp_path):
+        path = tmp_path / "g.txt"
+        assert main(["gen", "--dim", str(dim), "--n", str(n), "--seed", "1",
+                     "--out", str(path)]) == 0
+        assert _sha256(path.read_bytes()) == GEN_SHA256[dim, n]
+
+    @pytest.mark.parametrize("dim,n", sorted(GEN_SHA256))
+    def test_stdout(self, dim, n, capsysbinary):
+        assert main(["gen", "--dim", str(dim), "--n", str(n),
+                     "--seed", "1"]) == 0
+        out = capsysbinary.readouterr()
+        assert out.err == b""
+        assert _sha256(out.out) == GEN_SHA256[dim, n]
+
+    @pytest.mark.parametrize("dim,n", sorted({k[:2] for k in GEN_DIR_SHA256}))
+    def test_out_dir(self, dim, n, tmp_path):
+        assert main(["gen", "--dim", str(dim), "--n", str(n), "--seed", "1",
+                     "--index", "4", "--count", "2",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "instance_00004.txt", "instance_00005.txt"]
+        for k in (4, 5):
+            data = (tmp_path / f"instance_{k:05d}.txt").read_bytes()
+            assert _sha256(data) == GEN_DIR_SHA256[dim, n, k]
+
+    def test_format_constraints_is_the_writer(self):
+        cs = gen3d(GenSpec(n=16385, seed=1, dim=3))
+        text = _format_constraints(cs)
+        assert _sha256(text.encode()) == GEN_SHA256[3, 16385]
 
 
 class TestEmitSolution:
@@ -462,6 +603,67 @@ class TestMain:
         code, out, err = self.run(capsys, "solve2d", "-")
         assert code == 2 and out == ""
         assert "line 2" in err
+
+    @pytest.mark.parametrize("command,patched", [("gen", "gen2d"),
+                                                 ("oracle", "brute2d")])
+    @pytest.mark.parametrize("message", ["Unable to allocate 29.8 GiB", ""])
+    def test_out_of_memory_is_an_input_error(self, tmp_path, monkeypatch,
+                                             capsys, command, patched,
+                                             message):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(*([message] if message else []))
+
+        monkeypatch.setattr(cli, patched, exhausted)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.txt").write_text("1,0\n-1,1\n")
+        argv = (["gen", "--n", "3", "--out", "g.txt"] if command == "gen"
+                else ["oracle", "p.txt"])
+        code, out, err = self.run(capsys, *argv)
+        assert code == 2 and out == ""
+        want = f"error: {command}: out of memory"
+        assert err == (f"{want}: {message}\n" if message else f"{want}\n")
+        # gen fails before it opens its file, so it leaves none
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.txt"]
+
+    @pytest.mark.parametrize("data,line", [
+        (b"1,0\n-1,\xff\n", 2),
+        (b"\xff,0\n", 1),
+        (b"1,0\r\n-1,1\r2,\xc3\n", 3),
+        # \v breaks a line for the line scan, so line 4 holds the bad byte
+        (b"\xef\xbb\xbf1,0\n\xe2\x82\xac,1\n3\x0b\xe2\x82,4\n", 4),
+        (b"1,0\n2,1\n\xe2", 3),
+    ])
+    def test_undecodable_bytes_name_their_line(self, tmp_path, monkeypatch,
+                                               capsys, data, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            cli._read_input(str(path))
+        assert err.value.line == line
+        code, out, err_file = self.run(capsys, "solve2d", str(path))
+        assert code == 2 and out == ""
+        assert err_file.startswith(f"error: line {line}: cannot decode")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="strict"))
+        assert self.run(capsys, "solve2d", "-") == (2, "", err_file)
+
+    def test_undecodable_stdin_in_a_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "minmaxlp.cli", "solve2d", "-"],
+            input=b"1,0\n-1,\xff\n", capture_output=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr.startswith(b"error: line 2: cannot decode")
+
+    def test_gen_to_a_closed_pipe_in_a_process(self):
+        # the writer's first blocks fill the pipe; the reader is gone
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "minmaxlp.cli", "gen", "--n", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(64)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert len(head) == 64 and err == b""
 
     def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
         # one parser serves every call; a usage error, an input error and

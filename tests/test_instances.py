@@ -1,9 +1,11 @@
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 from minmaxlp import Constraint2, GenSpec, gen2d, gen3d
+from minmaxlp.model import columns
 
 
 class TestGenSpec:
@@ -82,3 +84,30 @@ class TestGen3d:
     def test_requires_dim3(self):
         with pytest.raises(ValueError):
             gen3d(GenSpec(n=3, dim=2))
+
+
+def _box_muller(seed, index, pairs, sigma):
+    """The generator's columns as first written, one temporary a step."""
+    key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random(2 * pairs)
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    ang = 2.0 * math.pi * u[1::2]
+    return sigma * (r * np.cos(ang)), sigma * (r * np.sin(ang))
+
+
+def _bits(col):
+    return np.ascontiguousarray(col).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("n,seed,index,sigma", [
+    (1, 0, 0, math.sqrt(10.0)), (2, 1, 0, math.sqrt(10.0)),
+    (7, 42, 3, 0.5), (1001, 2**64 + 5, 17, math.sqrt(10.0)),
+    (65_537, 9, 2**63, 3.0), (200_000, 1, 1, math.sqrt(10.0))])
+def test_columns_bitwise_as_first_written(n, seed, index, sigma):
+    z0, z1 = _box_muller(seed, index, n, sigma)
+    got = gen2d(GenSpec(n=n, sigma=sigma, seed=seed), index=index)
+    assert list(map(_bits, columns(got, 2))) == [_bits(z0), _bits(z1)]
+    z0, z1 = _box_muller(seed, index, 2 * n, sigma)
+    got = gen3d(GenSpec(n=n, sigma=sigma, seed=seed, dim=3), index=index)
+    assert list(map(_bits, columns(got, 3))) == [
+        _bits(z0[0::2]), _bits(z1[0::2]), _bits(z0[1::2])]

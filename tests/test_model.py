@@ -118,6 +118,15 @@ class TestBuild:
         # sums that overflow are not themselves a fault
         Problem([1e308, 1e308], [1e308, -1e308])
 
+    def test_first_non_finite_row_over_all_columns(self):
+        # the columns are checked one at a time; the least row is named
+        for cols in (([0.0, 0.0, np.inf, 0.0], [0.0, np.nan, 0.0, np.nan]),
+                     ([0.0, -np.inf, 0.0], [0.0, 0.0, 0.0], [0, 0, np.nan])):
+            with pytest.raises(NonFiniteInput, match="constraint 1 "):
+                Problem(*cols)
+            with pytest.raises(NonFiniteInput, match="constraint 1 "):
+                columns(np.array(cols).T, len(cols))
+
     @pytest.mark.parametrize("cols", [
         ([1.0],), ([1.0], [1.0], [1.0], [1.0]), ([1.0, 2.0], [1.0]),
         ([[1.0]], [[2.0]])])
