@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -354,16 +355,18 @@ def _solve_on_line(us: list, vs: list, ws: list, j: int, am: float,
     on the line u_j*x + v_j*y = w_j that satisfies half-planes 0..j-1.
 
     The line is parametrised by the coordinate whose coefficient is smaller
-    in magnitude, s, so the other one, r = (w - u*s)/v, stays well
-    conditioned; every half-plane p*s + q*r <= r0 becomes a bound on s.
+    in magnitude, s in [0, 1], so the other one, r = (w - u*s)/v, stays
+    well conditioned.  Every half-plane p*s + q*r <= r0 becomes a bound on
+    s, and so do the box's -r <= 0 and r <= 1, as (0, -1, 0) and (0, 1, 1).
     """
     u, v, w = us[j], vs[j], ws[j]
     swap = abs(v) < abs(u)
+    # gs and gr: the objective's coefficients of s and of r
     if swap:
         u, v = v, u
-        ps, qs = vs, us
+        ps, qs, gs, gr = vs, us, bm, am
     else:
-        ps, qs = us, vs
+        ps, qs, gs, gr = us, vs, am, bm
     if v == 0.0:
         raise ContractViolation(
             "solve3d: a half-plane with zero normal is violated")
@@ -373,16 +376,10 @@ def _solve_on_line(us: list, vs: list, ws: list, j: int, am: float,
     # Set when the floats say some half-plane misses the line: exactly,
     # none can, so the point found is then checked to miss by rounding only.
     missed = False
-    # r = (w - u*s)/v in [0, 1] means u*s <= w and u*s >= w - v.
-    if u > 0.0:
-        hi = min(hi, w / u)
-        lo = max(lo, (w - v) / u)
-    elif u < 0.0:
-        lo = max(lo, w / u)
-        hi = min(hi, (w - v) / u)
-    elif not 0.0 <= w <= v:
-        missed = True
-    for p, q, r0 in zip(ps[:j], qs[:j], ws[:j]):
+    # Half-planes 0..j-1, then the box's two: zip stops with ws[:j], the
+    # one slice it needs.
+    for p, q, r0 in chain(zip(ps, qs, ws[:j]),
+                          ((0.0, -1.0, 0.0), (0.0, 1.0, 1.0))):
         # p*s + q*(w - u*s)/v <= r0, times v > 0
         den = p * v - q * u
         num = r0 * v - q * w
@@ -396,14 +393,11 @@ def _solve_on_line(us: list, vs: list, ws: list, j: int, am: float,
                 lo = bound
         elif num < 0.0:
             missed = True
-    if swap:
-        # s is y and r is x: the objective rises along s by
-        # sign(bm*v - am*u), and x = (w - u*s)/v falls along s when u > 0.
-        g = _product_sign(bm, am, u, v)
-        at_lo = g > 0 or (g == 0 and u <= 0.0)
-    else:
-        # s is x: the objective rises along s by sign(am*v - bm*u).
-        at_lo = _product_sign(am, bm, u, v) >= 0
+    # The objective rises along s by g = sign(gs*v - gr*u).  On a level
+    # line the smaller x wins: s itself, or, when s is y, x = r, which
+    # falls along s when u > 0.
+    g = _product_sign(gs, gr, u, v)
+    at_lo = g > 0 or (g == 0 and not (swap and u > 0.0))
     ends = (lo, hi) if at_lo else (hi, lo)
     worst = math.inf
     for s in ends:

@@ -127,7 +127,7 @@ def _scan(pts: _ExactPoints, idxs: Sequence[int], f: int) -> int:
 
 
 def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
-                   flip: bool, ranged: bool) -> int:
+                   flip: bool, ext: tuple[float, float]) -> int:
     """``_scan`` over the numpy columns of the points (xs, ys), or
     (xs, -ys) when ``flip``, seen from (fx, fy).
 
@@ -137,13 +137,18 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
     The rest, the true winner and its exact ties always among them, go to
     ``_scan`` in index order, with (fx, fy) after them, so ties resolve
     exactly as in a scan over all candidates.  The proof needs a T of
-    moderate size and differences dx, dy that do not overflow, which
-    ``ranged`` vouches for; without either, every candidate goes to
-    ``_scan``.  Runs with numpy's floating-point warnings off, as
-    ``_solve`` calls it.
+    moderate size and differences dx, dy that do not overflow; without
+    either, every candidate goes to ``_scan``.  ``ext`` is the side's
+    extremes: the x farthest from fx and the least of ``ys``.  Rounding is
+    monotone, so ext[0] - fx and ext[1] - fb, where fb is fy in the frame
+    of ``ys`` (-fy with ``flip``), bound every difference but those toward
+    the largest ``ys``; one of these that overflows makes the least rounded
+    slope -inf, whose ``_slope_threshold`` is NaN.  Runs with numpy's
+    floating-point warnings off, as ``_solve`` calls it.
     """
     t = math.nan
-    if ranged:
+    fb = -fy if flip else fy
+    if math.isfinite(ext[0] - fx) and math.isfinite(ext[1] - fb):
         dx = xs - fx
         # With flip the candidates' y is -ys: -fy - ys is their difference,
         # rounded once, as (-ys) - fy would be.
@@ -160,17 +165,6 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
     ky.append(fy)
     k = _scan(_ExactPoints(kx, ky), range(keep.size), keep.size)
     return int(keep[k])
-
-
-def _ranged(ext: tuple[float, float], fx: float, fb: float) -> bool:
-    """Whether a numpy scan from dual point (fx, -fb) forms no difference
-    that overflows, given ``ext``: its side's x farthest from the other
-    side, and least intercept.  Rounding is monotone, so the differences
-    from those two bound all others but those toward the largest
-    intercept; one of these that overflows makes the least rounded slope
-    -inf, whose ``_slope_threshold`` is NaN.
-    """
-    return math.isfinite(ext[0] - fx) and math.isfinite(ext[1] - fb)
 
 
 def solve(cs: Sequence) -> Solution2:
@@ -254,12 +248,10 @@ def _solve(a: np.ndarray, b: np.ndarray) -> Solution2:
     with np.errstate(all="ignore"):
         return _pivot(
             a.size, i_l,
-            lambda i: ir.item(_filtered_scan(
-                xr, br, a.item(i), -b.item(i), True,
-                _ranged(ext_r, a.item(i), b.item(i)))),
-            lambda i: il.item(_filtered_scan(
-                xl, bl, a.item(i), b.item(i), False,
-                _ranged(ext_l, a.item(i), b.item(i)))),
+            lambda i: ir.item(_filtered_scan(xr, br, a.item(i), -b.item(i),
+                                             True, ext_r)),
+            lambda i: il.item(_filtered_scan(xl, bl, a.item(i), b.item(i),
+                                             False, ext_l)),
             lambda i: (a.item(i), -b.item(i)))
 
 

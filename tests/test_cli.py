@@ -10,9 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
-from minmaxlp import (Constraint2, Constraint3, EmptyProblem, GenSpec,
-                      MixedArity, ParseError, Problem, Solution2, Solution3,
-                      Status, brute3d_box, gen2d, gen3d, prune)
+from minmaxlp import (Constraint2, Constraint3, ContractViolation,
+                      EmptyProblem, GenSpec, MixedArity, ParseError, Problem,
+                      Solution2, Solution3, Status, brute3d_box, gen2d, gen3d,
+                      prune)
 from minmaxlp import cli
 from minmaxlp.cli import (_apply_mode, _format_constraints, emit_solution,
                           main, parse_constraints)
@@ -359,6 +360,13 @@ class TestEmitSolution:
         with pytest.raises(ValueError):
             emit_solution(Solution2(Status.UNBOUNDED), fmt="xml")
 
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    @pytest.mark.parametrize("obj", [{"status": "optimal"}, None, 1.5])
+    def test_unknown_object(self, fmt, obj):
+        with pytest.raises(TypeError,
+                           match=f"cannot emit {type(obj).__name__}$"):
+            emit_solution(obj, fmt)
+
 
 class TestMain:
     def run(self, capsys, *argv):
@@ -570,7 +578,16 @@ class TestMain:
         data = json.loads(report.read_text())
         assert set(data["results"]) == {"hough2d", "baseline_hull"}
         assert "baseline_over_hough_time_ratio" in data
-        assert csv.read_text().startswith("solver,n,batch")
+        # each CSV row holds the report's fields: floats in repr, the
+        # baseline's missing pivot counts as "None"
+        want = ["solver,n,batch,total_s,mean_s,median_s,mean_iterations,"
+                "max_iterations"] + [
+            f"{r['solver']},{r['n']},{r['batch']},{r['total_s']!r},"
+            f"{r['mean_s']!r},{r['median_s']!r},{r['mean_iterations']},"
+            f"{r['max_iterations']}"
+            for rs in data["results"].values() for r in rs]
+        assert csv.read_text() == "\n".join(want) + "\n"
+        assert csv.read_text().count("None") == 4
 
     def test_bench_unknown_solver(self, capsys):
         code, _, err = self.run(capsys, "bench", "--solver", "simplex",
@@ -603,6 +620,19 @@ class TestMain:
         code, out, err = self.run(capsys, "solve2d", "-")
         assert code == 2 and out == ""
         assert "line 2" in err
+
+    @pytest.mark.parametrize("error", [ContractViolation, AssertionError])
+    def test_internal_error_exits_3(self, tmp_path, monkeypatch, capsys,
+                                    error):
+        def broken(cs, sol):
+            raise error("certificate rejected")
+
+        monkeypatch.setattr(cli, "check2d", broken)
+        f = tmp_path / "p.txt"
+        f.write_text("1,0\n-1,0\n")
+        code, out, err = self.run(capsys, "solve2d", str(f), "--validate")
+        assert code == 3 and out == ""
+        assert err == "internal error: certificate rejected\n"
 
     @pytest.mark.parametrize("command,patched", [("gen", "gen2d"),
                                                  ("oracle", "brute2d")])

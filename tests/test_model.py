@@ -81,6 +81,13 @@ class TestSequence:
         assert np.asarray(prob, dtype=float).shape == (len(ROWS), 2)
         assert np.asarray(prob[:0]).shape == (0, 2)
 
+    def test_as_array_without_a_copy_raises(self, prob):
+        # The rows are stacked from the columns, so no copy-free view exists.
+        for get in (lambda: np.asarray(prob, copy=False),
+                    lambda: prob.__array__(copy=False)):
+            with pytest.raises(ValueError, match="built by a copy"):
+                get()
+
     def test_writes_raise(self, prob):
         with pytest.raises(TypeError):
             prob[0] = Constraint2(0.0, 0.0)

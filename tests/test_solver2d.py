@@ -812,6 +812,12 @@ def _numpy_scans(monkeypatch, scanned, cs):
             for k, fx in scanned]
 
 
+def _ext(fx, fy, flip, ranged):
+    """Side extremes for ``_filtered_scan`` from (fx, fy) whose overflow
+    check passes when ``ranged`` and fails otherwise."""
+    return (fx, -fy if flip else fy) if ranged else (math.inf, math.inf)
+
+
 class TestSlopePrefilter:
     """``_filtered_scan``: the slope prefilter, and the scans without a
     proven threshold, which hand every candidate to ``_scan``."""
@@ -835,7 +841,8 @@ class TestSlopePrefilter:
             for guard in {ranged, False}:
                 with np.errstate(all="ignore"):
                     got = solver2d._filtered_scan(np.array(xs), col, fx, fy,
-                                                  flip, guard)
+                                                  flip,
+                                                  _ext(fx, fy, flip, guard))
                 assert got == want, (fx, fy, xs, ys, guard)
 
     def test_reordered_subnormal_slopes(self, monkeypatch):
@@ -853,7 +860,8 @@ class TestSlopePrefilter:
         with np.errstate(all="ignore"):
             assert solver2d._filtered_scan(np.array([bx, cx]),
                                            np.array([-by, -cy]), fx, 0.0,
-                                           True, True) == 1
+                                           True,
+                                           _ext(fx, 0.0, True, True)) == 1
         cs = [(fx, 0.0), (bx, -by), (cx, -cy)]
         rows, cols = _on_both_paths(monkeypatch, lambda: solve(cs))
         assert _bits(rows) == _bits(cols)
@@ -869,9 +877,9 @@ class TestSlopePrefilter:
         cx, cy = h("0x1.004f98994958ep-502"), h("0x1.0631c7f99c9c6p-529")
         for ranged in (True, False):
             with np.errstate(all="ignore"):
-                assert solver2d._filtered_scan(np.array([bx, cx]),
-                                               np.array([by, cy]), fx, 0.0,
-                                               False, ranged) == 1
+                assert solver2d._filtered_scan(
+                    np.array([bx, cx]), np.array([by, cy]), fx, 0.0, False,
+                    _ext(fx, 0.0, False, ranged)) == 1
         # Two far rows put the sides' x extremes 3.4e308 apart, but the
         # first scan's differences from (fx, 0) stay finite, so it is
         # filtered: b and c reach ``_scan``, the far right row does not.
