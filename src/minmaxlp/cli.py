@@ -7,6 +7,11 @@ starting with '#' and a leading byte-order mark are ignored; the field
 count must be uniform.  Floats are printed with Python's shortest round-trip
 representation, so emitted corpora re-parse to bit-identical values.
 
+The answering subcommands, solve2d, solve3d, prune3d and oracle, share one
+path: read the input, check its field count (2 for solve2d, 3 for solve3d
+and prune3d, either for oracle), apply --mode, answer, certify the answer
+on --validate (for prune3d, the kept rows' optimum) and print it.
+
 Input is UTF-8; bytes that do not decode are an input error naming their
 line.  ``gen`` writes its rows in blocks as it formats them, so it holds one
 block of text at a time, never the whole file.
@@ -220,13 +225,6 @@ def _read_input(path: str) -> str:
                          line=line) from None
 
 
-def _require_arity(cs, want: int, sub: str):
-    have = len(cs[0])
-    if have != want:
-        raise ParseError(
-            f"{sub} needs {want}-field constraints, input has {have}")
-
-
 def _apply_mode(cs: Problem, mode: str) -> Problem:
     """``cs``, or with mode "abs" each residual row r as the pair r, -r."""
     if mode != "abs":
@@ -236,54 +234,38 @@ def _apply_mode(cs: Problem, mode: str) -> Problem:
     return signed_pairs(columns(cs, 3))
 
 
-def _cmd_solve2d(args) -> int:
+def _cmd_answer(args) -> int:
+    """solve2d, solve3d, prune3d and oracle: read the input, check its
+    field count (oracle takes either), apply --mode, answer, certify on
+    --validate and print.  Each solver and check is looked up by its name
+    here, at the call, so rebinding a module attribute reaches it."""
     cs = parse_constraints(_read_input(args.input))
-    _require_arity(cs, 2, "solve2d")
+    cmd = args.command
+    if cmd != "oracle":
+        want = 2 if cmd == "solve2d" else 3
+        have = len(cs[0])
+        if have != want:
+            raise ParseError(
+                f"{cmd} needs {want}-field constraints, input has {have}")
     cs = _apply_mode(cs, args.mode)
-    sol = solve(cs)
-    if args.validate:
-        check2d(cs, sol)
-    print(emit_solution(sol, args.format))
-    return 0
-
-
-def _cmd_solve3d(args) -> int:
-    cs = parse_constraints(_read_input(args.input))
-    _require_arity(cs, 3, "solve3d")
-    cs = _apply_mode(cs, args.mode)
-    sol = solve3d(cs)
-    if args.validate:
-        check3d(cs, sol)
-    print(emit_solution(sol, args.format))
-    return 0
-
-
-def _cmd_prune3d(args) -> int:
-    cs = parse_constraints(_read_input(args.input))
-    _require_arity(cs, 3, "prune3d")
-    report = prune(cs)
-    if args.validate:
-        # Pruning soundness, not an answer: the optimum of the kept
-        # constraints, with t taken over all of them, must answer the
-        # full problem.
-        sol = solve3d(report.kept)
-        t = objective(columns(cs, 3), sol.x, sol.y)
-        check3d(cs, Solution3(x=sol.x, y=sol.y, t=t))
-    print(emit_solution(report, args.format))
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    cs = _apply_mode(parse_constraints(_read_input(args.input)), args.mode)
-    if len(cs[0]) == 2:
-        sol = brute2d(cs)
-        if args.validate:
-            check2d(cs, sol)
+    two_fields = cmd == "solve2d" or cmd == "oracle" and len(cs[0]) == 2
+    if cmd == "prune3d":
+        answer = prune(cs)
+    elif cmd == "oracle":
+        answer = brute2d(cs) if two_fields else brute3d_box(cs)
     else:
-        sol = brute3d_box(cs)
-        if args.validate:
-            check3d(cs, sol)
-    print(emit_solution(sol, args.format))
+        answer = solve(cs) if two_fields else solve3d(cs)
+    if args.validate:
+        sol = answer
+        if cmd == "prune3d":
+            # Pruning soundness, not an answer: the optimum of the kept
+            # constraints, with t taken over all of them, must answer the
+            # full problem.
+            sol = solve3d(answer.kept)
+            t = objective(columns(cs, 3), sol.x, sol.y)
+            sol = Solution3(x=sol.x, y=sol.y, t=t)
+        (check2d if two_fields else check3d)(cs, sol)
+    print(emit_solution(answer, args.format))
     return 0
 
 
@@ -366,37 +348,28 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Solvers and tools for linear min-max problems.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_io(p, validate_help):
+    for name, help_, validate_help in (
+            ("solve2d", "pivoting solver, one variable",
+             "certify the answer: the status, and t between an exact "
+             "lower bound and the objective at x, up to rounding"),
+            ("solve3d", "randomized incremental LP over the unit box, "
+                        "expected linear time",
+             "certify the answer: (x, y) in the box, and t between an "
+             "exact lower bound and the objective there, up to rounding"),
+            ("prune3d", "report safe constraint discards",
+             "certify the kept rows' optimum as an answer to the full "
+             "problem"),
+            ("oracle", "brute-force reference solve",
+             "certify the answer as solve2d or solve3d does")):
+        p = sub.add_parser(name, help=help_)
         p.add_argument("input", help="constraint file, or '-' for stdin")
-        p.add_argument("--mode", choices=("lp", "abs"), default="lp",
-                       help="abs treats rows as |.| residuals and expands "
-                            "them into constraint pairs")
+        if name != "prune3d":  # prune3d prunes the rows as given
+            p.add_argument("--mode", choices=("lp", "abs"), default="lp",
+                           help="abs treats rows as |.| residuals and "
+                                "expands them into constraint pairs")
         p.add_argument("--format", choices=("json", "tsv"), default="json")
         p.add_argument("--validate", action="store_true", help=validate_help)
-
-    p = sub.add_parser("solve2d", help="pivoting solver, one variable")
-    add_io(p, "certify the answer: the status, and t between an exact "
-              "lower bound and the objective at x, up to rounding")
-    p.set_defaults(fn=_cmd_solve2d)
-
-    p = sub.add_parser("solve3d",
-                       help="randomized incremental LP over the unit box, "
-                            "expected linear time")
-    add_io(p, "certify the answer: (x, y) in the box, and t between an "
-              "exact lower bound and the objective there, up to rounding")
-    p.set_defaults(fn=_cmd_solve3d)
-
-    p = sub.add_parser("prune3d", help="report safe constraint discards")
-    p.add_argument("input", help="constraint file, or '-' for stdin")
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
-    p.add_argument("--validate", action="store_true",
-                   help="certify the kept rows' optimum as an answer to "
-                        "the full problem")
-    p.set_defaults(fn=_cmd_prune3d)
-
-    p = sub.add_parser("oracle", help="brute-force reference solve")
-    add_io(p, "certify the answer as solve2d or solve3d does")
-    p.set_defaults(fn=_cmd_oracle)
+        p.set_defaults(fn=_cmd_answer, mode="lp")
 
     p = sub.add_parser("gen", help="emit seeded Gaussian instances")
     p.add_argument("--dim", type=int, choices=(2, 3), default=2)

@@ -77,13 +77,21 @@ class Problem(Sequence):
     Python floats: ``len``, indexing, slicing (a view of the same type),
     iteration and ``==`` against a list of rows or another problem behave
     as on that list, and ``np.asarray(p)`` is the (n, k) array of its rows.
-    ``columns`` hands the columns to the solvers without a copy.
+    ``columns`` hands the columns to the solvers without a copy.  A
+    number beyond the double range, such as the int 10**400, is not finite
+    either: ``Problem([1.0, 10**400], [0.0, 0.0])`` raises NonFiniteInput
+    naming constraint 1.
     """
 
     __slots__ = ("_cols",)
 
     def __init__(self, *cols):
-        cols = [np.asarray(col, dtype=float) for col in cols]
+        try:
+            cols = [np.asarray(col, dtype=float) for col in cols]
+        except OverflowError:
+            read = np.frompyfunc(_read_float, 1, 1)
+            cols = [read(np.asarray(col, dtype=object)).astype(float)
+                    for col in cols]
         if not (len(cols) in (2, 3) and all(col.ndim == 1 for col in cols)
                 and len({col.size for col in cols}) == 1):
             raise ValueError("a problem needs 2 or 3 columns of one length")
@@ -167,7 +175,9 @@ def columns(cs, k: int) -> Sequence[np.ndarray]:
     (k, n) array.  Raises ValueError for a problem, row or array with fewer
     than ``k`` fields and for an array of any other shape, EmptyProblem for
     no constraints at all, and NonFiniteInput for a non-finite field,
-    naming the first such constraint.
+    naming the first such constraint.  A number beyond the double range,
+    such as the int 10**400 in a row or an object array, is a non-finite
+    field.
     """
     if isinstance(cs, np.ndarray) and cs.ndim == 0:
         _check_shape(cs, k)  # a 0-d array has no rows to count
@@ -177,18 +187,36 @@ def columns(cs, k: int) -> Sequence[np.ndarray]:
         if len(cs._cols) < k:
             raise ValueError(f"constraints need at least {k} fields")
         return cs._cols[:k]
-    if isinstance(cs, np.ndarray):
-        _check_shape(cs, k)
-        cols = np.asarray(cs[:, :k], dtype=float).T
-    else:
-        n = len(cs)
-        fields = chain.from_iterable(map(itemgetter(*range(k)), cs))
-        try:
-            cols = np.fromiter(fields, float, k * n).reshape(n, k).T
-        except IndexError:
-            raise ValueError(f"constraints need at least {k} fields") from None
+    try:
+        if isinstance(cs, np.ndarray):
+            _check_shape(cs, k)
+            cols = np.asarray(cs[:, :k], dtype=float).T
+        else:
+            cols = _fields(cs, k)
+    except OverflowError:  # a number no double holds, such as 10**400
+        cols = _fields(cs, k, _read_float)
     _check_finite(cols)
     return cols
+
+
+def _fields(rows, k: int, read=None) -> np.ndarray:
+    """The first ``k`` fields of the ``rows`` as one (k, n) float64 array,
+    each read by ``read`` first when one is given."""
+    n = len(rows)
+    fields = chain.from_iterable(map(itemgetter(*range(k)), rows))
+    try:
+        return np.fromiter(fields if read is None else map(read, fields),
+                           float, k * n).reshape(n, k).T
+    except IndexError:
+        raise ValueError(f"constraints need at least {k} fields") from None
+
+
+def _read_float(v) -> float:
+    """float(v), or an infinity where v lies beyond the double range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
 
 
 def signed_pairs(cols) -> Problem:

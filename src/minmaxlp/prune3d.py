@@ -316,9 +316,8 @@ def _seidel(a0: np.ndarray, b0: np.ndarray,
         if d < -err or (d <= err and not _exceeds(ak, bk, ck, x, y, t)):
             continue
         x, y = _solve_on_plane(a, b, c, k, scale)
-        k1 = k + 1
-        top = max([u * x + v * y + w
-                   for u, v, w in zip(a[:k1], b[:k1], c[:k1])])
+        # zip stops at the shortest list, so one slice bounds all three
+        top = max([u * x + v * y + w for u, v, w in zip(a, b, c[:k + 1])])
         t = top + 2.0 * _EVAL * (3.0 * scale + abs(top))
         err = _EVAL * (3.0 * scale + abs(t))
     return x, y

@@ -756,3 +756,122 @@ class TestMain:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["x"] == 0.5
+
+
+# The files of the answering subcommands' transcript: 2 and 3 fields, an
+# unbounded problem, a parse error, no constraints, and field counts that
+# no command takes.
+_ANSWER_FILES = {
+    "two.txt": _format_constraints(gen2d(GenSpec(n=40, seed=3))),
+    "three.txt": _format_constraints(gen3d(GenSpec(n=30, seed=3, dim=3))),
+    "unbounded.txt": "1,0\n2,3\n",
+    "garbled.txt": "1,0\n-1,zero\n",
+    "empty.txt": "# no rows\n\n",
+    "four.txt": "1,2,3,4\n5,6,7,8\n",
+    "mixed.txt": "1,0\n1,2,3\n",
+}
+_ANSWERING = ("solve2d", "solve3d", "prune3d", "oracle")
+# SHA-256 of _transcript over every answering argv, and over every --help,
+# as the four subcommands had them when each had its own function.
+ANSWER_SHA256 = (
+    "4a208f043d02e60dbef50e596c88fc62d254756627a55eb63b60c9f11be0a418")
+HELP_SHA256 = (
+    "72d8c18ce49b879716a797a4069fca8dbc7977d52d712da5e95c33acbbafc153")
+
+
+def _answer_argvs():
+    """Each answering subcommand on each of _ANSWER_FILES, in each format,
+    with and without --validate, with no --mode and with each of its two
+    values (a usage error for prune3d, which takes none)."""
+    return [[cmd, name, "--format", fmt, *validate, *mode]
+            for cmd in _ANSWERING for name in _ANSWER_FILES
+            for fmt in ("json", "tsv")
+            for validate in ([], ["--validate"])
+            for mode in ([], ["--mode", "lp"], ["--mode", "abs"])]
+
+
+def _transcript(argvs, capsys) -> str:
+    """One line per argv: the argv, main's exit code, stdout and stderr."""
+    lines = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        lines.append(f"{argv!r} {code!r} {out.out!r} {out.err!r}\n")
+    return "".join(lines)
+
+
+class TestAnswerPath:
+    """solve2d, solve3d, prune3d and oracle share one answering path."""
+
+    run = TestMain.run
+
+    def test_transcript(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name, text in _ANSWER_FILES.items():
+            (tmp_path / name).write_text(text)
+        text = _transcript(_answer_argvs(), capsys)
+        assert _sha256(text.encode()) == ANSWER_SHA256
+
+    def test_help(self, monkeypatch, capsys):
+        if sys.version_info[:2] != (3, 11):
+            pytest.skip("argparse lays out help differently in other "
+                        "Python versions")
+        monkeypatch.setenv("COLUMNS", "80")
+        argvs = [["--help"]] + [[cmd, "--help"] for cmd in
+                                (*_ANSWERING, "gen", "bench")]
+        text = _transcript(argvs, capsys)
+        assert _sha256(text.encode()) == HELP_SHA256
+
+    @pytest.mark.parametrize("command,text,want,have", [
+        ("solve2d", "1,2,3\n4,5,6\n", 2, 3),
+        ("solve3d", "1,0\n-1,1\n", 3, 2),
+        ("prune3d", "1,0\n-1,1\n", 3, 2),
+    ])
+    @pytest.mark.parametrize("validate", [[], ["--validate"]])
+    def test_field_count_gate(self, tmp_path, capsys, command, text, want,
+                              have, validate):
+        f = tmp_path / "p.txt"
+        f.write_text(text)
+        assert self.run(capsys, command, str(f), *validate) == (
+            2, "", f"error: {command} needs {want}-field constraints, "
+                   f"input has {have}\n")
+
+    @pytest.mark.parametrize("argv,called", [
+        (["solve2d", "two.txt", "--validate"],
+         {"parse_constraints", "solve", "check2d"}),
+        (["solve2d", "two.txt", "--mode", "abs", "--validate"],
+         {"parse_constraints", "expand_absolute", "solve", "check2d"}),
+        (["solve3d", "three.txt", "--validate"],
+         {"parse_constraints", "solve3d", "check3d"}),
+        (["prune3d", "three.txt", "--validate"],
+         {"parse_constraints", "prune", "solve3d", "check3d"}),
+        (["oracle", "two.txt", "--mode", "abs", "--validate"],
+         {"parse_constraints", "expand_absolute", "brute2d", "check2d"}),
+        (["oracle", "three.txt", "--validate"],
+         {"parse_constraints", "brute3d_box", "check3d"}),
+    ])
+    def test_names_are_looked_up_when_called(self, tmp_path, monkeypatch,
+                                             capsys, argv, called):
+        # A tracer rebinds these module attributes of cli; the answering
+        # path must reach each through its name at call time.
+        names = ("parse_constraints", "expand_absolute", "solve", "solve3d",
+                 "prune", "brute2d", "brute3d_box", "check2d", "check3d")
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        monkeypatch.chdir(tmp_path)
+        for name in ("two.txt", "three.txt"):
+            (tmp_path / name).write_text(_ANSWER_FILES[name])
+        code, _, err = self.run(capsys, *argv)
+        assert code == 0, err
+        assert {name for name, k in calls.items() if k} == called

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,3 +210,48 @@ class TestEmpty:
     def test_zero_dim_array_is_a_shape_error(self, name):
         with pytest.raises(ValueError, match="shape"):
             _READERS[name][1](np.array(1.0))
+
+
+class TestBeyondDoubleRange:
+    """A number that no double holds, such as the int 10**400, is a
+    non-finite field: every reader raises NonFiniteInput naming its row,
+    never the OverflowError of its conversion."""
+
+    @staticmethod
+    def rows(k, huge=10**400):
+        return [(1.0, 0.0, 0.0)[:k], (huge, 0, 0)[:k], (-1.0, 0.0, 0.0)[:k]]
+
+    @pytest.mark.parametrize("name", sorted(_READERS))
+    @pytest.mark.parametrize("huge", [10**400, -10**400,
+                                      Fraction(10**400, 3)])
+    def test_rows(self, name, huge):
+        k, fn = _READERS[name]
+        with pytest.raises(NonFiniteInput, match="^constraint 1 is not finite$"):
+            fn(self.rows(k, huge))
+
+    @pytest.mark.parametrize("name", sorted(_READERS))
+    def test_object_array(self, name):
+        k, fn = _READERS[name]
+        with pytest.raises(NonFiniteInput, match="^constraint 1 is not finite$"):
+            fn(np.array(self.rows(k), dtype=object))
+
+    @pytest.mark.parametrize("cols", [
+        ([1.0, 10**400], [0.0, 0.0]),
+        ([1.0, 2.0], [0.0, 0.0], [0, -10**400]),
+        (np.array([1.0, 10**400], dtype=object), [0.0, 0.0]),
+    ])
+    def test_problem(self, cols):
+        with pytest.raises(NonFiniteInput, match="^constraint 1 is not finite$"):
+            Problem(*cols)
+
+    def test_first_bad_row_is_named(self):
+        # a nan before the huge int, and a huge int before an inf
+        with pytest.raises(NonFiniteInput, match="^constraint 0 "):
+            solve([(np.nan, 0.0), (10**400, 0.0), (-1.0, 0.0)])
+        with pytest.raises(NonFiniteInput, match="^constraint 1 "):
+            Problem([1.0, 10**400, np.inf], [0.0, 0.0, 0.0])
+
+    def test_large_ints_in_range_are_read(self):
+        assert columns([(10**300, 0), (-1, 2)], 2).tolist() == [
+            [1e300, -1.0], [0.0, 2.0]]
+        assert Problem([10**300, 1], [0, 2]) == [(1e300, 0.0), (1.0, 2.0)]
