@@ -102,7 +102,7 @@ def check2d(cs: Sequence, sol: Solution2) -> None:
     O(n) numpy work and O(1) Fraction work; no reference solver.
     """
     a, b = columns(cs, 2)
-    unbounded = bool((a > 0.0).all() or (a < 0.0).all())
+    unbounded = bool(a.min() > 0.0 or a.max() < 0.0)
     if (sol.status is Status.UNBOUNDED) is not unbounded:
         raise ContractViolation(
             f"check2d: status {sol.status.value}, but "

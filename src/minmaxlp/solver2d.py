@@ -24,15 +24,20 @@ already holds them), and ``_solve`` decides the setup on them once: the
 sides, UNBOUNDED, the constant answer and the x-mirror.  Only the start
 search and the scans depend on size.  Below ``_COLUMNAR_MIN_N`` constraints
 both run over the columns as Python lists.  From there on they run in
-numpy, and each pivot scan is the slope prefilter (``_filtered_scan``), the
-path's one filter: it forms every candidate's rounded slope in one
-vectorised pass, and one comparison against a threshold from
-``geometry._slope_threshold`` drops every candidate whose exact slope is
-proven larger than the least rounded slope's.  The survivors, if more than
-one, go to ``_scan``.  The threshold's proof needs coordinate differences
-that do not overflow, which each scan checks on its side's extremes, and a
-threshold of moderate size; a scan without both hands every candidate to
-``_scan``.
+numpy, on one side-ordered copy of the columns: a (2, n) buffer of the
+left rows, then the right rows, each in input order, which the scans read
+as slices and the pivots index.  It is filled, and each scan reads it, in
+blocks of ``_BLOCK`` rows, so a solve holds its input's size once and a
+few blocks besides.  Each pivot scan is the slope prefilter
+(``_filtered_scan``): it forms every candidate's rounded slope, and a
+threshold from ``geometry._slope_threshold`` drops every candidate whose
+exact slope is proven larger than the least rounded slope's.  The
+survivors, if more than one, go to ``_scan``.  The threshold's proof needs
+coordinate differences that do not overflow: a candidate whose own
+differences overflow is kept beside the survivors, and a scan whose least
+slope is too large for a threshold keeps every candidate.  Where many
+survive, as seen from a fixed point far from them all, the signs of their
+turns drop the ones proven steeper (``_not_steeper``) first.
 """
 
 from __future__ import annotations
@@ -60,13 +65,27 @@ __all__ = [
 ]
 
 # Problems with at least this many constraints take the numpy path.  Below
-# it numpy's fixed per-call cost (about 45 us a solve) outweighs the
-# vectorised scan.  On Gaussian instances held as columns, on a 2-CPU
-# x86-64 host with numpy 2.4 (medians of 9 runs), the list path takes 43 us
-# at 48 constraints against 47 us, and 54 us at 64 against 46 us.  On exact
-# fits, where the exact predicates dominate both paths, the numpy path is
-# up to 10% slower from 48 to 80 constraints and level at 96.
+# it numpy's fixed per-call cost outweighs the vectorised scan.  On a 2-CPU
+# x86-64 host with numpy 2.4 (medians of 15 interleaved rounds over 9
+# instances), on Gaussian instances held as columns the list path takes
+# 20.0 us at 32 constraints against 22.4 us, 25.6 us at 48 against 23.1 us
+# and 25.7 us at 64 against 19.7 us.  On exact fits, where the exact
+# predicates dominate both paths, the numpy path is 1.3-1.6 times slower
+# from 32 to 128 constraints, which keeps the cut here.
 _COLUMNAR_MIN_N = 64
+# The numpy path's block of rows, at least _COLUMNAR_MIN_N: its setup fills
+# the side-ordered copy of the columns, and each scan of a larger side
+# forms its differences, this many rows at a time.  At 1e5 constraints
+# each side fits in one block: smaller blocks made that size 6% slower.
+_BLOCK = 1 << 16
+# A scan whose slope threshold keeps more than this many candidates drops
+# the ones its turns prove steeper first (``_not_steeper``).  On fewer,
+# ``_scan`` costs about as much: on exact fits, whose candidates are all
+# collinear, the turns prove nothing, and taking them above 16 survivors
+# made 100-row fits 16% slower.
+_TURNS_MIN = 256
+# ``_not_steeper`` takes at most this many steps.
+_TURNS_MAX = 8
 
 
 def expand_absolute(rows: Sequence) -> Problem:
@@ -127,7 +146,7 @@ def _scan(pts: _ExactPoints, idxs: Sequence[int], f: int) -> int:
 
 
 def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
-                   flip: bool, ext: tuple[float, float]) -> int:
+                   flip: bool, span: float) -> int:
     """``_scan`` over the numpy columns of the points (xs, ys), or
     (xs, -ys) when ``flip``, seen from (fx, fy).
 
@@ -137,34 +156,188 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
     The rest, the true winner and its exact ties always among them, go to
     ``_scan`` in index order, with (fx, fy) after them, so ties resolve
     exactly as in a scan over all candidates.  The proof needs a T of
-    moderate size and differences dx, dy that do not overflow; without
-    either, every candidate goes to ``_scan``.  ``ext`` is the side's
-    extremes: the x farthest from fx and the least of ``ys``.  Rounding is
-    monotone, so ext[0] - fx and ext[1] - fb, where fb is fy in the frame
-    of ``ys`` (-fy with ``flip``), bound every difference but those toward
-    the largest ``ys``; one of these that overflows makes the least rounded
-    slope -inf, whose ``_slope_threshold`` is NaN.  Runs with numpy's
-    floating-point warnings off, as ``_solve`` calls it.
+    moderate size, and a scan without one hands every candidate to
+    ``_scan``.  It also needs differences dx, dy that do not overflow: a
+    candidate whose own dx or dy does is kept whatever its slope, and T
+    comes from the others.  Where more than ``_TURNS_MIN`` candidates are
+    kept, ``_not_steeper`` drops those whose turns prove them steeper
+    than the least first.
+
+    ``span`` bounds every |dy| of the solve, and is inf where some dx or
+    dy may overflow.  Every |dx| is at least |fx|, as the candidates lie
+    on the other side of x = 0, so where span / |fx| is finite no
+    difference or quotient overflows, and the scan runs with numpy's
+    floating-point warnings as they are; otherwise it runs with them off.
+    A side of at most ``_BLOCK`` rows is one block, and the common case
+    there, one survivor, is found by a second least slope above T; larger
+    sides, and scans that may overflow, take ``_survivors``' blocked pass.
     """
-    t = math.nan
+    n = xs.size
     fb = -fy if flip else fy
-    if math.isfinite(ext[0] - fx) and math.isfinite(ext[1] - fb):
+    if not (fx and math.isfinite(span / fx)):
+        with np.errstate(all="ignore"):
+            keep, w = _survivors(xs, ys, fx, fb, flip,
+                                 not math.isfinite(span))
+    elif n > _BLOCK:
+        keep, w = _survivors(xs, ys, fx, fb, flip, False)
+    else:
         dx = xs - fx
-        # With flip the candidates' y is -ys: -fy - ys is their difference,
-        # rounded once, as (-ys) - fy would be.
-        dy = -fy - ys if flip else ys - fy
-        # In dx's buffer: a third array slows a solve at n = 1e6 by 10%.
-        p = np.divide(dy, dx, out=dx)
-        t = _slope_threshold(p.item(p.argmin()))
-    keep = np.arange(xs.size) if math.isnan(t) else (p <= t).nonzero()[0]
-    if keep.size == 1:
-        return keep.item(0)
-    kx = xs[keep].tolist()
-    ky = (-ys[keep] if flip else ys[keep]).tolist()
+        p = np.divide(np.subtract(fb, ys) if flip else ys - fb, dx, dx)
+        w = int(p.argmin())
+        least = p.item(w)
+        t = _slope_threshold(least)
+        p[w] = math.inf
+        # A second least slope above T: w alone survives.  (Never so for
+        # a NaN T.)
+        if p.item(p.argmin()) > t:
+            return w
+        p[w] = least
+        keep = (p <= t).nonzero()[0] if t == t else None
+    if keep is None:
+        keep = np.arange(n)
+    elif len(keep) == 1:
+        return int(keep[0])
+    kx = xs[keep]
+    ky = -ys[keep] if flip else ys[keep]
+    if keep.size > _TURNS_MIN:
+        near = _not_steeper(kx, ky, fx, fy, int(np.searchsorted(keep, w)))
+        keep = keep[near]
+        if keep.size == 1:
+            return int(keep[0])
+        kx = kx[near]
+        ky = ky[near]
+    kx = kx.tolist()
+    ky = ky.tolist()
     kx.append(fx)
     ky.append(fy)
-    k = _scan(_ExactPoints(kx, ky), range(keep.size), keep.size)
+    k = _scan(_ExactPoints(kx, ky), range(len(keep)), len(keep))
     return int(keep[k])
+
+
+def _not_steeper(cx: np.ndarray, cy: np.ndarray, fx: float, fy: float,
+                 w: int) -> np.ndarray:
+    """A mask of the candidates (cx, cy) whose slope seen from (fx, fy)
+    is not proven larger than the least, found from candidate w by the
+    signs of turns.
+
+    Where every candidate's slope rounds alike, as seen from a fixed point
+    far from them all, the slope threshold keeps them all, but their
+    turns still differ.  The turn (f, w, c) is formed with w as the base,
+    as in ``geometry._orient``: (cx - wx) * (fy - wy) - (cy - wy) *
+    (fx - wx), whose float filter decides it wherever nothing overflows.
+    A candidate whose turn is proven positive is steeper than w and is
+    dropped; the one of least turn among those proven negative, which is
+    below the line through f and w, becomes w, and this repeats until
+    none is, at most ``_TURNS_MAX`` times.  f - w is scaled by a power of
+    two first, so that its products with every c - w, and their sums,
+    stay below 2^1023 and a far f overflows nothing, as far as both parts
+    of f - w stay normal: the scaling is exact, and scales a turn and its
+    bound alike.  Where f - w itself overflows, it is formed from the
+    halves of f and w, where halving them is exact; otherwise nothing
+    more is proven.  A product that overflows gives inf or NaN, which
+    proves nothing.
+    """
+    keep = np.ones(cx.size, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_TURNS_MAX):
+            wx = cx.item(w)
+            wy = cy.item(w)
+            dx = cx - wx
+            dy = cy - wy
+            # Every c - w that does not overflow lies below 2^m.
+            most = np.maximum(abs(dx), abs(dy))
+            m = math.frexp(most.max(where=np.isfinite(most), initial=0.0))[1]
+            ex = fx - wx
+            ey = fy - wy
+            if not (math.isfinite(ex) and math.isfinite(ey)):
+                # Halve the four first, where that is exact: then the
+                # differences are the halves of the rounded ones.
+                half = (0.5 * fx, 0.5 * wx, 0.5 * fy, 0.5 * wy)
+                if (2.0 * half[0], 2.0 * half[1], 2.0 * half[2],
+                        2.0 * half[3]) != (fx, wx, fy, wy):
+                    break
+                ex = half[0] - half[1]
+                ey = half[2] - half[3]
+            # Scaled by 2^-k, f - w keeps every bit, as each nonzero part
+            # stays normal, and where it can its products stay below
+            # 2^1022.
+            e = [math.frexp(v)[1] for v in (ex, ey) if v]
+            k = max(0, min(max(e) + m - 1022, min(e) + 1021))
+            sx = math.ldexp(ex, -k)
+            sy = math.ldexp(ey, -k)
+            p = dx * sy
+            q = dy * sx
+            det = p - q
+            bound = _ERRBOUND * (abs(p) + abs(q)) + _NO_UNDERFLOW
+            keep &= ~(det > bound)
+            below = np.where(det < -bound, det, 0.0)
+            w = int(below.argmin())
+            if not below.item(w) < 0.0:
+                break
+    return keep
+
+
+def _survivors(xs: np.ndarray, ys: np.ndarray, fx: float, fb: float,
+               flip: bool, wide: bool):
+    """The ascending indices of the candidates that ``_filtered_scan``'s
+    threshold keeps, seen from (fx, fb) in the frame of ``ys`` (dy is
+    fb - ys with ``flip``, ys - fb without), or None when no threshold is
+    proven; and the index of a candidate of least rounded slope.  With
+    ``wide``, the candidates whose own dx or dy overflows are kept as
+    well, and the threshold comes from the others.
+
+    One pass over blocks of ``_BLOCK`` rows, their differences formed in
+    one reused (2, block) buffer, keeps the least slope so far, its
+    threshold, and the candidates at or below that threshold with their
+    slopes.  ``_slope_threshold`` is monotone, so the threshold only
+    falls, and a final filter against the last one leaves exactly the
+    candidates that one pass over all of them would keep.  A block whose
+    least slope lies above the threshold keeps nothing.
+    """
+    n = xs.size
+    work = np.empty((2, min(n, _BLOCK)))
+    inf = math.inf
+    least = t = inf  # no threshold yet: every candidate stays
+    w = 0
+    found = []
+    for s in range(0, n, _BLOCK):
+        e = min(n, s + _BLOCK)
+        dx = np.subtract(xs[s:e], fx, work[0, :e - s])
+        dy = work[1, :e - s]
+        if flip:
+            np.subtract(fb, ys[s:e], dy)
+        else:
+            np.subtract(ys[s:e], fb, dy)
+        if wide:
+            over = np.isinf(dx)
+            over |= np.isinf(dy)
+        p = np.divide(dy, dx, dx)
+        if wide:
+            p[over] = inf
+        j = p.argmin()
+        pj = p.item(j)
+        if pj < least:
+            least = pj
+            w = s + int(j)
+            t = _slope_threshold(pj)
+            if t != t:
+                if not pj > 0.0:
+                    return None, w  # the least slope only falls
+                t = inf
+        if wide and over.any():
+            p[over] = -inf  # kept against every threshold
+        elif pj > t:
+            continue
+        k = (p <= t).nonzero()[0]
+        found.append((k + s, p[k]))
+    if t == inf:
+        return None, w
+    if len(found) == 1:
+        # The block that set the last threshold is the only one that kept
+        # any candidate, and it kept them against that threshold.
+        return found[0][0], w
+    keep = np.concatenate([k for k, _ in found])
+    return keep[np.concatenate([q for _, q in found]) <= t], w
 
 
 def solve(cs: Sequence) -> Solution2:
@@ -188,31 +361,41 @@ def _solve(a: np.ndarray, b: np.ndarray) -> Solution2:
     The sides, UNBOUNDED, the constant answer and the x-mirror are decided
     here once; only the start search and the scans differ by size.  The
     dual points are (a, -b); the left side's scans see them mirrored in y,
-    (a, b).
+    (a, b).  The numpy path copies the columns once, side by side, into a
+    (2, n) buffer: a mask, its ``nonzero`` and ``take`` into the buffer for
+    each block of ``_BLOCK`` rows (one take a column where one block holds
+    them all), and no index array outlives its block.  The side order
+    keeps the tie rules, as each side stays in input order.  The start
+    point and the ranges that tell the scans whether a difference may
+    overflow come from the buffer.
     """
+    n = a.size
     on_right = a > 0.0
-    ir = on_right.nonzero()[0]
-    if ir.size == a.size:
+    # The list path and a one-block copy take the right rows' indices, and
+    # count them by those; more blocks count them alone.
+    ir = None
+    if n < _COLUMNAR_MIN_N or n <= _BLOCK:
+        ir = on_right.nonzero()[0]
+    nr = np.count_nonzero(on_right) if ir is None else ir.size
+    if nr == n:
         return Solution2(Status.UNBOUNDED)
-    if ir.size == 0:
-        if not a.any():
+    if nr == 0:
+        if not np.count_nonzero(a):
             # Every slope is zero: the objective is the constant max b_i.
             return Solution2(Status.OPTIMAL, x=0.0, t=b.item(b.argmax()),
                              iterations=0)
         # Slopes are all <= 0 with at least one negative: mirror x so the
         # strictly negative slopes land on the right side, solve, mirror back.
         return _mirror_back(_solve(-a, b))
-    il = np.logical_not(on_right, out=on_right).nonzero()[0]
-
     # Start from the lowest left point, ties to the smaller x and then the
     # first index; any left point is a valid start, the lowest one just
     # pivots less.
-    if a.size < _COLUMNAR_MIN_N:
+    if n < _COLUMNAR_MIN_N:
         xs = a.tolist()
         ys = b.tolist()
         dpy = [-v for v in ys]
-        left = il.tolist()
         right = ir.tolist()
+        left = np.logical_not(on_right).nonzero()[0].tolist()
         i_l = left[0]
         ly = dpy[i_l]
         lx = xs[i_l]
@@ -227,32 +410,65 @@ def _solve(a: np.ndarray, b: np.ndarray) -> Solution2:
         dual = _ExactPoints(xs, dpy)
         mirrored = _ExactPoints(xs, ys, dual)
         return _pivot(
-            len(xs), i_l,
+            n, i_l,
             lambda i: _scan(dual, right, i),
             lambda i: _scan(mirrored, left, i),
-            lambda i: (xs[i], dpy[i]))
+            lambda i: Point2(xs[i], dpy[i]))
 
-    xl = a[il]
-    bl = b[il]
-    xr = a[ir]
-    br = b[ir]
-    # A unique lowest point skips the tie break, which C5's n = 1e3 point
-    # feels.
-    bl_max = bl.item(bl.argmax())
-    top = (bl == bl_max).nonzero()[0]
-    i_l = il.item(top.item(0) if top.size == 1 else top[xl[top].argmin()])
-    # Each side's extremes, which bound its scans' differences.
-    ext_r = (xr.item(xr.argmax()), br.item(br.argmin()))
-    ext_l = (xl.item(xl.argmin()), bl.item(bl.argmin()))
+    nl = n - nr
+    buf = np.empty((2, n))
+    xs = buf[0]
+    ys = buf[1]
+    if n <= _BLOCK:
+        # One block: both sides in one take a column.
+        il = np.logical_not(on_right, out=on_right).nonzero()[0]
+        order = np.concatenate((il, ir))
+        a.take(order, None, xs, "clip")
+        b.take(order, None, ys, "clip")
+    else:
+        lo, hi = 0, nl
+        for s in range(0, n, _BLOCK):
+            e = s + _BLOCK
+            m = on_right[s:e]
+            ir = m.nonzero()[0]
+            il = np.logical_not(m, out=m).nonzero()[0]
+            ab = a[s:e]
+            bb = b[s:e]
+            kl = lo + il.size
+            kr = hi + ir.size
+            ab.take(il, None, xs[lo:kl], "clip")
+            bb.take(il, None, ys[lo:kl], "clip")
+            ab.take(ir, None, xs[hi:kr], "clip")
+            bb.take(ir, None, ys[hi:kr], "clip")
+            lo = kl
+            hi = kr
+    xl, yl, xr, yr = xs[:nl], ys[:nl], xs[nl:], ys[nl:]
+    i_l = int(yl.argmax())
+    top = yl.item(i_l)
+    # argmax finds the first lowest point; a unique one skips the tie
+    # break, which C5's n = 1e3 point feels.
+    rest = yl[i_l + 1:]
+    if rest.size and rest.item(rest.argmax()) == top:
+        tied = (yl == top).nonzero()[0]
+        i_l = int(tied[xl[tied].argmin()])
+    # Every dx and dy of a scan is a difference of two slopes or of two
+    # intercepts, so their ranges bound its magnitude; inf where some
+    # difference may overflow.  One block takes the range of all values in
+    # two calls; more blocks take each side's, which reads fewer values.
+    if n <= _BLOCK:
+        span = buf.item(buf.argmax()) - buf.item(buf.argmin())
+    else:
+        span = max(xr.item(xr.argmax()) - xl.item(xl.argmin()),
+                   max(top, yr.item(yr.argmax()))
+                   - min(yl.item(yl.argmin()), yr.item(yr.argmin())))
     # The right side's scans form their dual differences -b - fy as -fy - b.
-    with np.errstate(all="ignore"):
-        return _pivot(
-            a.size, i_l,
-            lambda i: ir.item(_filtered_scan(xr, br, a.item(i), -b.item(i),
-                                             True, ext_r)),
-            lambda i: il.item(_filtered_scan(xl, bl, a.item(i), b.item(i),
-                                             False, ext_l)),
-            lambda i: (a.item(i), -b.item(i)))
+    return _pivot(
+        n, i_l,
+        lambda i: nl + _filtered_scan(xr, yr, xs.item(i), -ys.item(i), True,
+                                      span),
+        lambda i: _filtered_scan(xl, yl, xs.item(i), ys.item(i), False,
+                                 span),
+        lambda i: Point2(xs.item(i), -ys.item(i)))
 
 
 def _mirror_back(sol: Solution2) -> Solution2:
@@ -267,7 +483,7 @@ def _mirror_back(sol: Solution2) -> Solution2:
 
 def _pivot(n: int, i_l: int, scan_right: Callable[[int], int],
            scan_left: Callable[[int], int],
-           point: Callable[[int], tuple[float, float]]) -> Solution2:
+           point: Callable[[int], Point2]) -> Solution2:
     """Alternate the two sides' scans from left point ``i_l`` to the answer.
 
     ``scan_right(i)`` is the right point of minimal slope seen from left
@@ -278,6 +494,8 @@ def _pivot(n: int, i_l: int, scan_right: Callable[[int], int],
     pairs: list[tuple[int, int]] = []
     iters = 1
     i_r = scan_right(i_l)
+    # Successive pairs share a point: each point is built once.
+    pts = {i_l: point(i_l), i_r: point(i_r)}
     pairs.append((i_l, i_r))
     limit = 2 * n * n + 64
     while True:
@@ -286,20 +504,21 @@ def _pivot(n: int, i_l: int, scan_right: Callable[[int], int],
         if j == i_l:
             break
         i_l = j
+        pts[j] = point(j)
         pairs.append((i_l, i_r))
         j = scan_right(i_l)
         iters += 1
         if j == i_r:
             break
         i_r = j
+        pts[j] = point(j)
         pairs.append((i_l, i_r))
         if iters > limit:
             raise ContractViolation("pivot loop exceeded its iteration bound")
 
-    m, t = _line_through(*point(i_l), *point(i_r), "solve")
-    recorded = tuple((Point2(*point(i)), Point2(*point(j))) for i, j in pairs)
-    return Solution2(Status.OPTIMAL, x=m, t=t, iterations=iters,
-                     pivot_pairs=recorded)
+    m, t = _line_through(*pts[i_l], *pts[i_r], "solve")
+    return Solution2(Status.OPTIMAL, m, t, iters,
+                     tuple([(pts[i], pts[j]) for i, j in pairs]))
 
 
 def solve_boxed(cs: Sequence, lo: float, hi: float) -> Solution2:

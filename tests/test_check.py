@@ -8,6 +8,7 @@ mutant corpora hold no such cases.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from minmaxlp import (ContractViolation, GenSpec, NonFiniteInput, Solution2,
                       Solution3, Status, brute2d, brute3d_box, check2d,
                       check3d, expand_absolute, gen2d, gen3d, solve,
                       solve3d, solve_baseline)
-from minmaxlp import baseline, oracle, prune3d, solver2d
+from minmaxlp import baseline, model, oracle, prune3d, solver2d
 from minmaxlp.model import columns, objective
 
 
@@ -226,3 +227,119 @@ def test_no_reference_solver_is_called(monkeypatch):
         check2d(cs, solve(cs))
     for _, cs in CORPUS3D[::5]:
         check3d(cs, solve3d(cs))
+
+
+def _answers():
+    """(check, problem, answer): every solver answer of the corpora, with
+    t raised by 1e-13 relative, and each box point moved by 1e-3."""
+    out = []
+    for _, cs in CORPUS2D + CANCELLING2D:
+        sol = solve(cs)
+        out.append((check2d, cs, sol))
+        if sol.status is Status.OPTIMAL:
+            out.append((check2d, cs, Solution2(
+                Status.OPTIMAL, x=sol.x,
+                t=sol.t + 1e-13 * max(1.0, abs(sol.t)))))
+    # many planes through one point: rows near-tight at the answer by
+    # various small amounts
+    probes = []
+    for m in (300, 3000):
+        rng = np.random.default_rng(m)
+        for _ in range(3):
+            a, b = rng.normal(0.0, 3.0, m), rng.normal(0.0, 3.0, m)
+            probes.append(np.stack([a, b, 1.0 - a * 0.17925800707829326
+                                    - b * 0.5062426186871909], axis=1))
+    for cs in [cs for _, cs in CORPUS3D] + probes:
+        sol = solve3d(cs)
+        x = sol.x + 1e-3 if sol.x <= 0.5 else sol.x - 1e-3
+        out += [(check3d, cs, sol),
+                (check3d, cs, Solution3(x=sol.x, y=sol.y, t=sol.t + 1e-13
+                                        * max(1.0, abs(sol.t)))),
+                (check3d, cs, Solution3(x=x, y=sol.y,
+                                        t=objective(columns(cs, 3), x,
+                                                    sol.y)))]
+    return out
+
+
+ANSWERS = _answers()
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The near-tight rows each certificate draws on, as (indices,
+    values) lists, one entry per check."""
+    calls = []
+
+    def spy(cols, point, t, lower_bound, who):
+        def recorded(idx, values):
+            calls.append((idx.tolist(), values.tolist()))
+            return lower_bound(idx, values)
+        return model.certify(cols, point, t, recorded, who)
+
+    monkeypatch.setattr(baseline, "certify", spy)
+    monkeypatch.setattr(prune3d, "certify", spy)
+    return calls
+
+
+def _verdicts():
+    out = []
+    for check, cs, sol in ANSWERS:
+        try:
+            check(cs, sol)
+            out.append("ok")
+        except ContractViolation as e:
+            out.append(str(e))
+    return out
+
+
+def test_blocks_give_the_same_verdicts(monkeypatch, drawn):
+    # Blocks of 5 rows: every problem of more than 5 rows takes both
+    # passes, with the top and the near-tight rows in different blocks.
+    got = []
+    for block in (model._BLOCK, 5):
+        monkeypatch.setattr(model, "_BLOCK", block)
+        drawn.clear()
+        got.append((_verdicts(), list(drawn)))
+    assert got[0] == got[1]
+    assert sum(v == "ok" for v in got[0][0]) < len(ANSWERS)
+
+
+def _near_rows(cols, point):
+    """The near-tight rows by ``certify``'s rule, from one pass over every
+    row, where no term overflows; None otherwise."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, s = model._values(cols, point)
+    if not np.isfinite(s).all():
+        return None
+    tight, tiny, F = model._TIGHT, model._EVAL_TINY, Fraction
+    top = int(np.argmax(v))
+    near = v >= v[top] - tight * s[top] - tight * s - 2 * tiny
+    bound = ((2 * F(tight) + F(model._EVAL_ERR)) * F(s[near].max())
+             + 3 * F(tiny))
+    near |= v >= float(F(v[top]) - 2 * bound)
+    return near.nonzero()[0].tolist()
+
+
+@pytest.mark.parametrize("block", [model._BLOCK, 5])
+def test_near_rows_are_those_of_a_pass_over_every_row(monkeypatch, drawn,
+                                                      block):
+    monkeypatch.setattr(model, "_BLOCK", block)
+    compared = 0
+    for check, cs, sol in ANSWERS:
+        if check is check2d and sol.status is not Status.OPTIMAL:
+            continue
+        k = 2 if check is check2d else 3
+        point = (sol.x,) if k == 2 else (sol.x, sol.y)
+        if k == 3 and not (0.0 <= sol.x <= 1.0):
+            continue
+        want = _near_rows(columns(cs, k), point)
+        drawn.clear()
+        try:
+            check(cs, sol)
+        except ContractViolation:
+            pass
+        if want is None or not drawn:
+            continue
+        assert drawn[0][0] == want
+        compared += 1
+    assert compared > 200

@@ -1,7 +1,7 @@
-"""Scratch memory of the text and generator layers, traced by tracemalloc:
-the formatter streams, the parser holds one byte copy of its text, and
-neither a problem's build nor the generator copies its columns more than
-once."""
+"""Scratch memory, traced by tracemalloc: the formatter streams, the
+parser holds one byte copy of its text, neither a problem's build nor the
+generator copies its columns more than once, the 2D solver holds one copy
+of its input, and the answer checks hold a few blocks of rows."""
 
 import os
 import tracemalloc
@@ -9,9 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from minmaxlp import GenSpec, Problem, gen2d
+from minmaxlp import (ContractViolation, GenSpec, Problem, Solution3,
+                      check2d, check3d, gen2d, gen3d, solve)
 from minmaxlp import cli
-from minmaxlp.model import columns
+from minmaxlp.model import columns, objective
 
 
 def _peak(fn, *args) -> int:
@@ -48,3 +49,32 @@ def test_problem_does_not_stack_its_columns():
 def test_gen2d_holds_the_uniforms_and_one_pair_of_columns():
     # 16 MB of uniforms and the 16 MB result, and 4 MB to spare
     assert _peak(gen2d, GenSpec(n=10**6)) <= 36e6
+
+
+def test_solve_holds_one_copy_of_its_input():
+    # the side-ordered copy of the columns, and a few blocks besides
+    cs = gen2d(GenSpec(n=10**6, seed=1))
+    size = sum(col.nbytes for col in columns(cs, 2))
+    assert _peak(solve, cs) <= 1.2 * size
+
+
+def _rejected(check, cs, sol):
+    try:
+        check(cs, sol)
+    except ContractViolation:
+        pass
+
+
+def test_checks_hold_a_few_blocks_whatever_the_rows():
+    peaks2, peaks3 = [], []
+    for n in (100_000, 10**6):
+        cs = gen2d(GenSpec(n=n, seed=2))
+        peaks2.append(_peak(check2d, cs, solve(cs)))
+        # A point that is not the optimum: the check reads every row and
+        # rejects it on the lower bound.
+        cs = gen3d(GenSpec(n=n, seed=2, dim=3))
+        sol = Solution3(x=0.5, y=0.5, t=objective(columns(cs, 3), 0.5, 0.5))
+        peaks3.append(_peak(_rejected, check3d, cs, sol))
+    assert peaks2[1] <= 1.25 * peaks2[0]
+    assert peaks3[1] <= 1.25 * peaks3[0]
+    assert max(peaks2 + peaks3) <= 4e6

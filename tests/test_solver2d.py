@@ -799,6 +799,25 @@ def scanned(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def turned(monkeypatch):
+    """The number of candidates each ``_not_steeper`` call is given."""
+    calls = []
+    turns = solver2d._not_steeper
+
+    def spy(cx, *args):
+        calls.append(cx.size)
+        return turns(cx, *args)
+
+    monkeypatch.setattr(solver2d, "_not_steeper", spy)
+    return calls
+
+
+_FAR_ROWS = [[(1.7e308, -1e307), (-1.7e308, -1e307)],
+             [(1e308, 1e308), (-1e308, -1.7e308)],
+             [(-1.0, 1.7e308), (1.0, -1.7e308)]]
+
+
 def _numpy_scans(monkeypatch, scanned, cs):
     """The ``_scan`` calls of solve(cs) on the numpy path, as (candidates
     handed over, candidates on the scanned side), once both paths have
@@ -812,10 +831,13 @@ def _numpy_scans(monkeypatch, scanned, cs):
             for k, fx in scanned]
 
 
-def _ext(fx, fy, flip, ranged):
-    """Side extremes for ``_filtered_scan`` from (fx, fy) whose overflow
-    check passes when ``ranged`` and fails otherwise."""
-    return (fx, -fy if flip else fy) if ranged else (math.inf, math.inf)
+def _filtered_scan(xs, col, fx, fy, flip, ranged):
+    """``solver2d._filtered_scan`` over the candidates (xs, col) from
+    (fx, fy), told that no difference overflows when ``ranged``: the span
+    is then the largest |dy|, and inf otherwise."""
+    ys = -col if flip else col
+    span = float(np.abs(ys - fy).max()) if ranged else math.inf
+    return solver2d._filtered_scan(np.array(xs), col, fx, fy, flip, span)
 
 
 class TestSlopePrefilter:
@@ -840,9 +862,7 @@ class TestSlopePrefilter:
             want = _rational_scan(xs, ys, fx, fy)
             for guard in {ranged, False}:
                 with np.errstate(all="ignore"):
-                    got = solver2d._filtered_scan(np.array(xs), col, fx, fy,
-                                                  flip,
-                                                  _ext(fx, fy, flip, guard))
+                    got = _filtered_scan(xs, col, fx, fy, flip, guard)
                 assert got == want, (fx, fy, xs, ys, guard)
 
     def test_reordered_subnormal_slopes(self, monkeypatch):
@@ -858,10 +878,8 @@ class TestSlopePrefilter:
         assert cy / (cx - fx) > by / (bx - fx)
         assert F(cy) / (F(cx) - F(fx)) < F(by) / (F(bx) - F(fx))
         with np.errstate(all="ignore"):
-            assert solver2d._filtered_scan(np.array([bx, cx]),
-                                           np.array([-by, -cy]), fx, 0.0,
-                                           True,
-                                           _ext(fx, 0.0, True, True)) == 1
+            assert _filtered_scan([bx, cx], np.array([-by, -cy]), fx, 0.0,
+                                  True, True) == 1
         cs = [(fx, 0.0), (bx, -by), (cx, -cy)]
         rows, cols = _on_both_paths(monkeypatch, lambda: solve(cs))
         assert _bits(rows) == _bits(cols)
@@ -877,9 +895,8 @@ class TestSlopePrefilter:
         cx, cy = h("0x1.004f98994958ep-502"), h("0x1.0631c7f99c9c6p-529")
         for ranged in (True, False):
             with np.errstate(all="ignore"):
-                assert solver2d._filtered_scan(
-                    np.array([bx, cx]), np.array([by, cy]), fx, 0.0, False,
-                    _ext(fx, 0.0, False, ranged)) == 1
+                assert _filtered_scan([bx, cx], np.array([by, cy]), fx,
+                                      0.0, False, ranged) == 1
         # Two far rows put the sides' x extremes 3.4e308 apart, but the
         # first scan's differences from (fx, 0) stay finite, so it is
         # filtered: b and c reach ``_scan``, the far right row does not.
@@ -904,27 +921,44 @@ class TestSlopePrefilter:
         assert all(k < side
                    for k, side in _numpy_scans(monkeypatch, scanned, rows))
 
-    @pytest.mark.parametrize("extreme", ["x", "b_lo", "b_hi", "T"])
+    @pytest.mark.parametrize("extreme", ["b_hi", "T"])
     def test_unproven_scan_hands_every_candidate_to_scan(
-            self, monkeypatch, scanned, extreme):
+            self, monkeypatch, scanned, turned, extreme):
         # The first scan runs from the left point of largest b, fb.  Rows
-        # make its dx to the farthest right x overflow; or its dy to the
-        # right side's least b, while a right row at b = fb keeps the
-        # least rounded slope at 0; or its dy to the largest b, which makes
-        # that slope -inf; or that slope finite but below -2^1000, where
-        # the threshold stops.
-        rows = [tuple(r) for r in gen2d(GenSpec(n=LARGE, seed=4))]
-        if extreme == "x":
-            rows += [(-1e308, 100.0), (1e308, 0.0)]
-        elif extreme == "b_lo":
-            rows += [(-1.0, 1e308), (1.0, 1e308), (1.0, -1e308)]
-        elif extreme == "b_hi":
+        # make its dy to the largest b overflow, and every other slope
+        # from it fall below -2^1000; or one slope finite but below
+        # -2^1000.  The threshold stops there, so the slope prefilter
+        # hands every candidate on, and the turns leave ``_scan`` at most
+        # the overflowing row and the winner.
+        rows = [tuple(r) for r in gen2d(GenSpec(n=2000, seed=4))]
+        if extreme == "b_hi":
             rows = [(a, b - 1e308 if a <= 0 else b) for a, b in rows]
             rows.append((1.0, 1e308))
         else:
             rows.append((1.0, 1e305))
+        turned.clear()
+        _numpy_scans(monkeypatch, scanned, rows)
+        n_right = sum(a > 0 for a, _ in rows)
+        assert turned[0] == n_right
+        assert all(k <= 2 for k, _ in scanned)
+
+    @pytest.mark.parametrize("extreme", ["x", "b_lo"])
+    def test_overflowing_rows_join_the_filtered_ones(
+            self, monkeypatch, scanned, turned, extreme):
+        # Rows make the first scan's dx to the farthest right x overflow,
+        # or its dy to the right side's least b, while a right row at
+        # b = fb keeps the least rounded slope at 0.  Only the row whose
+        # own difference overflows is kept beside the threshold's
+        # survivor: ``_scan`` gets two candidates, and no turns are taken.
+        rows = [tuple(r) for r in gen2d(GenSpec(n=LARGE, seed=4))]
+        if extreme == "x":
+            rows += [(-1e308, 100.0), (1e308, 0.0)]
+        else:
+            rows += [(-1.0, 1e308), (1.0, 1e308), (1.0, -1e308)]
+        turned.clear()
         k, side = _numpy_scans(monkeypatch, scanned, rows)[0]
-        assert k == side
+        assert (k, side) == (2, sum(a > 0 for a, _ in rows))
+        assert turned == []
 
     @pytest.mark.parametrize("n", [64, LARGE, 2000])
     @pytest.mark.parametrize("far", [
@@ -936,3 +970,123 @@ class TestSlopePrefilter:
         for k in range(3):
             rows = [tuple(r) for r in gen2d(GenSpec(n=n, seed=5), index=k)]
             _numpy_scans(monkeypatch, scanned, rows + far)
+
+    @pytest.mark.parametrize("far", _FAR_ROWS)
+    def test_far_rows_leave_scan_few_candidates(self, monkeypatch, scanned,
+                                                far):
+        # Seen from a far row, every Gaussian row's slope rounds alike, so
+        # the threshold keeps the whole side; the turns then leave at most
+        # the winner and one overflowing row.  (Before, each such scan
+        # handed ``_scan`` its whole side.)
+        for k in range(3):
+            rows = [tuple(r) for r in gen2d(GenSpec(n=2000, seed=5),
+                                            index=k)]
+            _numpy_scans(monkeypatch, scanned, rows + far)
+            assert all(n <= 2 for n, _ in scanned)
+
+    def test_huge_rows_leave_scan_few_candidates(self, monkeypatch, scanned):
+        # Rows of magnitude up to 1.7e308, whose differences overflow in
+        # every direction: the turns, on f - w scaled to stay in range,
+        # leave ``_scan`` at most two candidates.  (Before, every scan
+        # handed it its whole side.)
+        rng = random.Random(1)
+        rows = [(rng.uniform(-1, 1) * 1.7e308, rng.uniform(-1, 0) * 1.7e308)
+                for _ in range(2000)]
+        _numpy_scans(monkeypatch, scanned, rows)
+        assert all(n <= 2 for n, _ in scanned)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1.7e308])
+    def test_turns_keep_every_least_slope(self, scale):
+        # From any starting candidate, the candidates of least exact slope
+        # seen from f are kept, far f, overflowing differences and
+        # subnormals included.
+        rng = random.Random(20261019)
+        for _ in range(400):
+            side = rng.choice((1.0, -1.0))
+            fx = -side * rng.choice((0.0, 5e-324, 1.0, scale))
+            pool = [v for v in EDGE_VALUES + (scale, -scale, 0.5 * scale)
+                    if side * v > side * fx]
+            n = rng.randint(2, 12)
+            cx = [rng.choice(pool) for _ in range(n)]
+            cy = [rng.choice(EDGE_VALUES + (scale, -scale)) for _ in range(n)]
+            fy = rng.choice(EDGE_VALUES + (scale, -scale))
+            slopes = [(Fraction(y) - Fraction(fy)) / (Fraction(x) - Fraction(fx))
+                      for x, y in zip(cx, cy)]
+            least = min(slopes)
+            kept = solver2d._not_steeper(np.array(cx), np.array(cy), fx, fy,
+                                         rng.randrange(n))
+            assert all(kept[k] for k in range(n) if slopes[k] == least), \
+                (cx, cy, fx, fy)
+
+    def test_turns_need_no_threshold(self, monkeypatch):
+        # With the turns taken for every scan of more than one survivor,
+        # and for none, the answers are the same.
+        cases = list(_differential_cases().values())
+        cases += [[tuple(r) for r in gen2d(GenSpec(n=300, seed=5), index=k)]
+                  + far for far in _FAR_ROWS for k in range(2)]
+        monkeypatch.setattr(solver2d, "_COLUMNAR_MIN_N", 1)
+        got = []
+        for least in (1, 10 ** 9):
+            monkeypatch.setattr(solver2d, "_TURNS_MIN", least)
+            got.append([_outcome(cs) for cs in cases])
+        assert got[0] == got[1]
+
+
+def _in_blocks(monkeypatch, fn):
+    """[fn() on the numpy path in one block, fn() in blocks of 3 rows]."""
+    monkeypatch.setattr(solver2d, "_COLUMNAR_MIN_N", 1)
+    out = []
+    for block in (solver2d._BLOCK, 3):
+        monkeypatch.setattr(solver2d, "_BLOCK", block)
+        out.append(fn())
+    return out
+
+
+class TestBlocks:
+    """The numpy path's setup and scans in blocks of a few rows take the
+    same decisions as in one block: ties, duplicates, exact fits, far rows
+    and overflowing differences included."""
+
+    @pytest.mark.parametrize("name,cs", list(_differential_cases().items()))
+    def test_bitwise_equal(self, monkeypatch, name, cs):
+        one, blocks = _in_blocks(monkeypatch, lambda: _outcome(cs))
+        assert one == blocks
+
+    @pytest.mark.parametrize("far", _FAR_ROWS)
+    def test_far_rows(self, monkeypatch, far):
+        for k in range(2):
+            cs = [tuple(r) for r in gen2d(GenSpec(n=300, seed=5), index=k)]
+            one, blocks = _in_blocks(monkeypatch, lambda: _outcome(cs + far))
+            assert one == blocks
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_random_problems(self, monkeypatch, family, data):
+        cs = data.draw(_FAMILIES[family])
+        one, blocks = _in_blocks(monkeypatch, lambda: _outcome(cs))
+        assert one == blocks
+
+    def test_small_blocks_beside_the_list_path(self, monkeypatch):
+        # Blocks smaller than the list path's problems change nothing.
+        cases = list(_differential_cases().values())
+        want = [_outcome(cs) for cs in cases]
+        monkeypatch.setattr(solver2d, "_BLOCK", 3)
+        assert [_outcome(cs) for cs in cases] == want
+
+    def test_blocks_are_taken(self, monkeypatch, scanned):
+        # A 300-row problem in blocks of 3 fills its buffer and runs each
+        # scan's threshold in many blocks; the answer is the one-block one.
+        cs = gen2d(GenSpec(n=300, seed=3))
+        calls = []
+        survivors = solver2d._survivors
+
+        def spy(xs, *args):
+            calls.append(xs.size)
+            return survivors(xs, *args)
+
+        monkeypatch.setattr(solver2d, "_survivors", spy)
+        one, blocks = _in_blocks(monkeypatch, lambda: _outcome(cs))
+        assert one == blocks
+        assert calls and min(calls) > 3
