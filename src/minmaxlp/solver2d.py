@@ -35,9 +35,7 @@ exact slope is proven larger than the least rounded slope's.  The
 survivors, if more than one, go to ``_scan``.  The threshold's proof needs
 coordinate differences that do not overflow: a candidate whose own
 differences overflow is kept beside the survivors, and a scan whose least
-slope is too large for a threshold keeps every candidate.  Where many
-survive, as seen from a fixed point far from them all, the signs of their
-turns drop the ones proven steeper (``_not_steeper``) first.
+slope is too large for a threshold keeps every candidate.
 """
 
 from __future__ import annotations
@@ -78,14 +76,6 @@ _COLUMNAR_MIN_N = 64
 # forms its differences, this many rows at a time.  At 1e5 constraints
 # each side fits in one block: smaller blocks made that size 6% slower.
 _BLOCK = 1 << 16
-# A scan whose slope threshold keeps more than this many candidates drops
-# the ones its turns prove steeper first (``_not_steeper``).  On fewer,
-# ``_scan`` costs about as much: on exact fits, whose candidates are all
-# collinear, the turns prove nothing, and taking them above 16 survivors
-# made 100-row fits 16% slower.
-_TURNS_MIN = 256
-# ``_not_steeper`` takes at most this many steps.
-_TURNS_MAX = 8
 
 
 def expand_absolute(rows: Sequence) -> Problem:
@@ -159,12 +149,10 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
     moderate size, and a scan without one hands every candidate to
     ``_scan``.  It also needs differences dx, dy that do not overflow: a
     candidate whose own dx or dy does is kept whatever its slope, and T
-    comes from the others.  Where more than ``_TURNS_MIN`` candidates are
-    kept, ``_not_steeper`` drops those whose turns prove them steeper
-    than the least first.
+    comes from the others.
 
-    ``span`` bounds every |dy| of the solve, and is inf where some dx or
-    dy may overflow.  Every |dx| is at least |fx|, as the candidates lie
+    ``span`` bounds every |dx| and |dy| of the solve, and is inf where
+    some dx or dy may overflow.  Every |dx| is at least |fx|, as the candidates lie
     on the other side of x = 0, so where span / |fx| is finite no
     difference or quotient overflows, and the scan runs with numpy's
     floating-point warnings as they are; otherwise it runs with them off.
@@ -176,10 +164,9 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
     fb = -fy if flip else fy
     if not (fx and math.isfinite(span / fx)):
         with np.errstate(all="ignore"):
-            keep, w = _survivors(xs, ys, fx, fb, flip,
-                                 not math.isfinite(span))
+            keep = _survivors(xs, ys, fx, fb, flip, not math.isfinite(span))
     elif n > _BLOCK:
-        keep, w = _survivors(xs, ys, fx, fb, flip, False)
+        keep = _survivors(xs, ys, fx, fb, flip, False)
     else:
         dx = xs - fx
         p = np.divide(np.subtract(fb, ys) if flip else ys - fb, dx, dx)
@@ -197,84 +184,12 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
         keep = np.arange(n)
     elif len(keep) == 1:
         return int(keep[0])
-    kx = xs[keep]
-    ky = -ys[keep] if flip else ys[keep]
-    if keep.size > _TURNS_MIN:
-        near = _not_steeper(kx, ky, fx, fy, int(np.searchsorted(keep, w)))
-        keep = keep[near]
-        if keep.size == 1:
-            return int(keep[0])
-        kx = kx[near]
-        ky = ky[near]
-    kx = kx.tolist()
-    ky = ky.tolist()
+    kx = xs[keep].tolist()
+    ky = (-ys[keep] if flip else ys[keep]).tolist()
     kx.append(fx)
     ky.append(fy)
     k = _scan(_ExactPoints(kx, ky), range(len(keep)), len(keep))
     return int(keep[k])
-
-
-def _not_steeper(cx: np.ndarray, cy: np.ndarray, fx: float, fy: float,
-                 w: int) -> np.ndarray:
-    """A mask of the candidates (cx, cy) whose slope seen from (fx, fy)
-    is not proven larger than the least, found from candidate w by the
-    signs of turns.
-
-    Where every candidate's slope rounds alike, as seen from a fixed point
-    far from them all, the slope threshold keeps them all, but their
-    turns still differ.  The turn (f, w, c) is formed with w as the base,
-    as in ``geometry._orient``: (cx - wx) * (fy - wy) - (cy - wy) *
-    (fx - wx), whose float filter decides it wherever nothing overflows.
-    A candidate whose turn is proven positive is steeper than w and is
-    dropped; the one of least turn among those proven negative, which is
-    below the line through f and w, becomes w, and this repeats until
-    none is, at most ``_TURNS_MAX`` times.  f - w is scaled by a power of
-    two first, so that its products with every c - w, and their sums,
-    stay below 2^1023 and a far f overflows nothing, as far as both parts
-    of f - w stay normal: the scaling is exact, and scales a turn and its
-    bound alike.  Where f - w itself overflows, it is formed from the
-    halves of f and w, where halving them is exact; otherwise nothing
-    more is proven.  A product that overflows gives inf or NaN, which
-    proves nothing.
-    """
-    keep = np.ones(cx.size, dtype=bool)
-    with np.errstate(all="ignore"):
-        for _ in range(_TURNS_MAX):
-            wx = cx.item(w)
-            wy = cy.item(w)
-            dx = cx - wx
-            dy = cy - wy
-            # Every c - w that does not overflow lies below 2^m.
-            most = np.maximum(abs(dx), abs(dy))
-            m = math.frexp(most.max(where=np.isfinite(most), initial=0.0))[1]
-            ex = fx - wx
-            ey = fy - wy
-            if not (math.isfinite(ex) and math.isfinite(ey)):
-                # Halve the four first, where that is exact: then the
-                # differences are the halves of the rounded ones.
-                half = (0.5 * fx, 0.5 * wx, 0.5 * fy, 0.5 * wy)
-                if (2.0 * half[0], 2.0 * half[1], 2.0 * half[2],
-                        2.0 * half[3]) != (fx, wx, fy, wy):
-                    break
-                ex = half[0] - half[1]
-                ey = half[2] - half[3]
-            # Scaled by 2^-k, f - w keeps every bit, as each nonzero part
-            # stays normal, and where it can its products stay below
-            # 2^1022.
-            e = [math.frexp(v)[1] for v in (ex, ey) if v]
-            k = max(0, min(max(e) + m - 1022, min(e) + 1021))
-            sx = math.ldexp(ex, -k)
-            sy = math.ldexp(ey, -k)
-            p = dx * sy
-            q = dy * sx
-            det = p - q
-            bound = _ERRBOUND * (abs(p) + abs(q)) + _NO_UNDERFLOW
-            keep &= ~(det > bound)
-            below = np.where(det < -bound, det, 0.0)
-            w = int(below.argmin())
-            if not below.item(w) < 0.0:
-                break
-    return keep
 
 
 def _survivors(xs: np.ndarray, ys: np.ndarray, fx: float, fb: float,
@@ -282,8 +197,7 @@ def _survivors(xs: np.ndarray, ys: np.ndarray, fx: float, fb: float,
     """The ascending indices of the candidates that ``_filtered_scan``'s
     threshold keeps, seen from (fx, fb) in the frame of ``ys`` (dy is
     fb - ys with ``flip``, ys - fb without), or None when no threshold is
-    proven; and the index of a candidate of least rounded slope.  With
-    ``wide``, the candidates whose own dx or dy overflows are kept as
+    proven.  With ``wide``, the candidates whose own dx or dy overflows are kept as
     well, and the threshold comes from the others.
 
     One pass over blocks of ``_BLOCK`` rows, their differences formed in
@@ -298,7 +212,6 @@ def _survivors(xs: np.ndarray, ys: np.ndarray, fx: float, fb: float,
     work = np.empty((2, min(n, _BLOCK)))
     inf = math.inf
     least = t = inf  # no threshold yet: every candidate stays
-    w = 0
     found = []
     for s in range(0, n, _BLOCK):
         e = min(n, s + _BLOCK)
@@ -318,11 +231,10 @@ def _survivors(xs: np.ndarray, ys: np.ndarray, fx: float, fb: float,
         pj = p.item(j)
         if pj < least:
             least = pj
-            w = s + int(j)
             t = _slope_threshold(pj)
             if t != t:
                 if not pj > 0.0:
-                    return None, w  # the least slope only falls
+                    return None  # the least slope only falls
                 t = inf
         if wide and over.any():
             p[over] = -inf  # kept against every threshold
@@ -331,13 +243,13 @@ def _survivors(xs: np.ndarray, ys: np.ndarray, fx: float, fb: float,
         k = (p <= t).nonzero()[0]
         found.append((k + s, p[k]))
     if t == inf:
-        return None, w
+        return None
     if len(found) == 1:
         # The block that set the last threshold is the only one that kept
         # any candidate, and it kept them against that threshold.
-        return found[0][0], w
+        return found[0][0]
     keep = np.concatenate([k for k, _ in found])
-    return keep[np.concatenate([q for _, q in found]) <= t], w
+    return keep[np.concatenate([q for _, q in found]) <= t]
 
 
 def solve(cs: Sequence) -> Solution2:
@@ -363,11 +275,11 @@ def _solve(a: np.ndarray, b: np.ndarray) -> Solution2:
     dual points are (a, -b); the left side's scans see them mirrored in y,
     (a, b).  The numpy path copies the columns once, side by side, into a
     (2, n) buffer: a mask, its ``nonzero`` and ``take`` into the buffer for
-    each block of ``_BLOCK`` rows (one take a column where one block holds
-    them all), and no index array outlives its block.  The side order
-    keeps the tie rules, as each side stays in input order.  The start
-    point and the ranges that tell the scans whether a difference may
-    overflow come from the buffer.
+    each block of ``_BLOCK`` rows (one take a side and column where one
+    block holds them all), and no index array outlives its block.  The
+    side order keeps the tie rules, as each side stays in input order.  The
+    start point, and the range of all values that tells the scans whether
+    a difference may overflow, come from the buffer.
     """
     n = a.size
     on_right = a > 0.0
@@ -387,6 +299,7 @@ def _solve(a: np.ndarray, b: np.ndarray) -> Solution2:
         # Slopes are all <= 0 with at least one negative: mirror x so the
         # strictly negative slopes land on the right side, solve, mirror back.
         return _mirror_back(_solve(-a, b))
+    nl = n - nr
     # Start from the lowest left point, ties to the smaller x and then the
     # first index; any left point is a valid start, the lowest one just
     # pivots less.
@@ -415,18 +328,19 @@ def _solve(a: np.ndarray, b: np.ndarray) -> Solution2:
             lambda i: _scan(mirrored, left, i),
             lambda i: Point2(xs[i], dpy[i]))
 
-    nl = n - nr
     buf = np.empty((2, n))
     xs = buf[0]
     ys = buf[1]
+    xl, yl, xr, yr = xs[:nl], ys[:nl], xs[nl:], ys[nl:]
     if n <= _BLOCK:
-        # One block: both sides in one take a column.
+        # One block: each side in one take a column.
         il = np.logical_not(on_right, out=on_right).nonzero()[0]
-        order = np.concatenate((il, ir))
-        a.take(order, None, xs, "clip")
-        b.take(order, None, ys, "clip")
+        a.take(il, None, xl, "clip")
+        b.take(il, None, yl, "clip")
+        a.take(ir, None, xr, "clip")
+        b.take(ir, None, yr, "clip")
     else:
-        lo, hi = 0, nl
+        lo, hi = 0, nl  # where the next left and right rows go
         for s in range(0, n, _BLOCK):
             e = s + _BLOCK
             m = on_right[s:e]
@@ -442,7 +356,6 @@ def _solve(a: np.ndarray, b: np.ndarray) -> Solution2:
             bb.take(ir, None, ys[hi:kr], "clip")
             lo = kl
             hi = kr
-    xl, yl, xr, yr = xs[:nl], ys[:nl], xs[nl:], ys[nl:]
     i_l = int(yl.argmax())
     top = yl.item(i_l)
     # argmax finds the first lowest point; a unique one skips the tie
@@ -452,15 +365,9 @@ def _solve(a: np.ndarray, b: np.ndarray) -> Solution2:
         tied = (yl == top).nonzero()[0]
         i_l = int(tied[xl[tied].argmin()])
     # Every dx and dy of a scan is a difference of two slopes or of two
-    # intercepts, so their ranges bound its magnitude; inf where some
-    # difference may overflow.  One block takes the range of all values in
-    # two calls; more blocks take each side's, which reads fewer values.
-    if n <= _BLOCK:
-        span = buf.item(buf.argmax()) - buf.item(buf.argmin())
-    else:
-        span = max(xr.item(xr.argmax()) - xl.item(xl.argmin()),
-                   max(top, yr.item(yr.argmax()))
-                   - min(yl.item(yl.argmin()), yr.item(yr.argmin())))
+    # intercepts, so the range of all values bounds its magnitude; inf
+    # where some difference may overflow.
+    span = buf.item(buf.argmax()) - buf.item(buf.argmin())
     # The right side's scans form their dual differences -b - fy as -fy - b.
     return _pivot(
         n, i_l,
