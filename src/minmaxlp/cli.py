@@ -352,8 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
             ("solve2d", "pivoting solver, one variable",
              "certify the answer: the status, and t between an exact "
              "lower bound and the objective at x, up to rounding"),
-            ("solve3d", "randomized incremental LP over the unit box, "
-                        "expected linear time",
+            ("solve3d", "randomized incremental LP over the unit box, on "
+                        "a working set checked against every row",
              "certify the answer: (x, y) in the box, and t between an "
              "exact lower bound and the objective there, up to rounding"),
             ("prune3d", "report safe constraint discards",

@@ -4,13 +4,18 @@ reductions.
 
 ``solve3d`` minimises max_i (a_i*x + b_i*y + c_i) over the unit box as the
 linear program min t subject to a_i*x + b_i*y + c_i <= t, by Seidel's
-randomized incremental algorithm in expected linear time.  Constraints are
-taken in a fixed-seed random order; one that the current optimum violates
-pins the optimum to its plane, which leaves a two-variable problem on that
-plane, and a violated half-plane there leaves an interval on its line.
-Every violation test is decided exactly: a float filter with a proven error
-bound settles almost all of them, and rational arithmetic on the same
-doubles settles the rest.
+randomized incremental algorithm run on a working set of the constraints,
+in the manner of Clarkson's iteration.  The working set starts as the
+constraints highest at a 3x3 grid of box points.  Seidel's loop takes its
+constraints in a fixed-seed random order; one that the current optimum
+violates pins the optimum to its plane, which leaves a two-variable
+problem on that plane, and a violated half-plane there leaves an interval
+on its line.  One numpy pass then tests every constraint against the
+working set's optimum, with the loop's own test; the violated ones join
+the set and the loop runs again, until none is violated.  Every violation
+test is decided exactly: a float filter with a proven error bound settles
+almost all of them, and rational arithmetic on the same doubles settles
+the rest.
 
 The pruner maps constraints to dual points (a, b, -c).  Relative to a dual
 point of minimal z, two classes of points can be dropped without changing
@@ -28,6 +33,7 @@ in rational arithmetic.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -39,8 +45,8 @@ import numpy as np
 from .errors import ContractViolation, NonFiniteInput
 from .geometry import _EPS, _product_sign
 from .baseline import lower_hull
-from .model import (Problem, Solution2, Solution3, certify, columns,
-                    objective, require_finite)
+from .model import (_BLOCK, Problem, Solution2, Solution3, certify,
+                    columns, objective, require_finite)
 # Unused here, but perfbench/spans.py traces prune3d.brute3d_box by
 # rebinding it, so the name stays a module attribute.
 from .oracle import brute3d_box  # noqa: F401
@@ -171,6 +177,17 @@ _SLACK = 2.0 ** -40
 # two of them normal and finite; other problems are rescaled by a power of
 # two, which is exact.
 _SAFE = 2.0 ** 500
+# The working set of solve3d starts as the rows highest at the box points
+# (x, y) of this grid, {0, 1/2, 1}^2, each as the row (x, y, 1).  On a
+# 2-CPU x86-64 host with numpy 2.4 (gen3d seeds 3-5, medians of per-instance
+# best of 3, 150 instances per size), solve3d takes 82-86 us at n = 60-134
+# in 1.17-1.19 rounds on average, against 113-118 us (1.83-1.92 rounds) for
+# the centre alone, 84-93 us (1.29-1.33) for the four corners and 84-90 us
+# (1.09-1.11) for the 5x5 grid; at n = 1e3, 134 us against 167, 140 and
+# 163 us.  No grid took more than 3 rounds.
+_PROBES = np.array([(x, y, 1.0) for x in (0.0, 0.5, 1.0)
+                    for y in (0.0, 0.5, 1.0)])
+_POINTS = np.arange(len(_PROBES))
 
 
 def solve3d(cs: Sequence) -> Solution3:
@@ -188,7 +205,7 @@ def solve3d(cs: Sequence) -> Solution3:
     answer.
     """
     a0, b0, c0 = columns(cs, 3)
-    x, y = _seidel(a0, b0, c0)
+    x, y = _box_point(a0, b0, c0)
     t = objective((a0, b0, c0), x, y)
     if not math.isfinite(t):
         raise NonFiniteInput(
@@ -276,37 +293,124 @@ def _clamp(v: float) -> float:
 
 
 @cache
-def _seed_sequence() -> np.random.SeedSequence:
-    """The hashed ``_ORDER_SEED``, built on first use: importing
-    numpy.random at package import would cost every user of the package
-    about 5 MB and some milliseconds."""
-    return np.random.SeedSequence(_ORDER_SEED)
+def _order_source() -> tuple[np.random.Generator, dict, threading.Lock]:
+    """The generator of ``solve3d``'s insertion order, its state at
+    ``_ORDER_SEED``, and the lock that makes a reset and a draw one step.
+
+    Built once per process, on first use: hashing the seed and building
+    the generator cost about 7 us a solve, and importing numpy.random at
+    package import would cost every user of the package about 5 MB and
+    some milliseconds.
+    """
+    rng = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(_ORDER_SEED)))
+    return rng, rng.bit_generator.state, threading.Lock()
 
 
-def _seidel(a0: np.ndarray, b0: np.ndarray,
-            c0: np.ndarray) -> tuple[float, float]:
-    """The lexicographically smallest (t, x, y) optimum's (x, y).
+def _order(n: int) -> np.ndarray:
+    """The seeded random permutation of range(n)."""
+    rng, state, lock = _order_source()
+    with lock:
+        rng.bit_generator.state = state
+        return rng.permutation(n)
+
+
+def _box_point(a: np.ndarray, b: np.ndarray,
+               c: np.ndarray) -> tuple[float, float]:
+    """The lexicographically smallest (t, x, y) optimum's (x, y), by
+    ``_seidel`` over a working set W of the rows.
+
+    W starts as the rows highest at the probe points (``_probe_rows``).
+    Each round runs ``_seidel`` over W's rows in the seeded order, then
+    tests every other row against its point in one numpy pass
+    (``_violated``), with the very test ``_seidel`` applies to a row
+    inserted after its last step; the rows found violated join W.  No row
+    of W is ever found violated, as ``_seidel``'s t lies above each of
+    them by its pad (one that were would raise ContractViolation), so W
+    grows each round and the rounds end.  The last one, which finds no
+    row violated, is a valid ``_seidel`` run over W's rows followed by the
+    rest.  In exact arithmetic each round's violators hold a constraint of
+    the optimal basis (Clarkson's lemma), and a basis has at most three,
+    so there are at most four rounds.
+    """
+    scale = float(max(np.abs(a).max(), np.abs(b).max(), np.abs(c).max()))
+    if scale > _SAFE or 0.0 < scale < 1.0 / _SAFE:
+        e = math.frexp(scale)[1]
+        a, b, c = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(c, -e)
+        scale = math.ldexp(scale, -e)
+    elif scale == 0.0:
+        scale = 1.0
+    order = _order(a.size)
+    in_w = _probe_rows(a, b, c)
+    while True:
+        w = order[in_w[order]]
+        x, y, t = _seidel(a[w].tolist(), b[w].tolist(), c[w].tolist(), scale)
+        new = _violated(a, b, c, x, y, t, scale)
+        if not new:
+            return x, y
+        if in_w[new].any():
+            raise ContractViolation(
+                "solve3d: a row of the working set is violated at its "
+                "optimum")
+        in_w[new] = True
+
+
+def _probe_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """A mask of the rows highest at some point of the ``_PROBES`` grid,
+    the first such row for each point.
+
+    The values are formed for one block of rows at a time, so the
+    scratch is a (points, block) matrix whatever the rows.
+    """
+    n = a.size
+    for i in range(0, n, _BLOCK):
+        s = slice(i, i + _BLOCK)
+        # einsum's own loop, not BLAS: the same values on every machine
+        v = np.einsum("pk,kn->pn", _PROBES, np.array((a[s], b[s], c[s])))
+        k = v.argmax(axis=1)
+        high = v[_POINTS, k]
+        if i == 0:
+            top, rows = high, k
+        else:
+            up = high > top
+            top = np.where(up, high, top)
+            rows = np.where(up, k + i, rows)
+    seed = np.zeros(n, dtype=bool)
+    seed[rows] = True
+    return seed
+
+
+def _violated(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: float,
+              y: float, t: float, scale: float) -> list[int]:
+    """The rows that ``_seidel``, having ended at (x, y) with bound t,
+    would find violated: the same float value and bound in one numpy
+    pass, and ``_exceeds`` for the rows the bound leaves undecided."""
+    err = _EVAL * (3.0 * scale + abs(t))
+    # ((a*x + b*y) + c) - t, in _seidel's order
+    d = a * x
+    d += b * y
+    d += c
+    d -= t
+    near = (d >= -err).nonzero()[0]
+    return [i for i, di in zip(near.tolist(), d[near].tolist())
+            if di > err or _exceeds(float(a[i]), float(b[i]), float(c[i]),
+                                    x, y, t)]
+
+
+def _seidel(a: list, b: list, c: list,
+            scale: float) -> tuple[float, float, float]:
+    """The lexicographically smallest (t, x, y) optimum of the rows
+    (a, b, c) as (x, y, t), ``t`` an upper bound of the objective at
+    (x, y) padded by the evaluation error.
 
     Outer level of the incremental LP: constraint k is inserted in turn,
     and when it lies strictly above ``t``, an upper bound of the objective
     at the current point over the constraints inserted so far, the new
     optimum lies on its plane.  ``t`` is recomputed after each such step
     from all inserted constraints, padded by the evaluation error, so a
-    constraint found above it is above each of them.
+    constraint found above it is above each of them.  ``scale`` bounds
+    every coefficient's magnitude.
     """
-    n = a0.size
-    rng = np.random.Generator(np.random.SFC64(_seed_sequence()))
-    order = rng.permutation(n)
-    scale = float(max(np.abs(a0).max(), np.abs(b0).max(), np.abs(c0).max()))
-    if scale > _SAFE or 0.0 < scale < 1.0 / _SAFE:
-        e = math.frexp(scale)[1]
-        a0, b0, c0 = np.ldexp(a0, -e), np.ldexp(b0, -e), np.ldexp(c0, -e)
-        scale = math.ldexp(scale, -e)
-    elif scale == 0.0:
-        scale = 1.0
-    # Gathered in insertion order as fresh floats, so the loops below walk
-    # memory in order.
-    a, b, c = a0[order].tolist(), b0[order].tolist(), c0[order].tolist()
     x = y = 0.0
     # Nothing is inserted yet: d is inf, and both tests send constraint 0
     # to its plane.
@@ -320,7 +424,7 @@ def _seidel(a0: np.ndarray, b0: np.ndarray,
         top = max([u * x + v * y + w for u, v, w in zip(a, b, c[:k + 1])])
         t = top + 2.0 * _EVAL * (3.0 * scale + abs(top))
         err = _EVAL * (3.0 * scale + abs(t))
-    return x, y
+    return x, y, t
 
 
 def _solve_on_plane(a: list, b: list, c: list, m: int,

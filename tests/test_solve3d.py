@@ -1,8 +1,11 @@
-"""The box solver: differential tests against the cubic oracle, adversarial
-families, the tie rule, input handling and a large smoke test."""
+"""The box solver: differential tests against the cubic oracle and the
+full-order Seidel run, adversarial families, the working set's rounds, the
+tie rule, input handling and a large smoke test."""
 
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ from conftest import close, corpus3d, eval_max_3
 from minmaxlp import (ContractViolation, EmptyProblem, GenSpec,
                       NonFiniteInput, boundary_via_2d, brute3d_box, check3d,
                       gen3d, prune3d, solve3d)
+from minmaxlp.model import columns, objective
 
 
 def assert_answer(cs, sol, tol=1e-9, scale=1.0):
@@ -33,6 +37,84 @@ def grid_instances(count, seed, n_max=12, levels=2):
     return out
 
 
+def seeded_order(n):
+    """The insertion order, drawn from a generator built afresh."""
+    seed = np.random.SeedSequence(prune3d._ORDER_SEED)
+    return np.random.Generator(np.random.SFC64(seed)).permutation(n)
+
+
+def full_order_answer(cs):
+    """(x, y, t) of one Seidel run over every row in the seeded order, for
+    coefficients that need no rescaling."""
+    a, b, c = columns(cs, 3)
+    scale = float(max(np.abs(a).max(), np.abs(b).max(), np.abs(c).max()))
+    assert 2.0 ** -500 <= scale <= 2.0 ** 500
+    order = seeded_order(a.size)
+    x, y, _ = prune3d._seidel(a[order].tolist(), b[order].tolist(),
+                              c[order].tolist(), scale)
+    return x, y, objective((a, b, c), x, y)
+
+
+def probe_missing_instances(count, seed):
+    """Problems whose optimal basis the probe grid misses.
+
+    Four planes through (X, 0), sloping away from X along each axis, set
+    the optimum t = 0 at X, a point at least 0.2 from the probe grid in
+    each coordinate.  A steep plane through each probe point stands 10
+    high there and about -18 or lower at X, so the probes pick only such
+    planes.  Low Gaussian planes fill the rest.  The rows come shuffled,
+    beside a mask of the steep ones.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        X = rng.choice([0.25, 0.75], 2) + rng.uniform(-0.05, 0.05, 2)
+        s = rng.uniform(0.5, 2.0, 4)
+        basis = [(s[0], 0.0, -s[0] * X[0]), (-s[1], 0.0, s[1] * X[0]),
+                 (0.0, s[2], -s[2] * X[1]), (0.0, -s[3], s[3] * X[1])]
+        spikes = []
+        for x0, y0, _ in prune3d._PROBES:
+            g = (X - (x0, y0)) / np.hypot(*(X - (x0, y0)))
+            a, b = -100.0 * g
+            spikes.append((a, b, 10.0 - a * x0 - b * y0))
+        a, b = rng.normal(0.0, 3.0, (2, 20))
+        low = np.stack((a, b, -(abs(a) + abs(b)) - rng.uniform(1.0, 5.0, 20)),
+                       axis=1)
+        rows = np.vstack((basis, spikes, low))
+        steep = np.repeat([False, True, False],
+                          [len(basis), len(spikes), len(low)])
+        perm = rng.permutation(len(rows))
+        out.append((rows[perm], steep[perm]))
+    return out
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """The number of Seidel runs each solve3d call made, one entry per
+    call, with the base loop wrapped."""
+    counts = []
+    seidel, box_point = prune3d._seidel, prune3d._box_point
+
+    def counting_seidel(*args):
+        counts[-1] += 1
+        return seidel(*args)
+
+    def counting_box_point(*args):
+        counts.append(0)
+        return box_point(*args)
+
+    monkeypatch.setattr(prune3d, "_seidel", counting_seidel)
+    monkeypatch.setattr(prune3d, "_box_point", counting_box_point)
+    return counts
+
+
+@pytest.fixture
+def at_most_four_rounds(rounds):
+    """Every solve3d call of the test takes at most four rounds."""
+    yield
+    assert rounds and max(rounds) <= 4, rounds
+
+
 class TestAgainstOracle:
     def test_gaussian_corpus(self):
         # 2010 instances, n = 1..134
@@ -41,10 +123,21 @@ class TestAgainstOracle:
             cs = gen3d(GenSpec(n=n, seed=20261018, dim=3), index=i)
             assert_answer(cs, solve3d(cs))
 
+    def test_gaussian_corpus_matches_full_order_run(self):
+        # the working set leaves every answer of this corpus bitwise that
+        # of a single run over all rows
+        for i in range(2010):
+            n = 1 + i % 134
+            cs = gen3d(GenSpec(n=n, seed=20261018, dim=3), index=i)
+            sol = solve3d(cs)
+            assert (sol.x, sol.y, sol.t) == full_order_answer(cs), i
+
+    @pytest.mark.usefixtures("at_most_four_rounds")
     def test_integer_grids(self):
         for cs in grid_instances(1500, seed=1):
             assert_answer(cs, solve3d(cs))
 
+    @pytest.mark.usefixtures("at_most_four_rounds")
     def test_tie_rule_matches_oracle_on_grids(self):
         # the oracle picks the smallest (t, x, y) among its candidates
         for cs in grid_instances(1500, seed=2, n_max=10):
@@ -53,6 +146,7 @@ class TestAgainstOracle:
             assert abs(got.y - want.y) <= 1e-12, (cs, got, want)
 
 
+@pytest.mark.usefixtures("at_most_four_rounds")
 class TestAdversarialFamilies:
     def test_duplicate_planes(self):
         for cs in corpus3d(20, 40, seed=31):
@@ -147,6 +241,98 @@ class TestAdversarialFamilies:
             sol = solve3d(rows)
             assert abs(sol.t) <= 1e-14
             assert_answer(rows, sol)
+
+
+class TestWorkingSet:
+    def test_probes_missing_the_basis_take_more_rounds(self, rounds):
+        for rows, steep in probe_missing_instances(60, seed=42):
+            seed = prune3d._probe_rows(*columns(rows, 3))
+            assert seed.any() and not (seed & ~steep).any()
+            sol = solve3d(rows)
+            assert 2 <= rounds[-1] <= 4, rounds
+            assert_answer(rows, sol)
+            check3d(rows, sol)
+
+    @pytest.mark.parametrize("block", [5, 7, 1 << 13])
+    def test_probe_rows_are_the_grid_maximisers(self, block, monkeypatch):
+        monkeypatch.setattr(prune3d, "_BLOCK", block)
+        for n in (1, 5, 6, 40, 134):
+            for cs in corpus3d(n, 5, seed=43) + grid_instances(5, 44, n, 1):
+                a, b, c = columns(cs, 3)
+                want = np.zeros(len(a), dtype=bool)
+                for x, y, _ in prune3d._PROBES:
+                    want[np.argmax((a * x + b * y) + c)] = True
+                assert np.array_equal(prune3d._probe_rows(a, b, c), want)
+
+    def test_violated_rows_are_those_seidel_rejects(self):
+        # rows within a few ulps of the plane through (x, y, t), most of
+        # them left undecided by the float bound
+        rng = np.random.default_rng(45)
+        for _ in range(40):
+            x, y = rng.uniform(0.0, 1.0, 2).tolist()
+            a, b = rng.normal(0.0, 3.0, (2, 200))
+            c = 2.0 - a * x - b * y
+            c += rng.integers(-4, 5, 200) * np.spacing(c)
+            t, scale = 2.0, float(np.abs([a, b, c]).max())
+            err = prune3d._EVAL * (3.0 * scale + abs(t))
+            want = [i for i, (ai, bi, ci) in
+                    enumerate(zip(a.tolist(), b.tolist(), c.tolist()))
+                    if not ((d := ai * x + bi * y + ci - t) < -err or
+                            (d <= err and
+                             not prune3d._exceeds(ai, bi, ci, x, y, t)))]
+            got = prune3d._violated(a, b, c, x, y, t, scale)
+            assert got == want and 0 < len(want) < 200
+        # at x = fl(1/3), -3x + 2 rounds to 1 but exceeds it, and 3x rounds
+        # to 1 but falls short of it
+        a, b, c = np.array([3.0, -3.0]), np.zeros(2), np.array([0.0, 2.0])
+        assert prune3d._violated(a, b, c, 1 / 3, 0.0, 1.0, 3.0) == [1]
+
+    def test_a_violated_row_of_the_working_set_raises(self, monkeypatch):
+        # the rounds end because no row of W is ever found violated; one
+        # that were would stop them rather than repeat a round
+        monkeypatch.setattr(prune3d, "_violated",
+                            lambda a, *rest: list(range(a.size)))
+        with pytest.raises(ContractViolation, match="working set"):
+            solve3d(corpus3d(10, 1, seed=46)[0])
+
+    def test_no_probe_matrix(self):
+        n = 100_000
+        cs = gen3d(GenSpec(n=n, seed=40, dim=3))
+        tracemalloc.start()
+        try:
+            solve3d(cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the order, one column of values and a temporary: the values at
+        # all nine probe points at once would be 9 * 8n bytes
+        assert peak < 4 * 8 * n
+
+    def test_order_is_the_seeded_one_under_threads(self):
+        # the one generator is reset and drawn under a lock
+        sizes = (1, 7, 60, 1000)
+        want = {n: seeded_order(n) for n in sizes}
+        wrong = []
+
+        def draw(k):
+            for i in range(300):
+                n = sizes[(i + k) % len(sizes)]
+                if not np.array_equal(prune3d._order(n), want[n]):
+                    wrong.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(k,))
+                       for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not wrong
 
 
 class TestContract:
