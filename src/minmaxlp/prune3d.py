@@ -7,7 +7,8 @@ linear program min t subject to a_i*x + b_i*y + c_i <= t, by Seidel's
 randomized incremental algorithm run on a working set of the constraints,
 in the manner of Clarkson's iteration.  The working set starts as the
 constraints highest at a 3x3 grid of box points.  Seidel's loop takes its
-constraints in a fixed-seed random order; one that the current optimum
+constraints in the order of a fixed integer hash of their row indices,
+which looks random and needs no generator; one that the current optimum
 violates pins the optimum to its plane, which leaves a two-variable
 problem on that plane, and a violated half-plane there leaves an interval
 on its line.  One numpy pass then tests every constraint against the
@@ -33,12 +34,10 @@ in rational arithmetic.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -161,10 +160,6 @@ def boundary_via_2d(cs: Sequence) -> list[tuple[str, Solution2]]:
             for edge, p in zip(EDGE_IDS, induced)]
 
 
-# The order in which solve3d inserts constraints: random, so the expected
-# running time is linear for every input, and seeded, so the same input
-# always gives the same answer.
-_ORDER_SEED = 0x5E1DE1
 # Error bound of the float filters, relative to the sum of the magnitudes
 # involved: each filtered value takes at most five roundings (4u), and the
 # factor 2 covers the rounding of the bound itself.
@@ -292,27 +287,19 @@ def _clamp(v: float) -> float:
     return 0.0 if v <= 0.0 else (1.0 if v >= 1.0 else v)
 
 
-@cache
-def _order_source() -> tuple[np.random.Generator, dict, threading.Lock]:
-    """The generator of ``solve3d``'s insertion order, its state at
-    ``_ORDER_SEED``, and the lock that makes a reset and a draw one step.
-
-    Built once per process, on first use: hashing the seed and building
-    the generator cost about 7 us a solve, and importing numpy.random at
-    package import would cost every user of the package about 5 MB and
-    some milliseconds.
-    """
-    rng = np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence(_ORDER_SEED)))
-    return rng, rng.bit_generator.state, threading.Lock()
+def _key(i: int) -> int:
+    """splitmix64's finalizer (Steele, Lea and Flood, OOPSLA 2014): a fixed
+    bijection of the 64-bit integers whose order looks random."""
+    z = (i ^ (i >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+    return z ^ (z >> 31)
 
 
-def _order(n: int) -> np.ndarray:
-    """The seeded random permutation of range(n)."""
-    rng, state, lock = _order_source()
-    with lock:
-        rng.bit_generator.state = state
-        return rng.permutation(n)
+def _order(rows: Iterable[int]) -> list[int]:
+    """The row indices ``rows`` (Python ints) in ``solve3d``'s insertion
+    order, increasing ``_key``: random-looking, the same for the same
+    rows, and the order of all rows restricted to them."""
+    return sorted(rows, key=_key)
 
 
 def _box_point(a: np.ndarray, b: np.ndarray,
@@ -321,43 +308,45 @@ def _box_point(a: np.ndarray, b: np.ndarray,
     ``_seidel`` over a working set W of the rows.
 
     W starts as the rows highest at the probe points (``_probe_rows``).
-    Each round runs ``_seidel`` over W's rows in the seeded order, then
-    tests every other row against its point in one numpy pass
-    (``_violated``), with the very test ``_seidel`` applies to a row
-    inserted after its last step; the rows found violated join W.  No row
-    of W is ever found violated, as ``_seidel``'s t lies above each of
-    them by its pad (one that were would raise ContractViolation), so W
-    grows each round and the rounds end.  The last one, which finds no
-    row violated, is a valid ``_seidel`` run over W's rows followed by the
-    rest.  In exact arithmetic each round's violators hold a constraint of
+    Each round runs ``_seidel`` over W's rows in ``_order``, which is the
+    order of all rows restricted to W, then tests every other row against
+    its point in one numpy pass (``_violated``), with the very test
+    ``_seidel`` applies to a row inserted after its last step; the rows
+    found violated join W.  No row of W is ever found violated, as
+    ``_seidel``'s t lies above each of them by its pad (one that were
+    would raise ContractViolation), so W grows each round and the rounds
+    end.  The last one, which finds no row violated, is a valid
+    ``_seidel`` run over W's rows followed by the rest.  In exact arithmetic each round's violators hold a constraint of
     the optimal basis (Clarkson's lemma), and a basis has at most three,
     so there are at most four rounds.
     """
-    scale = float(max(np.abs(a).max(), np.abs(b).max(), np.abs(c).max()))
+    # the largest magnitude, with no temporaries: negation is exact
+    scale = float(max(a.max(), -a.min(), b.max(), -b.min(), c.max(),
+                      -c.min()))
     if scale > _SAFE or 0.0 < scale < 1.0 / _SAFE:
         e = math.frexp(scale)[1]
         a, b, c = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(c, -e)
         scale = math.ldexp(scale, -e)
     elif scale == 0.0:
         scale = 1.0
-    order = _order(a.size)
-    in_w = _probe_rows(a, b, c)
+    w = _order(_probe_rows(a, b, c))
     while True:
-        w = order[in_w[order]]
-        x, y, t = _seidel(a[w].tolist(), b[w].tolist(), c[w].tolist(), scale)
+        rows = np.array(w)
+        x, y, t = _seidel(a[rows].tolist(), b[rows].tolist(),
+                          c[rows].tolist(), scale)
         new = _violated(a, b, c, x, y, t, scale)
         if not new:
             return x, y
-        if in_w[new].any():
+        if not set(w).isdisjoint(new):
             raise ContractViolation(
                 "solve3d: a row of the working set is violated at its "
                 "optimum")
-        in_w[new] = True
+        w = _order(w + new)
 
 
-def _probe_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """A mask of the rows highest at some point of the ``_PROBES`` grid,
-    the first such row for each point.
+def _probe_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> set[int]:
+    """The rows highest at some point of the ``_PROBES`` grid, the first
+    such row for each point.
 
     The values are formed for one block of rows at a time, so the
     scratch is a (points, block) matrix whatever the rows.
@@ -375,9 +364,7 @@ def _probe_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
             up = high > top
             top = np.where(up, high, top)
             rows = np.where(up, k + i, rows)
-    seed = np.zeros(n, dtype=bool)
-    seed[rows] = True
-    return seed
+    return set(rows.tolist())
 
 
 def _violated(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: float,

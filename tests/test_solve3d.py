@@ -5,8 +5,8 @@ tie rule, input handling and a large smoke test."""
 import math
 import random
 import sys
-import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -37,19 +37,13 @@ def grid_instances(count, seed, n_max=12, levels=2):
     return out
 
 
-def seeded_order(n):
-    """The insertion order, drawn from a generator built afresh."""
-    seed = np.random.SeedSequence(prune3d._ORDER_SEED)
-    return np.random.Generator(np.random.SFC64(seed)).permutation(n)
-
-
 def full_order_answer(cs):
-    """(x, y, t) of one Seidel run over every row in the seeded order, for
-    coefficients that need no rescaling."""
+    """(x, y, t) of one Seidel run over every row in the insertion order,
+    for coefficients that need no rescaling."""
     a, b, c = columns(cs, 3)
     scale = float(max(np.abs(a).max(), np.abs(b).max(), np.abs(c).max()))
     assert 2.0 ** -500 <= scale <= 2.0 ** 500
-    order = seeded_order(a.size)
+    order = prune3d._order(range(a.size))
     x, y, _ = prune3d._seidel(a[order].tolist(), b[order].tolist(),
                               c[order].tolist(), scale)
     return x, y, objective((a, b, c), x, y)
@@ -247,7 +241,7 @@ class TestWorkingSet:
     def test_probes_missing_the_basis_take_more_rounds(self, rounds):
         for rows, steep in probe_missing_instances(60, seed=42):
             seed = prune3d._probe_rows(*columns(rows, 3))
-            assert seed.any() and not (seed & ~steep).any()
+            assert seed and steep[list(seed)].all()
             sol = solve3d(rows)
             assert 2 <= rounds[-1] <= 4, rounds
             assert_answer(rows, sol)
@@ -259,10 +253,9 @@ class TestWorkingSet:
         for n in (1, 5, 6, 40, 134):
             for cs in corpus3d(n, 5, seed=43) + grid_instances(5, 44, n, 1):
                 a, b, c = columns(cs, 3)
-                want = np.zeros(len(a), dtype=bool)
-                for x, y, _ in prune3d._PROBES:
-                    want[np.argmax((a * x + b * y) + c)] = True
-                assert np.array_equal(prune3d._probe_rows(a, b, c), want)
+                want = {int(np.argmax((a * x + b * y) + c))
+                        for x, y, _ in prune3d._PROBES}
+                assert prune3d._probe_rows(a, b, c) == want
 
     def test_violated_rows_are_those_seidel_rejects(self):
         # rows within a few ulps of the plane through (x, y, t), most of
@@ -304,35 +297,75 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the order, one column of values and a temporary: the values at
-        # all nine probe points at once would be 9 * 8n bytes
-        assert peak < 4 * 8 * n
+        # one column of values and a temporary: the values at all nine
+        # probe points at once would be 9 * 8n bytes, and an order of all
+        # rows another 8n
+        assert peak < 3 * 8 * n
 
-    def test_order_is_the_seeded_one_under_threads(self):
-        # the one generator is reset and drawn under a lock
-        sizes = (1, 7, 60, 1000)
-        want = {n: seeded_order(n) for n in sizes}
-        wrong = []
+    def test_same_answers_under_threads(self):
+        # the order is a function of the row indices alone, so threads
+        # switching every microsecond share no state that could move it.
+        # Planes through one point: their answers move with the order.
+        rng = np.random.default_rng(47)
+        corpus = []
+        for n in (7, 30, 300):
+            for _ in range(8):
+                a, b = rng.normal(0.0, 3.0, (2, n))
+                corpus.append(np.stack((a, b, 1.0 - a * 0.17925800707829326
+                                        - b * 0.5062426186871909), axis=1))
+        want = [solve3d(cs) for cs in corpus]
 
-        def draw(k):
-            for i in range(300):
-                n = sizes[(i + k) % len(sizes)]
-                if not np.array_equal(prune3d._order(n), want[n]):
-                    wrong.append(n)
+        def wrong(k):
+            picks = [(i + 7 * k) % len(corpus)
+                     for i in range(30 * len(corpus))]
+            return [j for j in picks if solve3d(corpus[j]) != want[j]]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=draw, args=(k,))
-                       for k in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
+            with ThreadPoolExecutor(4) as pool:
+                # result() raises what a thread raised
+                runs = [f.result(timeout=120)
+                        for f in [pool.submit(wrong, k) for k in range(4)]]
         finally:
             sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert not wrong
+        assert runs == [[]] * 4
+
+
+class TestOrder:
+    """The insertion order: a fixed hash of the row indices."""
+
+    def test_is_a_permutation(self):
+        rng = np.random.default_rng(48)
+        for n in (0, 1, 2, 9, 1000):
+            w = rng.choice(10 ** 7, n, replace=False).tolist()
+            assert sorted(prune3d._order(w)) == sorted(w)
+
+    def test_is_the_all_rows_order_restricted(self):
+        # so the last round of the working set is one Seidel run over all
+        # rows in this order
+        n = 3000
+        full = prune3d._order(range(n))
+        rng = np.random.default_rng(49)
+        for size in (1, 3, 10, 30, 300, n):
+            w = rng.choice(n, size, replace=False).tolist()
+            member = set(w)
+            assert prune3d._order(w) == [i for i in full if i in member]
+
+    def test_looks_random(self):
+        # Spearman's rank correlation of position and index: the position
+        # is a rank and the index its own rank
+        n = 10_000
+        pos = np.empty(n)
+        pos[prune3d._order(range(n))] = np.arange(n)
+        rho = np.corrcoef(np.arange(n), pos)[0, 1]
+        assert abs(rho) < 0.05
+
+    def test_known_values(self):
+        # splitmix64's output for state 0, whose first step adds the golden
+        # gamma before the finalizer
+        assert prune3d._key(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
+        assert prune3d._key(0) == 0
 
 
 class TestContract:
