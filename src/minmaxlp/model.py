@@ -267,8 +267,9 @@ _EVAL_TINY = 2.0 ** -1070
 # quotients on the lines of rounded plane differences; its error is not
 # bounded this way, and on near-degenerate inputs it can be larger.
 _TIGHT = 8.0 * _EPS
-# ``certify`` reads the rows in blocks of this many: 64 KiB a column, below
-# the C library's 128 KiB threshold for mapping each allocation on its own.
+# ``certify``, and ``prune3d.solve3d``'s first pass and violation passes,
+# read the rows in blocks of this many: 64 KiB a column, below the C
+# library's 128 KiB threshold for mapping each allocation on its own.
 # Blocks of 16384 rows, at the threshold, made 2e4-row checks bimodal and
 # up to 1.4 times slower.
 _BLOCK = 1 << 13

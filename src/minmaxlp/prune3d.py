@@ -5,15 +5,19 @@ reductions.
 ``solve3d`` minimises max_i (a_i*x + b_i*y + c_i) over the unit box as the
 linear program min t subject to a_i*x + b_i*y + c_i <= t, by Seidel's
 randomized incremental algorithm run on a working set of the constraints,
-in the manner of Clarkson's iteration.  The working set starts as the
-constraints highest at a 3x3 grid of box points.  Seidel's loop takes its
+in the manner of Clarkson's iteration.  A first numpy pass gives the
+largest coefficient magnitude and the constraints highest at a 3x3 grid
+of box points, with which the working set starts.  Seidel's loop takes its
 constraints in the order of a fixed integer hash of their row indices,
 which looks random and needs no generator; one that the current optimum
 violates pins the optimum to its plane, which leaves a two-variable
 problem on that plane, and a violated half-plane there leaves an interval
-on its line.  One numpy pass then tests every constraint against the
+on its line.  Another numpy pass then tests every constraint against the
 working set's optimum, with the loop's own test; the violated ones join
-the set and the loop runs again, until none is violated.  Every violation
+the set and the loop runs again, until none is violated.  That last pass
+has formed every constraint's value at the optimum, and its maximum is
+the returned t.  The passes read the constraints in blocks of
+``model._BLOCK``, so their scratch does not grow with n.  Every violation
 test is decided exactly: a float filter with a proven error bound settles
 almost all of them, and rational arithmetic on the same doubles settles
 the rest.
@@ -174,12 +178,14 @@ _SLACK = 2.0 ** -40
 _SAFE = 2.0 ** 500
 # The working set of solve3d starts as the rows highest at the box points
 # (x, y) of this grid, {0, 1/2, 1}^2, each as the row (x, y, 1).  On a
-# 2-CPU x86-64 host with numpy 2.4 (gen3d seeds 3-5, medians of per-instance
-# best of 3, 150 instances per size), solve3d takes 82-86 us at n = 60-134
-# in 1.17-1.19 rounds on average, against 113-118 us (1.83-1.92 rounds) for
-# the centre alone, 84-93 us (1.29-1.33) for the four corners and 84-90 us
-# (1.09-1.11) for the 5x5 grid; at n = 1e3, 134 us against 167, 140 and
-# 163 us.  No grid took more than 3 rounds.
+# 2-CPU x86-64 host with numpy 2.4 (gen3d seeds 3-5, 150 instances per
+# size, medians over 7 interleaved rounds of the median per-instance best
+# of 3), solve3d takes 31-39 us at n = 60-134 in 1.17-1.19 rounds on
+# average, against 49-55 us (1.83-1.92 rounds) for the centre alone,
+# 31-37 us (1.29-1.33) for the four corners and 34-38 us (1.09-1.11) for
+# the 5x5 grid; at n = 1e3, 54 us against 71, 56 and 68 us.  No grid took
+# more than 3 rounds.  The corners tie this grid within the host's noise,
+# and the answer's rounding depends on the working set, so the grid stays.
 _PROBES = np.array([(x, y, 1.0) for x in (0.0, 0.5, 1.0)
                     for y in (0.0, 0.5, 1.0)])
 _POINTS = np.arange(len(_PROBES))
@@ -191,17 +197,16 @@ def solve3d(cs: Sequence) -> Solution3:
     ``cs`` is a sequence of rows whose first three fields are
     (a_i, b_i, c_i), or an (n, k >= 3) array.  Among the optimal points the
     one with the smallest x, then the smallest y, is sought: the objective
-    is lexicographic in (t, x, y).  The returned t is the objective
-    re-evaluated at the returned point over all constraints.  Raises
+    is lexicographic in (t, x, y).  The returned t is the objective at
+    the returned point over all constraints, bit for bit as
+    ``model.objective`` gives it.  Raises
     ValueError for a row with fewer than three fields, NonFiniteInput for a
     non-finite coefficient, naming the first such constraint, and
     ContractViolation if a subproblem comes out empty by more than
     rounding, which exact arithmetic rules out.  ``check3d`` checks the
     answer.
     """
-    a0, b0, c0 = columns(cs, 3)
-    x, y = _box_point(a0, b0, c0)
-    t = objective((a0, b0, c0), x, y)
+    x, y, t = _box_point(*columns(cs, 3))
     if not math.isfinite(t):
         raise NonFiniteInput(
             "solve3d: the optimal t lies outside the double range")
@@ -303,40 +308,49 @@ def _order(rows: Iterable[int]) -> list[int]:
 
 
 def _box_point(a: np.ndarray, b: np.ndarray,
-               c: np.ndarray) -> tuple[float, float]:
-    """The lexicographically smallest (t, x, y) optimum's (x, y), by
+               c: np.ndarray) -> tuple[float, float, float]:
+    """The lexicographically smallest (t, x, y) optimum as (x, y, t), by
     ``_seidel`` over a working set W of the rows.
 
-    W starts as the rows highest at the probe points (``_probe_rows``).
-    Each round runs ``_seidel`` over W's rows in ``_order``, which is the
-    order of all rows restricted to W, then tests every other row against
-    its point in one numpy pass (``_violated``), with the very test
-    ``_seidel`` applies to a row inserted after its last step; the rows
-    found violated join W.  No row of W is ever found violated, as
-    ``_seidel``'s t lies above each of them by its pad (one that were
-    would raise ContractViolation), so W grows each round and the rounds
-    end.  The last one, which finds no row violated, is a valid
-    ``_seidel`` run over W's rows followed by the rest.  In exact arithmetic each round's violators hold a constraint of
-    the optimal basis (Clarkson's lemma), and a basis has at most three,
-    so there are at most four rounds.
+    A first pass (``_scale_and_probes``) gives the largest coefficient
+    magnitude and the rows highest at the probe points, with which W
+    starts.  Each round runs ``_seidel`` over W's rows in ``_order``,
+    which is the order of all rows restricted to W, then tests every
+    other row against its point in one blocked pass (``_violated``), with
+    the very test ``_seidel`` applies to a row inserted after its last
+    step; the rows found violated join W.  No row of W is ever found
+    violated, as ``_seidel``'s t lies above each of them by its pad (one
+    that were would raise ContractViolation), so W grows each round and
+    the rounds end.  The last one, which finds no row violated, is a valid
+    ``_seidel`` run over W's rows followed by the rest.  In exact
+    arithmetic each round's violators hold a constraint of the optimal
+    basis (Clarkson's lemma), and a basis has at most three, so there are
+    at most four rounds.
+
+    The last pass has formed every row's value at (x, y) as ``objective``
+    does, so its largest value is t.  A problem rescaled by a power of two
+    takes t from ``objective`` on its own columns instead, since scaled
+    products can underflow.
     """
-    # the largest magnitude, with no temporaries: negation is exact
-    scale = float(max(a.max(), -a.min(), b.max(), -b.min(), c.max(),
-                      -c.min()))
+    scale, probes = _scale_and_probes(a, b, c)
+    unscaled = None
     if scale > _SAFE or 0.0 < scale < 1.0 / _SAFE:
         e = math.frexp(scale)[1]
+        unscaled = (a, b, c)
         a, b, c = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(c, -e)
-        scale = math.ldexp(scale, -e)
+        # the probes on the rescaled columns, whose sums cannot overflow
+        scale, probes = _scale_and_probes(a, b, c)
     elif scale == 0.0:
         scale = 1.0
-    w = _order(_probe_rows(a, b, c))
+    w = _order(probes)
     while True:
         rows = np.array(w)
         x, y, t = _seidel(a[rows].tolist(), b[rows].tolist(),
                           c[rows].tolist(), scale)
-        new = _violated(a, b, c, x, y, t, scale)
+        new, top = _violated(a, b, c, x, y, t, scale)
         if not new:
-            return x, y
+            return x, y, (top if unscaled is None
+                          else objective(unscaled, x, y))
         if not set(w).isdisjoint(new):
             raise ContractViolation(
                 "solve3d: a row of the working set is violated at its "
@@ -344,18 +358,21 @@ def _box_point(a: np.ndarray, b: np.ndarray,
         w = _order(w + new)
 
 
-def _probe_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> set[int]:
-    """The rows highest at some point of the ``_PROBES`` grid, the first
-    such row for each point.
+def _scale_and_probes(a: np.ndarray, b: np.ndarray,
+                      c: np.ndarray) -> tuple[float, set[int]]:
+    """The largest coefficient magnitude, and the rows highest at some
+    point of the ``_PROBES`` grid, the first such row for each point.
 
-    The values are formed for one block of rows at a time, so the
-    scratch is a (points, block) matrix whatever the rows.
+    One pass over blocks of ``_BLOCK`` rows, each stacked once for both,
+    so the scratch is a (points, block) matrix whatever the rows.
     """
-    n = a.size
-    for i in range(0, n, _BLOCK):
+    scale = 0.0
+    for i in range(0, a.size, _BLOCK):
         s = slice(i, i + _BLOCK)
+        m = np.array((a[s], b[s], c[s]))
+        scale = max(scale, float(np.abs(m).max()))
         # einsum's own loop, not BLAS: the same values on every machine
-        v = np.einsum("pk,kn->pn", _PROBES, np.array((a[s], b[s], c[s])))
+        v = np.einsum("pk,kn->pn", _PROBES, m)
         k = v.argmax(axis=1)
         high = v[_POINTS, k]
         if i == 0:
@@ -364,24 +381,41 @@ def _probe_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> set[int]:
             up = high > top
             top = np.where(up, high, top)
             rows = np.where(up, k + i, rows)
-    return set(rows.tolist())
+    return scale, set(rows.tolist())
 
 
 def _violated(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: float,
-              y: float, t: float, scale: float) -> list[int]:
+              y: float, t: float, scale: float) -> tuple[list[int], float]:
     """The rows that ``_seidel``, having ended at (x, y) with bound t,
-    would find violated: the same float value and bound in one numpy
-    pass, and ``_exceeds`` for the rows the bound leaves undecided."""
+    would find violated, and the largest value (a*x + b*y) + c: bit for
+    bit what ``objective`` gives on these columns at (x, y).
+
+    One pass over blocks of ``_BLOCK`` rows, with ``_seidel``'s float
+    value and bound, and ``_exceeds`` for the rows the bound leaves
+    undecided.
+    """
     err = _EVAL * (3.0 * scale + abs(t))
-    # ((a*x + b*y) + c) - t, in _seidel's order
-    d = a * x
-    d += b * y
-    d += c
-    d -= t
-    near = (d >= -err).nonzero()[0]
-    return [i for i, di in zip(near.tolist(), d[near].tolist())
-            if di > err or _exceeds(float(a[i]), float(b[i]), float(c[i]),
-                                    x, y, t)]
+    top = -math.inf
+    new = []
+    for i in range(0, a.size, _BLOCK):
+        s = slice(i, i + _BLOCK)
+        # (a*x + b*y) + c, in _seidel's order and objective's
+        v = a[s] * x
+        v += b[s] * y
+        v += c[s]
+        high = float(v.max())
+        top = max(top, high)
+        # v - t rounds monotonically in v: when it is below -err at the
+        # block's maximum, it is below -err at every row of the block
+        if high - t < -err:
+            continue
+        v -= t
+        near = (v >= -err).nonzero()[0]
+        new += [i + k for k, d in zip(near.tolist(), v[near].tolist())
+                if d > err or _exceeds(float(a[i + k]), float(b[i + k]),
+                                       float(c[i + k]), x, y, t)]
+    # as objective's, with -0.0 made 0.0
+    return new, top + 0.0
 
 
 def _seidel(a: list, b: list, c: list,

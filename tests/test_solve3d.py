@@ -82,6 +82,36 @@ def probe_missing_instances(count, seed):
     return out
 
 
+def objective_corpus():
+    """Gaussian problems, integer grids, the adversarial families (2^+-450
+    is not rescaled, 2^+-600 and 2^+-1000 are) and planes through one
+    point, at n = 1-3000."""
+    out = [gen3d(GenSpec(n=1 + i % 134, seed=20261018, dim=3), index=i)
+           for i in range(0, 2010, 5)]
+    out += grid_instances(300, seed=1) + grid_instances(300, 2, 40)
+    for cs in corpus3d(20, 10, seed=31):
+        out.append([tuple(c) for c in cs] * 3)
+    out += [[(-0.0, -0.0, -0.0)], [(1.0, -0.0, -0.0), (-1.0, 0.0, 0.0)]]
+    for cs in corpus3d(6, 10, seed=32):
+        out.append([(a, b, c + k) for a, b, c in cs for k in range(4)])
+    for cs in corpus3d(15, 10, seed=33):
+        out.append([tuple(c) for c in cs]
+                   + [(0.0, 0.0, c[2]) for c in cs[:4]])
+    for cs in corpus3d(40, 10, seed=36):
+        out.append([(a, b, -(a * 0.25 + b * 0.75)) for a, b, _ in cs])
+    for k in (450, -450, 600, -600, 1000, -1000):
+        f = math.ldexp(1.0, k)
+        out += [[(a * f, b * f, c * f) for a, b, c in cs]
+                for cs in corpus3d(25, 5, seed=35)]
+    rng = np.random.default_rng(48)
+    for n in (30, 300, 3000):
+        for _ in range(3):
+            a, b = rng.normal(0.0, 3.0, (2, n))
+            out.append(np.stack((a, b, 1.0 - a * 0.17925800707829326
+                                 - b * 0.5062426186871909), axis=1))
+    return out
+
+
 @pytest.fixture
 def rounds(monkeypatch):
     """The number of Seidel runs each solve3d call made, one entry per
@@ -240,7 +270,7 @@ class TestAdversarialFamilies:
 class TestWorkingSet:
     def test_probes_missing_the_basis_take_more_rounds(self, rounds):
         for rows, steep in probe_missing_instances(60, seed=42):
-            seed = prune3d._probe_rows(*columns(rows, 3))
+            _, seed = prune3d._scale_and_probes(*columns(rows, 3))
             assert seed and steep[list(seed)].all()
             sol = solve3d(rows)
             assert 2 <= rounds[-1] <= 4, rounds
@@ -255,17 +285,33 @@ class TestWorkingSet:
                 a, b, c = columns(cs, 3)
                 want = {int(np.argmax((a * x + b * y) + c))
                         for x, y, _ in prune3d._PROBES}
-                assert prune3d._probe_rows(a, b, c) == want
+                scale, probes = prune3d._scale_and_probes(a, b, c)
+                assert probes == want
+                assert scale == np.abs([a, b, c]).max()
 
-    def test_violated_rows_are_those_seidel_rejects(self):
+    @pytest.mark.parametrize("block", [5, 7, 1 << 13])
+    def test_t_is_the_objective(self, block, monkeypatch):
+        # the last violation pass's running maximum is objective's t bit
+        # for bit, also across block edges; rescaled problems (2^+-600,
+        # 2^+-1000) take t from objective itself
+        monkeypatch.setattr(prune3d, "_BLOCK", block)
+        for cs in objective_corpus():
+            sol = solve3d(cs)
+            want = objective(columns(cs, 3), sol.x, sol.y)
+            assert sol.t == want and (math.copysign(1.0, sol.t)
+                                      == math.copysign(1.0, want)), cs
+
+    def test_violated_rows_are_those_seidel_rejects(self, monkeypatch):
         # rows within a few ulps of the plane through (x, y, t), most of
-        # them left undecided by the float bound
+        # them left undecided by the float bound, but for runs of ten
+        # rows far below it, which fill whole blocks of 5 rows
         rng = np.random.default_rng(45)
         for _ in range(40):
             x, y = rng.uniform(0.0, 1.0, 2).tolist()
             a, b = rng.normal(0.0, 3.0, (2, 200))
             c = 2.0 - a * x - b * y
             c += rng.integers(-4, 5, 200) * np.spacing(c)
+            c[np.arange(200) // 10 % 2 == 1] -= 1.0
             t, scale = 2.0, float(np.abs([a, b, c]).max())
             err = prune3d._EVAL * (3.0 * scale + abs(t))
             want = [i for i, (ai, bi, ci) in
@@ -273,34 +319,37 @@ class TestWorkingSet:
                     if not ((d := ai * x + bi * y + ci - t) < -err or
                             (d <= err and
                              not prune3d._exceeds(ai, bi, ci, x, y, t)))]
-            got = prune3d._violated(a, b, c, x, y, t, scale)
-            assert got == want and 0 < len(want) < 200
+            for block in (5, 7, 1 << 13):
+                monkeypatch.setattr(prune3d, "_BLOCK", block)
+                got, top = prune3d._violated(a, b, c, x, y, t, scale)
+                assert got == want and 0 < len(want) < 100
+                assert top == objective((a, b, c), x, y)
         # at x = fl(1/3), -3x + 2 rounds to 1 but exceeds it, and 3x rounds
         # to 1 but falls short of it
         a, b, c = np.array([3.0, -3.0]), np.zeros(2), np.array([0.0, 2.0])
-        assert prune3d._violated(a, b, c, 1 / 3, 0.0, 1.0, 3.0) == [1]
+        assert prune3d._violated(a, b, c, 1 / 3, 0.0, 1.0, 3.0)[0] == [1]
 
     def test_a_violated_row_of_the_working_set_raises(self, monkeypatch):
         # the rounds end because no row of W is ever found violated; one
         # that were would stop them rather than repeat a round
         monkeypatch.setattr(prune3d, "_violated",
-                            lambda a, *rest: list(range(a.size)))
+                            lambda a, *rest: (list(range(a.size)), 0.0))
         with pytest.raises(ContractViolation, match="working set"):
             solve3d(corpus3d(10, 1, seed=46)[0])
 
     def test_no_probe_matrix(self):
-        n = 100_000
-        cs = gen3d(GenSpec(n=n, seed=40, dim=3))
-        tracemalloc.start()
-        try:
-            solve3d(cs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one column of values and a temporary: the values at all nine
-        # probe points at once would be 9 * 8n bytes, and an order of all
-        # rows another 8n
-        assert peak < 3 * 8 * n
+        # every pass reads the rows in blocks, so the scratch is a few
+        # blocks whatever the rows: a column of n values alone would be
+        # 8 MB at 1e6, and the values at all nine probe points 72 MB
+        for n in (100_000, 1_000_000):
+            cs = gen3d(GenSpec(n=n, seed=40, dim=3))
+            tracemalloc.start()
+            try:
+                solve3d(cs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 << 20, (n, peak)
 
     def test_same_answers_under_threads(self):
         # the order is a function of the row indices alone, so threads
