@@ -1,5 +1,5 @@
-"""Problem and solution value types, the constraint reader and the
-objective evaluator shared by the solver modules."""
+"""Problem and solution value types, the constraint reader, and the one
+row evaluator, ``_evaluate``, behind every pass that forms row values."""
 
 from __future__ import annotations
 
@@ -237,25 +237,42 @@ def objective(cols, *point: float) -> float:
     """max_i (a_i*x + b_i) over columns (a, b) at x, or
     max_i (a_i*x + b_i*y + c_i) over columns (a, b, c) at (x, y).
 
-    Summed left to right in floats, and evaluated again exactly when that
+    Summed by ``_evaluate``, a block at a time, and exactly again when that
     overflows; -inf or inf when the maximum lies outside the double range.
     """
+    top = -math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        v = cols[0] * point[0]
-        for col, p in zip(cols[1:-1], point[1:]):
-            v += col * p
-        v += cols[-1]
-        t = float(np.max(v)) + 0.0
-    return t if math.isfinite(t) else exact_objective(cols, *point)
+        for i in range(0, cols[0].size, _BLOCK):
+            v = _evaluate([col[i:i + _BLOCK] for col in cols], point)
+            high = float(v.max())
+            if not high < math.inf:  # inf, or a NaN that max() would drop
+                return exact_objective(cols, *point)
+            top = max(top, high)
+    return top + 0.0 if top > -math.inf else exact_objective(cols, *point)
 
 
-# The answer checks' rounding bounds, in units of the unit roundoff.  A
-# constraint value a*x + b or a*x + b*y + c formed in floats is within
-# gamma_3 * S of the exact one, S the sum of its terms' magnitudes
-# (Higham, Accuracy and Stability of Numerical Algorithms, 3.1); S formed
-# in floats loses at most three roundings, so _EVAL_ERR times it covers
-# gamma_3 * S, and _EVAL_TINY covers products that underflow (each off by
-# at most 2**-1075).
+def _evaluate(cols, point) -> np.ndarray:
+    """Each row's value at ``point``, a*x + b or (a*x + b*y) + c, summed
+    left to right: rounded from float columns, exact from Fraction ones.
+    Every value pass forms its values here, so they agree bit for bit."""
+    v = cols[0] * point[0]
+    if len(cols) == 3:
+        v += cols[1] * point[1]
+    v += cols[-1]
+    return v
+
+
+# The rounding bounds of ``_evaluate``, in units of the unit roundoff.  A
+# float value is within gamma_3 * S of the exact one, S the sum of its
+# terms' magnitudes (Higham, Accuracy and Stability of Numerical
+# Algorithms, 3.1); S formed in floats loses at most three roundings, so
+# _EVAL_ERR times it covers gamma_3 * S, and _EVAL_TINY covers products
+# that underflow (each off by at most 2**-1075).  ``prune3d``'s filters
+# test v - t at a box point, with every coefficient at most ``scale`` >=
+# 2**-500 in magnitude: each term takes four roundings, so the error is
+# below gamma_4 * (3 * scale + |t|), which 2 * _EVAL_ERR times the rounded
+# 3 * scale + |t| covers with its own rounding and any underflow.  Their
+# half-planes take three roundings on at most 6 * scale, likewise.
 _EVAL_ERR = 4.0 * _EPS
 _EVAL_TINY = 2.0 ** -1070
 # A right answer is exact up to the roundings that form it.  The
@@ -267,15 +284,15 @@ _EVAL_TINY = 2.0 ** -1070
 # quotients on the lines of rounded plane differences; its error is not
 # bounded this way, and on near-degenerate inputs it can be larger.
 _TIGHT = 8.0 * _EPS
-# ``certify``, and ``prune3d.solve3d``'s first pass and violation passes,
-# read the rows in blocks of this many: 64 KiB a column, below the C
+# ``objective``, ``certify`` and ``prune3d.solve3d``'s passes read the
+# rows in blocks of this many: 64 KiB a column, below the C
 # library's 128 KiB threshold for mapping each allocation on its own.
 # Blocks of 16384 rows, at the threshold, made 2e4-row checks bimodal and
 # up to 1.4 times slower.
 _BLOCK = 1 << 13
-# Its second pass keeps every row whose value lies within _NEAR * M +
-# 8 * _EVAL_TINY of the top, M the largest magnitude sum.  The top value
-# is at most M in magnitude, so each near-tight cut lies at most
+# ``certify``'s second pass keeps every row whose value lies within
+# _NEAR * M + 8 * _EVAL_TINY of the top, M the largest magnitude sum.  The
+# top value is at most M in magnitude, so each near-tight cut lies at most
 # 2 * (2 * _TIGHT + _EVAL_ERR) * M + 6 * _EVAL_TINY, 40u * M + 6 tiny,
 # below it, and a few units of roundoff of M more once rounded; _NEAR is
 # 80u, twice that, which also covers the rounding of the pass's own cut.
@@ -319,13 +336,17 @@ def certify(cols, point: tuple, t: float, lower_bound, who: str) -> None:
     tight, err, tiny = _TIGHT, _EVAL_ERR, _EVAL_TINY
     n = cols[0].size
 
-    def blocks():
-        for i in range(0, n, _BLOCK):
-            yield (i, *_values([col[i:i + _BLOCK] for col in cols], point))
+    def blocks(cols=cols, point=point, size=_BLOCK):
+        # the values, and the magnitude sums as the values of the |columns|
+        # at the |point|, since fl(|a|*|x|) = |fl(a*x)|
+        for i in range(0, n, size):
+            block = [col[i:i + size] for col in cols]
+            yield (i, _evaluate(block, point),
+                   _evaluate(list(map(abs, block)), list(map(abs, point))))
 
     with np.errstate(over="ignore", invalid="ignore"):
         # One block is read once, for both passes.
-        first = blocks() if n > _BLOCK else [(0, *_values(cols, point))]
+        first = list(blocks()) if n <= _BLOCK else blocks()
         top = -math.inf
         top_s = most = 0.0
         for _, v, s in first:
@@ -344,7 +365,7 @@ def certify(cols, point: tuple, t: float, lower_bound, who: str) -> None:
             idx, v, s = (np.concatenate(z) for z in zip(*found))
     if not math.isfinite(most):
         # A term overflows: every value and scale again, in Fractions.
-        v, s = _values(_fractions(cols), tuple(map(F, point)))
+        [(_, v, s)] = blocks(_fractions(cols), tuple(map(F, point)), n)
         idx = np.arange(n)
         j = int(np.argmax(v))
         top, top_s = v[j], s[j]
@@ -377,23 +398,6 @@ def certify(cols, point: tuple, t: float, lower_bound, who: str) -> None:
             f"by more than the rounding bound {_to_float(bound)!r}")
 
 
-def _terms(cols, point) -> list:
-    """Each constraint's terms at ``point``, in the order ``objective`` sums
-    them: a*x and b, or a*x, b*y and c."""
-    return [col * p for col, p in zip(cols, point)] + [cols[-1]]
-
-
-def _values(cols, point):
-    """Each constraint's value at ``point`` and the sum of its terms'
-    magnitudes, as ``objective`` forms them."""
-    v, *rest = _terms(cols, point)
-    s = abs(v)
-    for term in rest:
-        v = v + term
-        s = s + abs(term)
-    return v, s
-
-
 def _fractions(cols) -> list[np.ndarray]:
     """The float columns ``cols`` as object columns of exact Fractions."""
     return [np.array(list(map(Fraction, col.tolist())), dtype=object)
@@ -403,8 +407,8 @@ def _fractions(cols) -> list[np.ndarray]:
 def exact_objective(cols, *point: float) -> float:
     """``objective`` in rational arithmetic, rounded to a double; -inf or
     inf when it lies outside the double range."""
-    terms = _terms(_fractions(cols), tuple(map(Fraction, point)))
-    return _to_float(max(sum(terms[1:], terms[0])))
+    return _to_float(max(_evaluate(_fractions(cols),
+                                   tuple(map(Fraction, point)))))
 
 
 def _to_float(q: Fraction) -> float:

@@ -18,9 +18,9 @@ the set and the loop runs again, until none is violated.  That last pass
 has formed every constraint's value at the optimum, and its maximum is
 the returned t.  The passes read the constraints in blocks of
 ``model._BLOCK``, so their scratch does not grow with n.  Every violation
-test is decided exactly: a float filter with a proven error bound settles
-almost all of them, and rational arithmetic on the same doubles settles
-the rest.
+test is decided exactly: a float filter on ``model._evaluate``'s values,
+with the error bound proven beside it, settles almost all of them, and
+rational arithmetic on the same doubles settles the rest.
 
 The pruner maps constraints to dual points (a, b, -c).  Relative to a dual
 point of minimal z, two classes of points can be dropped without changing
@@ -48,8 +48,8 @@ import numpy as np
 from .errors import ContractViolation, NonFiniteInput
 from .geometry import _EPS, _product_sign
 from .baseline import lower_hull
-from .model import (_BLOCK, Problem, Solution2, Solution3, certify,
-                    columns, objective, require_finite)
+from .model import (_BLOCK, _EVAL_ERR, Problem, Solution2, Solution3,
+                    _evaluate, certify, columns, objective, require_finite)
 # Unused here, but perfbench/spans.py traces prune3d.brute3d_box by
 # rebinding it, so the name stays a module attribute.
 from .oracle import brute3d_box  # noqa: F401
@@ -164,10 +164,6 @@ def boundary_via_2d(cs: Sequence) -> list[tuple[str, Solution2]]:
             for edge, p in zip(EDGE_IDS, induced)]
 
 
-# Error bound of the float filters, relative to the sum of the magnitudes
-# involved: each filtered value takes at most five roundings (4u), and the
-# factor 2 covers the rounding of the bound itself.
-_EVAL = 8.0 * _EPS
 # An interval that comes out empty is accepted when some point of it misses
 # every constraint by at most this much, relative to the largest
 # coefficient; rounding accounts for about 2**-47.
@@ -390,19 +386,16 @@ def _violated(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: float,
     would find violated, and the largest value (a*x + b*y) + c: bit for
     bit what ``objective`` gives on these columns at (x, y).
 
-    One pass over blocks of ``_BLOCK`` rows, with ``_seidel``'s float
-    value and bound, and ``_exceeds`` for the rows the bound leaves
-    undecided.
+    One pass over blocks of ``_BLOCK`` rows, with ``model._evaluate``'s
+    values, ``_seidel``'s bound, and ``_exceeds`` for the rows the bound
+    leaves undecided.
     """
-    err = _EVAL * (3.0 * scale + abs(t))
+    err = 2.0 * _EVAL_ERR * (3.0 * scale + abs(t))
     top = -math.inf
     new = []
     for i in range(0, a.size, _BLOCK):
         s = slice(i, i + _BLOCK)
-        # (a*x + b*y) + c, in _seidel's order and objective's
-        v = a[s] * x
-        v += b[s] * y
-        v += c[s]
+        v = _evaluate((a[s], b[s], c[s]), (x, y))
         high = float(v.max())
         top = max(top, high)
         # v - t rounds monotonically in v: when it is below -err at the
@@ -443,8 +436,8 @@ def _seidel(a: list, b: list, c: list,
         x, y = _solve_on_plane(a, b, c, k, scale)
         # zip stops at the shortest list, so one slice bounds all three
         top = max([u * x + v * y + w for u, v, w in zip(a, b, c[:k + 1])])
-        t = top + 2.0 * _EVAL * (3.0 * scale + abs(top))
-        err = _EVAL * (3.0 * scale + abs(t))
+        t = top + 4.0 * _EVAL_ERR * (3.0 * scale + abs(top))
+        err = 2.0 * _EVAL_ERR * (3.0 * scale + abs(t))
     return x, y, t
 
 
@@ -464,7 +457,7 @@ def _solve_on_plane(a: list, b: list, c: list, m: int,
     us = [v - am for v in a[:m]]
     vs = [v - bm for v in b[:m]]
     ws = [cm - v for v in c[:m]]
-    err = _EVAL * 6.0 * scale
+    err = 2.0 * _EVAL_ERR * 6.0 * scale
     for j, (u, v, w) in enumerate(zip(us, vs, ws)):
         d = u * x + v * y - w
         if d < -err or (d <= err and not _exceeds(u, v, 0.0, x, y, w)):

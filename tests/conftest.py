@@ -1,6 +1,11 @@
-"""Shared helpers: independent rational oracles and tolerance checks."""
+"""Shared helpers: independent rational oracles, tolerance checks and
+problem corpora."""
 
+import math
+import random
 from fractions import Fraction
+
+import numpy as np
 
 from minmaxlp import GenSpec, gen2d, gen3d
 
@@ -112,3 +117,44 @@ def brute_edge_min(slopes_offsets):
                 if 0.0 <= x <= 1.0:
                     xs.append(x)
     return min(max(s * x + o for s, o in rows) for x in xs)
+
+
+def grid_instances(count, seed, n_max=12, levels=2):
+    """Small-integer planes: ties, duplicates and shared vertices abound."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, n_max)
+        out.append([tuple(float(rng.randint(-levels, levels))
+                          for _ in range(3)) for _ in range(n)])
+    return out
+
+
+def objective_corpus():
+    """Gaussian problems, integer grids, the adversarial families (2^+-450
+    is not rescaled, 2^+-600 and 2^+-1000 are) and planes through one
+    point, at n = 1-3000."""
+    out = [gen3d(GenSpec(n=1 + i % 134, seed=20261018, dim=3), index=i)
+           for i in range(0, 2010, 5)]
+    out += grid_instances(300, seed=1) + grid_instances(300, 2, 40)
+    for cs in corpus3d(20, 10, seed=31):
+        out.append([tuple(c) for c in cs] * 3)
+    out += [[(-0.0, -0.0, -0.0)], [(1.0, -0.0, -0.0), (-1.0, 0.0, 0.0)]]
+    for cs in corpus3d(6, 10, seed=32):
+        out.append([(a, b, c + k) for a, b, c in cs for k in range(4)])
+    for cs in corpus3d(15, 10, seed=33):
+        out.append([tuple(c) for c in cs]
+                   + [(0.0, 0.0, c[2]) for c in cs[:4]])
+    for cs in corpus3d(40, 10, seed=36):
+        out.append([(a, b, -(a * 0.25 + b * 0.75)) for a, b, _ in cs])
+    for k in (450, -450, 600, -600, 1000, -1000):
+        f = math.ldexp(1.0, k)
+        out += [[(a * f, b * f, c * f) for a, b, c in cs]
+                for cs in corpus3d(25, 5, seed=35)]
+    rng = np.random.default_rng(48)
+    for n in (30, 300, 3000):
+        for _ in range(3):
+            a, b = rng.normal(0.0, 3.0, (2, n))
+            out.append(np.stack((a, b, 1.0 - a * 0.17925800707829326
+                                 - b * 0.5062426186871909), axis=1))
+    return out

@@ -308,7 +308,9 @@ def _near_rows(cols, point):
     """The near-tight rows by ``certify``'s rule, from one pass over every
     row, where no term overflows; None otherwise."""
     with np.errstate(over="ignore", invalid="ignore"):
-        v, s = model._values(cols, point)
+        v = model._evaluate(cols, point)
+        s = model._evaluate([abs(col) for col in cols],
+                            [abs(p) for p in point])
     if not np.isfinite(s).all():
         return None
     tight, tiny, F = model._TIGHT, model._EVAL_TINY, Fraction

@@ -1,7 +1,8 @@
 """Scratch memory, traced by tracemalloc: the formatter streams, the
 parser holds one byte copy of its text, neither a problem's build nor the
 generator copies its columns more than once, the 2D solver holds one copy
-of its input, and the answer checks hold a few blocks of rows."""
+of its input, and the answer checks and the objective hold a few blocks of
+rows."""
 
 import os
 import tracemalloc
@@ -78,3 +79,8 @@ def test_checks_hold_a_few_blocks_whatever_the_rows():
     assert peaks2[1] <= 1.25 * peaks2[0]
     assert peaks3[1] <= 1.25 * peaks3[0]
     assert max(peaks2 + peaks3) <= 4e6
+
+
+def test_objective_holds_a_few_blocks():
+    cs = gen3d(GenSpec(n=10**6, seed=3, dim=3))
+    assert _peak(objective, columns(cs, 3), 0.5, 0.5) <= 4e6

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ from minmaxlp import (Constraint2, Constraint3, EmptyProblem, GenSpec,
                       boundary_via_2d, brute2d, brute3d_box, check2d, check3d,
                       expand_absolute, gen2d, gen3d, lower_hull, prune,
                       solve, solve3d, solve_baseline, solve_boxed)
-from minmaxlp.model import columns
+from conftest import corpus2d, objective_corpus
+from minmaxlp import model
+from minmaxlp.model import columns, exact_objective, objective
 
 ROWS = [Constraint2(1.0, -2.0), Constraint2(-0.0, 3.5), Constraint2(2.5, 0.0),
         Constraint2(-4.0, 1e308), Constraint2(5e-324, -1.0)]
@@ -255,3 +258,84 @@ class TestBeyondDoubleRange:
         assert columns([(10**300, 0), (-1, 2)], 2).tolist() == [
             [1e300, -1.0], [0.0, 2.0]]
         assert Problem([10**300, 1], [0, 2]) == [(1e300, 0.0), (1.0, 2.0)]
+
+
+def full_length_objective(cols, *point):
+    """``objective`` formed over every row at once, in full-length arrays."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = cols[0] * point[0]
+        for col, p in zip(cols[1:-1], point[1:]):
+            v += col * p
+        v += cols[-1]
+        t = float(np.max(v)) + 0.0
+    return t if math.isfinite(t) else exact_objective(cols, *point)
+
+
+@pytest.fixture(scope="module")
+def box_corpus():
+    return [columns(cs, 3) for cs in objective_corpus()]
+
+
+class TestObjective:
+    """``objective`` reads blocks of ``model._BLOCK`` rows: a maximum,
+    a NaN or an overflow may lie in any block."""
+
+    @pytest.fixture(params=[5, 7, 1 << 13], autouse=True)
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(model, "_BLOCK", request.param)
+        return request.param
+
+    def test_nan_in_a_later_block_takes_the_exact_path(self, block):
+        # The last row is inf - inf, a NaN, at (1e10, 1e10), and exactly
+        # ulp(1e300) * 1e10, above the finite maximum of the first block.
+        big = 1e300
+        rows = [(1.0, 1.0, 3.0)] * block + [(big, math.ulp(big) - big, 0.0)]
+        t = objective(columns(rows, 3), 1e10, 1e10)
+        assert t == 1.487016908477783e+294
+
+    def test_every_sum_overflowing_below_takes_the_exact_path(self, block):
+        # -1e308 - 1e308 is -inf in floats, and -inf + 1e308 stays so
+        rows = [(-1e308, -1e308, 1e308)] * (block + 1)
+        assert objective(columns(rows, 3), 1.0, 1.0) == -1e308
+
+    def test_negative_zero_comes_out_as_zero(self, block):
+        rows = [(0.0, 0.0, -1.0)] * block + [(-1.0, -1.0, -0.0)]
+        for cols, point in ((columns(rows, 3), (0.0, 0.0)),
+                            (columns(rows, 3)[::2], (0.0,))):
+            t = objective(cols, *point)
+            assert t == 0.0 and math.copysign(1.0, t) == 1.0
+
+    def test_maximum_beyond_the_double_range(self, block):
+        # above: the rows of the last block overflow; below: every row does
+        for rows, t in (([(1.0, 1.0, 1.0)] * block + [(1e308,) * 3] * 3,
+                         math.inf),
+                        ([(-1e308,) * 3] * 8, -math.inf)):
+            cols = columns(rows, 3)
+            assert objective(cols, 1.0, 1.0) == t
+            assert objective(cols[::2], 1.0) == t
+
+    def test_box_corpus_matches_a_full_length_pass(self, box_corpus):
+        rng = np.random.default_rng(49)
+        for k, cols in enumerate(box_corpus):
+            points = [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0),
+                      tuple(rng.uniform(-2.0, 2.0, 2).tolist())]
+            if k % 10 == 0:
+                points.append((1e308, -1e308))
+            for point in points:
+                got = objective(cols, *point)
+                assert got.hex() == full_length_objective(cols, *point).hex()
+
+    def test_2d_corpus_matches_a_full_length_pass(self):
+        rng = np.random.default_rng(50)
+        for n in (1, 5, 6, 7, 8, 40, 1000, 20000):
+            for cs in corpus2d(n, 5, seed=51):
+                a, b = columns(cs, 2)
+                # up to 1e3 rows, also with two far rows, whose values
+                # overflow at most x and take the exact path
+                far = (np.append(a, [1.7e308, -1.7e308]),
+                       np.append(b, [-1e307, -1e307]))
+                for cols in ((a, b), far)[:1 + (n <= 1000)]:
+                    for x in [0.0, -0.0, 1e300, *rng.normal(0.0, 10.0, 3)]:
+                        got = objective(cols, float(x))
+                        want = full_length_objective(cols, float(x))
+                        assert got.hex() == want.hex()

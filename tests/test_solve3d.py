@@ -11,10 +11,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import close, corpus3d, eval_max_3
+from conftest import (close, corpus3d, eval_max_3, grid_instances,
+                      objective_corpus)
 from minmaxlp import (ContractViolation, EmptyProblem, GenSpec,
                       NonFiniteInput, boundary_via_2d, brute3d_box, check3d,
                       gen3d, prune3d, solve3d)
+from minmaxlp import model
 from minmaxlp.model import columns, objective
 
 
@@ -24,17 +26,6 @@ def assert_answer(cs, sol, tol=1e-9, scale=1.0):
     assert sol.t == eval_max_3(cs, sol.x, sol.y)
     ref = brute3d_box(cs)
     assert abs(sol.t - ref.t) <= tol * max(scale, abs(ref.t)), (sol, ref)
-
-
-def grid_instances(count, seed, n_max=12, levels=2):
-    """Small-integer planes: ties, duplicates and shared vertices abound."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        n = rng.randint(1, n_max)
-        out.append([tuple(float(rng.randint(-levels, levels))
-                          for _ in range(3)) for _ in range(n)])
-    return out
 
 
 def full_order_answer(cs):
@@ -79,36 +70,6 @@ def probe_missing_instances(count, seed):
                           [len(basis), len(spikes), len(low)])
         perm = rng.permutation(len(rows))
         out.append((rows[perm], steep[perm]))
-    return out
-
-
-def objective_corpus():
-    """Gaussian problems, integer grids, the adversarial families (2^+-450
-    is not rescaled, 2^+-600 and 2^+-1000 are) and planes through one
-    point, at n = 1-3000."""
-    out = [gen3d(GenSpec(n=1 + i % 134, seed=20261018, dim=3), index=i)
-           for i in range(0, 2010, 5)]
-    out += grid_instances(300, seed=1) + grid_instances(300, 2, 40)
-    for cs in corpus3d(20, 10, seed=31):
-        out.append([tuple(c) for c in cs] * 3)
-    out += [[(-0.0, -0.0, -0.0)], [(1.0, -0.0, -0.0), (-1.0, 0.0, 0.0)]]
-    for cs in corpus3d(6, 10, seed=32):
-        out.append([(a, b, c + k) for a, b, c in cs for k in range(4)])
-    for cs in corpus3d(15, 10, seed=33):
-        out.append([tuple(c) for c in cs]
-                   + [(0.0, 0.0, c[2]) for c in cs[:4]])
-    for cs in corpus3d(40, 10, seed=36):
-        out.append([(a, b, -(a * 0.25 + b * 0.75)) for a, b, _ in cs])
-    for k in (450, -450, 600, -600, 1000, -1000):
-        f = math.ldexp(1.0, k)
-        out += [[(a * f, b * f, c * f) for a, b, c in cs]
-                for cs in corpus3d(25, 5, seed=35)]
-    rng = np.random.default_rng(48)
-    for n in (30, 300, 3000):
-        for _ in range(3):
-            a, b = rng.normal(0.0, 3.0, (2, n))
-            out.append(np.stack((a, b, 1.0 - a * 0.17925800707829326
-                                 - b * 0.5062426186871909), axis=1))
     return out
 
 
@@ -293,8 +254,10 @@ class TestWorkingSet:
     def test_t_is_the_objective(self, block, monkeypatch):
         # the last violation pass's running maximum is objective's t bit
         # for bit, also across block edges; rescaled problems (2^+-600,
-        # 2^+-1000) take t from objective itself
+        # 2^+-1000) take t from objective itself.  prune3d binds its own
+        # _BLOCK, so both are set.
         monkeypatch.setattr(prune3d, "_BLOCK", block)
+        monkeypatch.setattr(model, "_BLOCK", block)
         for cs in objective_corpus():
             sol = solve3d(cs)
             want = objective(columns(cs, 3), sol.x, sol.y)
@@ -313,7 +276,7 @@ class TestWorkingSet:
             c += rng.integers(-4, 5, 200) * np.spacing(c)
             c[np.arange(200) // 10 % 2 == 1] -= 1.0
             t, scale = 2.0, float(np.abs([a, b, c]).max())
-            err = prune3d._EVAL * (3.0 * scale + abs(t))
+            err = 2.0 * model._EVAL_ERR * (3.0 * scale + abs(t))
             want = [i for i, (ai, bi, ci) in
                     enumerate(zip(a.tolist(), b.tolist(), c.tolist()))
                     if not ((d := ai * x + bi * y + ci - t) < -err or
