@@ -34,7 +34,8 @@ def _sorted_unique_xy(xs: np.ndarray, ys: np.ndarray):
 
 
 def _chain(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
-    """Monotone-chain lower hull over x-sorted, x-unique points.
+    """Monotone-chain lower hull over (x, y)-sorted, distinct points
+    (Andrew, IPL 1979); over them in reverse, the upper hull.
 
     Each turn is ``geometry._orient`` of the original points, so a
     rounded or overflowing difference never decides a turn.

@@ -116,11 +116,14 @@ _ERRBOUND = (3.0 + 16.0 * _EPS) * _EPS
 # Below this magnitude the relative error bound no longer holds because the
 # products may be denormal; such comparisons take the exact path directly.
 _NO_UNDERFLOW = 1e-280
+# The absolute term of the bounds that allow for underflow, 32 times the
+# largest error, 2**-1075, of one product or quotient that underflows: the
+# slope prefilter's (``_slope_threshold``) and ``model``'s value bounds.
+_TINY = 2.0 ** -1070
 
-# The slope prefilter's constants (see ``_slope_threshold``): the relative
-# term K = 8u, the absolute term, and the largest threshold it accepts.
+# The slope prefilter's relative term K = 8u, and the largest threshold it
+# accepts.
 _SLOPE_REL = 8.0 * _EPS
-_SLOPE_ABS = 2.0 ** -1070
 _SLOPE_MAX = 2.0 ** 1000
 
 
@@ -169,7 +172,7 @@ def _slope_threshold(p: float) -> float:
         g(s_w) <= (p_w + a) * (1 - 6u) + a    elsewhere.
 
     T is R / (1 - K) where R >= 0 and R / (1 + K) elsewhere, with
-    R = p_w + K |p_w| + _SLOPE_ABS and K = _SLOPE_REL = 8u, in floats.
+    R = p_w + K |p_w| + _TINY and K = _SLOPE_REL = 8u, in floats.
     Exactly, T is about p_w (1 + 16u) + 2^-1070 for p_w >= 0 and
     p_w (1 - 16u) + 2^-1070 below, against bounds of p_w (1 +- 6u) + 2a.
     The slack, 10u |p_w| and 30a, covers the four roundings that form T:
@@ -180,7 +183,7 @@ def _slope_threshold(p: float) -> float:
     so T <= _SLOPE_MAX proves it larger than s_w <= T as well; a -inf p_w
     makes T NaN.  T is returned only when |T| <= _SLOPE_MAX.
     """
-    r = p + _SLOPE_REL * abs(p) + _SLOPE_ABS
+    r = p + _SLOPE_REL * abs(p) + _TINY
     t = r / (1.0 - _SLOPE_REL) if r >= 0.0 else r / (1.0 + _SLOPE_REL)
     return t if abs(t) <= _SLOPE_MAX else math.nan
 

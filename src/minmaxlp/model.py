@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation, EmptyProblem, NonFiniteInput
-from .geometry import _EPS, Point2
+from .geometry import _EPS, _TINY, Point2
 
 
 class Status(str, Enum):
@@ -266,15 +266,17 @@ def _evaluate(cols, point) -> np.ndarray:
 # float value is within gamma_3 * S of the exact one, S the sum of its
 # terms' magnitudes (Higham, Accuracy and Stability of Numerical
 # Algorithms, 3.1); S formed in floats loses at most three roundings, so
-# _EVAL_ERR times it covers gamma_3 * S, and _EVAL_TINY covers products
-# that underflow (each off by at most 2**-1075).  ``prune3d``'s filters
-# test v - t at a box point, with every coefficient at most ``scale`` >=
-# 2**-500 in magnitude: each term takes four roundings, so the error is
-# below gamma_4 * (3 * scale + |t|), which 2 * _EVAL_ERR times the rounded
-# 3 * scale + |t| covers with its own rounding and any underflow.  Their
-# half-planes take three roundings on at most 6 * scale, likewise.
+# _EVAL_ERR times it covers gamma_3 * S, and ``geometry._TINY`` covers
+# products that underflow (each off by at most 2**-1075).  ``prune3d``'s
+# filters test v - t at a box point, with every coefficient at most
+# ``scale`` >= 2**-500 in magnitude: each term takes four roundings, so
+# the error is below gamma_4 * (3 * scale + |t|), which 2 * _EVAL_ERR
+# times the rounded 3 * scale + |t| covers with its own rounding and any
+# underflow.  Their half-planes take three roundings on at most
+# 6 * scale, likewise.  ``prune``'s "too steep" filter, on differences
+# and sums alone, errs by less than 3.01u times its summed differences,
+# which _EVAL_ERR times their rounded sum covers (proof beside ``prune``).
 _EVAL_ERR = 4.0 * _EPS
-_EVAL_TINY = 2.0 ** -1070
 # A right answer is exact up to the roundings that form it.  The
 # one-variable solvers form x with three roundings and t by evaluating one
 # supporting constraint at x, so at x both supports, and every constraint
@@ -291,11 +293,11 @@ _TIGHT = 8.0 * _EPS
 # up to 1.4 times slower.
 _BLOCK = 1 << 13
 # ``certify``'s second pass keeps every row whose value lies within
-# _NEAR * M + 8 * _EVAL_TINY of the top, M the largest magnitude sum.  The
-# top value is at most M in magnitude, so each near-tight cut lies at most
-# 2 * (2 * _TIGHT + _EVAL_ERR) * M + 6 * _EVAL_TINY, 40u * M + 6 tiny,
-# below it, and a few units of roundoff of M more once rounded; _NEAR is
-# 80u, twice that, which also covers the rounding of the pass's own cut.
+# _NEAR * M + 8 * _TINY of the top, M the largest magnitude sum.  The top
+# value is at most M in magnitude, so each near-tight cut lies at most
+# 2 * (2 * _TIGHT + _EVAL_ERR) * M + 6 * _TINY, 40u * M + 6 tiny, below
+# it, and a few units of roundoff of M more once rounded; _NEAR is 80u,
+# twice that, which also covers the rounding of the pass's own cut.
 _NEAR = 4.0 * (2.0 * _TIGHT + _EVAL_ERR)
 
 
@@ -333,7 +335,7 @@ def certify(cols, point: tuple, t: float, lower_bound, who: str) -> None:
     """
     require_finite(point, t, who)
     F = Fraction
-    tight, err, tiny = _TIGHT, _EVAL_ERR, _EVAL_TINY
+    tight, err, tiny = _TIGHT, _EVAL_ERR, _TINY
     n = cols[0].size
 
     def blocks(cols=cols, point=point, size=_BLOCK):

@@ -46,10 +46,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractViolation, NonFiniteInput
-from .geometry import _EPS, _product_sign
-from .baseline import lower_hull
-from .model import (_BLOCK, _EVAL_ERR, Problem, Solution2, Solution3,
-                    _evaluate, certify, columns, objective, require_finite)
+from . import model
+from .baseline import _chain
+from .geometry import _product_sign
+from .model import (_EVAL_ERR, Problem, Solution2, Solution3, _evaluate,
+                    certify, columns, objective, require_finite)
 # Unused here, but perfbench/spans.py traces prune3d.brute3d_box by
 # rebinding it, so the name stays a module attribute.
 from .oracle import brute3d_box  # noqa: F401
@@ -82,8 +83,9 @@ class PruneReport:
     pmin_index: int
 
 
-# The "too steep" filter's error bound.  Against the anchor, a candidate's
-# exact differences P = z - az, Q = a - ax, R = b - ay are positive, with
+# The "too steep" filter's error bound is ``model._EVAL_ERR`` = 4u times
+# the rounded summed differences.  Against the anchor, a candidate's exact
+# differences P = z - az, Q = a - ax, R = b - ay are positive, with
 # rounded values dz, da, db, d = fl(fl(dz - da) - db) and s = dz + da + db.
 # A sum or difference of doubles is exact when subnormal and otherwise
 # within a factor 1 +- u (u = 2^-53); with no products, no error term is
@@ -98,7 +100,6 @@ class PruneReport:
 # 2^-1074 below it, rounds no higher.  So |d| > bound proves the sign of
 # P - Q - R.  An overflowed difference makes the bound inf, and inf or NaN
 # never clears it.
-_STEEP_REL = 4.0 * _EPS
 
 
 def prune(cs: Sequence) -> PruneReport:
@@ -114,7 +115,7 @@ def prune(cs: Sequence) -> PruneReport:
     rise exceeding the summed runs forces A > 1 or B > 1, while testing
     each run alone would also drop points that support faces with both
     slopes inside the unit box.  Equality keeps the point.  Rows the float
-    filter (``_STEEP_REL``) leaves undecided are compared in Fractions.
+    filter (``_EVAL_ERR``) leaves undecided are compared in Fractions.
     """
     a, b, c = columns(cs, 3)
     z = -c
@@ -127,7 +128,7 @@ def prune(cs: Sequence) -> PruneReport:
     with np.errstate(over="ignore", invalid="ignore"):
         dz, da, db = z[above] - az, a[above] - ax, b[above] - ay
         d = (dz - da) - db
-        bound = _STEEP_REL * ((dz + da) + db)
+        bound = _EVAL_ERR * ((dz + da) + db)
         steep = d > bound
         undecided = ~(steep | (d < -bound))
     F = Fraction
@@ -220,10 +221,12 @@ def check3d(cs: Sequence, sol: Solution3) -> None:
     found with t and with the objective at (x, y).  The multipliers are
     sought among the near-tight constraints: their gradients (a, b),
     deduplicated to the largest c, and of those only the h vertices of the
-    convex hull, since the bound is concave in sum(lambda * (a, b)).  Each
-    hull vertex, each hull edge where sum(lambda * a) or sum(lambda * b)
-    is 0, and the fan triangle holding (0, 0) is tried.  O(n) numpy work,
-    O(h) Fraction work and no reference solver.
+    convex hull, since the bound is concave in sum(lambda * (a, b)).  The
+    hull is one monotone chain over the gradients in (a, b) order, run
+    forward for its lower half and back for its upper half.  Each hull
+    vertex, each hull edge where sum(lambda * a) or sum(lambda * b) is 0,
+    and the fan triangle holding (0, 0) is tried.  O(n) numpy work, O(h)
+    Fraction work and no reference solver.
     """
     a, b, c = columns(cs, 3)
     x, y = sol.x, sol.y
@@ -238,19 +241,23 @@ def check3d(cs: Sequence, sol: Solution3) -> None:
 def _box_lower_bound(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Fraction:
     """The best lower bound of the box problem over rows (a, b, c) that
     the multipliers on hull vertices, hull edges and fan triangles of the
-    gradients give, in Fractions."""
+    gradients give, in Fractions.
+
+    The hull is Andrew's monotone chain: ``baseline._chain`` over the
+    distinct gradients in (a, b) order gives the lower chain, and over
+    them in reverse the upper one.  Each chain ends where the other
+    starts, so the polygon, counter-clockwise from the least gradient, is
+    both without their last points, or the one gradient there is.
+    """
     # in increasing c, so each gradient keeps its largest c
     order = np.argsort(c)
     best_c = dict(zip(zip(a[order].tolist(), b[order].tolist()),
                       c[order].tolist()))
-    lower = lower_hull(np.stack((a, b), axis=1))
-    upper = [(p, -q) for p, q in lower_hull(np.stack((a, -b), axis=1))][::-1]
-    if upper[0] == lower[-1]:
-        upper = upper[1:]
-    if upper and upper[-1] == lower[0]:
-        upper = upper[:-1]
+    xs, ys = zip(*sorted(best_c))
+    lower, upper = (list(zip(*_chain(xs[::d], ys[::d]))) for d in (1, -1))
     F = Fraction
-    poly = [(F(p), F(q), F(best_c[p, q])) for p, q in lower + upper]
+    poly = [(F(p), F(q), F(best_c[p, q]))
+            for p, q in lower[:-1] + upper[:-1] or lower]
 
     def bound(rows, lams):
         sa, sb, sc = (sum(lam * r[g] for lam, r in zip(lams, rows))
@@ -359,15 +366,17 @@ def _scale_and_probes(a: np.ndarray, b: np.ndarray,
     """The largest coefficient magnitude, and the rows highest at some
     point of the ``_PROBES`` grid, the first such row for each point.
 
-    One pass over blocks of ``_BLOCK`` rows, each stacked once for both,
-    so the scratch is a (points, block) matrix whatever the rows.
+    One pass over blocks of ``model._BLOCK`` rows, each stacked once for
+    both, so the scratch is a (points, block) matrix whatever the rows.
     """
     scale = 0.0
-    for i in range(0, a.size, _BLOCK):
-        s = slice(i, i + _BLOCK)
+    for i in range(0, a.size, model._BLOCK):
+        s = slice(i, i + model._BLOCK)
         m = np.array((a[s], b[s], c[s]))
         scale = max(scale, float(np.abs(m).max()))
-        # einsum's own loop, not BLAS: the same values on every machine
+        # einsum's own loop, not BLAS.  With numpy 2.4 on x86-64, a block
+        # of two or more rows gets _evaluate's (a*x + b*y) + c bit for bit
+        # (a test pins this); a one-row block gets (a*x + c) + b*y.
         v = np.einsum("pk,kn->pn", _PROBES, m)
         k = v.argmax(axis=1)
         high = v[_POINTS, k]
@@ -386,15 +395,15 @@ def _violated(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: float,
     would find violated, and the largest value (a*x + b*y) + c: bit for
     bit what ``objective`` gives on these columns at (x, y).
 
-    One pass over blocks of ``_BLOCK`` rows, with ``model._evaluate``'s
+    One pass over blocks of ``model._BLOCK`` rows, with ``model._evaluate``'s
     values, ``_seidel``'s bound, and ``_exceeds`` for the rows the bound
     leaves undecided.
     """
     err = 2.0 * _EVAL_ERR * (3.0 * scale + abs(t))
     top = -math.inf
     new = []
-    for i in range(0, a.size, _BLOCK):
-        s = slice(i, i + _BLOCK)
+    for i in range(0, a.size, model._BLOCK):
+        s = slice(i, i + model._BLOCK)
         v = _evaluate((a[s], b[s], c[s]), (x, y))
         high = float(v.max())
         top = max(top, high)

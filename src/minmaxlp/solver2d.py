@@ -244,10 +244,6 @@ def _survivors(xs: np.ndarray, ys: np.ndarray, fx: float, fb: float,
         found.append((k + s, p[k]))
     if t == inf:
         return None
-    if len(found) == 1:
-        # The block that set the last threshold is the only one that kept
-        # any candidate, and it kept them against that threshold.
-        return found[0][0]
     keep = np.concatenate([k for k, _ in found])
     return keep[np.concatenate([q for _, q in found]) <= t]
 

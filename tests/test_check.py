@@ -17,7 +17,7 @@ from minmaxlp import (ContractViolation, GenSpec, NonFiniteInput, Solution2,
                       Solution3, Status, brute2d, brute3d_box, check2d,
                       check3d, expand_absolute, gen2d, gen3d, solve,
                       solve3d, solve_baseline)
-from minmaxlp import baseline, model, oracle, prune3d, solver2d
+from minmaxlp import baseline, geometry, model, oracle, prune3d, solver2d
 from minmaxlp.model import columns, objective
 
 
@@ -313,7 +313,7 @@ def _near_rows(cols, point):
                             [abs(p) for p in point])
     if not np.isfinite(s).all():
         return None
-    tight, tiny, F = model._TIGHT, model._EVAL_TINY, Fraction
+    tight, tiny, F = model._TIGHT, geometry._TINY, Fraction
     top = int(np.argmax(v))
     near = v >= v[top] - tight * s[top] - tight * s - 2 * tiny
     bound = ((2 * F(tight) + F(model._EVAL_ERR)) * F(s[near].max())

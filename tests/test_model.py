@@ -339,3 +339,31 @@ class TestObjective:
                         got = objective(cols, float(x))
                         want = full_length_objective(cols, float(x))
                         assert got.hex() == want.hex()
+
+
+def test_eval_err_bounds_the_box_filters_rounding():
+    # prune3d's filters rest on this: at a box point, with every
+    # coefficient at most ``scale`` in magnitude, ((a*x + b*y) + c) - t
+    # errs by less than gamma_4 * (3 * scale + |t|), which their err,
+    # 2 * _EVAL_ERR times it, covers.  Rows that nearly cancel at the
+    # point keep every rounding in play, yet the worst error among them
+    # is about 0.6u times 3 * scale + |t|: within half of err.
+    F, u = Fraction, 2.0 ** -53
+    rng = np.random.default_rng(52)
+    worst = 0
+    for e in range(-500, 501, 125):
+        a, b = rng.uniform(-1.0, 1.0, (2, 150)) * 2.0 ** e
+        for x, y in [(0.5, 1.0), *rng.uniform(0.0, 1.0, (3, 2)).tolist()]:
+            c = rng.normal(0.0, 2.0 ** (e - 30), 150) - (a * x + b * y)
+            c = np.clip(c, -(2.0 ** e), 2.0 ** e)
+            scale = float(np.abs([a, b, c]).max())
+            v = model._evaluate((a, b, c), (x, y))
+            for t in (0.0, v[0].item(), scale / 1024):
+                mag = 3.0 * scale + abs(t)
+                for ai, bi, ci, d in zip(a.tolist(), b.tolist(), c.tolist(),
+                                         (v - t).tolist()):
+                    err = abs(F(d) - (F(ai) * F(x) + F(bi) * F(y) + F(ci)
+                                      - F(t)))
+                    assert err <= F(model._EVAL_ERR * mag)
+                    worst = max(worst, err / F(u * mag))
+    assert 0.25 < worst < 1

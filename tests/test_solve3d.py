@@ -240,7 +240,7 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("block", [5, 7, 1 << 13])
     def test_probe_rows_are_the_grid_maximisers(self, block, monkeypatch):
-        monkeypatch.setattr(prune3d, "_BLOCK", block)
+        monkeypatch.setattr(model, "_BLOCK", block)
         for n in (1, 5, 6, 40, 134):
             for cs in corpus3d(n, 5, seed=43) + grid_instances(5, 44, n, 1):
                 a, b, c = columns(cs, 3)
@@ -250,13 +250,28 @@ class TestWorkingSet:
                 assert probes == want
                 assert scale == np.abs([a, b, c]).max()
 
+    def test_probe_values_are_the_evaluators(self):
+        # _scale_and_probes' einsum forms a block's values at the probes
+        # as _evaluate does, (a*x + b*y) + c, for blocks of two or more
+        # rows, also where the rows nearly cancel; a one-row block sums
+        # (a*x + c) + b*y instead
+        rng = np.random.default_rng(46)
+        for n in (2, 3, 5, 8, 17, 134, 1000):
+            for _ in range(20):
+                a, b = rng.uniform(-1.0, 1.0, (2, n))
+                x, y = rng.uniform(0.0, 1.0, 2)
+                c = rng.normal(0.0, 1e-12, n) - (a * x + b * y)
+                v = np.einsum("pk,kn->pn", prune3d._PROBES,
+                              np.array((a, b, c)))
+                for got, (px, py, _) in zip(v, prune3d._PROBES):
+                    want = model._evaluate((a, b, c), (px, py))
+                    assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("block", [5, 7, 1 << 13])
     def test_t_is_the_objective(self, block, monkeypatch):
         # the last violation pass's running maximum is objective's t bit
         # for bit, also across block edges; rescaled problems (2^+-600,
-        # 2^+-1000) take t from objective itself.  prune3d binds its own
-        # _BLOCK, so both are set.
-        monkeypatch.setattr(prune3d, "_BLOCK", block)
+        # 2^+-1000) take t from objective itself
         monkeypatch.setattr(model, "_BLOCK", block)
         for cs in objective_corpus():
             sol = solve3d(cs)
@@ -283,7 +298,7 @@ class TestWorkingSet:
                             (d <= err and
                              not prune3d._exceeds(ai, bi, ci, x, y, t)))]
             for block in (5, 7, 1 << 13):
-                monkeypatch.setattr(prune3d, "_BLOCK", block)
+                monkeypatch.setattr(model, "_BLOCK", block)
                 got, top = prune3d._violated(a, b, c, x, y, t, scale)
                 assert got == want and 0 < len(want) < 100
                 assert top == objective((a, b, c), x, y)
