@@ -47,7 +47,10 @@ class Solution2:
     counts pivot scans (diagnostic).  ``pivot_pairs`` records the successive
     (left point, right point) pairs visited by the pivoting solver so that
     tests can verify the strictly decreasing intercept sequence; reference
-    solvers leave it empty.
+    solvers leave it empty.  When every slope is <= 0 the solver pivots on
+    the problem mirrored in x and reports its points mirrored back, so each
+    pair is (the point on x = 0, the point with x < 0): for example
+    ((0.0, -0.5), (-3.0, -2.0)).
     """
 
     status: Status

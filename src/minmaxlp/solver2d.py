@@ -2,10 +2,11 @@
 
 Each constraint a*x + b <= t maps to the dual point (a, -b).  The optimal
 objective is determined by the edge of the dual points' lower convex hull
-that crosses the vertical axis.  The solver finds that edge by alternately
-scanning the negative-x and positive-x dual sets for the extreme-slope
-point, never touching points that cannot improve the current supporting
-line.
+that crosses the vertical axis.  The solver finds that edge by repeating
+one alternating step (``_pivot``): each step scans the negative-x or the
+positive-x dual set, in turn, for the extreme-slope point seen from the
+other set's current end, never touching points that cannot improve the
+current supporting line.
 
 Every decision is exact on the original coordinates.  The scan loop
 ``_scan`` compares candidates with ``geometry._orient``'s float filter,
@@ -21,21 +22,23 @@ no images.
 
 Every input is read as float64 columns (``model.columns``; a ``Problem``
 already holds them), and ``_solve`` decides the setup on them once: the
-sides, UNBOUNDED, the constant answer and the x-mirror.  Only the start
-search and the scans depend on size.  Below ``_COLUMNAR_MIN_N`` constraints
-both run over the columns as Python lists.  From there on they run in
-numpy, on one side-ordered copy of the columns: a (2, n) buffer of the
-left rows, then the right rows, each in input order, which the scans read
-as slices and the pivots index.  It is filled, and each scan reads it, in
-blocks of ``_BLOCK`` rows, so a solve holds its input's size once and a
-few blocks besides.  Each pivot scan is the slope prefilter
-(``_filtered_scan``): it forms every candidate's rounded slope, and a
-threshold from ``geometry._slope_threshold`` drops every candidate whose
-exact slope is proven larger than the least rounded slope's.  The
-survivors, if more than one, go to ``_scan``.  The threshold's proof needs
-coordinate differences that do not overflow: a candidate whose own
-differences overflow is kept beside the survivors, and a scan whose least
-slope is too large for a threshold keeps every candidate.
+sides, UNBOUNDED, the constant answer and the x-mirror, which solves
+slopes all <= 0 as their negation and reports each dual point with its x
+times a sign of -1.0.  Only the start search and the scans depend on
+size.  Below ``_COLUMNAR_MIN_N`` constraints both run over the columns as
+Python lists.  From there on they run in numpy, on one side-ordered copy
+of the columns: a (2, n) buffer of the left rows, then the right rows,
+each in input order, which the scans read as slices and the pivots index.
+It is filled, and each scan reads it, in blocks of ``_BLOCK`` rows, so a
+solve holds its input's size once and a few blocks besides.  Each pivot
+scan is the slope prefilter (``_filtered_scan``): it forms every
+candidate's rounded slope, and a threshold from
+``geometry._slope_threshold`` drops every candidate whose exact slope is
+proven larger than the least rounded slope's.  The survivors, if more
+than one, go to ``_scan``.  The threshold's proof needs coordinate
+differences that do not overflow: a candidate whose own differences
+overflow is kept beside the survivors, and a scan whose least slope is
+too large for a threshold keeps every candidate.
 """
 
 from __future__ import annotations
@@ -66,10 +69,12 @@ __all__ = [
 # it numpy's fixed per-call cost outweighs the vectorised scan.  On a 2-CPU
 # x86-64 host with numpy 2.4 (medians of 15 interleaved rounds over 9
 # instances), on Gaussian instances held as columns the list path takes
-# 20.0 us at 32 constraints against 22.4 us, 25.6 us at 48 against 23.1 us
-# and 25.7 us at 64 against 19.7 us.  On exact fits, where the exact
-# predicates dominate both paths, the numpy path is 1.3-1.6 times slower
-# from 32 to 128 constraints, which keeps the cut here.
+# 20.8 us at 16 constraints against 33.3 us, 27.9 us at 32 against 33.0 us,
+# 34.6 us at 48 against 33.7 us and 40.9 us at 63 against 33.5 us.  On
+# exact fits, where the exact predicates dominate both paths, the numpy
+# path is 1.3-1.7 times slower from 32 to 128 constraints.  So the cut
+# stays here, between the small fits of 8-12 residuals below it and
+# Gaussian problems of 1e3 constraints and more far above it.
 _COLUMNAR_MIN_N = 64
 # The numpy path's block of rows, at least _COLUMNAR_MIN_N: its setup fills
 # the side-ordered copy of the columns, and each scan of a larger side
@@ -262,12 +267,17 @@ def solve(cs: Sequence) -> Solution2:
     return _solve(*columns(cs, 2))
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> Solution2:
+def _solve(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> Solution2:
     """``solve`` on finite float64 columns of slopes ``a`` and intercepts
     ``b``.
 
     The sides, UNBOUNDED, the constant answer and the x-mirror are decided
-    here once; only the start search and the scans differ by size.  The
+    here once; only the start search and the scans differ by size.  Slopes
+    all <= 0, some negative, are solved as (-a, b), mirrored in x, by a
+    recursion that alone sets ``sign`` to -1.0: every reported dual point
+    has its x multiplied by ``sign``, which is exact, and the line through
+    two such points gives the unmirrored x and t bit for bit, as negating
+    both x's negates the slope exactly and leaves m * x1 as it was.  The
     dual points are (a, -b); the left side's scans see them mirrored in y,
     (a, b).  The numpy path copies the columns once, side by side, into a
     (2, n) buffer: a mask, its ``nonzero`` and ``take`` into the buffer for
@@ -293,8 +303,9 @@ def _solve(a: np.ndarray, b: np.ndarray) -> Solution2:
             return Solution2(Status.OPTIMAL, x=0.0, t=b.item(b.argmax()),
                              iterations=0)
         # Slopes are all <= 0 with at least one negative: mirror x so the
-        # strictly negative slopes land on the right side, solve, mirror back.
-        return _mirror_back(_solve(-a, b))
+        # strictly negative slopes land on the right side; the reported
+        # points are mirrored back.
+        return _solve(-a, b, -1.0)
     nl = n - nr
     # Start from the lowest left point, ties to the smaller x and then the
     # first index; any left point is a valid start, the lowest one just
@@ -322,7 +333,7 @@ def _solve(a: np.ndarray, b: np.ndarray) -> Solution2:
             n, i_l,
             lambda i: _scan(dual, right, i),
             lambda i: _scan(mirrored, left, i),
-            lambda i: Point2(xs[i], dpy[i]))
+            lambda i: Point2(sign * xs[i], dpy[i]))
 
     buf = np.empty((2, n))
     xs = buf[0]
@@ -371,17 +382,7 @@ def _solve(a: np.ndarray, b: np.ndarray) -> Solution2:
                                       span),
         lambda i: _filtered_scan(xl, yl, xs.item(i), ys.item(i), False,
                                  span),
-        lambda i: Point2(xs.item(i), -ys.item(i)))
-
-
-def _mirror_back(sol: Solution2) -> Solution2:
-    """The solution of the x-mirrored problem, mapped back to x."""
-    if sol.status is Status.UNBOUNDED:
-        return sol
-    pairs = tuple((Point2(-pl.x, pl.y), Point2(-pr.x, pr.y))
-                  for pl, pr in sol.pivot_pairs)
-    return Solution2(Status.OPTIMAL, x=-sol.x, t=sol.t,
-                     iterations=sol.iterations, pivot_pairs=pairs)
+        lambda i: Point2(sign * xs.item(i), -ys.item(i)))
 
 
 def _pivot(n: int, i_l: int, scan_right: Callable[[int], int],
@@ -391,37 +392,33 @@ def _pivot(n: int, i_l: int, scan_right: Callable[[int], int],
 
     ``scan_right(i)`` is the right point of minimal slope seen from left
     point i, ``scan_left(i)`` the left point of maximal slope into right
-    point i; ``point(i)`` is dual point i.  The loop stops when a scan
-    returns the point it already has.
-    """
-    pairs: list[tuple[int, int]] = []
-    iters = 1
-    i_r = scan_right(i_l)
-    # Successive pairs share a point: each point is built once.
-    pts = {i_l: point(i_l), i_r: point(i_r)}
-    pairs.append((i_l, i_r))
-    limit = 2 * n * n + 64
-    while True:
-        j = scan_left(i_r)
-        iters += 1
-        if j == i_l:
-            break
-        i_l = j
-        pts[j] = point(j)
-        pairs.append((i_l, i_r))
-        j = scan_right(i_l)
-        iters += 1
-        if j == i_r:
-            break
-        i_r = j
-        pts[j] = point(j)
-        pairs.append((i_l, i_r))
-        if iters > limit:
-            raise ContractViolation("pivot loop exceeded its iteration bound")
+    point i; ``point(i)`` is dual point i as the solve reports it.
 
-    m, t = _line_through(*pts[i_l], *pts[i_r], "solve")
-    return Solution2(Status.OPTIMAL, m, t, iters,
-                     tuple([(pts[i], pts[j]) for i, j in pairs]))
+    One step, the first right scan included, scans one side from the other
+    side's current end.  The loop stops when the scan returns the end it
+    would move; otherwise that end moves, its point is built once, and the
+    pair (left end's point, right end's point) is recorded.  An x-mirrored
+    solve (``_solve``'s ``sign``) reports its points mirrored back, so
+    there each pair is (the point on x = 0, the point with x < 0).  Scans
+    that never settle raise ContractViolation after 2n^2 + 65 of them.
+    """
+    ends = [i_l, -1]  # left, right: no right end yet, so the first moves
+    at = [point(i_l), None]
+    pairs = []
+    # Odd scans move the right end, even ones the left; scan 2n^2 + 65 is
+    # the last the bound allows.
+    for iterations in range(1, 2 * n * n + 66):
+        side = iterations & 1
+        j = scan_right(ends[0]) if side else scan_left(ends[1])
+        if j == ends[side]:
+            break
+        ends[side] = j
+        at[side] = point(j)
+        pairs.append((at[0], at[1]))
+    else:
+        raise ContractViolation("pivot loop exceeded its iteration bound")
+    m, t = _line_through(*at[0], *at[1], "solve")
+    return Solution2(Status.OPTIMAL, m, t, iterations, tuple(pairs))
 
 
 def solve_boxed(cs: Sequence, lo: float, hi: float) -> Solution2:

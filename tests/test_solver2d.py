@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -722,6 +723,70 @@ def image_builds(monkeypatch):
 
     monkeypatch.setattr(geometry, "_images", spy)
     return builds
+
+
+def _nonpositive_rows(n, seed, far):
+    """n >= 2 seeded rows with slopes <= 0, about 30% of them zero: the
+    first row's slope is zero and the second's negative.  With ``far`` the
+    zero-slope rows' intercepts lie near -1.7e308 and the other rows' slopes
+    near -1.7e308 and intercepts near 1.7e308, so the line through a
+    zero-slope and a negative-slope dual point overflows in floats."""
+    rng = random.Random(seed)
+    rows = []
+    for k in range(n):
+        zero = k == 0 or (k > 1 and rng.random() < 0.3)
+        if far:
+            u = rng.uniform(0.9, 1.0) * 1.7e308
+            rows.append((0.0, -u) if zero
+                        else (-rng.uniform(0.9, 1.0) * 1.7e308, u))
+        else:
+            rows.append((0.0 if zero else -abs(rng.gauss(0.0, 3.0)),
+                         rng.gauss(0.0, 3.0)))
+    return rows
+
+
+def _x_mirror(bits):
+    """``_bits`` of a solution with x and every pivot point's x negated."""
+    neg = lambda v: (-float.fromhex(v)).hex()  # noqa: E731
+    status, x, t, iterations, pairs = bits
+    return (status, neg(x), t, iterations,
+            tuple((neg(px), py, neg(qx), qy) for px, py, qx, qy in pairs))
+
+
+class TestPivotRecord:
+    """What ``_pivot`` records: one pair per moved end, the x-mirror of
+    slopes all <= 0, and the bound on its scans."""
+
+    @pytest.mark.parametrize("far", [False, True])
+    @pytest.mark.parametrize("n", [2, SMALL, 63, 64, LARGE])
+    def test_nonpositive_slopes_solve_as_the_x_mirror(self, n, far):
+        # solve(a, b) is the mirror of solve(-a, b), pairs and all
+        for seed in range(6):
+            rows = _nonpositive_rows(n, seed, far)
+            want = solve([(-a, b) for a, b in rows])
+            assert _bits(solve(rows)) == _x_mirror(_bits(want)), seed
+            if far:
+                # the answer's line is formed in Fractions
+                (x1, y1), (x2, y2) = want.pivot_pairs[-1]
+                assert math.isinf((y2 - y1) / (x2 - x1)), seed
+
+    @pytest.mark.parametrize("name,cs", list(_differential_cases().items()))
+    def test_one_pair_per_scan_but_the_last(self, name, cs):
+        sol = solve(cs)
+        if sol.pivot_pairs:
+            assert sol.iterations == len(sol.pivot_pairs) + 1
+
+    @pytest.mark.parametrize("n,scans", [(2, 73), (3, 83), (5, 115)])
+    def test_scans_that_never_settle_raise(self, n, scans):
+        # each stub scan returns an index it never returned before
+        calls = itertools.count(1)
+
+        def scan(i):
+            return next(calls)
+
+        with pytest.raises(ContractViolation, match="iteration bound"):
+            solver2d._pivot(n, 0, scan, scan, lambda i: Point2(float(i), 0.0))
+        assert next(calls) == scans + 1  # 2n^2 + 65 scans ran
 
 
 class TestSharedImages:
