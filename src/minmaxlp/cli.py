@@ -13,8 +13,13 @@ and prune3d, either for oracle), apply --mode, answer, certify the answer
 on --validate (for prune3d, the kept rows' optimum) and print it.
 
 Input is UTF-8; bytes that do not decode are an input error naming their
-line.  ``gen`` writes its rows in blocks as it formats them, so it holds one
-block of text at a time, never the whole file.
+line.  A regular file goes to parse_constraints as its path: its bytes are
+checked a chunk at a time and numpy's loadtxt reads the file itself, so no
+decoded copy of its text is held.  Stdin, a file that is not regular (a
+FIFO, ``<(...)``), and a file those checks or loadtxt turn down are read
+once, decoded and parsed as text, which names the first bad line.  ``gen``
+writes its rows in blocks as it formats them, so it holds one block of text
+at a time, never the whole file.
 
 Exit codes: 0 success (an unbounded verdict is a valid answer),
 1 stdout closed before the output was written (a broken pipe, as in
@@ -34,7 +39,7 @@ import os
 import sys
 import warnings
 from dataclasses import asdict, astuple, fields
-from functools import cache
+from functools import cache, partial
 from itertools import chain
 from pathlib import Path
 
@@ -56,8 +61,9 @@ from .solver2d import expand_absolute, solve
 __all__ = ["parse_constraints", "emit_solution", "main"]
 
 
-def parse_constraints(text: str) -> Problem:
-    """Parse constraint text; arity (2 or 3 fields) picks the problem type.
+def parse_constraints(source: str | os.PathLike) -> Problem:
+    """Parse constraints from text, or from the file at a path; arity (2 or
+    3 fields) picks the problem type.
 
     Text of plain ASCII numbers in a uniform layout is read in one
     vectorised pass; any other text, and any text that pass rejects, is
@@ -67,7 +73,27 @@ def parse_constraints(text: str) -> Problem:
     text: loadtxt reads the lines of a ``StringIO``, which holds 4 bytes a
     character, made of the text or, above _PARSE_BLOCK characters, of one
     block of it at a time.
+
+    A path is read as the text of its file's bytes, decoded as UTF-8,
+    would be.  A regular file whose bytes pass the vectorised pass's
+    checks, a chunk of _READ_CHUNK bytes at a time, is read by loadtxt
+    from the path, in its C reader, with no decoded copy of the text.  Any
+    other file (a FIFO or a pipe), and a regular file those checks or
+    loadtxt turn down, is read once and parsed as its decoded text, whose
+    undecodable bytes raise ParseError naming their line.
     """
+    if not isinstance(source, os.PathLike):
+        return _parse_text(source)
+    path = Path(source)
+    if path.is_file():  # not a FIFO, which reads once
+        cs = _load_file(path)
+        if cs is not None:
+            return cs
+    return _parse_text(_decode(path.read_bytes()))
+
+
+def _parse_text(text: str) -> Problem:
+    """``parse_constraints`` on text."""
     text = text.removeprefix("\ufeff")
     # loadtxt splits lines only at \n and \r\n and would take '#' as a
     # comment anywhere on a line, where the line scan splits at every line
@@ -75,37 +101,94 @@ def parse_constraints(text: str) -> Problem:
     if (text and text.isascii() and not text.isspace()
             and not any(c in text for c in "\v\f\x1c\x1d\x1e")
             and not _comments_need_line_scan(text)):
-        try:
-            with warnings.catch_warnings():
-                # comment lines alone are no data; the line scan says so
-                warnings.simplefilter("ignore", UserWarning)
-                lines = (io.StringIO(text) if len(text) <= _PARSE_BLOCK else
-                         chain.from_iterable(map(io.StringIO, _blocks(text))))
-                rows = np.loadtxt(lines, ndmin=2,
-                                  delimiter="," if "," in text else None)
-            if rows.shape[0] and rows.shape[1] in (2, 3):
-                return Problem(*rows.T)
-        except ValueError:  # NonFiniteInput among them
-            pass
+        cs = _loadtxt(io.StringIO(text) if len(text) <= _PARSE_BLOCK else
+                      chain.from_iterable(map(io.StringIO, _blocks(text))),
+                      "," in text)
+        if cs is not None:
+            return cs
     return _parse_lines(text)
 
 
-# Characters of text in one StringIO of the vectorised parse.  Below it the
-# whole text goes into one: on a 2-CPU x86-64 host with numpy 2.4, a chain
-# of one block read 1-2% slower at 1e3 and 3162 rows (interleaved calls,
-# faster in at most 7 of 40 rounds).  Above it the blocks hold a few MB at
-# most, where the whole text's StringIO would hold 4 times it.
+def _loadtxt(source, comma: bool, **kwargs) -> Problem | None:
+    """The rows loadtxt reads from ``source``, with ',' as the delimiter
+    if ``comma`` and runs of whitespace otherwise; None if it raises
+    ValueError (NonFiniteInput among them) or reads no rows of 2 or 3
+    fields."""
+    try:
+        with warnings.catch_warnings():
+            # comment lines alone are no data; the line scan says so
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(source, ndmin=2,
+                              delimiter="," if comma else None, **kwargs)
+        if rows.shape[0] and rows.shape[1] in (2, 3):
+            return Problem(*rows.T)
+    except ValueError:
+        pass
+    return None
+
+
+# Characters of text in one StringIO of the vectorised parse of text (stdin
+# and library callers; files are read by loadtxt from their path).  Below
+# it the whole text goes into one: on a 2-CPU x86-64 host with numpy 2.4, a
+# chain of one block read 1-2% slower at 1e3 and 3162 rows (interleaved
+# calls, faster in at most 7 of 40 rounds).  Above it the blocks hold a few
+# MB at most, where the whole text's StringIO would hold 4 times it.
 _PARSE_BLOCK = 1 << 18
 
 
 def _blocks(text: str):
     """``text`` in slices of at least _PARSE_BLOCK characters, each ending
-    just after a '\\n' but the last, which ends the text."""
+    just after a '\\n' but the last, which ends the text.  Text only: a
+    file goes to loadtxt as its path."""
     i = 0
     while i < len(text):
         j = text.find("\n", i + _PARSE_BLOCK) + 1 or len(text)
         yield text[i:j]
         i = j
+
+
+# Bytes of a file that the checks of _load_file read at a time.  Chunks of
+# 1 MiB raised a process's peak RSS by 2 MB over 20 solves of 1e3-1e5-row
+# files (glibc's malloc then serves reads of that size from its heap), where
+# 64 KiB left it 1.1 MB below reading the decoded text; the checks of a
+# 1e6-row file take 16-19 ms at 64 KiB, 256 KiB and 1 MiB alike (2-CPU
+# x86-64 host, glibc, Python 3.11).
+_READ_CHUNK = 1 << 16
+_BOM = b"\xef\xbb\xbf"
+# The ASCII bytes str.strip drops that neither end a line nor fail a check.
+_BLANK = b" \t\x1f"
+# Extensions numpy's loadtxt reads by decompressing the file.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _load_file(path: Path) -> Problem | None:
+    """The rows of the regular file ``path`` as loadtxt reads them from the
+    path, or None where a check or loadtxt turns the file down.
+
+    The file's bytes are checked a chunk at a time, as _parse_text checks
+    text: ASCII only once one leading byte-order mark is dropped, none of
+    the line breaks loadtxt does not know, and '#' only where it opens a
+    whole-line comment.  loadtxt opens the file in text mode, where '\\r'
+    and '\\r\\n' end a line as they do for str.splitlines, so '\\r' is a
+    line break here too.  ',' anywhere makes it the delimiter."""
+    if path.suffix in _COMPRESSED:
+        return None
+    comma = False
+    line = b""  # the first non-blank byte of the line a chunk ends in
+    with open(path, "rb") as f:
+        chunks = chain([f.read(len(_BOM)).removeprefix(_BOM)],
+                       iter(partial(f.read, _READ_CHUNK), b""))
+        for chunk in chunks:
+            if (not chunk.isascii()
+                    or any(c in chunk for c in (b"\v", b"\f", b"\x1c",
+                                                b"\x1d", b"\x1e"))
+                    or b"#" in chunk and _comment_after_data(line + chunk)):
+                return None
+            comma = comma or b"," in chunk
+            end = max(chunk.rfind(b"\n"), chunk.rfind(b"\r"))
+            line = (chunk[end + 1:] if end >= 0 else line + chunk
+                    ).lstrip(_BLANK)[:1]
+    return _loadtxt(path, comma, encoding="utf-8-sig")
 
 
 def _comments_need_line_scan(text: str) -> bool:
@@ -121,6 +204,19 @@ def _comments_need_line_scan(text: str) -> bool:
                 or "\r" in text[i:end].rstrip("\r")):
             return True
         i = text.find("#", end)
+    return False
+
+
+def _comment_after_data(data: bytes) -> bool:
+    """True when a '#' in ``data`` has a non-blank byte before it on its
+    line, where '\\r' ends a line as '\\n' does."""
+    data = data.replace(b"\r", b"\n")
+    i = data.find(b"#")
+    while i >= 0:
+        if data[data.rfind(b"\n", 0, i) + 1:i].strip(_BLANK):
+            return True
+        end = data.find(b"\n", i)
+        i = -1 if end < 0 else data.find(b"#", end)
     return False
 
 
@@ -207,15 +303,19 @@ def _format_constraints(cs) -> str:
 
 
 def _read_input(path: str) -> str:
-    """The text of the file ``path``, or of stdin for '-', decoded as UTF-8.
-    Bytes that do not decode raise ParseError naming their line, numbered
-    as the line scan numbers lines."""
-    if path == "-":
-        if not hasattr(sys.stdin, "buffer"):  # a text stream only
-            return sys.stdin.read()
-        data = sys.stdin.buffer.read()
-    else:
-        data = Path(path).read_bytes()
+    """The text of the file ``path``, or of stdin for '-', decoded as UTF-8
+    by _decode."""
+    if path != "-":
+        return _decode(Path(path).read_bytes())
+    if not hasattr(sys.stdin, "buffer"):  # a text stream only
+        return sys.stdin.read()
+    return _decode(sys.stdin.buffer.read())
+
+
+def _decode(data: bytes) -> str:
+    """``data`` decoded as UTF-8.  Bytes that do not decode raise
+    ParseError naming their line, numbered as the line scan numbers
+    lines."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -238,8 +338,10 @@ def _cmd_answer(args) -> int:
     """solve2d, solve3d, prune3d and oracle: read the input, check its
     field count (oracle takes either), apply --mode, answer, certify on
     --validate and print.  Each solver and check is looked up by its name
-    here, at the call, so rebinding a module attribute reaches it."""
-    cs = parse_constraints(_read_input(args.input))
+    here, at the call, so rebinding a module attribute reaches it.  A file
+    goes to parse_constraints as its path, stdin as its text."""
+    cs = parse_constraints(_read_input("-") if args.input == "-"
+                           else Path(args.input))
     cmd = args.command
     if cmd != "oracle":
         want = 2 if cmd == "solve2d" else 3

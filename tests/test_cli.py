@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -215,6 +216,145 @@ class TestParsePaths:
                 warnings.simplefilter("ignore", UserWarning)
                 old = np.loadtxt(io.StringIO(text), ndmin=2, delimiter=",")
             assert got.tobytes() == old.tobytes()
+
+
+def _random_texts():
+    """test_random_texts' corpus."""
+    rng = random.Random(5)
+    pieces = ["1", "-2.5", "0", "1e3", "+", ",", " ", ",", "\n", "\n",
+              "\r\n", "\r", "\t", "#", "nan", "1_0", "\x0b", "\x1f",
+              "\u2028", "e", "."]
+    return ["".join(rng.choice(pieces) for _ in range(rng.randint(0, 14)))
+            for _ in range(3000)]
+
+
+@pytest.fixture
+def read_from_path(monkeypatch, tmp_path):
+    """A function of a file's bytes: parse_constraints' outcome on the
+    file's path, and whether loadtxt read it from the path (no text was
+    decoded)."""
+    decoded = []
+    decode = cli._decode
+    monkeypatch.setattr(cli, "_decode",
+                        lambda data: decoded.append(1) or decode(data))
+    path = tmp_path / "c.txt"
+
+    def read(data: bytes):
+        path.write_bytes(data)
+        decoded.clear()
+        return _outcome(parse_constraints, path), not decoded
+
+    return read
+
+
+class TestParseFiles:
+    """A file read from its path gives what the line scan gives on its
+    text, whichever way it is read."""
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    @pytest.mark.parametrize("text,fast", PARSE_CASES)
+    def test_same_as_line_scan(self, read_from_path, text, fast, bom):
+        got, from_path = read_from_path(bom + text.encode())
+        assert got == _outcome(_line_scan, text)
+        # a file opened in text mode breaks lines at a lone '\r', as the
+        # line scan does, so those texts are read from the path too
+        assert from_path == (fast or text in ("1,0\n#\r2,3\n", "1,2\r3,4\r"))
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_random_texts(self, read_from_path, bom):
+        for text in _random_texts():
+            got, _ = read_from_path(bom + text.encode())
+            assert got == _outcome(_line_scan, text), repr(text)
+
+    @pytest.mark.parametrize("data,from_path", [
+        # a byte each check turns down, past the first chunk
+        (b"1,2\n3,4\n5,\xc3\xa96\n", False),
+        (b"1,2\n3,4\n5\x0b6,7\n", False),
+        (b"1,2\n3,4\n5,6 # note\n", False),
+        (b"1,2\n3,4 \r# note\n5,6\n", True),
+        # a data line whose '#' is in the next chunk
+        (b"1,2\n3,4      # note\n", False),
+        # the delimiter first seen past the first chunk
+        (b"# a comment\n\n1,2\n3,4\n", True),
+        # comment lines across a chunk boundary, a second '#' past it
+        (b"1,2\n# one comment # and more\n3,4\n", True),
+        (b"1 2\n   \t # one\r\n# two; 3 # 4\n3 4\n", True),
+        (b"1,2\n3,4\n5,6\n1e308,1e309\n", False),
+        (b"1,2\n3,4\n5,6\n7,inf", False),
+    ])
+    @pytest.mark.parametrize("chunk", [1, 3, 8])
+    def test_checks_past_the_first_chunk(self, read_from_path, monkeypatch,
+                                         data, from_path, chunk):
+        monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
+        got, read = read_from_path(data)
+        assert got == _outcome(_line_scan, data.decode())
+        assert read == from_path
+
+    def test_non_finite_last_row_names_its_line(self, read_from_path,
+                                                monkeypatch):
+        monkeypatch.setattr(cli, "_READ_CHUNK", 8)
+        got, _ = read_from_path(b"1,2\n3,4\n5,6\n7,inf\n")
+        assert got == (ParseError, "line 4: non-finite value", 4)
+
+    def test_compressed_names_are_read_as_text(self, tmp_path):
+        # loadtxt would decompress a .gz path; the line scan reads its text
+        path = tmp_path / "p.txt.gz"
+        path.write_text("1,0\n-1,2\n")
+        assert parse_constraints(path) == [Constraint2(1, 0),
+                                           Constraint2(-1, 2)]
+
+    def test_gen_file_is_read_from_its_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.txt"
+        assert main(["gen", "--n", "3000", "--seed", "2",
+                     "--out", str(path)]) == 0
+        monkeypatch.setattr(cli, "_decode", None)
+        got = np.asarray(parse_constraints(path))
+        want = np.asarray(gen2d(GenSpec(n=3000, seed=2)))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_is_read_once(self, tmp_path, capsys):
+        # The checks would use up a FIFO's bytes, so a FIFO is read once,
+        # as text: parse_constraints and solve2d read it as they read the
+        # same text from a regular file.
+        text = _format_constraints(gen2d(GenSpec(n=2000, seed=6)))
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        fifo = tmp_path / "fifo"
+        argv = ["solve2d", str(path), "--mode", "abs", "--validate"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        argv[1] = str(fifo)
+        assert _fifo_read(fifo, text, main, argv) == 0
+        assert capsys.readouterr().out == want
+        got = _fifo_read(fifo, text, parse_constraints, fifo)
+        assert got == parse_constraints(path)
+
+
+def _fifo_read(fifo, text, read, *args):
+    """``read(*args)`` while one writer thread writes ``text`` to a new
+    FIFO ``fifo``.  A reader that opens the FIFO a second time finds it
+    empty after 5 s, so it fails instead of waiting for ever."""
+    os.mkfifo(fifo)
+    done = threading.Event()
+
+    def write():
+        fifo.write_text(text)
+        while not done.wait(5):
+            try:  # a writer that writes nothing: the reader sees EOF
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader has it open
+                pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return read(*args)
+    finally:
+        done.set()
+        writer.join(30)
+        fifo.unlink()
+        assert not writer.is_alive()
 
 
 class TestFormatConstraints:
@@ -876,3 +1016,79 @@ class TestAnswerPath:
         code, _, err = self.run(capsys, *argv)
         assert code == 0, err
         assert {name for name, k in calls.items() if k} == called
+
+
+def _ci_files() -> dict[str, bytes]:
+    """The constraint files of the CI's console-script step that the
+    answering subcommands read, but the 1e6-row ones and prune.txt."""
+    def rows(seed, make):
+        r = random.Random(seed)
+        return "".join(",".join(map(repr, row)) + "\n" for row in make(r))
+
+    def gen(n, dim=2):
+        return _format_constraints((gen2d if dim == 2 else gen3d)(
+            GenSpec(n=n, seed=1, dim=dim)))
+
+    far = gen(2000) + "1.7e308,-1e307\n-1.7e308,-1e307\n"
+    files = {
+        "box.txt": gen(1000, 3),
+        "oracle2.txt": gen(100),
+        "oracle3.txt": gen(40, 3),
+        "edge3.txt": "0,0,0\n1,1,-2.0000000000000004\n1,1,-2\n"
+                     "-1e308,-1e308,-1e308\n"
+                     "1e308,1e308,-1.7976931348623157e308\n1,1e308,-1e308\n",
+        "found.txt": "1e308,0,1e308\n-1e308,0.5,0\n",
+        "point3.txt": rows(1, lambda r: (
+            (a, b, 1 - a / 2 - b / 4) for a, b in (
+                (r.gauss(0, 3), r.gauss(0, 3)) for _ in range(10000)))),
+        "fit.txt": gen(100_000),
+        "huge.txt": rows(1, lambda r: (
+            (r.uniform(-1, 1) * 1.7e308, r.uniform(-1, 0) * 1.7e308)
+            for _ in range(200))),
+        "exact.txt": rows(1, lambda r: (
+            (a, -(a / 8)) for a in (r.gauss(0, 3) for _ in range(10000)))),
+        **{f"nonpos{n}.txt": rows(n, lambda r: (
+            (-abs(r.gauss(0, 3)) if k % 3 else 0.0, r.gauss(0, 3))
+            for k in range(n))) for n in (10, 1000)},
+        "far.txt": far,
+    }
+    return {**{k: v.encode() for k, v in files.items()},
+            "bom.txt": b"\xef\xbb\xbf" + far.encode()}
+
+
+# SHA-256 of _transcript over _file_argvs() on _ci_files(), as the parent
+# of the change that read files from their path printed it.
+CI_FILES_SHA256 = (
+    "d71689f0782c71a48500c40d7cd9b0a36cb0fa45240cd6ec639b528cc59b6d5a")
+
+
+def _file_argvs(files):
+    """Each answering subcommand on each file, in json and tsv, with
+    --validate, in --mode lp and abs; the oracle on files of at most 200
+    rows."""
+    return [[cmd, name, "--format", fmt, "--validate", *mode]
+            for name, data in files.items()
+            for cmd in _ANSWERING
+            if cmd != "oracle" or data.count(b"\n") <= 200
+            for fmt in ("json", "tsv")
+            for mode in ([[]] if cmd == "prune3d"
+                         else [[], ["--mode", "abs"]])]
+
+
+class TestFileAndStdin:
+    def test_same_stdout_from_a_file_and_from_stdin(self, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        files = _ci_files()
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        argvs = _file_argvs(files)
+        from_files = _transcript(argvs, capsys)
+        lines = []
+        for argv in argvs:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+                io.BytesIO(files[argv[1]]), encoding="utf-8"))
+            lines.append(_transcript([[argv[0], "-", *argv[2:]]], capsys)
+                         .replace("'-'", repr(argv[1]), 1))
+        assert "".join(lines) == from_files
+        assert _sha256(from_files.encode()) == CI_FILES_SHA256
