@@ -41,6 +41,7 @@ import warnings
 from dataclasses import asdict, astuple, fields
 from functools import cache, partial
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -76,11 +77,12 @@ def parse_constraints(source: str | os.PathLike) -> Problem:
 
     A path is read as the text of its file's bytes, decoded as UTF-8,
     would be.  A regular file whose bytes pass the vectorised pass's
-    checks, a chunk of _READ_CHUNK bytes at a time, is read by loadtxt
-    from the path, in its C reader, with no decoded copy of the text.  Any
-    other file (a FIFO or a pipe), and a regular file those checks or
-    loadtxt turn down, is read once and parsed as its decoded text, whose
-    undecodable bytes raise ParseError naming their line.
+    checks, a chunk of _READ_CHUNK bytes at a time, and hold no '#', is
+    read by loadtxt from the path, in its C reader, with no decoded copy
+    of the text.  Any other file (a FIFO or a pipe), and a regular file
+    those checks or loadtxt turn down, or that changed while read, is
+    read once and parsed as its decoded text, whose undecodable bytes
+    raise ParseError naming their line.
     """
     if not isinstance(source, os.PathLike):
         return _parse_text(source)
@@ -89,7 +91,7 @@ def parse_constraints(source: str | os.PathLike) -> Problem:
         cs = _load_file(path)
         if cs is not None:
             return cs
-    return _parse_text(_decode(path.read_bytes()))
+    return _parse_text(_read_input(path))
 
 
 def _parse_text(text: str) -> Problem:
@@ -155,10 +157,11 @@ def _blocks(text: str):
 # x86-64 host, glibc, Python 3.11).
 _READ_CHUNK = 1 << 16
 _BOM = b"\xef\xbb\xbf"
-# The ASCII bytes str.strip drops that neither end a line nor fail a check.
-_BLANK = b" \t\x1f"
 # Extensions numpy's loadtxt reads by decompressing the file.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# What tells a file apart from itself once changed or replaced: a write
+# sets st_mtime_ns, to the file system's clock tick.
+_STAMP = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 
 def _load_file(path: Path) -> Problem | None:
@@ -166,29 +169,32 @@ def _load_file(path: Path) -> Problem | None:
     path, or None where a check or loadtxt turns the file down.
 
     The file's bytes are checked a chunk at a time, as _parse_text checks
-    text: ASCII only once one leading byte-order mark is dropped, none of
-    the line breaks loadtxt does not know, and '#' only where it opens a
-    whole-line comment.  loadtxt opens the file in text mode, where '\\r'
-    and '\\r\\n' end a line as they do for str.splitlines, so '\\r' is a
-    line break here too.  ',' anywhere makes it the delimiter."""
+    text, but stricter: ASCII only once one leading byte-order mark is
+    dropped, none of the line breaks loadtxt does not know, and no '#' at
+    all (a file with comments is read as text).  loadtxt opens the file in
+    text mode, where '\\r' and '\\r\\n' end a line as they do for
+    str.splitlines, so '\\r' is a line break here too.  ',' anywhere makes
+    it the delimiter.
+
+    loadtxt opens the file a second time.  If it changed in between, by
+    size, write time or identity, loadtxt may have read bytes the checks
+    did not see, so the file is turned down.  A rewrite to the same size
+    within one clock tick of the file system's is not seen."""
     if path.suffix in _COMPRESSED:
         return None
     comma = False
-    line = b""  # the first non-blank byte of the line a chunk ends in
     with open(path, "rb") as f:
+        opened = _STAMP(os.fstat(f.fileno()))
         chunks = chain([f.read(len(_BOM)).removeprefix(_BOM)],
                        iter(partial(f.read, _READ_CHUNK), b""))
         for chunk in chunks:
-            if (not chunk.isascii()
-                    or any(c in chunk for c in (b"\v", b"\f", b"\x1c",
-                                                b"\x1d", b"\x1e"))
-                    or b"#" in chunk and _comment_after_data(line + chunk)):
+            if not chunk.isascii() or any(
+                    c in chunk for c in (b"\v", b"\f", b"\x1c", b"\x1d",
+                                         b"\x1e", b"#")):
                 return None
             comma = comma or b"," in chunk
-            end = max(chunk.rfind(b"\n"), chunk.rfind(b"\r"))
-            line = (chunk[end + 1:] if end >= 0 else line + chunk
-                    ).lstrip(_BLANK)[:1]
-    return _loadtxt(path, comma, encoding="utf-8-sig")
+    cs = _loadtxt(path, comma, encoding="utf-8-sig")
+    return cs if _STAMP(path.stat()) == opened else None
 
 
 def _comments_need_line_scan(text: str) -> bool:
@@ -204,19 +210,6 @@ def _comments_need_line_scan(text: str) -> bool:
                 or "\r" in text[i:end].rstrip("\r")):
             return True
         i = text.find("#", end)
-    return False
-
-
-def _comment_after_data(data: bytes) -> bool:
-    """True when a '#' in ``data`` has a non-blank byte before it on its
-    line, where '\\r' ends a line as '\\n' does."""
-    data = data.replace(b"\r", b"\n")
-    i = data.find(b"#")
-    while i >= 0:
-        if data[data.rfind(b"\n", 0, i) + 1:i].strip(_BLANK):
-            return True
-        end = data.find(b"\n", i)
-        i = -1 if end < 0 else data.find(b"#", end)
     return False
 
 
@@ -302,9 +295,9 @@ def _format_constraints(cs) -> str:
     return out.getvalue()
 
 
-def _read_input(path: str) -> str:
-    """The text of the file ``path``, or of stdin for '-', decoded as UTF-8
-    by _decode."""
+def _read_input(path: str | os.PathLike) -> str:
+    """The text of the file ``path``, or of stdin for the string '-',
+    decoded as UTF-8 by _decode.  A Path is always a file."""
     if path != "-":
         return _decode(Path(path).read_bytes())
     if not hasattr(sys.stdin, "buffer"):  # a text stream only
