@@ -10,16 +10,19 @@ Sign predicates return an exact three-valued result.  There is one float
 filter, ``_orient``'s (Shewchuk's orientation filter, with a proven error
 bound), which decides almost every sign, and one exact arithmetic for the
 rest, ``_settle`` on integer images.  The image of a point set
-(``_images``) scales each x by D_x, the largest denominator among the xs,
-and each y by D_y, the largest among the ys: every finite double is an
-integer over a power of two, so each image x * D_x is an exact Python int.
-The images' determinant is the points' own times D_x * D_y > 0, and
-Python ints neither overflow nor underflow, so its sign is the turn of
-the points themselves.  ``_orient_sign`` settles one triple on the images
-of its three points; solver2d's scans build the images of a whole point
-set at their first miss and settle every miss of the solve on them.  The
-result is exact for every finite double, including denormals and
-coordinates whose differences overflow, without any epsilon.
+(``_images``) scales every x by one power of two S_x, and every y by one
+S_y, chosen so that each product is an exact integer: S = 2**(53 - e)
+with 2**(e - 1) <= |v| < 2**e for the least nonzero magnitude |v|, which
+one float multiplication per value applies exactly (proof beside
+``_images``), or, where that S is not a double or a product overflows,
+the largest ``as_integer_ratio`` denominator.  The images' determinant is
+the points' own times S_x * S_y > 0, and Python ints neither overflow
+nor underflow, so its sign is the turn of the points themselves.
+``_orient_sign`` settles one triple on the images of its three points;
+solver2d's scans build the images of a whole point set at their first
+miss and settle every miss of the solve on them.  The result is exact for
+every finite double, including denormals and coordinates whose
+differences overflow, without any epsilon.
 
 ``_slope_threshold`` is the proven bound behind solver2d's slope
 prefilter, which compares rounded slopes instead of turns; its constants
@@ -198,14 +201,41 @@ def _product_sign(u1: float, v1: float, u2: float, v2: float) -> int:
 
 
 def _images(vs: Sequence[float]) -> list[int]:
-    """The integer images v * D of the doubles ``vs``, where D is the
-    largest denominator of any v.
+    """The integer images v * S of the values ``vs``, for one power of
+    two S > 0.
 
-    Every finite double is an integer n over a power of two d
-    (``as_integer_ratio``), so D is a multiple of every d and the image
-    n * (D / d) is exactly v * D.  Raises NonFiniteInput for a non-finite
-    value.
+    S is 2**k, k = 53 - e, where 2**(e - 1) <= |v_min| < 2**e for the
+    least nonzero magnitude |v_min| of the floats ``vs``, and each image
+    is int(v * S).  That is exact wherever k <= 1023, so S is a double,
+    and no product overflows:
+
+    - k <= 1023 means e >= -970, so every nonzero |v| >= |v_min| is a
+      normal double, in some [2**(j - 1), 2**j) with j >= e, and so a
+      multiple of its ulp 2**(j - 53), a multiple of 2**(e - 53).  So
+      v * S is an integer.
+    - |v * S| >= |v_min| * S >= 2**52 is normal, so scaling v by a power
+      of two keeps its significand: the product is v * S exactly, unless
+      it overflows, that is unless the values span about 970 binades or
+      more.
+
+    Elsewhere, and for values that are not floats, such as ints, S is the
+    largest denominator D of any v: every finite double, and every int, is
+    an integer n over a power of two d (``as_integer_ratio``), so D is a
+    multiple of every d and the image n * (D / d) is exactly v * D.
+    Raises NonFiniteInput for a non-finite value.
     """
+    try:
+        lo = min(map(float.__abs__, vs))
+        if not lo:
+            lo = min([v for v in map(float.__abs__, vs) if v], default=1.0)
+        k = 53 - math.frexp(lo)[1]
+        if k <= 1023:
+            # int() of an inf or NaN product raises, and the ratio path
+            # below tells an overflow from a non-finite value.
+            s = 2.0 ** k
+            return [int(v * s) for v in vs]
+    except (OverflowError, ValueError, TypeError):
+        pass
     try:
         ratios = [v.as_integer_ratio() for v in vs]
     except (OverflowError, ValueError):
@@ -237,9 +267,9 @@ def _settle(pts: _ExactPoints, a: int, b: int, c: int) -> int:
     """Exact sign of the turn of points a, b and c of ``pts``, decided on
     their integer images, which the first call builds.
 
-    An image is x * D_x or y * D_y, so the images' determinant is the
-    points' own times D_x * D_y > 0; Python ints neither overflow nor
-    underflow, so its sign is exact.
+    An image is x * S_x or y * S_y, for powers of two S_x, S_y > 0, so
+    the images' determinant is the points' own times S_x * S_y > 0;
+    Python ints neither overflow nor underflow, so its sign is exact.
     """
     base = pts.mirrors or pts
     ints = base.ints
@@ -277,12 +307,14 @@ def _line_through(x1: float, y1: float, x2: float, y2: float,
     (x2, y2), so that the line is y = m*x - t; x1 != x2.
 
     Formed in floats, or exactly when a difference or a product overflows.
-    Raises NonFiniteInput, naming ``caller``, when m or t lies outside the
-    double range.
+    An x difference that overflows leaves m finite, dy / inf = 0.0, so it
+    is tested on its own.  Raises NonFiniteInput, naming ``caller``, when
+    m or t lies outside the double range.
     """
-    m = (y2 - y1) / (x2 - x1)
+    dx = x2 - x1
+    m = (y2 - y1) / dx
     t = m * x1 - y1
-    if not (math.isfinite(m) and math.isfinite(t)):
+    if not (math.isfinite(dx) and math.isfinite(m) and math.isfinite(t)):
         mq = (Fraction(y2) - Fraction(y1)) / (Fraction(x2) - Fraction(x1))
         try:
             m = float(mq)

@@ -9,11 +9,13 @@ oracle is quadratic in the constraint count, the boxed 2D oracle cubic.
 from __future__ import annotations
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 
 from .errors import NonFiniteInput
-from .model import Solution2, Solution3, Status, columns, objective
+from .model import (Solution2, Solution3, Status, _to_float, columns,
+                    objective)
 
 __all__ = ["brute2d", "brute3d_box"]
 
@@ -47,13 +49,20 @@ def brute2d(cs) -> Solution2:
     if (a == 0).all():
         return Solution2(Status.OPTIMAL, x=0.0, t=float(b.max()), iterations=0)
     ii, jj = np.triu_indices(a.size, k=1)
-    # Near the ends of the double range a difference can overflow and a
-    # crossing come out inf or NaN; such a candidate evaluates to inf or
-    # NaN, which sort last, so it is never chosen over a finite one.
+    # Near the ends of the double range a difference can overflow, and its
+    # quotient is 0.0, inf or NaN where the crossing is not: those few
+    # crossings are formed exactly instead.  One beyond the double range
+    # is inf, and evaluates to inf or NaN, which sort last, so it is never
+    # chosen over a finite one.
     with np.errstate(over="ignore", invalid="ignore"):
         da = a[ii] - a[jj]
         keep = da != 0.0
-        xs = (b[jj] - b[ii])[keep] / da[keep]
+        ii, jj, da = ii[keep], jj[keep], da[keep]
+        db = b[jj] - b[ii]
+        xs = db / da
+        for k in (np.isinf(da) | np.isinf(db)).nonzero()[0].tolist():
+            i, j = ii[k], jj[k]
+            xs[k] = _to_float((F(b[j]) - F(b[i])) / (F(a[i]) - F(a[j])))
         ts = _eval_max_1d(a, b, xs)
     k = np.lexsort((xs, ts))[0]
     return Solution2(Status.OPTIMAL, x=float(xs[k]), t=float(ts[k]),

@@ -25,10 +25,14 @@ already holds them), and ``_solve`` decides the setup on them once: the
 sides, UNBOUNDED, the constant answer and the x-mirror, which solves
 slopes all <= 0 as their negation and reports each dual point with its x
 times a sign of -1.0.  Only the start search and the scans depend on
-size.  Below ``_COLUMNAR_MIN_N`` constraints both run over the columns as
-Python lists.  From there on they run in numpy, on one side-ordered copy
-of the columns: a (2, n) buffer of the left rows, then the right rows,
-each in input order, which the scans read as slices and the pivots index.
+size, and how the sides are counted.  Below ``_COLUMNAR_MIN_N``
+constraints the solve reads the columns once, as Python lists, and takes
+the sides, their counts and the start point from those lists, with no
+numpy mask; ``expand_absolute`` writes a short list of float rows
+straight into its problem's columns.  From there on the start search and
+the scans run in numpy, on one side-ordered copy of the columns: a (2, n)
+buffer of the left rows, then the right rows, each in input order, which
+the scans read as slices and the pivots index.
 It is filled, and each scan reads it, in blocks of ``_BLOCK`` rows, so a
 solve holds its input's size once and a few blocks besides.  Each pivot
 scan is the slope prefilter (``_filtered_scan``): it forms every
@@ -90,7 +94,42 @@ def expand_absolute(rows: Sequence) -> Problem:
     below the objective bound, so the pair encodes the absolute value.
     ``rows`` is read like ``solve``'s; only (a, c) are read.
     """
+    # A list of rows whose expansion takes solve's list path is read by a
+    # Python loop, which outruns the general reader up to about 40 rows.
+    if type(rows) is list and 2 * len(rows) < _COLUMNAR_MIN_N:
+        pairs = _float_pairs(rows)
+        if pairs is not None:
+            return pairs
     return signed_pairs(columns(rows, 2))
+
+
+def _float_pairs(rows: list) -> Problem | None:
+    """``expand_absolute`` of a short list of rows whose fields a and c are
+    all finite Python floats, written straight into the (2, 2n) block of
+    its columns; None for any other list, which the general reader then
+    reads, or rejects with its own error.  Negating a float in Python or
+    in numpy flips its sign bit alone, so the bits are the same.
+    """
+    xs = []
+    ys = []
+    try:
+        for r in rows:
+            x = r[0]
+            y = r[1]
+            if type(x) is not float or type(y) is not float:
+                return None
+            xs += (x, -x)
+            ys += (y, -y)
+    except IndexError:  # a row of one field, which the general reader rejects
+        return None
+    xs += ys
+    # Each pair v, -v sums to 0.0 exactly, so the running sum is 0.0 for
+    # finite values and NaN from the first inf or NaN on; none overflows.
+    if not xs or sum(xs) != 0.0:
+        return None
+    out = np.fromiter(xs, float, len(xs)).reshape(2, -1)
+    out.flags.writeable = False
+    return Problem._of(out)
 
 
 def to_dual_points(cs: Sequence) -> list[Point2]:
@@ -279,22 +318,30 @@ def _solve(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> Solution2:
     two such points gives the unmirrored x and t bit for bit, as negating
     both x's negates the slope exactly and leaves m * x1 as it was.  The
     dual points are (a, -b); the left side's scans see them mirrored in y,
-    (a, b).  The numpy path copies the columns once, side by side, into a
-    (2, n) buffer: a mask, its ``nonzero`` and ``take`` into the buffer for
-    each block of ``_BLOCK`` rows (one take a side and column where one
-    block holds them all), and no index array outlives its block.  The
-    side order keeps the tie rules, as each side stays in input order.  The
-    start point, and the range of all values that tells the scans whether
-    a difference may overflow, come from the buffer.
+    (a, b).  The list path splits the indices into the sides in one pass
+    over the slopes as a list.  The numpy path copies the columns once,
+    side by side, into a (2, n) buffer: a mask, its ``nonzero`` and
+    ``take`` into the buffer for each block of ``_BLOCK`` rows (one take a
+    side and column where one block holds them all), and no index array
+    outlives its block.  The side order keeps the tie rules, as each side
+    stays in input order.  The start point, and the range of all values
+    that tells the scans whether a difference may overflow, come from the
+    buffer.
     """
     n = a.size
-    on_right = a > 0.0
-    # The list path and a one-block copy take the right rows' indices, and
-    # count them by those; more blocks count them alone.
-    ir = None
-    if n < _COLUMNAR_MIN_N or n <= _BLOCK:
-        ir = on_right.nonzero()[0]
-    nr = np.count_nonzero(on_right) if ir is None else ir.size
+    if n < _COLUMNAR_MIN_N:
+        xs = a.tolist()
+        left = []
+        right = []
+        for i, v in enumerate(xs):
+            (right if v > 0.0 else left).append(i)
+        nr = len(right)
+    else:
+        on_right = a > 0.0
+        # A one-block copy takes the right rows' indices, and counts them by
+        # those; more blocks count them alone.
+        ir = on_right.nonzero()[0] if n <= _BLOCK else None
+        nr = np.count_nonzero(on_right) if ir is None else ir.size
     if nr == n:
         return Solution2(Status.UNBOUNDED)
     if nr == 0:
@@ -311,11 +358,8 @@ def _solve(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> Solution2:
     # first index; any left point is a valid start, the lowest one just
     # pivots less.
     if n < _COLUMNAR_MIN_N:
-        xs = a.tolist()
         ys = b.tolist()
         dpy = [-v for v in ys]
-        right = ir.tolist()
-        left = np.logical_not(on_right).nonzero()[0].tolist()
         i_l = left[0]
         ly = dpy[i_l]
         lx = xs[i_l]

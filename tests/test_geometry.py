@@ -14,7 +14,7 @@ from minmaxlp import (Line2, NonFiniteInput, Plane3, Point2, Point3, Sign,
                       dual_of_point2, exact_product_compare,
                       orientation_exact)
 from minmaxlp.geometry import (_EPS, _SLOPE_MAX, _ExactPoints, _images,
-                               _orient, _orient_sign, _settle,
+                               _line_through, _orient, _orient_sign, _settle,
                                _slope_threshold)
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
@@ -251,6 +251,23 @@ def _hard_point_sets():
         # the line y = -x
         "overflowing": ([big, -big, top, -top, 1.0, 0.0, 5e-324, -1e-310],
                         [-big, big, -top, top, -1.0, -0.0, 1.0, 1e308]),
+        # no nonzero value to scale by
+        "only-zeros": ([0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, 0.0, -0.0]),
+        # the scale comes from the least nonzero magnitude, not from 0
+        "zeros-beside-fractions": ([0.0, 0.1, -0.3, 2.5, 1e-5],
+                                   [0.25, -0.0, 1e-5, 3.0, 0.1]),
+        # a least magnitude below 2**-970 and one near 2**1023: the scale
+        # 2**(53 - e) is no double, and the largest denominator takes over
+        "subnormal-beside-1e308": ([5e-324, 1e308, -1e308, 0.0, 1.0],
+                                   [1e308, -5e-324, 2.5, 1e308, -1e-310]),
+        # integral doubles: scaled down by a negative power for large ones
+        "integers": ([3.0, -7.0, 2.0 ** 60, -(2.0 ** 80), 12.0, 1.0],
+                     [2.0 ** 70, 5.0, -1.0, 3.0 * 2.0 ** 52, 0.0, 9.0]),
+        # the ends of the double range; differences and the scaled values
+        # of 1.0 beside them overflow
+        "double-range": ([1.7e308, -1.7e308, 1.7e308, 1.0, -1.0],
+                         [-1.7e308, 1.7e308, 1.7e308, -1.0, 1.7e308]),
+        "one-value": ([0.1], [-0.3]),
     }
 
 
@@ -263,11 +280,24 @@ class TestImages:
 
     @pytest.mark.parametrize("name", sorted(_HARD))
     def test_images_are_exact_multiples(self, name):
+        # every image is an int and its value times one power of two
         for vs in _HARD[name]:
-            scale = max(Fraction(v).denominator for v in vs)
             got = _images(vs)
             assert all(type(i) is int for i in got)
-            assert got == [Fraction(v) * scale for v in vs]
+            assert all(i == 0 for i, v in zip(got, vs) if v == 0)
+            scales = {i / Fraction(v) for i, v in zip(got, vs) if v != 0}
+            assert len(scales) <= 1
+            for s in scales:
+                assert s.numerator & (s.numerator - 1) == 0
+                assert s.denominator & (s.denominator - 1) == 0
+
+    def test_python_ints_keep_their_exact_images(self):
+        # ints are not floats: 2**60 + 1 keeps its last bit, which the
+        # double it rounds to loses
+        vs = [2 ** 60 + 1, -3, 0, True]
+        assert _images(vs) == [2 ** 60 + 1, -3, 0, 1]
+        assert exact_product_compare(2 ** 60 + 1, 1, 2 ** 60, 1) is \
+            Sign.POSITIVE
 
     @pytest.mark.parametrize("name", sorted(_HARD))
     def test_turns_match_fraction_determinant(self, name):
@@ -339,6 +369,23 @@ def _slope_bound(p):
     u6 = 6 * Fraction(_EPS)
     r = Fraction(p) + a
     return (r / (1 - u6) if r >= 0 else r * (1 - u6)) + a
+
+
+class TestLineThrough:
+    @pytest.mark.parametrize("x1,y1,x2,y2", [
+        (-1.7e308, 1e308, 1.7e308, -1e308),
+        (-1.7e308, 0.0, 1.7e308, 1.0),
+        (1.7e308, -1.0, -1.7e308, 2.5),
+    ])
+    def test_x_difference_overflows(self, x1, y1, x2, y2):
+        # dy / inf reads 0.0 in floats; the line is formed exactly
+        m = (Fraction(y2) - Fraction(y1)) / (Fraction(x2) - Fraction(x1))
+        got = _line_through(x1, y1, x2, y2, "test")
+        assert got == (float(m), float(m * Fraction(x1) - Fraction(y1)))
+        assert got[0] != 0.0
+
+    def test_float_line_where_nothing_overflows(self):
+        assert _line_through(1.0, 2.0, 3.0, 8.0, "test") == (3.0, 1.0)
 
 
 class TestSlopeThreshold:

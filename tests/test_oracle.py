@@ -6,7 +6,8 @@ import pytest
 
 from conftest import brute_edge_min, close, corpus3d, eval_max_3
 from minmaxlp import (EmptyProblem, NonFiniteInput, Status, brute2d,
-                      brute3d_box, solve3d, solve_boxed)
+                      brute3d_box, check2d, expand_absolute, solve, solve3d,
+                      solve_boxed)
 
 
 class TestBrute2d:
@@ -30,12 +31,25 @@ class TestBrute2d:
             brute2d([])
 
     def test_no_warnings_near_double_range(self):
-        # pairwise differences overflow and crossings come out NaN; they
-        # must neither warn nor be chosen
+        # pairwise differences overflow, so those crossings are formed
+        # exactly; nothing warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = brute2d([(1e308, 1e308), (-1e308, -1e308), (1.0, 0.0)])
         assert (sol.x, sol.t) == (-1.0, 0.0)
+
+    def test_crossings_whose_differences_overflow(self):
+        # The CI's huge.txt residuals: a float crossing dy / inf is 0.0,
+        # and the optimal one lies between two rows whose slopes differ by
+        # more than the double range.
+        r = random.Random(1)
+        cs = expand_absolute([(r.uniform(-1, 1) * 1.7e308,
+                               r.uniform(-1, 0) * 1.7e308)
+                              for _ in range(200)])
+        sol = brute2d(cs)
+        want = solve(cs)
+        assert (sol.x, sol.t) == (want.x, want.t)
+        check2d(cs, sol)
 
     def test_permutation_invariant(self):
         rng = random.Random(0)

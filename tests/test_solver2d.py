@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -18,6 +19,7 @@ from minmaxlp import (Constraint2, ContractViolation, EmptyProblem, GenSpec,
                       orientation_exact, solve, solve3d, solve_baseline,
                       solve_boxed, solver2d, to_dual_points)
 from minmaxlp.geometry import _orient_sign
+from minmaxlp.model import columns, exact_objective, signed_pairs
 
 # Coefficients on a coarse grid keep every pairwise crossing well
 # conditioned, so the oracle comparison tolerance is honest while ties and
@@ -50,6 +52,50 @@ class TestExpandAbsolute:
     def test_empty_rejected(self):
         with pytest.raises(EmptyProblem):
             expand_absolute([])
+
+    @pytest.mark.parametrize("rows", [
+        [(1.5, -0.25), (0.0, -0.0), (-0.0, 0.0), (5e-324, 1.7e308)],
+        [(1, 0), (0, -3), (2, 5)],
+        [(True, False), (1.0, True)],
+        [(np.float64(0.1), np.float32(0.1)), (np.int64(3), 2.0)],
+        [(2.0, -1.0, 7.0), (0.5, 0.25, 1.0)],
+        [(1.0, 2.0), (1.0,)],
+        [(1.0, 2.0), (10 ** 400, 0.0)],
+        [(1.0, 2.0), (math.nan, 0.0)],
+        [(1.0, 2.0), (0.0, -math.inf)],
+        [(1.0, 2.0), [3.0, 4.0], (5.0, "6")],
+        [(1.0, 2.0), 3.0],
+        [],
+    ], ids=["floats", "ints", "bools", "numpy-scalars", "3-field",
+            "1-field", "10**400", "nan", "inf", "mixed-rows", "scalar-row",
+            "empty"])
+    def test_short_lists_as_the_general_reader(self, rows):
+        # bit for bit the problem the general reader gives, or its error,
+        # at every length up to the list cut-off
+        def outcome(fn, rows):
+            try:
+                p = fn(rows)
+            except Exception as e:
+                return type(e), str(e)
+            assert not any(col.flags.writeable for col in p._cols)
+            return [[v.hex() for v in col.tolist()] for col in p._cols]
+
+        def general(rows):
+            return signed_pairs(columns(rows, 2))
+
+        for n in range(solver2d._COLUMNAR_MIN_N + 1):
+            some = list(itertools.islice(itertools.cycle(rows), n))
+            assert outcome(expand_absolute, some) == outcome(general, some)
+
+    def test_short_float_lists_skip_the_general_reader(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("read by the general reader")
+
+        monkeypatch.setattr(solver2d, "columns", refuse)
+        got = expand_absolute([(1.5, -0.0), (-2.0, 3.0)])
+        assert [[v.hex() for v in r] for r in got] == [
+            [v.hex() for v in r] for r in
+            [(1.5, -0.0), (-1.5, 0.0), (-2.0, 3.0), (2.0, -3.0)]]
 
 
 class TestDualAndPartition:
@@ -484,6 +530,26 @@ class TestNonFiniteAnswer:
 
         _on_both_paths(monkeypatch, raises)
 
+    def test_answer_line_whose_x_difference_overflows(self, monkeypatch):
+        # The CI's huge.txt residuals: the final pair's dual xs lie near
+        # -1.7e308 and 1.7e308, so their difference overflows, while the
+        # float slope dy / inf would read 0.0.
+        r = random.Random(1)
+        rows = [(r.uniform(-1, 1) * 1.7e308, r.uniform(-1, 0) * 1.7e308)
+                for _ in range(200)]
+        cs = expand_absolute(rows)
+        sol = solve(cs)
+        (x1, _), (x2, _) = sol.pivot_pairs[-1]
+        assert math.isinf(x2 - x1)
+        assert sol.x == 0.005079068871428762
+        for fn in (solve, solve_baseline, lambda c: solve_boxed(c, -1.0, 1.0)):
+            got = fn(cs)
+            assert (got.x, got.t) == (sol.x, sol.t)
+            check2d(cs, got)
+            assert got.t == exact_objective(columns(cs, 2), got.x)
+        assert _bits(_on_both_paths(monkeypatch, lambda: solve(cs))[1]) == \
+            _bits(sol)
+
 
 SMALL = 5
 LARGE = 201  # a fixed size, so test ids stay put when the threshold moves
@@ -848,6 +914,29 @@ class TestSharedImages:
         scanned = list({id(pts): len(pts.xs) for pts, *_ in settled}.values())
         assert len(scanned) >= 2
         assert image_builds == [n for n in scanned for _ in "xy"]
+
+
+# SHA-256 over one line per solve of expand_absolute(_fit_degenerate(...))
+# for the four families, m = 8, 10 and 12, seeds 0-23: the status, x, t,
+# iterations and every pivot point, as float.hex, as the list path solved
+# them with images scaled by the largest denominator.
+FIT_DEGENERATE_SHA256 = (
+    "e87aa6e57df8c371fd52ea1328e686a9e1f2e1e0dfcee1e7d36d2a26ee090ad7")
+
+
+def test_fit_degenerate_answers_are_pinned():
+    h = float.hex
+    lines = []
+    for family in ("dyadic", "equiripple", "exact", "noisy"):
+        for m in (8, 10, 12):
+            for seed in range(24):
+                sol = solve(expand_absolute(_fit_degenerate(family, m, seed)))
+                lines.append(" ".join([
+                    sol.status.value, h(sol.x), h(sol.t), str(sol.iterations),
+                    *(h(v) for pair in sol.pivot_pairs for p in pair
+                      for v in p)]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == FIT_DEGENERATE_SHA256
 
 
 @pytest.fixture
