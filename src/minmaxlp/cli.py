@@ -13,13 +13,16 @@ and prune3d, either for oracle), apply --mode, answer, certify the answer
 on --validate (for prune3d, the kept rows' optimum) and print it.
 
 Input is UTF-8; bytes that do not decode are an input error naming their
-line.  A regular file goes to parse_constraints as its path: its bytes are
-checked a chunk at a time and numpy's loadtxt reads the file itself, so no
-decoded copy of its text is held.  Stdin, a file that is not regular (a
-FIFO, ``<(...)``), and a file those checks or loadtxt turn down are read
-once, decoded and parsed as text, which names the first bad line.  ``gen``
-writes its rows in blocks as it formats them, so it holds one block of text
-at a time, never the whole file.
+line.  A regular file goes to parse_constraints as its path, and its bytes
+are checked a chunk at a time.  A file of plain decimals, comma-separated
+``[-]I.F`` fields as gen writes them, is converted in that same pass: the
+digits of each chunk are read as integers and divided by powers of ten in
+extended precision.  Any other file is read by numpy's loadtxt from its
+path.  Neither route holds a decoded copy of the text.  Stdin, a file that
+is not regular (a FIFO, ``<(...)``), and a file those checks or loadtxt
+turn down are read once, decoded and parsed as text, which names the first
+bad line.  ``gen`` writes its rows in blocks as it formats them, so it
+holds one block of text at a time, never the whole file.
 
 Exit codes: 0 success (an unbounded verdict is a valid answer),
 1 stdout closed before the output was written (a broken pipe, as in
@@ -76,13 +79,16 @@ def parse_constraints(source: str | os.PathLike) -> Problem:
     block of it at a time.
 
     A path is read as the text of its file's bytes, decoded as UTF-8,
-    would be.  A regular file whose bytes pass the vectorised pass's
-    checks, a chunk of _READ_CHUNK bytes at a time, and hold no '#', is
-    read by loadtxt from the path, in its C reader, with no decoded copy
-    of the text.  Any other file (a FIFO or a pipe), and a regular file
-    those checks or loadtxt turn down, or that changed while read, is
-    read once and parsed as its decoded text, whose undecodable bytes
-    raise ParseError naming their line.
+    would be.  A regular file's bytes are checked as the vectorised
+    pass's text is, a chunk of _READ_CHUNK bytes at a time, and must hold
+    no '#'.  Where every line of the file holds 2 or 3 comma-separated
+    plain decimals, the same pass converts them (_DecimalRows); any other
+    file that passes the checks is read by loadtxt from the path, in its
+    C reader.  Neither holds a decoded copy of the text.  Any other file
+    (a FIFO or a pipe), and a regular file those checks or loadtxt turn
+    down, or that changed while loadtxt read it, is read once and parsed
+    as its decoded text, whose undecodable bytes raise ParseError naming
+    their line.
     """
     if not isinstance(source, os.PathLike):
         return _parse_text(source)
@@ -149,12 +155,15 @@ def _blocks(text: str):
         i = j
 
 
-# Bytes of a file that the checks of _load_file read at a time.  Chunks of
-# 1 MiB raised a process's peak RSS by 2 MB over 20 solves of 1e3-1e5-row
-# files (glibc's malloc then serves reads of that size from its heap), where
-# 64 KiB left it 1.1 MB below reading the decoded text; the checks of a
-# 1e6-row file take 16-19 ms at 64 KiB, 256 KiB and 1 MiB alike (2-CPU
-# x86-64 host, glibc, Python 3.11).
+# Bytes of a file that the checks of _load_file, and _DecimalRows, read at
+# a time.  Chunks of 1 MiB raised a process's peak RSS by 2 MB over 20
+# solves of 1e3-1e5-row files (glibc's malloc then serves reads of that
+# size from its heap), where 64 KiB left it 1.1 MB below reading the
+# decoded text; the checks of a 1e6-row file take 16-19 ms at 64 KiB,
+# 256 KiB and 1 MiB alike (2-CPU x86-64 host, glibc, Python 3.11).  A
+# 64 KiB chunk of a gen file holds about 3400 fields, which _DecimalRows
+# converts in about 0.5 ms; 60 us of that is the fixed cost of its numpy
+# calls, and its scratch is a few chunks' worth.
 _READ_CHUNK = 1 << 16
 _BOM = b"\xef\xbb\xbf"
 # Extensions numpy's loadtxt reads by decompressing the file.
@@ -164,9 +173,147 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 _STAMP = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 
+# _DecimalRows' map of the bytes of a file to the text np.fromstring reads
+# as integers, with '.', '-', '+', 'e' and 'E' dropped: '\n' ends a field
+# as ',' does, digits stay, and any other byte becomes '|', which no
+# integer holds, so np.fromstring raises ValueError.
+_TO_DIGITS = bytes(c if chr(c) in "0123456789," else ord(",") if c == 10
+                   else ord("|") for c in range(256))
+# 10**m for m <= 18 is 2**m * 5**m with 5**m < 2**53: exact in a double.
+# Built without a ufunc, and cast to longdouble by _DecimalRows: the first
+# call of np.power or of a longdouble loop pages in 132 KB of numpy's code,
+# which a process that reads no file need not hold.
+_POWERS_OF_TEN = np.array([float(10**m) for m in range(19)])
+# _DecimalRows needs a significand that holds every 18-digit integer, 64
+# bits as in x87's extended format or more; where a longdouble is a double
+# files take loadtxt's route.
+_LONG_SIGNIFICAND = np.finfo(np.longdouble).nmant >= 63
+
+
+class _DecimalRows:
+    """The rows of a file of plain decimals, each field as ``float(field)``
+    reads it, converted a chunk of whole lines at a time.
+
+    Every line holds k = 2 or 3 comma-separated fields, each with exactly
+    one '.', and otherwise digits and a leading '-' (or the '+', 'e' and
+    'E' of a field float() reads, below).  A field ``[-]I.F`` of 1 to 18
+    digits, m of them in F, is N / 10**m for the integer N of its digits:
+    N < 10**18 < 2**63 and 10**m are exact in a 64-bit significand, and
+    their longdouble quotient, rounded once there and once more to a
+    double, is the correctly rounded N / 10**m unless the first rounding
+    lands on a midpoint of two doubles (W. D. Clinger, PLDI 1990; D.
+    Lemire, *Number parsing at a gigabyte per second*, SPE 2021).  The
+    quotient lies in [1e-18, 1e18) or is 0, so neither rounding is
+    subnormal.  A field whose quotient is such a midpoint (about 1 in
+    2048), one with 'e', 'E' or '+', and one of more than 18 digits are
+    read by ``float(field)``.  The sign comes from the field's '-', so
+    "-0.0" is -0.0.  Once a line falls outside this grammar, or a field
+    does not read as a finite float, ``feed`` is False and the caller
+    reads the file another way.
+
+    The rows go into one (rows, k) array, sized from the file's size and
+    the density of the lines read so far, and resized (realloc) when that
+    guess is short and once at the end, so no chunk's rows are held
+    twice."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.read = 0  # bytes converted
+        self.k = 0  # fields a line
+        self.rows = None
+        self.n = 0
+        self.tail: list = []  # the last line so far, unended
+        self.powers = _POWERS_OF_TEN.astype(np.longdouble)
+
+    def feed(self, chunk: bytes) -> bool:
+        """Convert the lines ``chunk`` ends; False once one does not."""
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            self.tail.append(chunk)
+            return True
+        lines = b"".join((*self.tail, memoryview(chunk)[:cut]))
+        self.tail = [chunk[cut:]]
+        return self._convert(lines)
+
+    def result(self) -> Problem | None:
+        """The rows read, or None if there are none or the last line
+        does not convert."""
+        tail = b"".join(self.tail)
+        if tail and not self._convert(tail + b"\n") or not self.n:
+            return None
+        self.rows.resize((self.n, self.k), refcheck=False)
+        return Problem(*self.rows.T)
+
+    def _convert(self, lines: bytes) -> bool:
+        """Append the rows of ``lines``, whole lines of the grammar."""
+        a = np.frombuffer(lines, np.uint8)
+        ends = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
+        dots = np.flatnonzero(a == ord("."))
+        eol = a[ends] == ord("\n")
+        k = self.k = self.k or int(eol.argmax()) + 1
+        if not (k in (2, 3) and len(ends) % k == 0
+                and eol[k - 1::k].all() and eol.sum() * k == len(ends)
+                and len(dots) == len(ends) and (dots < ends).all()
+                and (dots[1:] > ends[:-1]).all()):
+            return False
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        starts[1:] = ends[:-1] + 1
+        neg = a[starts] == ord("-")
+        digits = ends - starts - 1 - neg
+        odd = (digits < 1) | (digits > 18)
+        text = lines.translate(_TO_DIGITS, b".-+eE")
+        if len(text) != len(a) - len(dots) - np.count_nonzero(neg):
+            # a field with '+', 'e', 'E' or a '-' past its first byte
+            at = np.flatnonzero((a == ord("-")) | (a == ord("+"))
+                                | (a == ord("e")) | (a == ord("E")))
+            field = np.searchsorted(ends, at)
+            odd[field[(at != starts[field]) | (a[at] != ord("-"))]] = True
+        exact = {}
+        try:
+            for i in np.flatnonzero(odd).tolist():
+                exact[i] = float(lines[starts[i]:ends[i]])
+            n = np.fromstring(text, np.int64, sep=",")
+        except ValueError:
+            return False
+        if (len(n) != len(ends)
+                or not all(map(math.isfinite, exact.values()))):
+            return False
+        q = n.astype(np.longdouble)
+        q /= self.powers[np.minimum(ends - dots - 1, 18)]
+        v = q.astype(np.float64)
+        # q - v is exact, and a double; q is a midpoint of two doubles iff
+        # v + 2 (q - v) is the other one, so exactly 2 (q - v) from v
+        r = (q - v).astype(np.float64)
+        r += r
+        for i in np.flatnonzero((r != 0) & (v + r - v == r) & ~odd).tolist():
+            exact[i] = float(lines[starts[i]:ends[i]])
+        np.negative(v, out=v, where=neg)
+        if exact:
+            v[list(exact)] = list(exact.values())
+        self._append(v.reshape(-1, k), len(lines))
+        return True
+
+    def _append(self, rows, size: int) -> None:
+        self.read += size
+        need = self.n + len(rows)
+        if self.rows is None or need > len(self.rows):
+            # the rows of the whole file at the density read so far, and a
+            # sixteenth more; np.empty's pages cost nothing until written
+            guess = need * max(self.size, self.read) // self.read
+            shape = (guess + guess // 16 + 1, self.k)
+            if self.rows is None:
+                self.rows = np.empty(shape)
+            else:
+                self.rows.resize(shape, refcheck=False)
+        self.rows[self.n:need] = rows
+        self.n = need
+
+
 def _load_file(path: Path) -> Problem | None:
-    """The rows of the regular file ``path`` as loadtxt reads them from the
-    path, or None where a check or loadtxt turns the file down.
+    """The rows of the regular file ``path``, converted by _DecimalRows as
+    the checks read it or else read by loadtxt from the path, or None where
+    a check or loadtxt turns the file down.
 
     The file's bytes are checked a chunk at a time, as _parse_text checks
     text, but stricter: ASCII only once one leading byte-order mark is
@@ -176,15 +323,17 @@ def _load_file(path: Path) -> Problem | None:
     str.splitlines, so '\\r' is a line break here too.  ',' anywhere makes
     it the delimiter.
 
-    loadtxt opens the file a second time.  If it changed in between, by
-    size, write time or identity, loadtxt may have read bytes the checks
-    did not see, so the file is turned down.  A rewrite to the same size
-    within one clock tick of the file system's is not seen."""
+    loadtxt opens the file a second time (_DecimalRows reads it once).  If
+    it changed in between, by size, write time or identity, loadtxt may
+    have read bytes the checks did not see, so the file is turned down.  A
+    rewrite to the same size within one clock tick of the file system's is
+    not seen."""
     if path.suffix in _COMPRESSED:
         return None
     comma = False
     with open(path, "rb") as f:
         opened = _STAMP(os.fstat(f.fileno()))
+        decimals = _DecimalRows(opened[2]) if _LONG_SIGNIFICAND else None
         chunks = chain([f.read(len(_BOM)).removeprefix(_BOM)],
                        iter(partial(f.read, _READ_CHUNK), b""))
         for chunk in chunks:
@@ -193,6 +342,10 @@ def _load_file(path: Path) -> Problem | None:
                                          b"\x1e", b"#")):
                 return None
             comma = comma or b"," in chunk
+            if decimals is not None and not decimals.feed(chunk):
+                decimals = None
+    if decimals is not None and (cs := decimals.result()) is not None:
+        return cs
     cs = _loadtxt(path, comma, encoding="utf-8-sig")
     return cs if _STAMP(path.stat()) == opened else None
 

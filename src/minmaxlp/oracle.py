@@ -41,7 +41,16 @@ def brute2d(cs) -> Solution2:
     The optimum of a convex piecewise-linear maximum is attained where two
     constraint lines meet, so evaluating the objective at every pairwise
     intersection abscissa and taking the smallest value is exact up to
-    float evaluation.  Ties in t resolve to the smallest x.
+    float evaluation.  Ties in t resolve to the smallest x.  Raises
+    NonFiniteInput when the optimal x or t lies outside the double range,
+    as solve does.
+
+    The objective is evaluated on the columns scaled by the power of two
+    that puts the largest magnitude in [0.5, 1), as brute3d_box does: then
+    a * x does not overflow where a * x + b lies in the double range, so
+    the values keep their order; the scaling is exact unless a
+    coefficient or a product falls below the normal range.  t is the
+    chosen value scaled back.
     """
     a, b = columns(cs, 2)
     if (a > 0).all() or (a < 0).all():
@@ -63,10 +72,14 @@ def brute2d(cs) -> Solution2:
         for k in (np.isinf(da) | np.isinf(db)).nonzero()[0].tolist():
             i, j = ii[k], jj[k]
             xs[k] = _to_float((F(b[j]) - F(b[i])) / (F(a[i]) - F(a[j])))
-        ts = _eval_max_1d(a, b, xs)
-    k = np.lexsort((xs, ts))[0]
-    return Solution2(Status.OPTIMAL, x=float(xs[k]), t=float(ts[k]),
-                     iterations=0)
+        e = math.frexp(float(max(np.abs(a).max(), np.abs(b).max())))[1]
+        ts = _eval_max_1d(np.ldexp(a, -e), np.ldexp(b, -e), xs)
+        k = np.lexsort((xs, ts))[0]
+        t = float(np.ldexp(ts[k], e))
+    if not math.isfinite(t):
+        raise NonFiniteInput(
+            "brute2d: the optimal x or t lies outside the double range")
+    return Solution2(Status.OPTIMAL, x=float(xs[k]), t=t, iterations=0)
 
 
 def _edge_candidates(s, o):

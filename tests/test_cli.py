@@ -1,6 +1,8 @@
+import decimal
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -299,20 +301,24 @@ class TestParseFiles:
                                                            monkeypatch):
         # A row appended once the checks have read the file, with a '#'
         # they would have turned down: loadtxt would take it as a comment,
-        # the line scan names its line.
+        # the line scan names its line.  The rows are integers, without
+        # the '.' the decimal reader needs, so loadtxt reads the file.
         path = tmp_path / "grow.txt"
         path.write_bytes(b"1,0\n-1,2\n")
         loadtxt = cli._loadtxt
+        appended = []
 
         def append_then_load(source, *args, **kwargs):
             with open(path, "ab") as f:
                 f.write(b"5,6 # note\n")
+            appended.append(source)
             return loadtxt(source, *args, **kwargs)
 
         monkeypatch.setattr(cli, "_loadtxt", append_then_load)
         with pytest.raises(ParseError) as err:
             parse_constraints(path)
         assert err.value.line == 3
+        assert appended == [path]
 
     def test_compressed_names_are_read_as_text(self, tmp_path):
         # loadtxt would decompress a .gz path; the line scan reads its text
@@ -347,6 +353,165 @@ class TestParseFiles:
         assert capsys.readouterr().out == want
         got = _fifo_read(fifo, text, parse_constraints, fifo)
         assert got == parse_constraints(path)
+
+
+def _decimal_fields(seed: int) -> list[str]:
+    """Over 10**6 fields with one '.' each, for the decimal reader.
+
+    - reprs of doubles of either sign across 1e-6..1e17 (repr writes
+      those below 1e-4 and from 1e16 with an exponent);
+    - the exact expansions of such doubles cut to 17, 18 or 19 digits;
+    - around midpoints of two doubles in 1..1e17, the exact midpoint and
+      the 17- and 18-digit decimals just below and just above it (within
+      1e-17 of it, relatively), where a quotient rounded to 64 bits can
+      land on the midpoint;
+    - zeros of either sign, an empty integer or fraction part, leading
+      zeros, '+', exponents, 18 and 19 digits.
+    """
+    rng = random.Random(seed)
+    exact = decimal.Context(prec=2000)
+    fields = ["-0.0", "0.0", "-0.", ".0", ".5", "5.", "-.5", "-5.",
+              "007.50", "-00.000", "000000000000000001.5", "+1.5", "+0.5",
+              "9.1e-05", "-9.1e-05", "1.5E+10", "+0.0", "1.e5",
+              "123456789012345678.", "1234567890123456789.",
+              "999999999999999999.", ".999999999999999999",
+              "9999999999999999999.", "-.999999999999999999",
+              "0.000000000000000001", "-0.000000000000000001",
+              "99999999999999999999999999999.5", "0.5" + "0" * 40]
+
+    def cut(text: str, digits: int) -> str:
+        whole, _, frac = text.partition(".")
+        return whole + "." + frac[:max(digits - len(whole.lstrip("-")), 0)]
+
+    for _ in range(400_000):
+        text = repr(rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-6, 17))
+        if text.count(".") == 1:
+            fields.append(text)
+    for _ in range(200_000):
+        x = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-6, 17)
+        fields.append(cut(format(decimal.Decimal(x), "f"),
+                          rng.randint(17, 19)))
+    for i in range(100_000):
+        x = 10 ** rng.uniform(0, 17)
+        mid = exact.add(decimal.Decimal(x),
+                        exact.divide(decimal.Decimal(math.ulp(x)), 2))
+        text = format(mid, "f")
+        text += "" if "." in text else "."
+        if i % 10 == 0:
+            fields.append(text)
+        for digits in (17, 18):
+            below = cut(text, digits)
+            unit = decimal.Decimal(1).scaleb(-len(below.partition(".")[2]))
+            above = format(exact.add(decimal.Decimal(below), unit), "f")
+            fields += [below, above if "." in above else above + "."]
+    return fields
+
+
+class TestDecimalFiles:
+    """Files of plain decimals are read by _DecimalRows as float() reads
+    each field, and every other file as before."""
+
+    def test_a_million_fields_read_as_float_reads_them(self):
+        fields = _decimal_fields(7)
+        fields += ["0.0"] * (len(fields) % 2)
+        assert len(fields) >= 10**6
+        data = "".join(f"{a},{b}\n" for a, b in
+                       zip(fields[::2], fields[1::2])).encode()
+        reader = cli._DecimalRows(len(data))
+        for i in range(0, len(data), cli._READ_CHUNK):
+            assert reader.feed(data[i:i + cli._READ_CHUNK])
+        got = np.asarray(reader.result()).ravel()
+        want = np.array([float(f) for f in fields])
+        wrong = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert [fields[i] for i in wrong[:5]] == []
+
+    @pytest.mark.parametrize("data,route", [
+        (b"1.5,-2.25\n-0.0,.5\n", "decimal"),
+        (b"1.5,-2.25,0.125\n-0.0,.5,5.\n-.5,007.50,1.\n", "decimal"),
+        (b"\xef\xbb\xbf1.5,-2.25\n3.,4.\n", "decimal"),
+        (b"1.5,-2.25\n3.5,4.5", "decimal"),
+        (b"+1.5,9.1e-05\n-9.1E-05,1234567890123456789.5\n", "decimal"),
+        (b"123456789012345678.,.123456789012345678\n", "decimal"),
+        (b"1e-05,2.5\n", "loadtxt"),
+        (b"1,0\n-1,2.5\n", "loadtxt"),
+        (b"-.,1.0\n", "text"),
+        (b".,1.0\n", "text"),
+        (b"-,1.0\n", "text"),
+        (b"1.5,2.5\n-.\n", "text"),
+        (b"1.5,2.5\n3.5\n", "text"),
+        (b"1.5,2.5\n3.5,4.5,5.5\n", "text"),
+        (b"1.0\n2.0\n", "text"),
+        (b"1.0,2.0,3.0,4.0\n", "text"),
+        (b"1.5,2.5\r\n3.5,4.5\r\n", "loadtxt"),
+        (b"1.5, 2.5\n", "loadtxt"),
+        (b"1.5,2.5\n\n3.5,4.5\n", "loadtxt"),
+        (b"1.5,2.5,\n", "text"),
+        (b"1.5.5,2.5\n", "text"),
+        (b"1.-5,2.5\n", "text"),
+        (b"--1.5,2.5\n", "text"),
+        (b"1.5,2.5\n1.5e400,1.0\n", "text"),
+        (b"1.5,2.5\n1.5_0,1.0\n", "text"),
+        (b"0x1.8p1,2.5\n", "text"),
+        (b"", "text"),
+    ])
+    @pytest.mark.parametrize("chunk", [1, 3, 8, 1 << 16])
+    def test_same_as_line_scan(self, read_route, monkeypatch, data, route,
+                               chunk):
+        # fields straddle the chunk boundaries at chunks of 1, 3 and 8
+        monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
+        got, read = read_route(data)
+        assert got == _outcome(_line_scan, data.decode("utf-8-sig"))
+        assert read == route
+
+    def test_long_significand_gates_the_reader(self, read_route,
+                                               monkeypatch):
+        assert cli._LONG_SIGNIFICAND == (np.finfo(np.longdouble).nmant
+                                         >= 63)
+        data = b"1.5,-2.25\n-0.0,.5\n0.1,0.30000000000000004\n"
+        want = _outcome(_line_scan, data.decode())
+        assert read_route(data) == (want, "decimal")
+        monkeypatch.setattr(cli, "_LONG_SIGNIFICAND", False)
+        assert read_route(data) == (want, "loadtxt")
+
+    @pytest.mark.parametrize("dim,n", [(2, 1000), (2, 100_000), (3, 1000),
+                                       (3, 10_000)])
+    def test_gen_files_read_bitwise(self, dim, n, tmp_path, monkeypatch):
+        path = tmp_path / "g.txt"
+        assert main(["gen", "--dim", str(dim), "--n", str(n), "--seed", "3",
+                     "--out", str(path)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            old = np.loadtxt(path, ndmin=2, delimiter=",")
+        monkeypatch.setattr(cli, "_loadtxt", None)
+        monkeypatch.setattr(cli, "_decode", None)
+        got = np.asarray(parse_constraints(path))
+        want = np.asarray((gen2d if dim == 2 else gen3d)(
+            GenSpec(n=n, seed=3, dim=dim)))
+        assert got.tobytes() == want.tobytes() == old.tobytes()
+
+
+@pytest.fixture
+def read_route(monkeypatch, tmp_path):
+    """A function of a file's bytes: parse_constraints' outcome on the
+    file's path, and the route that read it: "decimal" (_DecimalRows),
+    "loadtxt" (from the path) or "text" (decoded)."""
+    routes = []
+    decode, loadtxt = cli._decode, cli._loadtxt
+    monkeypatch.setattr(cli, "_decode",
+                        lambda data: routes.append("text") or decode(data))
+    monkeypatch.setattr(cli, "_loadtxt", lambda *args, **kwargs:
+                        routes.append("loadtxt") or loadtxt(*args, **kwargs))
+    path = tmp_path / "d.txt"
+
+    def read(data: bytes):
+        path.write_bytes(data)
+        routes.clear()
+        got = _outcome(parse_constraints, path)
+        # the text parse may call loadtxt too
+        return got, ("text" if "text" in routes else
+                     "loadtxt" if routes else "decimal")
+
+    return read
 
 
 def _fifo_read(fifo, text, read, *args):

@@ -1,8 +1,8 @@
 """Scratch memory, traced by tracemalloc: the formatter streams, the
-parser holds one byte copy of its text, neither a problem's build nor the
-generator copies its columns more than once, the 2D solver holds one copy
-of its input, and the answer checks and the objective hold a few blocks of
-rows."""
+parser holds one byte copy of its text and the file reader one copy of its
+rows, neither a problem's build nor the generator copies its columns more
+than once, the 2D solver holds one copy of its input, and the answer checks
+and the objective hold a few blocks of rows."""
 
 import os
 import tracemalloc
@@ -39,6 +39,20 @@ def test_writer_holds_one_block_whatever_the_rows():
 def test_parse_holds_one_byte_copy():
     text = cli._format_constraints(gen2d(GenSpec(n=100_000, seed=1)))
     assert _peak(cli.parse_constraints, text) <= 2 * len(text)
+
+
+def test_file_reader_holds_its_rows_and_a_few_chunks(tmp_path,
+                                                     monkeypatch):
+    # A gen file is read by _DecimalRows into one array sized from the
+    # file's size, a sixteenth over, and grown in place; each chunk's
+    # scratch is a few times its size.  Rows gathered chunk by chunk and
+    # joined at the end would hold them twice.
+    path = tmp_path / "g.txt"
+    assert cli.main(["gen", "--n", "100000", "--seed", "1",
+                     "--out", str(path)]) == 0
+    monkeypatch.setattr(cli, "_loadtxt", None)  # the decimal reader only
+    rows = 100_000 * 2 * 8
+    assert _peak(cli._load_file, path) <= 17 / 16 * rows + 12 * cli._READ_CHUNK
 
 
 def test_problem_does_not_stack_its_columns():

@@ -51,6 +51,23 @@ class TestBrute2d:
         assert (sol.x, sol.t) == (want.x, want.t)
         check2d(cs, sol)
 
+    def test_far_rows_are_certified(self):
+        # a * x overflows on rows near the double range, where a * x + b
+        # does not; evaluated unscaled, those values lost their order and
+        # 6 of these answers were not optimal (seed 1, n = 5: t =
+        # 4.411e307 where solve finds 2.790e307).
+        for seed in range(40):
+            r = random.Random(seed)
+            for n in (2, 5, 9, 10):
+                cs = [(r.uniform(-1, 1) * 1.7e308,
+                       r.uniform(-1, 1) * 1.7e308) for _ in range(n)]
+                check2d(cs, brute2d(cs))
+
+    def test_optimum_outside_the_double_range(self):
+        # the lines cross at x = 5e309, where t = 5e9: solve raises too
+        with pytest.raises(NonFiniteInput, match="brute2d: the optimal x"):
+            brute2d([(1e-300, 0.0), (-1e-300, 1e10)])
+
     def test_permutation_invariant(self):
         rng = random.Random(0)
         cs = [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(12)]
