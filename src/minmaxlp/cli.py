@@ -175,8 +175,9 @@ _STAMP = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 # _DecimalRows' map of the bytes of a file to the text np.fromstring reads
 # as integers, with '.', '-', '+', 'e' and 'E' dropped: '\n' ends a field
-# as ',' does, digits stay, and any other byte becomes '|', which no
-# integer holds, so np.fromstring raises ValueError.
+# as ',' does, digits stay, and any other byte becomes '|', which
+# _DecimalRows turns down before np.fromstring reads the text: older numpy
+# only warns at a byte it cannot read, and returns the numbers before it.
 _TO_DIGITS = bytes(c if chr(c) in "0123456789," else ord(",") if c == 10
                    else ord("|") for c in range(256))
 # 10**m for m <= 18 is 2**m * 5**m with 5**m < 2**53: exact in a double.
@@ -184,10 +185,17 @@ _TO_DIGITS = bytes(c if chr(c) in "0123456789," else ord(",") if c == 10
 # call of np.power or of a longdouble loop pages in 132 KB of numpy's code,
 # which a process that reads no file need not hold.
 _POWERS_OF_TEN = np.array([float(10**m) for m in range(19)])
-# _DecimalRows needs a significand that holds every 18-digit integer, 64
-# bits as in x87's extended format or more; where a longdouble is a double
-# files take loadtxt's route.
-_LONG_SIGNIFICAND = np.finfo(np.longdouble).nmant >= 63
+# _DecimalRows needs a significand that holds every 18-digit integer and a
+# correctly rounded division: x87's extended format, 64 bits, the one its
+# proof and its timings are for.  Elsewhere (a longdouble that is a double,
+# IBM double-double, whose division is not correctly rounded, or software
+# binary128) files take loadtxt's route.
+_LONG_SIGNIFICAND = np.finfo(np.longdouble).nmant == 63
+# Bytes of a line past which _DecimalRows turns a file down, so that a file
+# of one long line, or of lines not ended by '\n', is not held whole before
+# loadtxt reads it.  A line of the grammar is under 80 bytes unless a field
+# holds thousands of digits.
+_LONG_LINE = 1 << 16
 
 
 class _DecimalRows:
@@ -196,8 +204,9 @@ class _DecimalRows:
 
     Every line holds k = 2 or 3 comma-separated fields, each with exactly
     one '.', and otherwise digits and a leading '-' (or the '+', 'e' and
-    'E' of a field float() reads, below).  A field ``[-]I.F`` of 1 to 18
-    digits, m of them in F, is N / 10**m for the integer N of its digits:
+    'E' of a field float() reads, below); blank lines, which hold no rows,
+    are dropped.  A field ``[-]I.F`` of 1 to 18 digits, m of them in F, is
+    N / 10**m for the integer N of its digits:
     N < 10**18 < 2**63 and 10**m are exact in a 64-bit significand, and
     their longdouble quotient, rounded once there and once more to a
     double, is the correctly rounded N / 10**m unless the first rounding
@@ -209,7 +218,8 @@ class _DecimalRows:
     read by ``float(field)``.  The sign comes from the field's '-', so
     "-0.0" is -0.0.  Once a line falls outside this grammar, or a field
     does not read as a finite float, ``feed`` is False and the caller
-    reads the file another way.
+    reads the file another way; so it is at a '\\r', and at a line longer
+    than _LONG_LINE, before the line is held whole.
 
     The rows go into one (rows, k) array, sized from the file's size and
     the density of the lines read so far, and resized (realloc) when that
@@ -223,16 +233,22 @@ class _DecimalRows:
         self.rows = None
         self.n = 0
         self.tail: list = []  # the last line so far, unended
+        self.pending = 0  # its bytes
         self.powers = _POWERS_OF_TEN.astype(np.longdouble)
 
     def feed(self, chunk: bytes) -> bool:
-        """Convert the lines ``chunk`` ends; False once one does not."""
+        """Convert the lines ``chunk`` ends; False once one does not, or
+        at a '\\r' or a line longer than _LONG_LINE."""
+        if b"\r" in chunk:
+            return False
         cut = chunk.rfind(b"\n") + 1
         if not cut:
             self.tail.append(chunk)
-            return True
+            self.pending += len(chunk)
+            return self.pending <= _LONG_LINE
         lines = b"".join((*self.tail, memoryview(chunk)[:cut]))
         self.tail = [chunk[cut:]]
+        self.pending = len(chunk) - cut
         return self._convert(lines)
 
     def result(self) -> Problem | None:
@@ -250,12 +266,13 @@ class _DecimalRows:
         ends = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
         dots = np.flatnonzero(a == ord("."))
         eol = a[ends] == ord("\n")
-        k = self.k = self.k or int(eol.argmax()) + 1
+        k = self.k or int(eol.argmax()) + 1
         if not (k in (2, 3) and len(ends) % k == 0
                 and eol[k - 1::k].all() and eol.sum() * k == len(ends)
                 and len(dots) == len(ends) and (dots < ends).all()
                 and (dots[1:] > ends[:-1]).all()):
-            return False
+            return self._convert_nonblank(lines)
+        self.k = k
         starts = np.empty_like(ends)
         starts[0] = 0
         starts[1:] = ends[:-1] + 1
@@ -263,6 +280,8 @@ class _DecimalRows:
         digits = ends - starts - 1 - neg
         odd = (digits < 1) | (digits > 18)
         text = lines.translate(_TO_DIGITS, b".-+eE")
+        if b"|" in text:
+            return False
         if len(text) != len(a) - len(dots) - np.count_nonzero(neg):
             # a field with '+', 'e', 'E' or a '-' past its first byte
             at = np.flatnonzero((a == ord("-")) | (a == ord("+"))
@@ -276,6 +295,8 @@ class _DecimalRows:
             n = np.fromstring(text, np.int64, sep=",")
         except ValueError:
             return False
+        # every field holds a digit (one without is read by float(), which
+        # raises), so each is one number
         if (len(n) != len(ends)
                 or not all(map(math.isfinite, exact.values()))):
             return False
@@ -293,6 +314,18 @@ class _DecimalRows:
             v[list(exact)] = list(exact.values())
         self._append(v.reshape(-1, k), len(lines))
         return True
+
+    def _convert_nonblank(self, lines: bytes) -> bool:
+        """``_convert`` of ``lines`` without its blank lines; False if it
+        has none.  Only lines the grammar turns down are searched for them:
+        finding '\\n\\n' in a 64 KiB chunk of a gen file takes 70 us on a
+        2-CPU x86-64 host, a seventh of the chunk's conversion."""
+        if lines[:1] != b"\n" and b"\n\n" not in lines:
+            return False
+        while b"\n\n" in lines:
+            lines = lines.replace(b"\n\n", b"\n")
+        lines = lines.removeprefix(b"\n")
+        return not lines or self._convert(lines)
 
     def _append(self, rows, size: int) -> None:
         self.read += size

@@ -45,12 +45,13 @@ def brute2d(cs) -> Solution2:
     NonFiniteInput when the optimal x or t lies outside the double range,
     as solve does.
 
-    The objective is evaluated on the columns scaled by the power of two
+    The candidates are ranked on the columns scaled by the power of two
     that puts the largest magnitude in [0.5, 1), as brute3d_box does: then
     a * x does not overflow where a * x + b lies in the double range, so
     the values keep their order; the scaling is exact unless a
-    coefficient or a product falls below the normal range.  t is the
-    chosen value scaled back.
+    coefficient or a product falls below the normal range.  t is taken on
+    the original columns, so a coefficient that the scaling loses there
+    still counts.
     """
     a, b = columns(cs, 2)
     if (a > 0).all() or (a < 0).all():
@@ -74,12 +75,12 @@ def brute2d(cs) -> Solution2:
             xs[k] = _to_float((F(b[j]) - F(b[i])) / (F(a[i]) - F(a[j])))
         e = math.frexp(float(max(np.abs(a).max(), np.abs(b).max())))[1]
         ts = _eval_max_1d(np.ldexp(a, -e), np.ldexp(b, -e), xs)
-        k = np.lexsort((xs, ts))[0]
-        t = float(np.ldexp(ts[k], e))
+        x = float(xs[np.lexsort((xs, ts))[0]])
+    t = objective((a, b), x) if math.isfinite(x) else math.inf
     if not math.isfinite(t):
         raise NonFiniteInput(
             "brute2d: the optimal x or t lies outside the double range")
-    return Solution2(Status.OPTIMAL, x=float(xs[k]), t=t, iterations=0)
+    return Solution2(Status.OPTIMAL, x=x, t=t, iterations=0)
 
 
 def _edge_candidates(s, o):

@@ -444,7 +444,11 @@ class TestDecimalFiles:
         (b"1.0,2.0,3.0,4.0\n", "text"),
         (b"1.5,2.5\r\n3.5,4.5\r\n", "loadtxt"),
         (b"1.5, 2.5\n", "loadtxt"),
-        (b"1.5,2.5\n\n3.5,4.5\n", "loadtxt"),
+        (b"1.5,2.5\n\n3.5,4.5\n", "decimal"),
+        (b"\n\n1.5,2.5\n3.5,4.5\n\n\n", "decimal"),
+        (b"\xef\xbb\xbf\n1.5,2.5\n\n\n\n\n3.5,4.5", "decimal"),
+        (b"\n\n\n", "text"),
+        (b"1.5,2.5\n \n3.5,4.5\n", "text"),
         (b"1.5,2.5,\n", "text"),
         (b"1.5.5,2.5\n", "text"),
         (b"1.-5,2.5\n", "text"),
@@ -452,6 +456,10 @@ class TestDecimalFiles:
         (b"1.5,2.5\n1.5e400,1.0\n", "text"),
         (b"1.5,2.5\n1.5_0,1.0\n", "text"),
         (b"0x1.8p1,2.5\n", "text"),
+        (b"1.5,2.5x\n", "text"),
+        (b"1.5,2.5\n3.5,4.5x\n", "text"),
+        (b"1.5,2.5\r3.5,4.5\r", "loadtxt"),
+        (b"1.5,2.5\n3.5,4.5\r", "loadtxt"),
         (b"", "text"),
     ])
     @pytest.mark.parametrize("chunk", [1, 3, 8, 1 << 16])
@@ -466,12 +474,37 @@ class TestDecimalFiles:
     def test_long_significand_gates_the_reader(self, read_route,
                                                monkeypatch):
         assert cli._LONG_SIGNIFICAND == (np.finfo(np.longdouble).nmant
-                                         >= 63)
+                                         == 63)
         data = b"1.5,-2.25\n-0.0,.5\n0.1,0.30000000000000004\n"
         want = _outcome(_line_scan, data.decode())
         assert read_route(data) == (want, "decimal")
         monkeypatch.setattr(cli, "_LONG_SIGNIFICAND", False)
         assert read_route(data) == (want, "loadtxt")
+
+    @pytest.mark.parametrize("data", [b"1.5,2.5x\n", b"1.5,2.5\n3.5,4.5x\n",
+                                      b"1.5,2.5\n3.5,4x.5\n"])
+    def test_bad_last_field_where_fromstring_reads_a_prefix(
+            self, read_route, monkeypatch, data):
+        # Older numpy's fromstring only warns at a byte it cannot read and
+        # returns the numbers before it; the reader turns the file down
+        # before it asks.
+        def prefix(text, dtype, sep):
+            return np.array([int(t) for t in text.split(b"|")[0].split(
+                sep.encode()) if t], dtype)
+
+        monkeypatch.setattr(np, "fromstring", prefix)
+        got, route = read_route(data)
+        assert got == _outcome(_line_scan, data.decode())
+        assert route == "text"
+
+    def test_no_line_is_held_past_the_long_line_bound(self, monkeypatch):
+        monkeypatch.setattr(cli, "_LONG_LINE", 100)
+        reader = cli._DecimalRows(1000)
+        assert reader.feed(b"1.5,2.5\n" + b"1" * 60)
+        assert reader.feed(b"1" * 40)
+        assert not reader.feed(b"1")
+        # a '\r' turns the file down in the chunk that holds it
+        assert not cli._DecimalRows(1000).feed(b"1.5,2.5\r")
 
     @pytest.mark.parametrize("dim,n", [(2, 1000), (2, 100_000), (3, 1000),
                                        (3, 10_000)])

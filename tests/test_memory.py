@@ -55,6 +55,19 @@ def test_file_reader_holds_its_rows_and_a_few_chunks(tmp_path,
     assert _peak(cli._load_file, path) <= 17 / 16 * rows + 12 * cli._READ_CHUNK
 
 
+@pytest.mark.parametrize("end", [b"\r", b""])
+def test_file_reader_holds_no_unended_line(tmp_path, monkeypatch, end):
+    # A file with no '\n', of '\r'-ended lines or one long line, is turned
+    # down at its first '\r' or past _LONG_LINE bytes, before the decimal
+    # reader holds it whole.
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"".join(f"{i}.5,-{i}.25".encode() + (end or b",")
+                              for i in range(100_000)))
+    monkeypatch.setattr(cli, "_loadtxt", lambda *args, **kwargs: None)
+    assert path.stat().st_size > 1e6
+    assert _peak(cli._load_file, path) <= 4 * cli._LONG_LINE
+
+
 def test_problem_does_not_stack_its_columns():
     cs = gen2d(GenSpec(n=100_000, seed=1))
     a, b = map(np.array, columns(cs, 2))

@@ -63,6 +63,16 @@ class TestBrute2d:
                        r.uniform(-1, 1) * 1.7e308) for _ in range(n)]
                 check2d(cs, brute2d(cs))
 
+    def test_t_taken_on_the_unscaled_rows(self):
+        # scaled by 2**-997, the 1e-300 intercept underflows to 0, so the
+        # scaled values read t = 0, which no certificate holds
+        cs = [(1e300, 0.0), (-1e300, 0.0), (0.0, 1e-300)]
+        sol = brute2d(cs)
+        assert (sol.x, sol.t) == (0.0, 1e-300)
+        check2d(cs, sol)
+        cs = [(1e308, 0.0), (-1e308, 0.0), (0.0, 1.2345678901234567)]
+        assert brute2d(cs).t == 1.2345678901234567
+
     def test_optimum_outside_the_double_range(self):
         # the lines cross at x = 5e309, where t = 5e9: solve raises too
         with pytest.raises(NonFiniteInput, match="brute2d: the optimal x"):
