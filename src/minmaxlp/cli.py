@@ -13,16 +13,18 @@ and prune3d, either for oracle), apply --mode, answer, certify the answer
 on --validate (for prune3d, the kept rows' optimum) and print it.
 
 Input is UTF-8; bytes that do not decode are an input error naming their
-line.  A regular file goes to parse_constraints as its path, and its bytes
-are checked a chunk at a time.  A file of plain decimals, comma-separated
+line.  Every input is read by one byte reader: a file from its opened
+handle, stdin from its binary stream, and a stream that is not a regular
+file (a pipe, a FIFO, ``<(...)``) once, whole, as bytes.  Its bytes are
+checked a chunk at a time.  A file of plain decimals, comma-separated
 ``[-]I.F`` fields as gen writes them, is converted in that same pass: the
 digits of each chunk are read as integers and divided by powers of ten in
-extended precision.  Any other file is read by numpy's loadtxt from its
-path.  Neither route holds a decoded copy of the text.  Stdin, a file that
-is not regular (a FIFO, ``<(...)``), and a file those checks or loadtxt
-turn down are read once, decoded and parsed as text, which names the first
-bad line.  ``gen`` writes its rows in blocks as it formats them, so it
-holds one block of text at a time, never the whole file.
+extended precision.  Any other input the checks pass is read by numpy's
+loadtxt from the same bytes.  Neither route holds a decoded copy of the
+text.  An input those checks or loadtxt turn down is decoded and parsed
+line by line, which names the first bad line.  ``gen`` writes its rows in
+blocks as it formats them, so it holds one block of text at a time, never
+the whole file.
 
 Exit codes: 0 success (an unbounded verdict is a valid answer),
 1 stdout closed before the output was written (a broken pipe, as in
@@ -39,6 +41,8 @@ import io
 import json
 import math
 import os
+import re
+import stat
 import sys
 import warnings
 from dataclasses import asdict, astuple, fields
@@ -46,6 +50,7 @@ from functools import cache, partial
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -65,69 +70,103 @@ from .solver2d import expand_absolute, solve
 __all__ = ["parse_constraints", "emit_solution", "main"]
 
 
-def parse_constraints(source: str | os.PathLike) -> Problem:
-    """Parse constraints from text, or from the file at a path; arity (2 or
-    3 fields) picks the problem type.
+def parse_constraints(source: str | os.PathLike | BinaryIO) -> Problem:
+    """Parse constraints from text, from the file at a path, or from a
+    binary stream read to its end; arity (2 or 3 fields) picks the problem
+    type.
 
-    Text of plain ASCII numbers in a uniform layout is read in one
-    vectorised pass; any other text, and any text that pass rejects, is
-    read line by line, which names the first bad line.  Both read every
-    field as ``float(field)`` does, once one leading U+FEFF is dropped.
-    The vectorised pass holds a few MB of scratch whatever the size of the
-    text: loadtxt reads the lines of a ``StringIO``, which holds 4 bytes a
-    character, made of the text or, above _PARSE_BLOCK characters, of one
-    block of it at a time.
-
-    A path is read as the text of its file's bytes, decoded as UTF-8,
-    would be.  A regular file's bytes are checked as the vectorised
-    pass's text is, a chunk of _READ_CHUNK bytes at a time, and must hold
-    no '#'.  Where every line of the file holds 2 or 3 comma-separated
-    plain decimals, the same pass converts them (_DecimalRows); any other
-    file that passes the checks is read by loadtxt from the path, in its
-    C reader.  Neither holds a decoded copy of the text.  Any other file
-    (a FIFO or a pipe), and a regular file those checks or loadtxt turn
-    down, or that changed while loadtxt read it, is read once and parsed
-    as its decoded text, whose undecodable bytes raise ParseError naming
-    their line.
+    One reader (_read) reads every source as bytes: a path as its opened
+    file, and ASCII text as its bytes once one leading U+FEFF is dropped.
+    Other text goes to the line scan, which names the first bad line.
+    Every route reads each field as ``float(field)`` does, and gives the
+    line scan's rows, bit for bit, or its error and line.  Only the line
+    scan holds a decoded copy of the text; a stream that is not a regular
+    file is held once, as bytes.
     """
-    if not isinstance(source, os.PathLike):
-        return _parse_text(source)
-    path = Path(source)
-    if path.is_file():  # not a FIFO, which reads once
-        cs = _load_file(path)
-        if cs is not None:
+    if isinstance(source, str):
+        text = source.removeprefix("\ufeff")
+        if not text.isascii():
+            return _parse_lines(text)
+        source = io.BytesIO(text.encode())
+    if isinstance(source, os.PathLike):
+        with open(source, "rb") as f:
+            return _read(f)
+    return _read(source)
+
+
+def _read(f) -> Problem:
+    """``parse_constraints`` on the binary stream ``f``, read from where it
+    stands to its end.
+
+    A stream that fstat does not show as a regular file (a pipe, a FIFO,
+    an in-memory stream) is read whole into a BytesIO first, as bytes: it
+    may be read only once.  One pass then reads the bytes _READ_CHUNK at a
+    time and checks that loadtxt reads them as the line scan reads their
+    text: ASCII once one leading byte-order mark is dropped, none of the
+    line breaks loadtxt does not know, and no '#' that a byte other than a
+    blank precedes on its line (a whole-line comment).  ',' anywhere makes
+    it the delimiter.  Where every line holds 2 or 3 comma-separated plain
+    decimals, the same pass converts them (_DecimalRows).  Otherwise
+    loadtxt reads the stream again from where the pass began, in text mode,
+    where '\\r', '\\r\\n' and '\\n' end a line as they do for
+    str.splitlines.  A stream the checks or loadtxt turn down, or a regular
+    file that changed while loadtxt read it, is decoded and read by the
+    line scan; undecodable bytes raise ParseError naming their line.
+    Neither the decimal pass nor loadtxt holds a decoded copy of the text.
+    """
+    try:
+        st = os.fstat(f.fileno())
+    except OSError:  # io.UnsupportedOperation: no file descriptor
+        st = None
+    if st is None or not stat.S_ISREG(st.st_mode):
+        f, st = io.BytesIO(f.read()), None
+    start = f.tell()
+    decimals = (_DecimalRows(f.seek(0, io.SEEK_END) - start)
+                if _LONG_SIGNIFICAND else None)
+    f.seek(start)
+    comma, lead = False, b""
+    for chunk in chain([f.read(len(_BOM)).removeprefix(_BOM)],
+                       iter(partial(f.read, _READ_CHUNK), b"")):
+        if not chunk.isascii() or any(
+                c in chunk for c in (b"\v", b"\f", b"\x1c", b"\x1d",
+                                     b"\x1e")) or (
+                b"#" in chunk and _LATE_COMMENT.search(b"\n" + lead + chunk)):
+            break
+        comma = comma or b"," in chunk
+        # the first non-blank byte of the line the chunk leaves unended
+        tail = chunk[chunk.rfind(b"\n") + 1:]
+        tail = tail[tail.rfind(b"\r") + 1:]
+        lead = (tail if len(tail) < len(chunk) else lead + tail
+                ).lstrip(_BLANKS)[:1]
+        if decimals is not None and not decimals.feed(chunk):
+            decimals = None
+    else:
+        if decimals is not None and (cs := decimals.result()) is not None:
             return cs
-    return _parse_text(_read_input(path))
-
-
-def _parse_text(text: str) -> Problem:
-    """``parse_constraints`` on text."""
-    text = text.removeprefix("\ufeff")
-    # loadtxt splits lines only at \n and \r\n and would take '#' as a
-    # comment anywhere on a line, where the line scan splits at every line
-    # break str.splitlines knows and takes only whole-line comments.
-    if (text and text.isascii() and not text.isspace()
-            and not any(c in text for c in "\v\f\x1c\x1d\x1e")
-            and not _comments_need_line_scan(text)):
-        cs = _loadtxt(io.StringIO(text) if len(text) <= _PARSE_BLOCK else
-                      chain.from_iterable(map(io.StringIO, _blocks(text))),
-                      "," in text)
-        if cs is not None:
+        f.seek(start)
+        text = io.TextIOWrapper(f, encoding="utf-8-sig", newline=None)
+        try:
+            cs = _loadtxt(text, comma)
+        finally:
+            text.detach()
+        if cs is not None and (
+                st is None or _STAMP(os.fstat(f.fileno())) == _STAMP(st)):
             return cs
-    return _parse_lines(text)
+    f.seek(start)
+    return _parse_lines(_decode(f.read()).removeprefix("\ufeff"))
 
 
-def _loadtxt(source, comma: bool, **kwargs) -> Problem | None:
-    """The rows loadtxt reads from ``source``, with ',' as the delimiter
-    if ``comma`` and runs of whitespace otherwise; None if it raises
-    ValueError (NonFiniteInput among them) or reads no rows of 2 or 3
-    fields."""
+def _loadtxt(text, comma: bool) -> Problem | None:
+    """The rows loadtxt reads from the text stream ``text``, with ',' as
+    the delimiter if ``comma`` and runs of whitespace otherwise; None if it
+    raises ValueError (NonFiniteInput among them) or reads no rows of 2 or
+    3 fields."""
     try:
         with warnings.catch_warnings():
             # comment lines alone are no data; the line scan says so
             warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(source, ndmin=2,
-                              delimiter="," if comma else None, **kwargs)
+            rows = np.loadtxt(text, ndmin=2,
+                              delimiter="," if comma else None)
         if rows.shape[0] and rows.shape[1] in (2, 3):
             return Problem(*rows.T)
     except ValueError:
@@ -135,42 +174,28 @@ def _loadtxt(source, comma: bool, **kwargs) -> Problem | None:
     return None
 
 
-# Characters of text in one StringIO of the vectorised parse of text (stdin
-# and library callers; files are read by loadtxt from their path).  Below
-# it the whole text goes into one: on a 2-CPU x86-64 host with numpy 2.4, a
-# chain of one block read 1-2% slower at 1e3 and 3162 rows (interleaved
-# calls, faster in at most 7 of 40 rounds).  Above it the blocks hold a few
-# MB at most, where the whole text's StringIO would hold 4 times it.
-_PARSE_BLOCK = 1 << 18
-
-
-def _blocks(text: str):
-    """``text`` in slices of at least _PARSE_BLOCK characters, each ending
-    just after a '\\n' but the last, which ends the text.  Text only: a
-    file goes to loadtxt as its path."""
-    i = 0
-    while i < len(text):
-        j = text.find("\n", i + _PARSE_BLOCK) + 1 or len(text)
-        yield text[i:j]
-        i = j
-
-
-# Bytes of a file that the checks of _load_file, and _DecimalRows, read at
-# a time.  Chunks of 1 MiB raised a process's peak RSS by 2 MB over 20
-# solves of 1e3-1e5-row files (glibc's malloc then serves reads of that
-# size from its heap), where 64 KiB left it 1.1 MB below reading the
-# decoded text; the checks of a 1e6-row file take 16-19 ms at 64 KiB,
-# 256 KiB and 1 MiB alike (2-CPU x86-64 host, glibc, Python 3.11).  A
-# 64 KiB chunk of a gen file holds about 3400 fields, which _DecimalRows
-# converts in about 0.5 ms; 60 us of that is the fixed cost of its numpy
-# calls, and its scratch is a few chunks' worth.
+# Bytes that _read checks, and _DecimalRows converts, at a time.  Chunks of
+# 1 MiB raised a process's peak RSS by 2 MB over 20 solves of 1e3-1e5-row
+# files (glibc's malloc then serves reads of that size from its heap),
+# where 64 KiB left it 1.1 MB below reading the decoded text; the checks of
+# a 1e6-row file take 16-19 ms at 64 KiB, 256 KiB and 1 MiB alike (2-CPU
+# x86-64 host, glibc, Python 3.11).  A 64 KiB chunk of a gen file holds
+# about 3400 fields, which _DecimalRows converts in about 0.5 ms; 60 us of
+# that is the fixed cost of its numpy calls, and its scratch is a few
+# chunks' worth.
 _READ_CHUNK = 1 << 16
 _BOM = b"\xef\xbb\xbf"
-# Extensions numpy's loadtxt reads by decompressing the file.
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-# What tells a file apart from itself once changed or replaced: a write
-# sets st_mtime_ns, to the file system's clock tick.
-_STAMP = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
+# The bytes str.strip drops that loadtxt may be given, and a '#' that
+# loadtxt would take as a comment where the line scan does not: one that a
+# byte other than those precedes on its line.  Searched in a chunk after
+# '\n' and the first non-blank byte of the line the chunk before left
+# unended.
+_BLANKS = b" \t\x1f"
+_LATE_COMMENT = re.compile(rb"[\r\n][ \t\x1f]*[^ \t\x1f\r\n#][^\r\n#]*#")
+# What tells a regular file apart from itself once changed: a write sets
+# st_mtime_ns, to the file system's clock tick.  A rewrite to the same size
+# within one tick is not seen.
+_STAMP = attrgetter("st_size", "st_mtime_ns")
 
 
 # _DecimalRows' map of the bytes of a file to the text np.fromstring reads
@@ -196,6 +221,10 @@ _LONG_SIGNIFICAND = np.finfo(np.longdouble).nmant == 63
 # loadtxt reads it.  A line of the grammar is under 80 bytes unless a field
 # holds thousands of digits.
 _LONG_LINE = 1 << 16
+# The sign and digits of a field of _DecimalRows' lines that has an
+# exponent and no '.', such as the "1e-05" or "5e+16" repr writes.
+_DOTLESS_EXPONENT = re.compile(
+    rb"(?m)((?:^|,)[-+]?[0-9]+)(?=[eE][-+]?[0-9]+(?:,|$))")
 
 
 class _DecimalRows:
@@ -205,8 +234,9 @@ class _DecimalRows:
     Every line holds k = 2 or 3 comma-separated fields, each with exactly
     one '.', and otherwise digits and a leading '-' (or the '+', 'e' and
     'E' of a field float() reads, below); blank lines, which hold no rows,
-    are dropped.  A field ``[-]I.F`` of 1 to 18 digits, m of them in F, is
-    N / 10**m for the integer N of its digits:
+    are dropped, and a field with an exponent and no '.' is given one
+    before its exponent.  A field ``[-]I.F`` of 1 to 18 digits, m of them
+    in F, is N / 10**m for the integer N of its digits:
     N < 10**18 < 2**63 and 10**m are exact in a 64-bit significand, and
     their longdouble quotient, rounded once there and once more to a
     double, is the correctly rounded N / 10**m unless the first rounding
@@ -271,7 +301,7 @@ class _DecimalRows:
                 and eol[k - 1::k].all() and eol.sum() * k == len(ends)
                 and len(dots) == len(ends) and (dots < ends).all()
                 and (dots[1:] > ends[:-1]).all()):
-            return self._convert_nonblank(lines)
+            return self._convert_other(lines)
         self.k = k
         starts = np.empty_like(ends)
         starts[0] = 0
@@ -315,17 +345,22 @@ class _DecimalRows:
         self._append(v.reshape(-1, k), len(lines))
         return True
 
-    def _convert_nonblank(self, lines: bytes) -> bool:
-        """``_convert`` of ``lines`` without its blank lines; False if it
-        has none.  Only lines the grammar turns down are searched for them:
-        finding '\\n\\n' in a 64 KiB chunk of a gen file takes 70 us on a
-        2-CPU x86-64 host, a seventh of the chunk's conversion."""
-        if lines[:1] != b"\n" and b"\n\n" not in lines:
-            return False
-        while b"\n\n" in lines:
-            lines = lines.replace(b"\n\n", b"\n")
-        lines = lines.removeprefix(b"\n")
-        return not lines or self._convert(lines)
+    def _convert_other(self, lines: bytes) -> bool:
+        """``_convert`` of ``lines``, which the grammar turned down, without
+        their blank lines and with a '.' before the exponent of each field
+        that has one and no '.' (``float("1.e-05")`` is
+        ``float("1e-05")``); False if that leaves them as they were.  Only
+        lines the grammar turns down are searched: finding '\\n\\n' in a
+        64 KiB chunk of a gen file takes 70 us on a 2-CPU x86-64 host, a
+        seventh of the chunk's conversion, and the exponent search 1.6 ms,
+        so it runs only where an 'e' or 'E' is."""
+        fixed = lines
+        while b"\n\n" in fixed:
+            fixed = fixed.replace(b"\n\n", b"\n")
+        fixed = fixed.removeprefix(b"\n")
+        if b"e" in fixed or b"E" in fixed:
+            fixed = _DOTLESS_EXPONENT.sub(rb"\1.", fixed)
+        return fixed != lines and (not fixed or self._convert(fixed))
 
     def _append(self, rows, size: int) -> None:
         self.read += size
@@ -341,62 +376,6 @@ class _DecimalRows:
                 self.rows.resize(shape, refcheck=False)
         self.rows[self.n:need] = rows
         self.n = need
-
-
-def _load_file(path: Path) -> Problem | None:
-    """The rows of the regular file ``path``, converted by _DecimalRows as
-    the checks read it or else read by loadtxt from the path, or None where
-    a check or loadtxt turns the file down.
-
-    The file's bytes are checked a chunk at a time, as _parse_text checks
-    text, but stricter: ASCII only once one leading byte-order mark is
-    dropped, none of the line breaks loadtxt does not know, and no '#' at
-    all (a file with comments is read as text).  loadtxt opens the file in
-    text mode, where '\\r' and '\\r\\n' end a line as they do for
-    str.splitlines, so '\\r' is a line break here too.  ',' anywhere makes
-    it the delimiter.
-
-    loadtxt opens the file a second time (_DecimalRows reads it once).  If
-    it changed in between, by size, write time or identity, loadtxt may
-    have read bytes the checks did not see, so the file is turned down.  A
-    rewrite to the same size within one clock tick of the file system's is
-    not seen."""
-    if path.suffix in _COMPRESSED:
-        return None
-    comma = False
-    with open(path, "rb") as f:
-        opened = _STAMP(os.fstat(f.fileno()))
-        decimals = _DecimalRows(opened[2]) if _LONG_SIGNIFICAND else None
-        chunks = chain([f.read(len(_BOM)).removeprefix(_BOM)],
-                       iter(partial(f.read, _READ_CHUNK), b""))
-        for chunk in chunks:
-            if not chunk.isascii() or any(
-                    c in chunk for c in (b"\v", b"\f", b"\x1c", b"\x1d",
-                                         b"\x1e", b"#")):
-                return None
-            comma = comma or b"," in chunk
-            if decimals is not None and not decimals.feed(chunk):
-                decimals = None
-    if decimals is not None and (cs := decimals.result()) is not None:
-        return cs
-    cs = _loadtxt(path, comma, encoding="utf-8-sig")
-    return cs if _STAMP(path.stat()) == opened else None
-
-
-def _comments_need_line_scan(text: str) -> bool:
-    """True when a '#' does not open a whole-line comment that loadtxt
-    reads as the line scan does: some non-blank character precedes it on
-    its line, or a lone '\\r' (a line break only to the line scan)
-    follows it there."""
-    i = text.find("#")
-    while i >= 0:
-        end = text.find("\n", i)
-        end = len(text) if end < 0 else end
-        if (text[text.rfind("\n", 0, i) + 1:i].strip()
-                or "\r" in text[i:end].rstrip("\r")):
-            return True
-        i = text.find("#", end)
-    return False
 
 
 def _parse_lines(text: str) -> Problem:
@@ -481,16 +460,6 @@ def _format_constraints(cs) -> str:
     return out.getvalue()
 
 
-def _read_input(path: str | os.PathLike) -> str:
-    """The text of the file ``path``, or of stdin for the string '-',
-    decoded as UTF-8 by _decode.  A Path is always a file."""
-    if path != "-":
-        return _decode(Path(path).read_bytes())
-    if not hasattr(sys.stdin, "buffer"):  # a text stream only
-        return sys.stdin.read()
-    return _decode(sys.stdin.buffer.read())
-
-
 def _decode(data: bytes) -> str:
     """``data`` decoded as UTF-8.  Bytes that do not decode raise
     ParseError naming their line, numbered as the line scan numbers
@@ -518,9 +487,12 @@ def _cmd_answer(args) -> int:
     field count (oracle takes either), apply --mode, answer, certify on
     --validate and print.  Each solver and check is looked up by its name
     here, at the call, so rebinding a module attribute reaches it.  A file
-    goes to parse_constraints as its path, stdin as its text."""
-    cs = parse_constraints(_read_input("-") if args.input == "-"
-                           else Path(args.input))
+    goes to parse_constraints as its path, stdin as its binary stream
+    (a text-only stdin as its text)."""
+    stdin = sys.stdin
+    cs = parse_constraints(Path(args.input) if args.input != "-" else
+                           stdin.buffer if hasattr(stdin, "buffer") else
+                           stdin.read())
     cmd = args.command
     if cmd != "oracle":
         want = 2 if cmd == "solve2d" else 3

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -61,7 +62,8 @@ class TestParseConstraints:
             parse_constraints("# nothing here\n")
 
 
-# (text, whether the vectorised pass reads it)
+# (text, whether loadtxt or the decimal pass reads it where '\n' alone
+# ends a line)
 PARSE_CASES = [
     ("1,0\n-1,2.5\n", True),
     ("0.1,-0.0\n5e-324,1e308\n-1.7976931348623157e308,+.5\n", True),
@@ -100,6 +102,10 @@ PARSE_CASES = [
     ("", False),
     ("\n \n", False),
 ]
+# Texts that loadtxt reads only because a lone '\r' ends a line: the reader
+# hands it the bytes in text mode, where '\r', '\r\n' and '\n' end a line as
+# they do for the line scan.
+_LONE_CR = {"1,0\n#\r2,3\n", "1,2\r3,4\r"}
 
 
 def _outcome(fn, text):
@@ -112,7 +118,7 @@ def _outcome(fn, text):
 
 
 class TestParsePaths:
-    """The vectorised parse and the line scan read every text alike."""
+    """The byte reader and the line scan read every text alike."""
 
     @pytest.mark.parametrize("text,fast", PARSE_CASES)
     def test_same_as_line_scan(self, text, fast, monkeypatch):
@@ -124,19 +130,19 @@ class TestParsePaths:
 
         monkeypatch.setattr(cli, "_parse_lines", counted)
         assert _outcome(parse_constraints, text) == _outcome(_line_scan, text)
-        assert (not scans) == fast
+        assert (not scans) == (fast or text in _LONE_CR)
 
     @pytest.mark.parametrize("text,fast", PARSE_CASES)
     def test_leading_byte_order_mark_is_dropped(self, text, fast,
                                                 monkeypatch):
         # Only parse_constraints drops it, so a text's line numbers, and
-        # its reading in one vectorised pass, are those without it.
+        # the route that reads it, are those without it.
         scans = []
         monkeypatch.setattr(cli, "_parse_lines",
                             lambda t: scans.append(t) or _line_scan(t))
         assert (_outcome(parse_constraints, "\ufeff" + text)
                 == _outcome(_line_scan, text))
-        assert (not scans) == fast
+        assert (not scans) == (fast or text in _LONE_CR)
 
     @pytest.mark.parametrize("text,line", [("\ufeff\ufeff1,0\n", 1),
                                            ("1,0\n\ufeff2,3\n", 2),
@@ -155,33 +161,6 @@ class TestParsePaths:
                            for _ in range(rng.randint(0, 14)))
             assert (_outcome(parse_constraints, text)
                     == _outcome(_line_scan, text)), repr(text)
-
-    @pytest.mark.parametrize("block", [1, 4])
-    def test_blocks_read_alike(self, block, monkeypatch):
-        # A long text reaches loadtxt a block at a time; the blocks hold the
-        # text's lines as they are, so outcome and reader stay the same.
-        rng = random.Random(block)
-        pieces = ["1", "-2.5", "0", "1e3", ",", " ", "\n", "\n", "\r\n",
-                  "\r", "\t", "#"]
-        texts = [text for text, _ in PARSE_CASES] + [
-            "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
-            for _ in range(500)]
-        want = []
-        for text in texts:
-            scans = []
-            monkeypatch.setattr(cli, "_parse_lines",
-                                lambda t: scans.append(t) or _line_scan(t))
-            want.append((_outcome(parse_constraints, text), not scans))
-        monkeypatch.setattr(cli, "_PARSE_BLOCK", block)
-        for text, expected in zip(texts, want):
-            scans = []
-            monkeypatch.setattr(cli, "_parse_lines",
-                                lambda t: scans.append(t) or _line_scan(t))
-            assert (_outcome(parse_constraints, text), not scans) == expected
-            if text:
-                blocks = list(cli._blocks(text))
-                assert "".join(blocks) == text
-                assert all(b.endswith("\n") for b in blocks[:-1])
 
     def test_generated_text_is_read_in_one_pass(self, monkeypatch):
         from minmaxlp import GenSpec, gen2d, gen3d
@@ -202,12 +181,12 @@ class TestParsePaths:
     def test_gen_files_read_bitwise_in_one_pass(self, dim, n, tmp_path,
                                                 monkeypatch):
         # A gen file's rows are the generator's, bit for bit, and the
-        # vectorised pass reads them; up to 1e5 rows the text is also read
-        # by loadtxt through a StringIO, as it once was.
+        # line scan does not read its text; up to 1e5 rows the text is also
+        # read alike by loadtxt through a StringIO.
         path = tmp_path / "g.txt"
         assert main(["gen", "--dim", str(dim), "--n", str(n), "--seed", "2",
                      "--out", str(path)]) == 0
-        text = cli._read_input(str(path))
+        text = path.read_text(encoding="utf-8")
         monkeypatch.setattr(cli, "_parse_lines", None)
         got = np.asarray(parse_constraints(text))
         want = np.asarray((gen2d if dim == 2 else gen3d)(
@@ -233,8 +212,8 @@ def _random_texts():
 @pytest.fixture
 def read_from_path(monkeypatch, tmp_path):
     """A function of a file's bytes: parse_constraints' outcome on the
-    file's path, and whether loadtxt read it from the path (no text was
-    decoded)."""
+    file's path, and whether the decimal pass or loadtxt read it (no text
+    was decoded for the line scan)."""
     decoded = []
     decode = cli._decode
     monkeypatch.setattr(cli, "_decode",
@@ -258,11 +237,7 @@ class TestParseFiles:
     def test_same_as_line_scan(self, read_from_path, text, fast, bom):
         got, from_path = read_from_path(bom + text.encode())
         assert got == _outcome(_line_scan, text)
-        # a file opened in text mode breaks lines at a lone '\r', as the
-        # line scan does, so that text is read from the path too; a file
-        # with a '#' is read as text
-        assert from_path == (fast and "#" not in text
-                             or text == "1,2\r3,4\r")
+        assert from_path == (fast or text in _LONE_CR)
 
     @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
     def test_random_texts(self, read_from_path, bom):
@@ -275,8 +250,10 @@ class TestParseFiles:
         (b"1,2\n3,4\n5,\xc3\xa96\n", False),
         (b"1,2\n3,4\n5\x0b6,7\n", False),
         (b"1,2\n3,4\n5,6 # note\n", False),
-        # a comment line across a chunk boundary, read as text
-        (b"1,2\n# one comment # and more\n3,4\n", False),
+        # a comment line across chunk boundaries, read by loadtxt
+        (b"1,2\n# one comment # and more\n3,4\n", True),
+        (b"1 2\n \t# one comment\r3 4\n", True),
+        (b"1 2\n \t# one comment\r3 4 # and more\n", False),
         # the delimiter first seen past the first chunk
         (b"\n" * 12 + b"1,2\n3,4\n", True),
         (b"1 2\r\n3 4\r5 6\n", True),
@@ -300,9 +277,9 @@ class TestParseFiles:
     def test_file_changed_after_its_checks_is_read_as_text(self, tmp_path,
                                                            monkeypatch):
         # A row appended once the checks have read the file, with a '#'
-        # they would have turned down: loadtxt would take it as a comment,
-        # the line scan names its line.  The rows are integers, without
-        # the '.' the decimal reader needs, so loadtxt reads the file.
+        # they would have turned down: loadtxt takes it as a comment, the
+        # line scan names its line.  The rows are integers, without the '.'
+        # the decimal reader needs, so loadtxt reads the file.
         path = tmp_path / "grow.txt"
         path.write_bytes(b"1,0\n-1,2\n")
         loadtxt = cli._loadtxt
@@ -318,10 +295,10 @@ class TestParseFiles:
         with pytest.raises(ParseError) as err:
             parse_constraints(path)
         assert err.value.line == 3
-        assert appended == [path]
+        assert len(appended) == 1
 
     def test_compressed_names_are_read_as_text(self, tmp_path):
-        # loadtxt would decompress a .gz path; the line scan reads its text
+        # loadtxt reads the opened file, so a .gz name is not decompressed
         path = tmp_path / "p.txt.gz"
         path.write_text("1,0\n-1,2\n")
         assert parse_constraints(path) == [Constraint2(1, 0),
@@ -338,9 +315,9 @@ class TestParseFiles:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
     def test_fifo_is_read_once(self, tmp_path, capsys):
-        # The checks would use up a FIFO's bytes, so a FIFO is read once,
-        # as text: parse_constraints and solve2d read it as they read the
-        # same text from a regular file.
+        # A FIFO can be read only once, so it is read whole, as bytes:
+        # parse_constraints and solve2d read it as they read the same text
+        # from a regular file.
         text = _format_constraints(gen2d(GenSpec(n=2000, seed=6)))
         path = tmp_path / "p.txt"
         path.write_text(text)
@@ -349,9 +326,9 @@ class TestParseFiles:
         assert main(argv) == 0
         want = capsys.readouterr().out
         argv[1] = str(fifo)
-        assert _fifo_read(fifo, text, main, argv) == 0
+        assert _fifo_read(fifo, text.encode(), main, argv) == 0
         assert capsys.readouterr().out == want
-        got = _fifo_read(fifo, text, parse_constraints, fifo)
+        got = _fifo_read(fifo, text.encode(), parse_constraints, fifo)
         assert got == parse_constraints(path)
 
 
@@ -432,7 +409,12 @@ class TestDecimalFiles:
         (b"1.5,-2.25\n3.5,4.5", "decimal"),
         (b"+1.5,9.1e-05\n-9.1E-05,1234567890123456789.5\n", "decimal"),
         (b"123456789012345678.,.123456789012345678\n", "decimal"),
-        (b"1e-05,2.5\n", "loadtxt"),
+        (b"1e-05,2.5\n", "decimal"),
+        (b"5e+16,-1E5\n+2e0,1.5\n", "decimal"),
+        (b"1.5,2.5\n1e5e5,1.0\n", "text"),
+        (b"1.5,2.5\ne5,1.0\n", "text"),
+        (b"1.5,2.5\n1e,1.0\n", "text"),
+        (b"1e400,1.0\n", "text"),
         (b"1,0\n-1,2.5\n", "loadtxt"),
         (b"-.,1.0\n", "text"),
         (b".,1.0\n", "text"),
@@ -497,6 +479,20 @@ class TestDecimalFiles:
         assert got == _outcome(_line_scan, data.decode())
         assert route == "text"
 
+    def test_exponent_field_in_the_last_chunk(self, read_route):
+        # repr writes some round values with an exponent and no '.'; one
+        # such field, in the last chunk of a 1e5-row file, is read by
+        # float() where the file would otherwise be turned down and read
+        # again by loadtxt
+        lines = _format_constraints(
+            gen2d(GenSpec(n=100_000, seed=5))).splitlines(keepends=True)
+        lines[-3] = f"{1e-05!r},{5e16!r}\n"
+        data = "".join(lines).encode()
+        assert b"1e-05,5e+16\n" in data[-cli._READ_CHUNK:]
+        got, route = read_route(data)
+        assert route == ("decimal" if cli._LONG_SIGNIFICAND else "loadtxt")
+        assert got == _outcome(_line_scan, data.decode())
+
     def test_no_line_is_held_past_the_long_line_bound(self, monkeypatch):
         monkeypatch.setattr(cli, "_LONG_LINE", 100)
         reader = cli._DecimalRows(1000)
@@ -523,39 +519,58 @@ class TestDecimalFiles:
         assert got.tobytes() == want.tobytes() == old.tobytes()
 
 
+# The kinds of input parse_constraints reads: text, a path, a FIFO, and
+# the binary streams of stdin redirected from a file and piped.
+KINDS = ["str", "path", "fifo", "redirected", "piped"]
+
+
 @pytest.fixture
 def read_route(monkeypatch, tmp_path):
-    """A function of a file's bytes: parse_constraints' outcome on the
-    file's path, and the route that read it: "decimal" (_DecimalRows),
-    "loadtxt" (from the path) or "text" (decoded)."""
+    """A function of an input's bytes and a kind of input (a file's path by
+    default): ``outcome(parse_constraints, source)`` (_outcome by default)
+    on those bytes given as that kind, and the route that read them:
+    "decimal" (_DecimalRows), "loadtxt" or "text" (decoded, or non-ASCII
+    text, read by the line scan)."""
     routes = []
-    decode, loadtxt = cli._decode, cli._loadtxt
-    monkeypatch.setattr(cli, "_decode",
-                        lambda data: routes.append("text") or decode(data))
+    scan, loadtxt = cli._parse_lines, cli._loadtxt
+    monkeypatch.setattr(cli, "_parse_lines",
+                        lambda text: routes.append("text") or scan(text))
     monkeypatch.setattr(cli, "_loadtxt", lambda *args, **kwargs:
                         routes.append("loadtxt") or loadtxt(*args, **kwargs))
     path = tmp_path / "d.txt"
 
-    def read(data: bytes):
-        path.write_bytes(data)
+    def read(data: bytes, kind: str = "path", outcome=_outcome):
         routes.clear()
-        got = _outcome(parse_constraints, path)
-        # the text parse may call loadtxt too
+        parse = partial(outcome, parse_constraints)
+        if kind == "str":
+            got = parse(data.decode("utf-8"))
+        elif kind == "fifo":
+            got = _fifo_read(tmp_path / "fifo", data, parse, tmp_path / "fifo")
+        elif kind == "piped":
+            got = _piped(data, parse)
+        else:
+            path.write_bytes(data)
+            if kind == "path":
+                got = parse(path)
+            else:
+                with open(path, "rb") as f:
+                    got = parse(f)
+        # loadtxt may turn the input down before the line scan reads it
         return got, ("text" if "text" in routes else
                      "loadtxt" if routes else "decimal")
 
     return read
 
 
-def _fifo_read(fifo, text, read, *args):
-    """``read(*args)`` while one writer thread writes ``text`` to a new
+def _fifo_read(fifo, data: bytes, read, *args):
+    """``read(*args)`` while one writer thread writes ``data`` to a new
     FIFO ``fifo``.  A reader that opens the FIFO a second time finds it
     empty after 5 s, so it fails instead of waiting for ever."""
     os.mkfifo(fifo)
     done = threading.Event()
 
     def write():
-        fifo.write_text(text)
+        fifo.write_bytes(data)
         while not done.wait(5):
             try:  # a writer that writes nothing: the reader sees EOF
                 os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
@@ -571,6 +586,77 @@ def _fifo_read(fifo, text, read, *args):
         writer.join(30)
         fifo.unlink()
         assert not writer.is_alive()
+
+
+def _piped(data: bytes, read):
+    """``read(f)`` of the binary stream ``f`` of a pipe's read end, as
+    stdin is when piped, while one writer thread writes ``data`` to the
+    pipe and closes it."""
+    r, w = os.pipe()
+
+    def write():
+        with open(w, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        with open(r, "rb") as f:
+            return read(f)
+    finally:
+        writer.join(30)
+        assert not writer.is_alive()
+
+
+class TestInputKinds:
+    """Text, a path, a FIFO and stdin, redirected from a file or piped,
+    are read by one byte reader: each gives the line scan's outcome, by the
+    route the same text takes."""
+
+    # text and paths: TestParsePaths and TestParseFiles
+    @pytest.mark.parametrize("kind", KINDS[2:])
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    @pytest.mark.parametrize("text,fast", PARSE_CASES)
+    def test_parse_cases(self, read_route, text, fast, bom, kind):
+        got, route = read_route((bom + text).encode(), kind)
+        assert got == _outcome(_line_scan, text)
+        assert route == read_route(text.encode(), "str")[1]
+        assert (route != "text") == (fast or text in _LONE_CR)
+
+    @pytest.mark.parametrize("kind", KINDS[1:])
+    def test_random_texts(self, read_route, kind):
+        for text in _random_texts():
+            want = read_route(text.encode(), "str")
+            assert want[0] == _outcome(_line_scan, text), repr(text)
+            assert read_route(text.encode(), kind) == want, repr(text)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dim,n", [(2, 1000), (2, 100_000),
+                                       (2, 1_000_000), (3, 1000),
+                                       (3, 100_000)])
+    def test_gen_files_read_bitwise(self, read_route, dim, n, kind):
+        cs = (gen2d if dim == 2 else gen3d)(GenSpec(n=n, seed=4, dim=dim))
+        got, route = read_route(_format_constraints(cs).encode(), kind,
+                                lambda parse, source:
+                                np.asarray(parse(source)).tobytes())
+        assert route == ("decimal" if cli._LONG_SIGNIFICAND else "loadtxt")
+        assert got == np.asarray(cs).tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_decimal_fields(self, read_route, kind):
+        fields, data = _decimal_rows()
+        got, route = read_route(data, kind)
+        assert route == ("decimal" if cli._LONG_SIGNIFICAND else "loadtxt")
+        assert [v for row in got for v in row] == [
+            float(f).hex() for f in fields]
+
+
+@cache
+def _decimal_rows() -> tuple[list[str], bytes]:
+    """The first 2e5 of _decimal_fields(8), and their text, two a line."""
+    fields = _decimal_fields(8)[:200_000]
+    return fields, "".join(f"{a},{b}\n" for a, b in
+                           zip(fields[::2], fields[1::2])).encode()
 
 
 class TestFormatConstraints:
@@ -1024,7 +1110,7 @@ class TestMain:
         path = tmp_path / "bad.txt"
         path.write_bytes(data)
         with pytest.raises(ParseError) as err:
-            cli._read_input(str(path))
+            parse_constraints(path)
         assert err.value.line == line
         code, out, err_file = self.run(capsys, "solve2d", str(path))
         assert code == 2 and out == ""

@@ -1,10 +1,12 @@
 """Scratch memory, traced by tracemalloc: the formatter streams, the
-parser holds one byte copy of its text and the file reader one copy of its
-rows, neither a problem's build nor the generator copies its columns more
-than once, the 2D solver holds one copy of its input, and the answer checks
-and the objective hold a few blocks of rows."""
+parser holds one byte copy of its text, the file reader one copy of its
+rows and a pipe's reader its bytes besides, neither a problem's build nor
+the generator copies its columns more than once, the 2D solver holds one
+copy of its input, and the answer checks and the objective hold a few
+blocks of rows."""
 
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -52,20 +54,54 @@ def test_file_reader_holds_its_rows_and_a_few_chunks(tmp_path,
                      "--out", str(path)]) == 0
     monkeypatch.setattr(cli, "_loadtxt", None)  # the decimal reader only
     rows = 100_000 * 2 * 8
-    assert _peak(cli._load_file, path) <= 17 / 16 * rows + 12 * cli._READ_CHUNK
+    assert (_peak(cli.parse_constraints, path)
+            <= 17 / 16 * rows + 12 * cli._READ_CHUNK)
+
+
+def test_stream_reader_holds_its_bytes_and_rows_and_a_few_chunks(
+        monkeypatch):
+    # A pipe is read whole, as bytes, and then read as a file is: no
+    # decoded copy of its text is held.
+    data = cli._format_constraints(gen2d(GenSpec(n=100_000, seed=1))).encode()
+    monkeypatch.setattr(cli, "_loadtxt", None)  # the decimal reader only
+    r, w = os.pipe()
+
+    def write():
+        with open(w, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    with open(r, "rb") as f:
+        peak = _peak(cli.parse_constraints, f)
+    writer.join(30)
+    assert not writer.is_alive()
+    rows = 100_000 * 2 * 8
+    assert peak <= len(data) + 17 / 16 * rows + 12 * cli._READ_CHUNK
 
 
 @pytest.mark.parametrize("end", [b"\r", b""])
 def test_file_reader_holds_no_unended_line(tmp_path, monkeypatch, end):
     # A file with no '\n', of '\r'-ended lines or one long line, is turned
     # down at its first '\r' or past _LONG_LINE bytes, before the decimal
-    # reader holds it whole.
+    # reader holds it whole; the peak is taken up to loadtxt's read.
     path = tmp_path / "g.txt"
     path.write_bytes(b"".join(f"{i}.5,-{i}.25".encode() + (end or b",")
                               for i in range(100_000)))
-    monkeypatch.setattr(cli, "_loadtxt", lambda *args, **kwargs: None)
+
+    class Loadtxt(Exception):
+        pass
+
+    def loadtxt(*args):
+        raise Loadtxt
+
+    def read():
+        with pytest.raises(Loadtxt):
+            cli.parse_constraints(path)
+
+    monkeypatch.setattr(cli, "_loadtxt", loadtxt)
     assert path.stat().st_size > 1e6
-    assert _peak(cli._load_file, path) <= 4 * cli._LONG_LINE
+    assert _peak(read) <= 4 * cli._LONG_LINE
 
 
 def test_problem_does_not_stack_its_columns():
