@@ -102,7 +102,7 @@ def check2d(cs: Sequence, sol: Solution2) -> None:
     steep true support is still within its own rounding of the maximum.
     O(n) numpy work and O(1) Fraction work; no reference solver.
     """
-    a, b = columns(cs, 2)
+    a, b = cols = columns(cs, 2)
     unbounded = bool(a.min() > 0.0 or a.max() < 0.0)
     if (sol.status is Status.UNBOUNDED) is not unbounded:
         raise ContractViolation(
@@ -124,4 +124,4 @@ def check2d(cs: Sequence, sol: Solution2) -> None:
             return max(bi, bj)  # both slopes are 0
         return (aj * bi - ai * bj) / (aj - ai)
 
-    certify((a, b), (sol.x,), sol.t, lower_bound, "check2d")
+    certify(cols, (sol.x,), sol.t, lower_bound, "check2d")

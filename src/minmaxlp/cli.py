@@ -160,7 +160,8 @@ def _loadtxt(text, comma: bool) -> Problem | None:
     """The rows loadtxt reads from the text stream ``text``, with ',' as
     the delimiter if ``comma`` and runs of whitespace otherwise; None if it
     raises ValueError (NonFiniteInput among them) or reads no rows of 2 or
-    3 fields."""
+    3 fields.  loadtxt gives (n, k) rows, which the problem copies once
+    into its (k, n) array."""
     try:
         with warnings.catch_warnings():
             # comment lines alone are no data; the line scan says so
@@ -168,7 +169,7 @@ def _loadtxt(text, comma: bool) -> Problem | None:
             rows = np.loadtxt(text, ndmin=2,
                               delimiter="," if comma else None)
         if rows.shape[0] and rows.shape[1] in (2, 3):
-            return Problem(*rows.T)
+            return Problem(rows.T)
     except ValueError:
         pass
     return None
@@ -251,10 +252,12 @@ class _DecimalRows:
     reads the file another way; so it is at a '\\r', and at a line longer
     than _LONG_LINE, before the line is held whole.
 
-    The rows go into one (rows, k) array, sized from the file's size and
-    the density of the lines read so far, and resized (realloc) when that
-    guess is short and once at the end, so no chunk's rows are held
-    twice."""
+    The rows go into one (k, capacity) array, field j of each row into row
+    j, the problem's own layout.  Its capacity comes from the file's size
+    and the density of the lines read so far; when that guess is short,
+    the rows read are copied once into a larger array.  The problem is the
+    first n columns of it, a view: the capacity left over is never
+    written."""
 
     def __init__(self, size: int):
         self.size = size
@@ -287,8 +290,7 @@ class _DecimalRows:
         tail = b"".join(self.tail)
         if tail and not self._convert(tail + b"\n") or not self.n:
             return None
-        self.rows.resize((self.n, self.k), refcheck=False)
-        return Problem(*self.rows.T)
+        return Problem(self.rows[:, :self.n])
 
     def _convert(self, lines: bytes) -> bool:
         """Append the rows of ``lines``, whole lines of the grammar."""
@@ -365,16 +367,15 @@ class _DecimalRows:
     def _append(self, rows, size: int) -> None:
         self.read += size
         need = self.n + len(rows)
-        if self.rows is None or need > len(self.rows):
+        if self.rows is None or need > self.rows.shape[1]:
             # the rows of the whole file at the density read so far, and a
             # sixteenth more; np.empty's pages cost nothing until written
             guess = need * max(self.size, self.read) // self.read
-            shape = (guess + guess // 16 + 1, self.k)
-            if self.rows is None:
-                self.rows = np.empty(shape)
-            else:
-                self.rows.resize(shape, refcheck=False)
-        self.rows[self.n:need] = rows
+            grown = np.empty((self.k, guess + guess // 16 + 1))
+            if self.rows is not None:
+                grown[:, :self.n] = self.rows[:, :self.n]
+            self.rows = grown
+        self.rows[:, self.n:need] = rows.T
         self.n = need
 
 
@@ -407,7 +408,7 @@ def _parse_lines(text: str) -> Problem:
         rows.append(vals)
     if arity is None:
         raise EmptyProblem("no constraints in input")
-    return Problem(*np.array(rows).T)
+    return Problem(*zip(*rows))
 
 
 def _solution_dict(sol) -> dict:

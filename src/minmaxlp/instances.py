@@ -12,7 +12,7 @@ every run:
   r = sqrt(-2*ln(1 - u1)), z0 = r*cos(2*pi*u2), z1 = r*sin(2*pi*u2).
 
 A 2D constraint consumes one pair (a = sigma*z0, b = sigma*z1).  A 3D
-constraint consumes two pairs and uses z0, z1, z2, discarding z3.
+constraint consumes two pairs and uses z0, z1, z2; z3 is never formed.
 """
 
 from __future__ import annotations
@@ -48,37 +48,46 @@ class GenSpec:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
 
 
-def _gaussians(seed: int, index: int, pairs: int,
-               sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """sigma * (z0, z1) of the first ``pairs`` Box-Muller pairs, as the
-    column of every pair's z0 and the column of its z1."""
+def _gaussians(seed: int, index: int, n: int, sigma: float,
+               k: int) -> np.ndarray:
+    """The (k, n) array of the Gaussian columns of ``gen2d`` (k = 2) or
+    ``gen3d`` (k = 3).
+
+    Row i takes pair i, sigma * (z0, z1), for k = 2, and pairs 2i and
+    2i + 1, sigma * (z0, z1, z0'), for k = 3: each pair's two uniforms are
+    read as strided views, so each column is formed apart, and z1' is never
+    formed.
+    """
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    u = np.random.Generator(np.random.Philox(key=key)).random(2 * pairs)
+    step = 2 * (k - 1)  # uniforms a row
+    u = np.random.Generator(np.random.Philox(key=key)).random(step * n)
     # The steps of sigma * (r * cos(ang)), sigma * (r * sin(ang)), each on
     # the same operands as written, with the exactly rounded ones in place:
-    # at most four columns are held at once, the uniforms counting as two.
-    r = np.log1p(np.negative(u[0::2]))
-    np.multiply(-2.0, r, out=r)
-    np.sqrt(r, out=r)
-    ang = np.multiply(_TWO_PI, u[1::2])
+    # at most 4(k - 1) columns of n are held at once, the uniforms counting
+    # as 2(k - 1), and the output is allocated once they are freed.
+    rs = [np.log1p(np.negative(u[i::step])) for i in range(0, step, 2)]
+    angs = [np.multiply(_TWO_PI, u[i::step]) for i in range(1, step, 2)]
     del u
-    z0, z1 = np.cos(ang), np.sin(ang)
-    for z in (z0, z1):
-        np.multiply(r, z, out=z)
-        np.multiply(sigma, z, out=z)
-    return z0, z1
+    for r in rs:
+        np.multiply(-2.0, r, out=r)
+        np.sqrt(r, out=r)
+    out = np.empty((k, n))
+    for row, (p, f) in zip(out, ((0, np.cos), (0, np.sin), (1, np.cos))):
+        f(angs[p], out=row)
+        row *= rs[p]
+        row *= sigma
+    return out
 
 
 def gen2d(spec: GenSpec, index: int = 0) -> Problem:
     """Instance ``index`` of the stream named by ``spec`` (dim 2)."""
     if spec.dim != 2:
         raise ValueError("gen2d requires a dim=2 spec")
-    return Problem(*_gaussians(spec.seed, index, spec.n, spec.sigma))
+    return Problem(_gaussians(spec.seed, index, spec.n, spec.sigma, 2))
 
 
 def gen3d(spec: GenSpec, index: int = 0) -> Problem:
     """Instance ``index`` of the stream named by ``spec`` (dim 3)."""
     if spec.dim != 3:
         raise ValueError("gen3d requires a dim=3 spec")
-    z0, z1 = _gaussians(spec.seed, index, 2 * spec.n, spec.sigma)
-    return Problem(z0[0::2], z1[0::2], z0[1::2])
+    return Problem(_gaussians(spec.seed, index, spec.n, spec.sigma, 3))

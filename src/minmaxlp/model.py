@@ -8,7 +8,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from numbers import Real
 from operator import index, itemgetter
 from typing import NamedTuple
@@ -71,69 +70,72 @@ class Solution3:
 
 
 class Problem(Sequence):
-    """A min-max problem held as k = 2 or 3 read-only float64 columns.
+    """A min-max problem held as one read-only float64 (k, n) array, k = 2
+    or 3, whose rows are its columns a, b[, c], each with unit stride.
 
     ``Problem(a, b)`` is the one-variable problem with slopes ``a`` and
-    intercepts ``b``, ``Problem(a, b, c)`` the box problem; the columns are
-    converted to float64 and checked finite once, here.  A problem also
-    reads as the list of its rows, ``Constraint2`` or ``Constraint3`` of
-    Python floats: ``len``, indexing, slicing (a view of the same type),
-    iteration and ``==`` against a list of rows or another problem behave
-    as on that list, and ``np.asarray(p)`` is the (n, k) array of its rows.
-    ``columns`` hands the columns to the solvers without a copy.  A
-    number beyond the double range, such as the int 10**400, is not finite
-    either: ``Problem([1.0, 10**400], [0.0, 0.0])`` raises NonFiniteInput
-    naming constraint 1.
+    intercepts ``b``, ``Problem(a, b, c)`` the box problem, and
+    ``Problem(m)`` either one on the rows of the (k, n) array ``m``.  The
+    columns are converted to float64 and checked finite once, here.
+    Separate columns are written into one new array; an array whose rows
+    have unit stride is held as a read-only view, and any other is copied
+    once.  A problem also reads as the list of its constraints,
+    ``Constraint2`` or ``Constraint3`` of Python floats: ``len``, indexing,
+    slicing, iteration and ``==`` against a list of constraints or another
+    problem behave as on that list.  A slice is a view of the same array,
+    never a copy (with a step, its rows are strided).  ``np.asarray(p)`` is
+    the read-only (n, k) transposed view of the array, and ``np.array(p)``
+    a copy.  ``columns`` hands the array to the solvers.  A number beyond
+    the double range, such as the int 10**400, is not finite either:
+    ``Problem([1.0, 10**400], [0.0, 0.0])`` raises NonFiniteInput naming
+    constraint 1.
     """
 
-    __slots__ = ("_cols",)
+    __slots__ = ("_rows",)
 
     def __init__(self, *cols):
+        given = cols[0] if len(cols) == 1 else cols
         try:
-            cols = [np.asarray(col, dtype=float) for col in cols]
+            rows = np.asarray(given, dtype=float)
         except OverflowError:
             read = np.frompyfunc(_read_float, 1, 1)
-            cols = [read(np.asarray(col, dtype=object)).astype(float)
-                    for col in cols]
-        if not (len(cols) in (2, 3) and all(col.ndim == 1 for col in cols)
-                and len({col.size for col in cols}) == 1):
+            rows = read(np.asarray(given, dtype=object)).astype(float)
+        if not (rows.ndim == 2 and rows.shape[0] in (2, 3)):
             raise ValueError("a problem needs 2 or 3 columns of one length")
-        _check_finite(cols)
-        for i, col in enumerate(cols):
-            cols[i] = col.view()
-            cols[i].flags.writeable = False
-        self._cols = tuple(cols)
+        _check_finite(rows)
+        if rows.strides[1] != rows.itemsize and rows.shape[1] > 1:
+            rows = rows.copy()
+        self._rows = rows.view()
+        self._rows.flags.writeable = False
 
     @classmethod
-    def _of(cls, cols) -> Problem:
-        """A problem on float64 columns known to be finite, which nothing
-        writes while the problem lives."""
+    def _of(cls, rows: np.ndarray) -> Problem:
+        """A problem on the finite float64 (k, n) array ``rows``, whose rows
+        have unit stride unless it is a slice with a step, and which nothing
+        writes while the problem lives; the array is made read-only here."""
         p = object.__new__(cls)
-        p._cols = tuple(cols)
+        rows.flags.writeable = False
+        p._rows = rows
         return p
 
     @property
     def _row(self):
-        return Constraint2 if len(self._cols) == 2 else Constraint3
+        return Constraint2 if len(self._rows) == 2 else Constraint3
 
     def __len__(self) -> int:
-        return self._cols[0].size
+        return self._rows.shape[1]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Problem._of(col[i] for col in self._cols)
-        i = index(i)
-        return self._row._make([float(col[i]) for col in self._cols])
+            return Problem._of(self._rows[:, i])
+        return self._row._make(self._rows[:, index(i)].tolist())
 
     def __iter__(self):
-        return map(self._row, *(col.tolist() for col in self._cols))
+        return map(self._row, *self._rows.tolist())
 
     def __eq__(self, other):
         if isinstance(other, Problem):
-            return (len(self._cols) == len(other._cols)
-                    and len(self) == len(other)
-                    and all(np.array_equal(p, q)
-                            for p, q in zip(self._cols, other._cols)))
+            return np.array_equal(self._rows, other._rows)
         if isinstance(other, list):
             return list(self) == other
         return NotImplemented
@@ -142,12 +144,10 @@ class Problem(Sequence):
 
     def __reduce__(self):
         # Copies and unpickled problems are built, and frozen, anew.
-        return Problem, self._cols
+        return Problem, (self._rows,)
 
     def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("the rows of a problem are built by a copy")
-        return np.stack(self._cols, axis=1).astype(dtype or float, copy=False)
+        return np.array(self._rows.T, dtype=dtype, copy=copy)
 
     def __repr__(self) -> str:
         return f"<Problem: {len(self)} {self._row.__name__} rows>"
@@ -159,36 +159,36 @@ def _check_shape(arr: np.ndarray, k: int) -> None:
             f"constraint array must have shape (n, k >= {k}), got {arr.shape}")
 
 
-def _check_finite(cols) -> None:
-    """Raise NonFiniteInput naming the first row of ``cols``, a (k, n)
-    array or k separate columns, with a non-finite field.  Separate columns
-    are checked one at a time, not stacked into a copy."""
-    blocks = (cols,) if isinstance(cols, np.ndarray) else cols
-    bad = [int(np.argmin(np.atleast_2d(np.isfinite(block)).all(axis=0)))
-           for block in blocks if not np.isfinite(block).all()]
-    if bad:
-        raise NonFiniteInput(f"constraint {min(bad)} is not finite")
+def _check_finite(rows: np.ndarray) -> None:
+    """Raise NonFiniteInput naming the first constraint (column) of the
+    (k, n) array ``rows`` with a non-finite field.  Its least and largest
+    values, which a NaN or an infinity would be, are reductions that hold
+    no scratch."""
+    if rows.size and not (math.isfinite(rows.min())
+                          and math.isfinite(rows.max())):
+        bad = int(np.isfinite(rows).all(axis=0).argmin())
+        raise NonFiniteInput(f"constraint {bad} is not finite")
 
 
-def columns(cs, k: int) -> Sequence[np.ndarray]:
-    """The first ``k`` fields of every constraint as k float64 columns.
+def columns(cs, k: int) -> np.ndarray:
+    """The first ``k`` fields of every constraint as the rows of a (k, n)
+    float64 array, each with unit stride.
 
-    ``cs`` is a ``Problem``, whose columns come back as they are, a
-    sequence of rows or an (n, >= k) array, whose columns come back as one
-    (k, n) array.  Raises ValueError for a problem, row or array with fewer
-    than ``k`` fields and for an array of any other shape, EmptyProblem for
-    no constraints at all, and NonFiniteInput for a non-finite field,
-    naming the first such constraint.  A number beyond the double range,
-    such as the int 10**400 in a row or an object array, is a non-finite
-    field.
+    ``cs`` is a ``Problem``, whose array, or a view of its first k rows,
+    comes back without a copy, or a sequence of rows or an (n, >= k) array,
+    written once into a new array.  Raises ValueError for a problem, row or array with fewer than
+    ``k`` fields and for an array of any other shape, EmptyProblem for no
+    constraints at all, and NonFiniteInput for a non-finite field, naming
+    the first such constraint.  A number beyond the double range, such as
+    the int 10**400 in a row or an object array, is a non-finite field.
     """
     if isinstance(cs, Problem):
-        cols = cs._cols
-        if cols[0].size == 0:
+        rows = cs._rows
+        if rows.shape[1] == 0:
             raise EmptyProblem("no constraints")
-        if len(cols) < k:
+        if len(rows) < k:
             raise ValueError(f"constraints need at least {k} fields")
-        return cols[:k]
+        return rows if len(rows) == k else rows[:k]
     if isinstance(cs, np.ndarray) and cs.ndim == 0:
         _check_shape(cs, k)  # a 0-d array has no rows to count
     if len(cs) == 0:
@@ -196,25 +196,28 @@ def columns(cs, k: int) -> Sequence[np.ndarray]:
     try:
         if isinstance(cs, np.ndarray):
             _check_shape(cs, k)
-            cols = np.asarray(cs[:, :k], dtype=float).T
+            rows = np.ascontiguousarray(cs[:, :k].T, dtype=float)
         else:
-            cols = _fields(cs, k)
+            rows = _fields(cs, k)
     except OverflowError:  # a number no double holds, such as 10**400
-        cols = _fields(cs, k, _read_float)
-    _check_finite(cols)
-    return cols
+        rows = _fields(cs, k, _read_float)
+    _check_finite(rows)
+    return rows
 
 
 def _fields(rows, k: int, read=None) -> np.ndarray:
-    """The first ``k`` fields of the ``rows`` as one (k, n) float64 array,
-    each read by ``read`` first when one is given."""
-    n = len(rows)
-    fields = chain.from_iterable(map(itemgetter(*range(k)), rows))
+    """The first ``k`` fields of the ``rows`` as the rows of one (k, n)
+    float64 array, field j of every row written into row j, each read by
+    ``read`` first when one is given."""
+    out = np.empty((k, len(rows)))
     try:
-        return np.fromiter(fields if read is None else map(read, fields),
-                           float, k * n).reshape(n, k).T
+        for j in range(k):
+            fields = map(itemgetter(j), rows)
+            out[j] = np.fromiter(fields if read is None else map(read, fields),
+                                 float, len(rows))
     except IndexError:
         raise ValueError(f"constraints need at least {k} fields") from None
+    return out
 
 
 def _read_float(v) -> float:
@@ -225,23 +228,25 @@ def _read_float(v) -> float:
         return math.inf
 
 
-def signed_pairs(cols) -> Problem:
+def signed_pairs(cols: np.ndarray) -> Problem:
     """The problem whose rows are r, -r for each row r of the finite
-    columns ``cols``, in row order: the residuals |r| as constraints."""
-    n = cols[0].size
-    out = np.empty((len(cols), n, 2))
+    (k, n) array of columns ``cols``, in row order: the residuals |r| as
+    constraints."""
+    k, n = cols.shape
+    out = np.empty((k, n, 2))
     out[:, :, 0] = cols
-    np.negative(out[:, :, 0], out=out[:, :, 1])
-    out.flags.writeable = False
-    return Problem._of(out.reshape(len(cols), 2 * n))
+    np.negative(cols, out=out[:, :, 1])
+    return Problem._of(out.reshape(k, 2 * n))
 
 
 def objective(cols, *point: float) -> float:
     """max_i (a_i*x + b_i) over columns (a, b) at x, or
     max_i (a_i*x + b_i*y + c_i) over columns (a, b, c) at (x, y).
 
-    Summed by ``_evaluate``, a block at a time, and exactly again when that
-    overflows; -inf or inf when the maximum lies outside the double range.
+    ``cols`` is a (k, n) array, as ``columns`` gives, or a sequence of k
+    columns.  Summed by ``_evaluate``, a block at a time, and exactly again
+    when that overflows; -inf or inf when the maximum lies outside the
+    double range.
     """
     top = -math.inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -295,13 +300,35 @@ _TIGHT = 8.0 * _EPS
 # Blocks of 16384 rows, at the threshold, made 2e4-row checks bimodal and
 # up to 1.4 times slower.
 _BLOCK = 1 << 13
-# ``certify``'s second pass keeps every row whose value lies within
-# _NEAR * M + 8 * _TINY of the top, M the largest magnitude sum.  The top
-# value is at most M in magnitude, so each near-tight cut lies at most
-# 2 * (2 * _TIGHT + _EVAL_ERR) * M + 6 * _TINY, 40u * M + 6 tiny, below
-# it, and a few units of roundoff of M more once rounded; _NEAR is 80u,
-# twice that, which also covers the rounding of the pass's own cut.
+# ``certify``'s one pass keeps every row whose value v is not below
+# top - _NEAR * M' - 8 * _TINY, top the largest value of the rows read so
+# far and M' the value of the columns' largest magnitudes at |point|.  The
+# near-tight sets are then drawn from those rows as from all rows.  That
+# loses none of them:
+#
+# * M' bounds every row's magnitude sum s.  Both are ``_evaluate``'s
+#   products and sums of nonnegative doubles in the same order, each
+#   operand of M' is at least the same operand of s, and rounding is
+#   monotone, so M' >= s term by term.  So M' >= M, the largest magnitude
+#   sum, without a margin.
+# * The top value T is at most M in magnitude, since |fl(v)| <= fl(s).
+#   Each near-tight cut lies at most 2 * (2 * _TIGHT + _EVAL_ERR) * M
+#   + 6 * _TINY, 40u * M + 6 tiny, below T, and a few units of roundoff
+#   of M more once rounded.  _NEAR is 80u, twice that, which also covers
+#   the rounding of the cut formed here, so T - _NEAR * M - 8 * _TINY lies
+#   below every cut.
+# * The running top never exceeds T, and M' >= M, so the floor formed
+#   here never lies above T - _NEAR * M - 8 * _TINY: every row that a cut
+#   keeps is kept here, and the sets come out the same bit for bit.
+#
+# Where M' overflows the floor is -inf and every row is kept, their
+# magnitude sums are formed, and where one of those overflows too the
+# Fraction path forms them all again, exactly.
 _NEAR = 4.0 * (2.0 * _TIGHT + _EVAL_ERR)
+# ``certify``'s bounds in exact arithmetic, each formed once: the factor of
+# W, the rounding bound of a value, and the underflow term.
+_Q_ERR, _Q_TINY = Fraction(_EVAL_ERR), Fraction(_TINY)
+_Q_WIDTH = 2 * Fraction(_TIGHT) + _Q_ERR
 
 
 def require_finite(point: tuple, t: float, who: str) -> None:
@@ -311,9 +338,10 @@ def require_finite(point: tuple, t: float, who: str) -> None:
         raise ContractViolation(f"{who}: the answer is not finite")
 
 
-def certify(cols, point: tuple, t: float, lower_bound, who: str) -> None:
+def certify(cols: np.ndarray, point: tuple, t: float, lower_bound,
+            who: str) -> None:
     """Raise ContractViolation unless ``t`` is the optimum up to rounding,
-    by weak duality.
+    by weak duality, over the constraints of the (k, n) array ``cols``.
 
     The constraints near-tight at ``point`` are those whose values there
     lie within _TIGHT times their own and the top constraint's magnitude
@@ -329,66 +357,64 @@ def certify(cols, point: tuple, t: float, lower_bound, who: str) -> None:
     Where the terms far exceed |t| (cancellation), W is wider than a few
     ulps of t.
 
-    The float pass reads the rows in blocks of ``_BLOCK``, twice where
-    there is more than one.  The first keeps the top value, its magnitude
-    sum and the largest magnitude sum M; the second keeps the rows within
-    _NEAR * M of the top, which hold both sets of near-tight rows, and
-    the sets are then drawn from them as from all rows.  So its scratch is
-    a few blocks and the near-tight rows, whatever the number of rows.
+    Each row's value is formed once, in one pass over blocks of ``_BLOCK``
+    rows, which keeps the rows within _NEAR * M' of the running top, M'
+    the value of the columns' largest magnitudes at |point| (proof beside
+    ``_NEAR``).  Only the kept rows' magnitude sums are formed, and the
+    sets are drawn from those rows as from all rows.  So its scratch is a
+    few blocks and the kept rows, whatever the number of rows.
     """
     require_finite(point, t, who)
     F = Fraction
-    tight, err, tiny = _TIGHT, _EVAL_ERR, _TINY
-    n = cols[0].size
-
-    def blocks(cols=cols, point=point, size=_BLOCK):
-        # the values, and the magnitude sums as the values of the |columns|
-        # at the |point|, since fl(|a|*|x|) = |fl(a*x)|
-        for i in range(0, n, size):
-            block = [col[i:i + size] for col in cols]
-            yield (i, _evaluate(block, point),
-                   _evaluate(list(map(abs, block)), list(map(abs, point))))
-
+    n = cols.shape[1]
+    size = tuple(map(abs, point))
+    # M', in Python floats, which round as numpy's do and overflow to inf
+    wide = _NEAR * _evaluate([max(hi, -lo) for hi, lo in zip(
+        cols.max(axis=1).tolist(), cols.min(axis=1).tolist())], size)
     with np.errstate(over="ignore", invalid="ignore"):
-        # One block is read once, for both passes.
-        first = list(blocks()) if n <= _BLOCK else blocks()
         top = -math.inf
-        top_s = most = 0.0
-        for _, v, s in first:
-            j = v.argmax()
-            if v[j] > top:
-                top = v.item(j)
-                top_s = s.item(j)
-            most = max(most, s.item(s.argmax()))
-        # Every value is finite where every magnitude sum is, since
-        # |fl(v)| <= fl(s) term by term.
-        if math.isfinite(most):
-            floor = top - _NEAR * most - 8 * tiny
-            found = [(k + i, v[k], s[k])
-                     for i, v, s in (blocks() if n > _BLOCK else first)
-                     for k in [(v >= floor).nonzero()[0]]]
-            idx, v, s = (np.concatenate(z) for z in zip(*found))
-    if not math.isfinite(most):
-        # A term overflows: every value and scale again, in Fractions.
-        [(_, v, s)] = blocks(_fractions(cols), tuple(map(F, point)), n)
-        idx = np.arange(n)
+        found = []
+        for i in range(0, n, _BLOCK):
+            v = _evaluate(cols[:, i:i + _BLOCK], point)
+            top = max(top, float(v.max()))
+            # not below the floor: where M' overflows, the floor is -inf
+            # or NaN, and every row, NaN values too, is kept
+            k = np.logical_not(v < top - wide - 8 * _TINY).nonzero()[0]
+            found.append((k + i, v[k]))
+        idx, v = (np.concatenate(z) for z in zip(*found))
+        s = _evaluate(np.abs(cols[:, idx]), size)
+    if wide < math.inf or np.isfinite(s).all():
+        # Every magnitude sum is finite where M' is, and every value is
+        # finite where every magnitude sum is, since |fl(v)| <= fl(s).
+        j = int(np.argmax(v))
+        top, top_s = v.item(j), s.item(j)
+        tight, tiny = _TIGHT, _TINY
+        width, err, exact_tiny = _Q_WIDTH, _Q_ERR, _Q_TINY
+    else:
+        # A term overflows, so M' does and every row was kept: every value
+        # and magnitude sum again, in Fractions.
+        exact = _fractions(cols)
+        v = _evaluate(exact, tuple(map(F, point)))
+        s = _evaluate(np.abs(exact), tuple(map(F, size)))
         j = int(np.argmax(v))
         top, top_s = v[j], s[j]
-        tight, err, tiny = F(_TIGHT), 0, 0
+        tight, tiny = F(_TIGHT), 0
+        width, err, exact_tiny = 2 * tight, 0, 0
     # Every constraint outside ``near`` evaluates below the top value by
     # more than both rounding bounds, so it cannot attain the maximum.
     near = v >= top - tight * top_s - tight * s - 2 * tiny
     scale = F(s[near].max())
-    bound = (2 * F(_TIGHT) + F(err)) * scale + 3 * F(tiny)
-    upper = F(top) + F(err) * scale + F(tiny)
+    exact_top, exact_t = F(top), F(t)
+    bound = width * scale + 3 * exact_tiny
+    upper = exact_top + err * scale + exact_tiny
     # A certificate that holds can put only little weight on constraints
     # more than 2 W below the top; all others may take part.  At a point
     # off by rounding from a vertex where many constraints meet, the first
     # set alone can miss the supports on one side.
-    cut = F(top) - 2 * bound
+    cut = exact_top - 2 * bound
     near |= v >= (cut if v.dtype == object else float(cut))
     keep = near.nonzero()[0]
-    if upper - F(t) > bound:
+    if upper - exact_t > bound:
         raise ContractViolation(
             f"{who}: the objective at {point} reaches {_to_float(upper)!r},"
             f" above t={t} by more than the rounding bound "
@@ -397,7 +423,7 @@ def certify(cols, point: tuple, t: float, lower_bound, who: str) -> None:
     if lower is None:
         raise ContractViolation(
             f"{who}: no near-tight constraints certify t={t} at {point}")
-    if F(t) - lower > bound:
+    if exact_t - lower > bound:
         raise ContractViolation(
             f"{who}: t={t} lies above the lower bound {_to_float(lower)!r} "
             f"by more than the rounding bound {_to_float(bound)!r}")

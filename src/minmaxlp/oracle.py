@@ -53,7 +53,7 @@ def brute2d(cs) -> Solution2:
     the original columns, so a coefficient that the scaling loses there
     still counts.
     """
-    a, b = columns(cs, 2)
+    a, b = cols = columns(cs, 2)
     if (a > 0).all() or (a < 0).all():
         return Solution2(Status.UNBOUNDED)
     if (a == 0).all():
@@ -76,7 +76,7 @@ def brute2d(cs) -> Solution2:
         e = math.frexp(float(max(np.abs(a).max(), np.abs(b).max())))[1]
         ts = _eval_max_1d(np.ldexp(a, -e), np.ldexp(b, -e), xs)
         x = float(xs[np.lexsort((xs, ts))[0]])
-    t = objective((a, b), x) if math.isfinite(x) else math.inf
+    t = objective(cols, x) if math.isfinite(x) else math.inf
     if not math.isfinite(t):
         raise NonFiniteInput(
             "brute2d: the optimal x or t lies outside the double range")
@@ -169,8 +169,8 @@ def brute3d_box(cs) -> Solution3:
     below the normal range.  t is taken on the original columns.
     """
     cols = columns(cs, 3)
-    e = math.frexp(float(max(np.abs(col).max() for col in cols)))[1]
-    a, b, c = (np.ldexp(col, -e) for col in cols)
+    e = math.frexp(float(np.abs(cols).max()))[1]
+    a, b, c = np.ldexp(cols, -e)
 
     px = [np.zeros(1), np.zeros(1), np.ones(1), np.ones(1)]
     py = [np.zeros(1), np.ones(1), np.zeros(1), np.ones(1)]

@@ -49,8 +49,8 @@ from .errors import ContractViolation, NonFiniteInput
 from . import model
 from .baseline import _chain
 from .geometry import _product_sign
-from .model import (_EVAL_ERR, Problem, Solution2, Solution3, _evaluate,
-                    certify, columns, objective, require_finite)
+from .model import (_EVAL_ERR, Problem, Solution2, Solution3, Status,
+                    _evaluate, certify, columns, objective, require_finite)
 # Unused here, but perfbench/spans.py traces prune3d.brute3d_box by
 # rebinding it, so the name stays a module attribute.
 from .oracle import brute3d_box  # noqa: F401
@@ -117,7 +117,7 @@ def prune(cs: Sequence) -> PruneReport:
     slopes inside the unit box.  Equality keeps the point.  Rows the float
     filter (``_EVAL_ERR``) leaves undecided are compared in Fractions.
     """
-    a, b, c = columns(cs, 3)
+    a, b, c = cols = columns(cs, 3)
     z = -c
     low = (z == z.min()).nonzero()[0]
     anchor = int(low[np.lexsort((b[low], a[low]))[0]])
@@ -139,10 +139,11 @@ def prune(cs: Sequence) -> PruneReport:
                                               z[rows].tolist())]
     drop[above[steep]] = True
     keep = (~drop).nonzero()[0]
-    # Fresh gathers of columns ``columns`` checked finite, frozen here.
-    kept = (a[keep], b[keep], c[keep])
-    for col in kept:
-        col.flags.writeable = False
+    # The rows ``columns`` checked finite, gathered one column at a time:
+    # a take of the whole array would first copy one whose rows are apart.
+    kept = np.empty((3, keep.size))
+    for col, out in zip(cols, kept):
+        col.take(keep, out=out)
     return PruneReport(kept=Problem._of(kept),
                        kept_indices=tuple(keep.tolist()),
                        discarded_behind=n_behind,
@@ -157,10 +158,10 @@ def boundary_via_2d(cs: Sequence) -> list[tuple[str, Solution2]]:
     min-max over [0, 1].  An offset a + c or b + c that overflows raises
     NonFiniteInput, naming the constraint.
     """
-    a, b, c = columns(cs, 3)
+    a, b, c = cols = columns(cs, 3)
     with np.errstate(over="ignore"):
-        induced = (Problem._of((b, c)), Problem(b, a + c),
-                   Problem._of((a, c)), Problem(a, b + c))
+        induced = (Problem._of(cols[1:]), Problem(b, a + c),
+                   Problem._of(cols[::2]), Problem(a, b + c))
     return [(edge, solve_boxed(p, 0.0, 1.0))
             for edge, p in zip(EDGE_IDS, induced)]
 
@@ -203,7 +204,7 @@ def solve3d(cs: Sequence) -> Solution3:
     rounding, which exact arithmetic rules out.  ``check3d`` checks the
     answer.
     """
-    x, y, t = _box_point(*columns(cs, 3))
+    x, y, t = _box_point(columns(cs, 3))
     if not math.isfinite(t):
         raise NonFiniteInput(
             "solve3d: the optimal t lies outside the double range")
@@ -214,7 +215,9 @@ def check3d(cs: Sequence, sol: Solution3) -> None:
     """Raise ContractViolation unless ``sol`` answers the box problem ``cs``,
     by an exact weak-duality certificate.
 
-    ``cs`` is read like ``solve3d``'s.  (x, y) must lie in the unit box.
+    ``cs`` is read like ``solve3d``'s.  The status must be OPTIMAL, as
+    the box problem always has an optimum, and (x, y) must lie in the
+    unit box.
     Any multipliers lambda >= 0 summing to 1 give the exact lower bound
     sum(lambda * c) + min(0, sum(lambda * a)) + min(0, sum(lambda * b)) on
     the optimum over the box; ``model.certify`` compares the best one
@@ -228,14 +231,17 @@ def check3d(cs: Sequence, sol: Solution3) -> None:
     and the fan triangle holding (0, 0) is tried.  O(n) numpy work, O(h)
     Fraction work and no reference solver.
     """
-    a, b, c = columns(cs, 3)
+    cols = columns(cs, 3)
     x, y = sol.x, sol.y
+    if sol.status is not Status.OPTIMAL:
+        raise ContractViolation(
+            f"check3d: status {sol.status.value}, but the box problem "
+            "always has an optimum")
     require_finite((x, y), sol.t, "check3d")
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ContractViolation(f"check3d: ({x}, {y}) lies outside the box")
-    certify((a, b, c), (x, y), sol.t,
-            lambda idx, _: _box_lower_bound(a[idx], b[idx], c[idx]),
-            "check3d")
+    certify(cols, (x, y), sol.t,
+            lambda idx, _: _box_lower_bound(*cols[:, idx]), "check3d")
 
 
 def _box_lower_bound(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Fraction:
@@ -310,10 +316,10 @@ def _order(rows: Iterable[int]) -> list[int]:
     return sorted(rows, key=_key)
 
 
-def _box_point(a: np.ndarray, b: np.ndarray,
-               c: np.ndarray) -> tuple[float, float, float]:
-    """The lexicographically smallest (t, x, y) optimum as (x, y, t), by
-    ``_seidel`` over a working set W of the rows.
+def _box_point(cols: np.ndarray) -> tuple[float, float, float]:
+    """The lexicographically smallest (t, x, y) optimum as (x, y, t) of
+    the rows of the (3, n) array ``cols``, by ``_seidel`` over a working
+    set W of them.
 
     A first pass (``_scale_and_probes``) gives the largest coefficient
     magnitude and the rows highest at the probe points, with which W
@@ -335,22 +341,19 @@ def _box_point(a: np.ndarray, b: np.ndarray,
     takes t from ``objective`` on its own columns instead, since scaled
     products can underflow.
     """
-    scale, probes = _scale_and_probes(a, b, c)
+    scale, probes = _scale_and_probes(cols)
     unscaled = None
     if scale > _SAFE or 0.0 < scale < 1.0 / _SAFE:
-        e = math.frexp(scale)[1]
-        unscaled = (a, b, c)
-        a, b, c = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(c, -e)
+        unscaled = cols
+        cols = np.ldexp(cols, -math.frexp(scale)[1])
         # the probes on the rescaled columns, whose sums cannot overflow
-        scale, probes = _scale_and_probes(a, b, c)
+        scale, probes = _scale_and_probes(cols)
     elif scale == 0.0:
         scale = 1.0
     w = _order(probes)
     while True:
-        rows = np.array(w)
-        x, y, t = _seidel(a[rows].tolist(), b[rows].tolist(),
-                          c[rows].tolist(), scale)
-        new, top = _violated(a, b, c, x, y, t, scale)
+        x, y, t = _seidel(*cols[:, w].tolist(), scale)
+        new, top = _violated(cols, x, y, t, scale)
         if not new:
             return x, y, (top if unscaled is None
                           else objective(unscaled, x, y))
@@ -361,18 +364,17 @@ def _box_point(a: np.ndarray, b: np.ndarray,
         w = _order(w + new)
 
 
-def _scale_and_probes(a: np.ndarray, b: np.ndarray,
-                      c: np.ndarray) -> tuple[float, set[int]]:
-    """The largest coefficient magnitude, and the rows highest at some
-    point of the ``_PROBES`` grid, the first such row for each point.
+def _scale_and_probes(cols: np.ndarray) -> tuple[float, set[int]]:
+    """The largest coefficient magnitude of the (3, n) array ``cols``,
+    and the rows highest at some point of the ``_PROBES`` grid, the first
+    such row for each point.
 
-    One pass over blocks of ``model._BLOCK`` rows, each stacked once for
-    both, so the scratch is a (points, block) matrix whatever the rows.
+    One pass over (3, block) views of ``model._BLOCK`` rows, serving both,
+    so the scratch is a (points, block) matrix whatever the rows.
     """
     scale = 0.0
-    for i in range(0, a.size, model._BLOCK):
-        s = slice(i, i + model._BLOCK)
-        m = np.array((a[s], b[s], c[s]))
+    for i in range(0, cols.shape[1], model._BLOCK):
+        m = cols[:, i:i + model._BLOCK]
         scale = max(scale, float(np.abs(m).max()))
         # einsum's own loop, not BLAS.  With numpy 2.4 on x86-64, a block
         # of two or more rows gets _evaluate's (a*x + b*y) + c bit for bit
@@ -389,11 +391,12 @@ def _scale_and_probes(a: np.ndarray, b: np.ndarray,
     return scale, set(rows.tolist())
 
 
-def _violated(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: float,
-              y: float, t: float, scale: float) -> tuple[list[int], float]:
-    """The rows that ``_seidel``, having ended at (x, y) with bound t,
-    would find violated, and the largest value (a*x + b*y) + c: bit for
-    bit what ``objective`` gives on these columns at (x, y).
+def _violated(cols: np.ndarray, x: float, y: float, t: float,
+              scale: float) -> tuple[list[int], float]:
+    """The rows of the (3, n) array ``cols`` that ``_seidel``, having
+    ended at (x, y) with bound t, would find violated, and the largest
+    value (a*x + b*y) + c: bit for bit what ``objective`` gives on these
+    columns at (x, y).
 
     One pass over blocks of ``model._BLOCK`` rows, with ``model._evaluate``'s
     values, ``_seidel``'s bound, and ``_exceeds`` for the rows the bound
@@ -402,9 +405,8 @@ def _violated(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: float,
     err = 2.0 * _EVAL_ERR * (3.0 * scale + abs(t))
     top = -math.inf
     new = []
-    for i in range(0, a.size, model._BLOCK):
-        s = slice(i, i + model._BLOCK)
-        v = _evaluate((a[s], b[s], c[s]), (x, y))
+    for i in range(0, cols.shape[1], model._BLOCK):
+        v = _evaluate(cols[:, i:i + model._BLOCK], (x, y))
         high = float(v.max())
         top = max(top, high)
         # v - t rounds monotonically in v: when it is below -err at the
@@ -414,8 +416,7 @@ def _violated(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: float,
         v -= t
         near = (v >= -err).nonzero()[0]
         new += [i + k for k, d in zip(near.tolist(), v[near].tolist())
-                if d > err or _exceeds(float(a[i + k]), float(b[i + k]),
-                                       float(c[i + k]), x, y, t)]
+                if d > err or _exceeds(*cols[:, i + k].tolist(), x, y, t)]
     # as objective's, with -0.0 made 0.0
     return new, top + 0.0
 

@@ -20,21 +20,23 @@ mirrored in y, which negates each turn); a numpy scan builds the images
 of its survivors and its fixed point.  A solve that misses nowhere builds
 no images.
 
-Every input is read as float64 columns (``model.columns``; a ``Problem``
-already holds them), and ``_solve`` decides the setup on them once: the
-sides, UNBOUNDED, the constant answer and the x-mirror, which solves
-slopes all <= 0 as their negation and reports each dual point with its x
-times a sign of -1.0.  Only the start search and the scans depend on
-size, and how the sides are counted.  Below ``_COLUMNAR_MIN_N``
-constraints the solve reads the columns once, as Python lists, and takes
-the sides, their counts and the start point from those lists, with no
-numpy mask; ``expand_absolute`` writes a short list of float rows
-straight into its problem's columns.  From there on the start search and
-the scans run in numpy, on one side-ordered copy of the columns: a (2, n)
-buffer of the left rows, then the right rows, each in input order, which
-the scans read as slices and the pivots index.
-It is filled, and each scan reads it, in blocks of ``_BLOCK`` rows, so a
-solve holds its input's size once and a few blocks besides.  Each pivot
+Every input is read as the two unit-stride rows, slopes and intercepts,
+of one float64 (2, n) array (``model.columns``; a ``Problem`` holds its
+constraints so, and hands over its array without a copy), and ``_solve``
+decides the setup on those columns once: the sides, UNBOUNDED, the
+constant answer and the x-mirror, which solves slopes all <= 0 as their
+negation and reports each dual point with its x times a sign of -1.0.
+Only the start search and the scans depend on size, and how the sides
+are counted.  Below ``_COLUMNAR_MIN_N`` constraints the solve reads the
+columns once, as Python lists, and takes the sides, their counts and the
+start point from those lists, with no numpy mask; ``expand_absolute``
+writes a short list of float rows straight into its problem's (2, 2n)
+array.  From there on the start search and the scans run in numpy, on
+one side-ordered copy of the columns: a (2, n) buffer of the left rows,
+then the right rows, each in input order, which the scans read as slices
+and the pivots index.  It is filled, and each scan reads it, in blocks of
+``_BLOCK`` rows, so a solve holds its input's size once and a few blocks
+besides.  Each pivot
 scan is the slope prefilter (``_filtered_scan``): it forms every
 candidate's rounded slope, and a threshold from
 ``geometry._slope_threshold`` drops every candidate whose exact slope is
@@ -127,9 +129,7 @@ def _float_pairs(rows: list) -> Problem | None:
     # finite values and NaN from the first inf or NaN on; none overflows.
     if not xs or sum(xs) != 0.0:
         return None
-    out = np.fromiter(xs, float, len(xs)).reshape(2, -1)
-    out.flags.writeable = False
-    return Problem._of(out)
+    return Problem._of(np.fromiter(xs, float, len(xs)).reshape(2, -1))
 
 
 def to_dual_points(cs: Sequence) -> list[Point2]:
@@ -303,7 +303,8 @@ def solve(cs: Sequence) -> Solution2:
     NonFiniteInput for a non-finite coefficient, naming the first such
     constraint, and for an answer outside the double range.
     """
-    return _solve(*columns(cs, 2))
+    cols = columns(cs, 2)
+    return _solve(cols[0], cols[1])
 
 
 def _solve(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> Solution2:
@@ -479,7 +480,7 @@ def solve_boxed(cs: Sequence, lo: float, hi: float) -> Solution2:
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"invalid box: lo={lo!r}, hi={hi!r}")
     try:
-        sol = _solve(*cols)
+        sol = _solve(cols[0], cols[1])
     except NonFiniteInput:
         # The input is finite, and the unconstrained t lies between two
         # intercepts: only x is out of range, and so outside the box.

@@ -1,4 +1,4 @@
-"""Shared helpers: independent rational oracles, tolerance checks and
+"""Shared helpers: independent exact oracles, tolerance checks and
 problem corpora."""
 
 import math
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from minmaxlp import GenSpec, gen2d, gen3d
+from minmaxlp import GenSpec, Problem, gen2d, gen3d
 
 # Zeros of both signs, subnormals, the normal range's edges and
 # coordinates near +-1e308 whose differences overflow.
@@ -17,39 +17,67 @@ EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
                1.7976931348623157e308, -1.7976931348623157e308)
 
 
+def assert_one_array(p, k=None):
+    """``p`` is a problem held as one read-only float64 (k, n) array whose
+    rows have unit stride."""
+    assert isinstance(p, Problem)
+    rows = p._rows
+    assert rows.dtype == np.float64 and rows.ndim == 2
+    assert rows.shape == (k or len(rows), len(p)) and len(rows) in (2, 3)
+    assert not rows.flags.writeable
+    assert len(p) < 2 or rows.strides[1] == rows.itemsize
+
+
 def close(got, want, tol):
     """Relative comparison with an absolute floor of 1."""
     return abs(got - want) <= tol * max(1.0, abs(want))
 
 
+def _cross_sign(a, b, c, d):
+    """Sign of a*b - c*d for four rationals given as (numerator, positive
+    denominator) pairs of Python ints, by cross-multiplication."""
+    an, ad = a
+    bn, bd = b
+    cn, cd = c
+    dn, dd = d
+    x = an * bn * cd * dd - cn * dn * ad * bd
+    return (x > 0) - (x < 0)
+
+
+def _difference(p, q):
+    """p - q of two floats or ints, exactly, as a (numerator, positive
+    denominator) pair."""
+    pn, pd = p.as_integer_ratio()
+    qn, qd = q.as_integer_ratio()
+    return pn * qd - qn * pd, pd * qd
+
+
 def orient_oracle(p0, p1, p2):
-    """Sign of the orientation determinant, rational arithmetic.
+    """Sign of the orientation determinant, in integer arithmetic.
 
     Mirrors the predicate contract: differences are taken in floats first,
     the determinant of those differences is then exact.
     """
-    t1x = Fraction(p1[0] - p0[0])
-    t1y = Fraction(p1[1] - p0[1])
-    t2x = Fraction(p2[0] - p0[0])
-    t2y = Fraction(p2[1] - p0[1])
-    d = t1x * t2y - t1y * t2x
-    return (d > 0) - (d < 0)
+    return _cross_sign((p1[0] - p0[0]).as_integer_ratio(),
+                       (p2[1] - p0[1]).as_integer_ratio(),
+                       (p1[1] - p0[1]).as_integer_ratio(),
+                       (p2[0] - p0[0]).as_integer_ratio())
 
 
 def orient_points_oracle(ax, ay, bx, by, cx, cy):
     """Sign of the orientation determinant of the points themselves.
 
-    Unlike orient_oracle, the differences are rational too, so this is the
+    Unlike orient_oracle, the differences are exact too, so this is the
     turn of the three given points even when a float difference overflows.
     """
-    ax, ay, bx, by, cx, cy = map(Fraction, (ax, ay, bx, by, cx, cy))
-    d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return (d > 0) - (d < 0)
+    return _cross_sign(_difference(bx, ax), _difference(cy, ay),
+                       _difference(by, ay), _difference(cx, ax))
 
 
 def product_compare_oracle(u1, v1, u2, v2):
-    d = Fraction(u1) * Fraction(v2) - Fraction(v1) * Fraction(u2)
-    return (d > 0) - (d < 0)
+    """Sign of u1 * v2 - v1 * u2, in integer arithmetic."""
+    return _cross_sign(u1.as_integer_ratio(), v2.as_integer_ratio(),
+                       v1.as_integer_ratio(), u2.as_integer_ratio())
 
 
 def prune_oracle(rows):

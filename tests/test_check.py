@@ -185,6 +185,15 @@ def test_statuses():
                 Solution2(Status.OPTIMAL, x=0.0, t=1.0))
 
 
+def test_box_answers_are_optimal():
+    # the box problem always has an optimum, so any other status is wrong,
+    # whatever the point and t
+    check3d([(1.0, 0.0, 0.0)], Solution3(0.0, 0.0, 0.0, Status.OPTIMAL))
+    with pytest.raises(ContractViolation,
+                       match="check3d: status unbounded"):
+        check3d([(1.0, 0.0, 0.0)], Solution3(0.0, 0.0, 0.0, Status.UNBOUNDED))
+
+
 @pytest.mark.filterwarnings("error")
 def test_malformed_answers():
     with pytest.raises(ContractViolation, match="outside the box"):

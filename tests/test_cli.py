@@ -18,6 +18,7 @@ from minmaxlp import (Constraint2, Constraint3, ContractViolation,
                       EmptyProblem, GenSpec, MixedArity, ParseError, Problem,
                       Solution2, Solution3, Status, brute3d_box, gen2d, gen3d,
                       prune)
+from conftest import assert_one_array
 from minmaxlp import cli
 from minmaxlp.cli import (_apply_mode, _format_constraints, emit_solution,
                           main, parse_constraints)
@@ -641,6 +642,23 @@ class TestInputKinds:
                                 np.asarray(parse(source)).tobytes())
         assert route == ("decimal" if cli._LONG_SIGNIFICAND else "loadtxt")
         assert got == np.asarray(cs).tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("text,route", [
+        ("1.5,-2.25\n-3.0,4.125\n5.0,6.5\n", "decimal"),
+        ("1.5,-2.25,0.5\n-3.0,4.125,1.0\n", "decimal"),
+        ("1.5 -2.25\n-3 4\n5 6\n", "loadtxt"),
+        ("1.5 -2.25 1\r\n-3 4 2\r\n", "loadtxt"),
+        ("# \u00e9\n1.5,-2.25\n-3,4\n5,6\n", "text"),
+        ("# \u00e9\n1.5,-2.25,1\n-3,4,2\n", "text")])
+    def test_every_route_builds_one_array(self, read_route, text, route,
+                                          kind):
+        got, took = read_route(text.encode(), kind,
+                               lambda parse, source: parse(source))
+        assert_one_array(got)
+        assert got == _line_scan(text)
+        assert took == (route if cli._LONG_SIGNIFICAND or route != "decimal"
+                        else "loadtxt")
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_decimal_fields(self, read_route, kind):

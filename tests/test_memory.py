@@ -104,10 +104,27 @@ def test_file_reader_holds_no_unended_line(tmp_path, monkeypatch, end):
     assert _peak(read) <= 4 * cli._LONG_LINE
 
 
-def test_problem_does_not_stack_its_columns():
-    cs = gen2d(GenSpec(n=100_000, seed=1))
-    a, b = map(np.array, columns(cs, 2))
-    assert _peak(Problem, a, b) < 0.1 * (a.nbytes + b.nbytes)
+def _held(fn, *args) -> tuple[int, int]:
+    """Bytes that ``fn(*args)``'s result holds, and bytes allocated at
+    its peak, both above what was held before the call."""
+    tracemalloc.start()
+    try:
+        got = fn(*args)  # noqa: F841 -- held while measured
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_problem_copies_separate_columns_once():
+    # A problem is one (k, n) array.  One such array, and the generator's
+    # output, are held as they are; separate columns are written once into
+    # a new one.
+    rows = np.array(columns(gen2d(GenSpec(n=100_000, seed=1)), 2))
+    assert max(_held(Problem, rows)) < 0.1 * rows.nbytes
+    held = _held(gen2d, GenSpec(n=100_000, seed=1))[0]
+    assert rows.nbytes <= held < 1.1 * rows.nbytes
+    held, peak = _held(Problem, *rows.copy())
+    assert rows.nbytes <= held and peak < 1.1 * rows.nbytes
 
 
 def test_gen2d_holds_the_uniforms_and_one_pair_of_columns():

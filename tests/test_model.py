@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,9 +12,9 @@ from minmaxlp import (Constraint2, Constraint3, EmptyProblem, GenSpec,
                       boundary_via_2d, brute2d, brute3d_box, check2d, check3d,
                       expand_absolute, gen2d, gen3d, lower_hull, prune,
                       solve, solve3d, solve_baseline, solve_boxed)
-from conftest import corpus2d, objective_corpus
-from minmaxlp import model
-from minmaxlp.model import columns, exact_objective, objective
+from conftest import assert_one_array, corpus2d, objective_corpus
+from minmaxlp import model, prune3d
+from minmaxlp.model import columns, exact_objective, objective, signed_pairs
 
 ROWS = [Constraint2(1.0, -2.0), Constraint2(-0.0, 3.5), Constraint2(2.5, 0.0),
         Constraint2(-4.0, 1e308), Constraint2(5e-324, -1.0)]
@@ -85,19 +86,26 @@ class TestSequence:
         assert np.asarray(prob, dtype=float).shape == (len(ROWS), 2)
         assert np.asarray(prob[:0]).shape == (0, 2)
 
-    def test_as_array_without_a_copy_raises(self, prob):
-        # The rows are stacked from the columns, so no copy-free view exists.
+    def test_as_array_is_a_read_only_view(self, prob):
+        # The (n, k) rows are the transpose of the problem's (k, n) array:
+        # np.asarray gives that view, read-only, and np.array a copy.
         for get in (lambda: np.asarray(prob, copy=False),
-                    lambda: prob.__array__(copy=False)):
-            with pytest.raises(ValueError, match="built by a copy"):
-                get()
+                    lambda: prob.__array__(copy=False), lambda: np.asarray(prob)):
+            arr = get()
+            assert np.shares_memory(arr, columns(prob, 2))
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 7.0
+        arr = np.array(prob)
+        assert not np.shares_memory(arr, columns(prob, 2))
+        arr[0, 0] = 7.0
+        assert prob == ROWS
 
     def test_writes_raise(self, prob):
         with pytest.raises(TypeError):
             prob[0] = Constraint2(0.0, 0.0)
         with pytest.raises(TypeError):
             del prob[0]
-        for col in columns(prob, 2) + columns(prob[1:3], 2):
+        for col in [*columns(prob, 2), *columns(prob[1:3], 2)]:
             with pytest.raises(ValueError, match="read-only"):
                 col[0] = 7.0
         assert prob == ROWS
@@ -154,13 +162,78 @@ class TestBuild:
             columns(gen2d(GenSpec(n=7, seed=3)), 3)
 
 
+class TestLayout:
+    """Every problem the package builds is one read-only (k, n) array
+    with unit-stride rows."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8193])
+    def test_generators(self, n):
+        assert_one_array(gen2d(GenSpec(n=n, seed=5)), 2)
+        assert_one_array(gen3d(GenSpec(n=n, seed=5, dim=3)), 3)
+
+    @pytest.mark.parametrize("n", [1, 5, 31, 32, 1000])
+    def test_expand_absolute_and_signed_pairs(self, n):
+        cs = gen2d(GenSpec(n=n, seed=6))
+        rows = [tuple(r) for r in cs]  # the short-list path below 32 rows
+        for got in (expand_absolute(rows), expand_absolute(cs),
+                    signed_pairs(columns(cs, 2)),
+                    signed_pairs(columns(gen3d(GenSpec(n=n, dim=3)), 3))):
+            assert_one_array(got)
+        assert expand_absolute(rows) == expand_absolute(cs)
+
+    def test_pruned_rows_and_box_edges(self, monkeypatch):
+        edges = []
+        solve_boxed = prune3d.solve_boxed
+        monkeypatch.setattr(prune3d, "solve_boxed", lambda cs, lo, hi: (
+            edges.append(cs) or solve_boxed(cs, lo, hi)))
+        for n in (1, 3, 40, 1000):
+            cs = gen3d(GenSpec(n=n, seed=7, dim=3))
+            assert_one_array(prune(cs).kept, 3)
+            edges.clear()
+            boundary_via_2d(cs)
+            assert len(edges) == 4
+            for edge in edges:
+                assert_one_array(edge, 2)
+
+    def test_built_from_columns_and_arrays(self):
+        wide = np.arange(24.0).reshape(4, 6)
+        for got in (Problem([1.0, 2.0], [3, 4]),
+                    Problem([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+                    Problem(wide[0, ::2], wide[1, 1::2], wide[2, 1::2]),
+                    Problem(wide[:3, ::2]), Problem(wide[:2].T.T),
+                    Problem(np.asfortranarray(wide[:2])),
+                    Problem([10**300, 2**70], [-10**300, 1])):
+            assert_one_array(got)
+        assert Problem(wide[:3, ::2]) == Problem(*wide[:3, ::2])
+        assert Problem([10**300, 2**70], [-10**300, 1]) == [
+            (1e300, -1e300), (float(2**70), 1.0)]
+
+    def test_an_array_of_rows_is_held_without_a_copy(self):
+        rows = np.arange(10.0).reshape(2, 5)
+        p = Problem(rows)
+        assert np.shares_memory(columns(p, 2), rows) and rows.flags.writeable
+        assert_one_array(p[1:4])
+        assert np.shares_memory(columns(p[1:4], 2), rows)
+
+    def test_slicing_allocates_no_rows(self):
+        cs = gen2d(GenSpec(n=10**6, seed=8))
+        tracemalloc.start()
+        try:
+            part = cs[1000:900_000]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 and len(part) == 899_000
+
+
 def test_generator_slices_share_memory():
     pool = gen2d(GenSpec(n=1000, seed=8))
     part = pool[250:500]
     for whole, col in zip(columns(pool, 2), columns(part, 2)):
         assert np.shares_memory(whole, col)
         assert col.tolist() == whole[250:500].tolist()
-    assert columns(part, 2)[0] is columns(part, 2)[0]  # no copy per read
+    # no copy per read: both are views of the generator's one array
+    assert columns(part, 2).base is columns(pool, 2).base is not None
     assert part == list(pool)[250:500]
 
 

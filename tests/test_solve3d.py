@@ -231,7 +231,7 @@ class TestAdversarialFamilies:
 class TestWorkingSet:
     def test_probes_missing_the_basis_take_more_rounds(self, rounds):
         for rows, steep in probe_missing_instances(60, seed=42):
-            _, seed = prune3d._scale_and_probes(*columns(rows, 3))
+            _, seed = prune3d._scale_and_probes(columns(rows, 3))
             assert seed and steep[list(seed)].all()
             sol = solve3d(rows)
             assert 2 <= rounds[-1] <= 4, rounds
@@ -243,10 +243,10 @@ class TestWorkingSet:
         monkeypatch.setattr(model, "_BLOCK", block)
         for n in (1, 5, 6, 40, 134):
             for cs in corpus3d(n, 5, seed=43) + grid_instances(5, 44, n, 1):
-                a, b, c = columns(cs, 3)
+                a, b, c = cols = columns(cs, 3)
                 want = {int(np.argmax((a * x + b * y) + c))
                         for x, y, _ in prune3d._PROBES}
-                scale, probes = prune3d._scale_and_probes(a, b, c)
+                scale, probes = prune3d._scale_and_probes(cols)
                 assert probes == want
                 assert scale == np.abs([a, b, c]).max()
 
@@ -299,13 +299,15 @@ class TestWorkingSet:
                              not prune3d._exceeds(ai, bi, ci, x, y, t)))]
             for block in (5, 7, 1 << 13):
                 monkeypatch.setattr(model, "_BLOCK", block)
-                got, top = prune3d._violated(a, b, c, x, y, t, scale)
+                got, top = prune3d._violated(np.array((a, b, c)), x, y, t,
+                                             scale)
                 assert got == want and 0 < len(want) < 100
                 assert top == objective((a, b, c), x, y)
         # at x = fl(1/3), -3x + 2 rounds to 1 but exceeds it, and 3x rounds
         # to 1 but falls short of it
         a, b, c = np.array([3.0, -3.0]), np.zeros(2), np.array([0.0, 2.0])
-        assert prune3d._violated(a, b, c, 1 / 3, 0.0, 1.0, 3.0)[0] == [1]
+        assert prune3d._violated(np.array((a, b, c)), 1 / 3, 0.0, 1.0,
+                                 3.0)[0] == [1]
 
     def test_a_violated_row_of_the_working_set_raises(self, monkeypatch):
         # the rounds end because no row of W is ever found violated; one

@@ -77,8 +77,8 @@ class TestExpandAbsolute:
                 p = fn(rows)
             except Exception as e:
                 return type(e), str(e)
-            assert not any(col.flags.writeable for col in p._cols)
-            return [[v.hex() for v in col.tolist()] for col in p._cols]
+            assert not any(col.flags.writeable for col in p._rows)
+            return [[v.hex() for v in col.tolist()] for col in p._rows]
 
         def general(rows):
             return signed_pairs(columns(rows, 2))
