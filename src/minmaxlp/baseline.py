@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import ContractViolation
 from .geometry import Point2, _line_through, _orient
-from .model import Solution2, Status, certify, columns
+from .model import (Solution2, Status, _constraints_at, _held, certify,
+                    columns)
 
 __all__ = ["lower_hull", "solve_baseline", "check2d"]
 
@@ -100,10 +101,13 @@ def check2d(cs: Sequence, sol: Solution2) -> None:
     Near-tight, not merely best: the best constraint at a rounded x can be
     a shallow one whose crossing lies far below the optimum, where the
     steep true support is still within its own rounding of the maximum.
-    O(n) numpy work and O(1) Fraction work; no reference solver.
+    O(n) numpy work and O(1) Fraction work; no reference solver.  A pairs
+    problem is read on its n rows: its slopes a, -a never share a strict
+    sign.
     """
-    a, b = cols = columns(cs, 2)
-    unbounded = bool(a.min() > 0.0 or a.max() < 0.0)
+    cols, pairs = _held(cs, 2)
+    a = cols[0]
+    unbounded = not pairs and bool(a.min() > 0.0 or a.max() < 0.0)
     if (sol.status is Status.UNBOUNDED) is not unbounded:
         raise ContractViolation(
             f"check2d: status {sol.status.value}, but "
@@ -113,15 +117,17 @@ def check2d(cs: Sequence, sol: Solution2) -> None:
         return
 
     def lower_bound(idx, values):
-        on_left = a[idx] <= 0.0
-        on_right = a[idx] >= 0.0
+        ra, rb = _constraints_at(cols, pairs, idx)
+        on_left = ra <= 0.0
+        on_right = ra >= 0.0
         if not (on_left.any() and on_right.any()):
             return None
-        i = idx[on_left][np.argmax(values[on_left])]
-        j = idx[on_right][np.argmax(values[on_right])]
-        ai, bi, aj, bj = map(Fraction, (a[i], b[i], a[j], b[j]))
+        i = np.argmax(values[on_left])
+        j = np.argmax(values[on_right])
+        ai, bi, aj, bj = map(Fraction, (ra[on_left][i], rb[on_left][i],
+                                        ra[on_right][j], rb[on_right][j]))
         if ai == aj:
             return max(bi, bj)  # both slopes are 0
         return (aj * bi - ai * bj) / (aj - ai)
 
-    certify(cols, (sol.x,), sol.t, lower_bound, "check2d")
+    certify(cs if pairs else cols, (sol.x,), sol.t, lower_bound, "check2d")

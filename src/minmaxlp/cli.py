@@ -255,9 +255,10 @@ class _DecimalRows:
     The rows go into one (k, capacity) array, field j of each row into row
     j, the problem's own layout.  Its capacity comes from the file's size
     and the density of the lines read so far; when that guess is short,
-    the rows read are copied once into a larger array.  The problem is the
-    first n columns of it, a view: the capacity left over is never
-    written."""
+    the rows read are copied once into a larger array.  At the end each
+    row's n fields are moved down in place to follow the row before, and
+    the array is shrunk to (k, n): the problem is one C-contiguous array
+    with no capacity left over."""
 
     def __init__(self, size: int):
         self.size = size
@@ -290,7 +291,19 @@ class _DecimalRows:
         tail = b"".join(self.tail)
         if tail and not self._convert(tail + b"\n") or not self.n:
             return None
-        return Problem(self.rows[:, :self.n])
+        rows, n = self.rows, self.n
+        self.rows = None
+        k, capacity = rows.shape
+        if capacity > n:
+            # a memoryview copies with memmove where source and target
+            # overlap, so this needs no scratch
+            with memoryview(rows) as whole, whole.cast("B") as b:
+                size = n * rows.itemsize
+                for j in range(1, k):
+                    at = j * capacity * rows.itemsize
+                    b[j * size:(j + 1) * size] = b[at:at + size]
+            rows.resize((k, n))
+        return Problem(rows)
 
     def _convert(self, lines: bytes) -> bool:
         """Append the rows of ``lines``, whole lines of the grammar."""
@@ -619,8 +632,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="constraint file, or '-' for stdin")
         if name != "prune3d":  # prune3d prunes the rows as given
             p.add_argument("--mode", choices=("lp", "abs"), default="lp",
-                           help="abs treats rows as |.| residuals and "
-                                "expands them into constraint pairs")
+                           help="abs treats each row r as the residual "
+                                "|r|: the constraints r and -r, held as "
+                                "the one row")
         p.add_argument("--format", choices=("json", "tsv"), default="json")
         p.add_argument("--validate", action="store_true", help=validate_help)
         p.set_defaults(fn=_cmd_answer, mode="lp")

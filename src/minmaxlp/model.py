@@ -89,9 +89,16 @@ class Problem(Sequence):
     the double range, such as the int 10**400, is not finite either:
     ``Problem([1.0, 10**400], [0.0, 0.0])`` raises NonFiniteInput naming
     constraint 1.
+
+    ``signed_pairs`` builds the other kind of problem: its array's n rows
+    each stand for the pair r, -r, and it reads as the 2n constraints
+    r0, -r0, r1, -r1, ...  Its mark, ``_pairs``, is what tells the kinds
+    apart.  ``solve``, ``objective``, ``certify`` and ``check2d`` read its
+    n rows once; ``columns``, a slice, iteration and ``np.asarray`` write
+    out the 2n constraints, each time.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_pairs")
 
     def __init__(self, *cols):
         given = cols[0] if len(cols) == 1 else cols
@@ -107,35 +114,53 @@ class Problem(Sequence):
             rows = rows.copy()
         self._rows = rows.view()
         self._rows.flags.writeable = False
+        self._pairs = False
 
     @classmethod
-    def _of(cls, rows: np.ndarray) -> Problem:
+    def _of(cls, rows: np.ndarray, pairs: bool = False) -> Problem:
         """A problem on the finite float64 (k, n) array ``rows``, whose rows
         have unit stride unless it is a slice with a step, and which nothing
-        writes while the problem lives; the array is made read-only here."""
+        writes while the problem lives; the array is made read-only here.
+        With ``pairs``, each of its rows stands for the pair r, -r."""
         p = object.__new__(cls)
         rows.flags.writeable = False
         p._rows = rows
+        p._pairs = pairs
         return p
 
     @property
     def _row(self):
         return Constraint2 if len(self._rows) == 2 else Constraint3
 
+    def _written_out(self) -> np.ndarray:
+        """The array of every constraint: the one held, or for pairs a new
+        (k, 2n) one."""
+        return _both_signs(self._rows) if self._pairs else self._rows
+
     def __len__(self) -> int:
-        return self._rows.shape[1]
+        return self._rows.shape[1] << self._pairs
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Problem._of(self._rows[:, i])
-        return self._row._make(self._rows[:, index(i)].tolist())
+            return Problem._of(self._written_out()[:, i])
+        if not self._pairs:
+            return self._row._make(self._rows[:, index(i)].tolist())
+        # constraint i of pairs is row i // 2, negated where i is odd
+        i = index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"index {i} is out of bounds for a problem "
+                             f"of {len(self)} constraints")
+        row = self._rows[:, i >> 1].tolist()
+        return self._row._make([-v for v in row] if i & 1 else row)
 
     def __iter__(self):
-        return map(self._row, *self._rows.tolist())
+        return map(self._row, *self._written_out().tolist())
 
     def __eq__(self, other):
         if isinstance(other, Problem):
-            return np.array_equal(self._rows, other._rows)
+            if self._pairs is other._pairs:
+                return np.array_equal(self._rows, other._rows)
+            return np.array_equal(self._written_out(), other._written_out())
         if isinstance(other, list):
             return list(self) == other
         return NotImplemented
@@ -144,10 +169,10 @@ class Problem(Sequence):
 
     def __reduce__(self):
         # Copies and unpickled problems are built, and frozen, anew.
-        return Problem, (self._rows,)
+        return (signed_pairs if self._pairs else Problem), (self._rows,)
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self._rows.T, dtype=dtype, copy=copy)
+        return np.array(self._written_out().T, dtype=dtype, copy=copy)
 
     def __repr__(self) -> str:
         return f"<Problem: {len(self)} {self._row.__name__} rows>"
@@ -176,19 +201,18 @@ def columns(cs, k: int) -> np.ndarray:
 
     ``cs`` is a ``Problem``, whose array, or a view of its first k rows,
     comes back without a copy, or a sequence of rows or an (n, >= k) array,
-    written once into a new array.  Raises ValueError for a problem, row or array with fewer than
-    ``k`` fields and for an array of any other shape, EmptyProblem for no
-    constraints at all, and NonFiniteInput for a non-finite field, naming
-    the first such constraint.  A number beyond the double range, such as
-    the int 10**400 in a row or an object array, is a non-finite field.
+    written once into a new array.  A pairs problem (``signed_pairs``)
+    writes out its 2n constraints into a new read-only (k, 2n) array on
+    each call; ``_held`` gives its n rows.  Raises ValueError for a
+    problem, row or array with fewer than ``k`` fields and for an array of
+    any other shape, EmptyProblem for no constraints at all, and
+    NonFiniteInput for a non-finite field, naming the first such
+    constraint.  A number beyond the double range, such as the int 10**400
+    in a row or an object array, is a non-finite field.
     """
     if isinstance(cs, Problem):
-        rows = cs._rows
-        if rows.shape[1] == 0:
-            raise EmptyProblem("no constraints")
-        if len(rows) < k:
-            raise ValueError(f"constraints need at least {k} fields")
-        return rows if len(rows) == k else rows[:k]
+        rows, pairs = _held(cs, k)
+        return _both_signs(rows) if pairs else rows
     if isinstance(cs, np.ndarray) and cs.ndim == 0:
         _check_shape(cs, k)  # a 0-d array has no rows to count
     if len(cs) == 0:
@@ -203,6 +227,55 @@ def columns(cs, k: int) -> np.ndarray:
         rows = _fields(cs, k, _read_float)
     _check_finite(rows)
     return rows
+
+
+def _held(cs, k: int) -> tuple[np.ndarray, bool]:
+    """The first ``k`` rows of a ``Problem``'s array, without a copy, and
+    its mark: True where each row stands for the pair r, -r.  Any other
+    ``cs`` gives ``columns(cs, k)`` and False.  Raises as ``columns``."""
+    if not isinstance(cs, Problem):
+        return columns(cs, k), False
+    rows = cs._rows
+    if rows.shape[1] == 0:
+        raise EmptyProblem("no constraints")
+    if len(rows) < k:
+        raise ValueError(f"constraints need at least {k} fields")
+    return rows if len(rows) == k else rows[:k], cs._pairs
+
+
+def _rows_of(cols, k: int) -> tuple[np.ndarray, bool]:
+    """``objective``'s and ``certify``'s columns as they read them: a
+    ``Problem``'s ``_held`` rows and mark, and any other ``cols`` as given,
+    not pairs."""
+    return _held(cols, k) if isinstance(cols, Problem) else (cols, False)
+
+
+def _constraints_at(rows: np.ndarray, pairs: bool,
+                    idx: np.ndarray) -> np.ndarray:
+    """Constraints ``idx`` of the rows ``rows`` held as ``_held`` gives
+    them, as the columns of a new array: rows[:, idx], or of pairs, row
+    i // 2 times +1.0 or -1.0 by i & 1, which is exact."""
+    if not pairs:
+        return rows[:, idx]
+    out = rows[:, idx >> 1]
+    out *= _SIGNS[idx & 1]
+    return out
+
+
+# The sign of constraint i of a pairs problem, by i & 1.
+_SIGNS = np.array([1.0, -1.0])
+
+
+def _both_signs(rows: np.ndarray) -> np.ndarray:
+    """The read-only (k, 2n) array of the rows r, -r for each row r of the
+    (k, n) array ``rows``, in row order."""
+    k, n = rows.shape
+    out = np.empty((k, n, 2))
+    out[:, :, 0] = rows
+    np.negative(rows, out=out[:, :, 1])
+    out = out.reshape(k, 2 * n)
+    out.flags.writeable = False
+    return out
 
 
 def _fields(rows, k: int, read=None) -> np.ndarray:
@@ -229,30 +302,38 @@ def _read_float(v) -> float:
 
 
 def signed_pairs(cols: np.ndarray) -> Problem:
-    """The problem whose rows are r, -r for each row r of the finite
+    """The problem of the constraints r, -r for each row r of the finite
     (k, n) array of columns ``cols``, in row order: the residuals |r| as
-    constraints."""
-    k, n = cols.shape
-    out = np.empty((k, n, 2))
-    out[:, :, 0] = cols
-    np.negative(cols, out=out[:, :, 1])
-    return Problem._of(out.reshape(k, 2 * n))
+    constraints.  It holds ``cols`` itself, made read-only, with the mark
+    that each row stands for such a pair: its length is 2n, and every
+    reader that does not read pairs gets the (k, 2n) array of the
+    constraints from ``columns``."""
+    return Problem._of(cols, True)
 
 
 def objective(cols, *point: float) -> float:
     """max_i (a_i*x + b_i) over columns (a, b) at x, or
     max_i (a_i*x + b_i*y + c_i) over columns (a, b, c) at (x, y).
 
-    ``cols`` is a (k, n) array, as ``columns`` gives, or a sequence of k
-    columns.  Summed by ``_evaluate``, a block at a time, and exactly again
-    when that overflows; -inf or inf when the maximum lies outside the
-    double range.
+    ``cols`` is a (k, n) array, as ``columns`` gives, a sequence of k
+    columns, or a ``Problem``.  Summed by ``_evaluate``, a block at a
+    time, and exactly again when that overflows; -inf or inf when the
+    maximum lies outside the double range.  Each row of a pairs problem
+    is evaluated once: the pair's values are v and -v, as negating a row
+    negates each rounded term and sum, so the block's maximum is
+    max(max v, -min v).
     """
+    rows, pairs = _rows_of(cols, len(point) + 1)
     top = -math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, cols[0].size, _BLOCK):
-            v = _evaluate([col[i:i + _BLOCK] for col in cols], point)
+        for i in range(0, rows[0].size, _BLOCK):
+            if isinstance(rows, np.ndarray):
+                v = _evaluate(rows[:, i:i + _BLOCK], point)
+            else:
+                v = _evaluate([col[i:i + _BLOCK] for col in rows], point)
             high = float(v.max())
+            if pairs:  # a NaN high stays NaN: max keeps its first argument
+                high = max(high, -float(v.min()))
             if not high < math.inf:  # inf, or a NaN that max() would drop
                 return exact_objective(cols, *point)
             top = max(top, high)
@@ -333,15 +414,19 @@ _Q_WIDTH = 2 * Fraction(_TIGHT) + _Q_ERR
 
 def require_finite(point: tuple, t: float, who: str) -> None:
     """Raise ContractViolation unless t and every coordinate of ``point``
-    are finite numbers; a missing one (None) is not."""
-    if not all(isinstance(v, Real) and math.isfinite(v) for v in (t, *point)):
-        raise ContractViolation(f"{who}: the answer is not finite")
+    are finite numbers; a missing one (None) is not.  A Python float,
+    what every solver returns, skips the ``numbers.Real`` check, which
+    costs several times the test of its type."""
+    for v in (t, *point):
+        if not (math.isfinite(v) if type(v) is float
+                else isinstance(v, Real) and math.isfinite(v)):
+            raise ContractViolation(f"{who}: the answer is not finite")
 
 
-def certify(cols: np.ndarray, point: tuple, t: float, lower_bound,
-            who: str) -> None:
+def certify(cols, point: tuple, t: float, lower_bound, who: str) -> None:
     """Raise ContractViolation unless ``t`` is the optimum up to rounding,
-    by weak duality, over the constraints of the (k, n) array ``cols``.
+    by weak duality, over the constraints of the (k, n) array ``cols``, or
+    of a ``Problem``.
 
     The constraints near-tight at ``point`` are those whose values there
     lie within _TIGHT times their own and the top constraint's magnitude
@@ -363,26 +448,41 @@ def certify(cols: np.ndarray, point: tuple, t: float, lower_bound,
     ``_NEAR``).  Only the kept rows' magnitude sums are formed, and the
     sets are drawn from those rows as from all rows.  So its scratch is a
     few blocks and the kept rows, whatever the number of rows.
+
+    A pairs problem's rows are evaluated once.  Constraints 2i and 2i + 1,
+    row i and its negation, take the values v and -v: negating a row
+    negates each rounded term and sum, and their magnitude sums are the
+    same.  Their indices, values and verdicts are those of the (k, 2n)
+    array that ``columns`` writes out, which the Fraction path, where a
+    term overflows, reads.
     """
     require_finite(point, t, who)
     F = Fraction
-    n = cols.shape[1]
+    rows, pairs = _rows_of(cols, len(point) + 1)
+    n = rows.shape[1]
     size = tuple(map(abs, point))
     # M', in Python floats, which round as numpy's do and overflow to inf
     wide = _NEAR * _evaluate([max(hi, -lo) for hi, lo in zip(
-        cols.max(axis=1).tolist(), cols.min(axis=1).tolist())], size)
+        rows.max(axis=1).tolist(), rows.min(axis=1).tolist())], size)
+    # a pairs block of half the rows covers the same constraints
+    step = _BLOCK >> pairs
     with np.errstate(over="ignore", invalid="ignore"):
         top = -math.inf
         found = []
-        for i in range(0, n, _BLOCK):
-            v = _evaluate(cols[:, i:i + _BLOCK], point)
+        for i in range(0, n, step):
+            v = _evaluate(rows[:, i:i + step], point)
+            if pairs:  # the values of constraints 2i, 2i + 1, ...
+                w = np.empty((v.size, 2))
+                w[:, 0] = v
+                np.negative(v, out=w[:, 1])
+                v = w.reshape(-1)
             top = max(top, float(v.max()))
             # not below the floor: where M' overflows, the floor is -inf
             # or NaN, and every row, NaN values too, is kept
             k = np.logical_not(v < top - wide - 8 * _TINY).nonzero()[0]
-            found.append((k + i, v[k]))
+            found.append((k + (i << pairs), v[k]))
         idx, v = (np.concatenate(z) for z in zip(*found))
-        s = _evaluate(np.abs(cols[:, idx]), size)
+        s = _evaluate(np.abs(rows[:, idx >> pairs]), size)
     if wide < math.inf or np.isfinite(s).all():
         # Every magnitude sum is finite where M' is, and every value is
         # finite where every magnitude sum is, since |fl(v)| <= fl(s).
@@ -393,7 +493,7 @@ def certify(cols: np.ndarray, point: tuple, t: float, lower_bound,
     else:
         # A term overflows, so M' does and every row was kept: every value
         # and magnitude sum again, in Fractions.
-        exact = _fractions(cols)
+        exact = _fractions(_both_signs(rows) if pairs else rows)
         v = _evaluate(exact, tuple(map(F, point)))
         s = _evaluate(np.abs(exact), tuple(map(F, size)))
         j = int(np.argmax(v))
@@ -438,8 +538,9 @@ def _fractions(cols) -> list[np.ndarray]:
 def exact_objective(cols, *point: float) -> float:
     """``objective`` in rational arithmetic, rounded to a double; -inf or
     inf when it lies outside the double range."""
-    return _to_float(max(_evaluate(_fractions(cols),
-                                   tuple(map(Fraction, point)))))
+    rows, pairs = _rows_of(cols, len(point) + 1)
+    v = _evaluate(_fractions(rows), tuple(map(Fraction, point)))
+    return _to_float(max(max(v), -min(v)) if pairs else max(v))
 
 
 def _to_float(q: Fraction) -> float:

@@ -50,7 +50,8 @@ from . import model
 from .baseline import _chain
 from .geometry import _product_sign
 from .model import (_EVAL_ERR, Problem, Solution2, Solution3, Status,
-                    _evaluate, certify, columns, objective, require_finite)
+                    _constraints_at, _evaluate, _held, certify, columns,
+                    objective, require_finite)
 # Unused here, but perfbench/spans.py traces prune3d.brute3d_box by
 # rebinding it, so the name stays a module attribute.
 from .oracle import brute3d_box  # noqa: F401
@@ -215,9 +216,9 @@ def check3d(cs: Sequence, sol: Solution3) -> None:
     """Raise ContractViolation unless ``sol`` answers the box problem ``cs``,
     by an exact weak-duality certificate.
 
-    ``cs`` is read like ``solve3d``'s.  The status must be OPTIMAL, as
-    the box problem always has an optimum, and (x, y) must lie in the
-    unit box.
+    ``cs`` is read like ``solve3d``'s, a pairs problem on its n rows.
+    The status must be OPTIMAL, as the box problem always has an optimum,
+    and (x, y) must lie in the unit box.
     Any multipliers lambda >= 0 summing to 1 give the exact lower bound
     sum(lambda * c) + min(0, sum(lambda * a)) + min(0, sum(lambda * b)) on
     the optimum over the box; ``model.certify`` compares the best one
@@ -231,7 +232,7 @@ def check3d(cs: Sequence, sol: Solution3) -> None:
     and the fan triangle holding (0, 0) is tried.  O(n) numpy work, O(h)
     Fraction work and no reference solver.
     """
-    cols = columns(cs, 3)
+    cols, pairs = _held(cs, 3)
     x, y = sol.x, sol.y
     if sol.status is not Status.OPTIMAL:
         raise ContractViolation(
@@ -240,8 +241,10 @@ def check3d(cs: Sequence, sol: Solution3) -> None:
     require_finite((x, y), sol.t, "check3d")
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ContractViolation(f"check3d: ({x}, {y}) lies outside the box")
-    certify(cols, (x, y), sol.t,
-            lambda idx, _: _box_lower_bound(*cols[:, idx]), "check3d")
+    certify(cs if pairs else cols, (x, y), sol.t,
+            lambda idx, _: _box_lower_bound(*_constraints_at(cols, pairs,
+                                                              idx)),
+            "check3d")
 
 
 def _box_lower_bound(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Fraction:

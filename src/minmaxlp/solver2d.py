@@ -21,24 +21,31 @@ of its survivors and its fixed point.  A solve that misses nowhere builds
 no images.
 
 Every input is read as the two unit-stride rows, slopes and intercepts,
-of one float64 (2, n) array (``model.columns``; a ``Problem`` holds its
-constraints so, and hands over its array without a copy), and ``_solve``
-decides the setup on those columns once: the sides, UNBOUNDED, the
-constant answer and the x-mirror, which solves slopes all <= 0 as their
-negation and reports each dual point with its x times a sign of -1.0.
-Only the start search and the scans depend on size, and how the sides
-are counted.  Below ``_COLUMNAR_MIN_N`` constraints the solve reads the
-columns once, as Python lists, and takes the sides, their counts and the
-start point from those lists, with no numpy mask; ``expand_absolute``
-writes a short list of float rows straight into its problem's (2, 2n)
-array.  From there on the start search and the scans run in numpy, on
-one side-ordered copy of the columns: a (2, n) buffer of the left rows,
-then the right rows, each in input order, which the scans read as slices
-and the pivots index.  It is filled, and each scan reads it, in blocks of
+of one float64 (2, n) array (``model._held``; a ``Problem`` holds its
+constraints so, and hands over its array without a copy).  Below
+``_COLUMNAR_MIN_N`` constraints ``_solve_lists`` reads the columns once,
+as Python lists, and takes the sides, their counts and the start point
+from those lists, with no numpy mask; ``expand_absolute`` writes a short
+list of float rows straight into its problem's (2, n) array.  From there
+on ``_solve`` runs the start search and the scans in numpy, on one
+side-ordered copy of the columns: a (2, n) buffer of the left rows, then
+the right rows, each in input order, which the scans read as slices and
+the pivots index.  It is filled, and each scan reads it, in blocks of
 ``_BLOCK`` rows, so a solve holds its input's size once and a few blocks
-besides.  Each pivot
-scan is the slope prefilter (``_filtered_scan``): it forms every
-candidate's rounded slope, and a threshold from
+besides.  Both decide the sides, UNBOUNDED, the constant answer and the
+x-mirror, which solves slopes all <= 0 as their negation and reports
+each dual point with its x times a sign of -1.0.
+
+A pairs problem (``expand_absolute``, the residuals |a*x + c|) is solved
+on its n rows (``_solve_pairs``): the dual points of a row's pair are
+reflections of each other through the origin, so one (2, n) buffer of
+the right side's points serves both sides, and a left scan from right
+point f is the right side's scan from -f.  It runs the same ``_pivot``,
+``_filtered_scan`` and ``_scan``, and gives the answer, iterations and
+pivot points of its 2n constraints written out, bit for bit.
+
+Each numpy pivot scan is the slope prefilter (``_filtered_scan``): it
+forms every candidate's rounded slope, and a threshold from
 ``geometry._slope_threshold`` drops every candidate whose exact slope is
 proven larger than the least rounded slope's.  The survivors, if more
 than one, go to ``_scan``.  The threshold's proof needs coordinate
@@ -62,7 +69,8 @@ from .geometry import (_ERRBOUND, _NO_UNDERFLOW, Point2, _ExactPoints,
 # Unused here, but perfbench/spans.py traces solver2d._product_sign by
 # rebinding it, so the name stays a module attribute.
 from .geometry import _product_sign  # noqa: F401
-from .model import Problem, Solution2, Status, columns, objective, signed_pairs
+from .model import (Problem, Solution2, Status, _held, columns, objective,
+                    signed_pairs)
 
 __all__ = [
     "expand_absolute",
@@ -94,10 +102,12 @@ def expand_absolute(rows: Sequence) -> Problem:
 
     Each row contributes (a, c) and (-a, -c): both signed copies must stay
     below the objective bound, so the pair encodes the absolute value.
-    ``rows`` is read like ``solve``'s; only (a, c) are read.
+    ``rows`` is read like ``solve``'s; only (a, c) are read.  The result
+    is a pairs problem (``model.signed_pairs``): the 2n constraints, held
+    as the n rows (a, c), with no copy of a ``Problem``'s array.
     """
-    # A list of rows whose expansion takes solve's list path is read by a
-    # Python loop, which outruns the general reader up to about 40 rows.
+    # A list of rows whose pairs take solve's list path is read by a Python
+    # loop, which outruns the general reader at that size.
     if type(rows) is list and 2 * len(rows) < _COLUMNAR_MIN_N:
         pairs = _float_pairs(rows)
         if pairs is not None:
@@ -107,10 +117,9 @@ def expand_absolute(rows: Sequence) -> Problem:
 
 def _float_pairs(rows: list) -> Problem | None:
     """``expand_absolute`` of a short list of rows whose fields a and c are
-    all finite Python floats, written straight into the (2, 2n) block of
-    its columns; None for any other list, which the general reader then
-    reads, or rejects with its own error.  Negating a float in Python or
-    in numpy flips its sign bit alone, so the bits are the same.
+    all finite Python floats, written straight into the (2, n) array of
+    its rows; None for any other list, which the general reader then
+    reads, or rejects with its own error.
     """
     xs = []
     ys = []
@@ -120,16 +129,24 @@ def _float_pairs(rows: list) -> Problem | None:
             y = r[1]
             if type(x) is not float or type(y) is not float:
                 return None
-            xs += (x, -x)
-            ys += (y, -y)
+            xs.append(x)
+            ys.append(y)
     except IndexError:  # a row of one field, which the general reader rejects
         return None
     xs += ys
-    # Each pair v, -v sums to 0.0 exactly, so the running sum is 0.0 for
-    # finite values and NaN from the first inf or NaN on; none overflows.
-    if not xs or sum(xs) != 0.0:
+    # The sum is NaN or inf from the first inf or NaN on, and finite
+    # values whose sum overflows go to the general reader too.
+    if not (xs and math.isfinite(sum(xs))):
         return None
-    return Problem._of(np.fromiter(xs, float, len(xs)).reshape(2, -1))
+    return signed_pairs(np.fromiter(xs, float, len(xs)).reshape(2, -1))
+
+
+def _both_signs(vs: list) -> list:
+    """v0, -v0, v1, -v1, ... for the floats ``vs``."""
+    out = vs * 2
+    out[::2] = vs
+    out[1::2] = [-v for v in vs]
+    return out
 
 
 def to_dual_points(cs: Sequence) -> list[Point2]:
@@ -301,10 +318,12 @@ def solve(cs: Sequence) -> Solution2:
     is OPTIMAL; t is the unique optimal objective and x one point attaining
     it.  Raises ValueError for a row with fewer than two fields,
     NonFiniteInput for a non-finite coefficient, naming the first such
-    constraint, and for an answer outside the double range.
+    constraint, and for an answer outside the double range.  A pairs
+    problem (``expand_absolute``) is solved on its n rows, with the answer
+    of its 2n constraints, bit for bit.
     """
-    cols = columns(cs, 2)
-    return _solve(cols[0], cols[1])
+    cols, pairs = _held(cs, 2)
+    return (_solve_pairs if pairs else _solve)(cols[0], cols[1])
 
 
 def _solve(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> Solution2:
@@ -312,15 +331,15 @@ def _solve(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> Solution2:
     ``b``.
 
     The sides, UNBOUNDED, the constant answer and the x-mirror are decided
-    here once; only the start search and the scans differ by size.  Slopes
-    all <= 0, some negative, are solved as (-a, b), mirrored in x, by a
-    recursion that alone sets ``sign`` to -1.0: every reported dual point
+    first, as ``_solve_lists`` decides them.  Slopes all <= 0, some
+    negative, are solved as (-a, b), mirrored in x, by a recursion that
+    alone sets ``sign`` to -1.0: every reported dual point
     has its x multiplied by ``sign``, which is exact, and the line through
     two such points gives the unmirrored x and t bit for bit, as negating
     both x's negates the slope exactly and leaves m * x1 as it was.  The
     dual points are (a, -b); the left side's scans see them mirrored in y,
-    (a, b).  The list path splits the indices into the sides in one pass
-    over the slopes as a list.  The numpy path copies the columns once,
+    (a, b).  Below ``_COLUMNAR_MIN_N`` constraints ``_solve_lists`` solves
+    them as Python lists.  The numpy path copies the columns once,
     side by side, into a (2, n) buffer: a mask, its ``nonzero`` and
     ``take`` into the buffer for each block of ``_BLOCK`` rows (one take a
     side and column where one block holds them all), and no index array
@@ -331,18 +350,12 @@ def _solve(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> Solution2:
     """
     n = a.size
     if n < _COLUMNAR_MIN_N:
-        xs = a.tolist()
-        left = []
-        right = []
-        for i, v in enumerate(xs):
-            (right if v > 0.0 else left).append(i)
-        nr = len(right)
-    else:
-        on_right = a > 0.0
-        # A one-block copy takes the right rows' indices, and counts them by
-        # those; more blocks count them alone.
-        ir = on_right.nonzero()[0] if n <= _BLOCK else None
-        nr = np.count_nonzero(on_right) if ir is None else ir.size
+        return _solve_lists(a.tolist(), b.tolist(), sign)
+    on_right = a > 0.0
+    # A one-block copy takes the right rows' indices, and counts them by
+    # those; more blocks count them alone.
+    ir = on_right.nonzero()[0] if n <= _BLOCK else None
+    nr = np.count_nonzero(on_right) if ir is None else ir.size
     if nr == n:
         return Solution2(Status.UNBOUNDED)
     if nr == 0:
@@ -355,31 +368,6 @@ def _solve(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> Solution2:
         # points are mirrored back.
         return _solve(-a, b, -1.0)
     nl = n - nr
-    # Start from the lowest left point, ties to the smaller x and then the
-    # first index; any left point is a valid start, the lowest one just
-    # pivots less.
-    if n < _COLUMNAR_MIN_N:
-        ys = b.tolist()
-        dpy = [-v for v in ys]
-        i_l = left[0]
-        ly = dpy[i_l]
-        lx = xs[i_l]
-        for i in left:
-            y = dpy[i]
-            if y < ly or (y == ly and xs[i] < lx):
-                i_l = i
-                ly = y
-                lx = xs[i]
-        # Both sides' fixed points are dual points too, so one set of
-        # images serves every scan of the solve.
-        dual = _ExactPoints(xs, dpy)
-        mirrored = _ExactPoints(xs, ys, dual)
-        return _pivot(
-            n, i_l,
-            lambda i: _scan(dual, right, i),
-            lambda i: _scan(mirrored, left, i),
-            lambda i: Point2(sign * xs[i], dpy[i]))
-
     buf = np.empty((2, n))
     xs = buf[0]
     ys = buf[1]
@@ -408,6 +396,9 @@ def _solve(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> Solution2:
             bb.take(ir, None, ys[hi:kr], "clip")
             lo = kl
             hi = kr
+    # Start from the lowest left point, ties to the smaller x and then the
+    # first index; any left point is a valid start, the lowest one just
+    # pivots less.
     i_l = int(yl.argmax())
     top = yl.item(i_l)
     # argmax finds the first lowest point; a unique one skips the tie
@@ -428,6 +419,132 @@ def _solve(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> Solution2:
         lambda i: _filtered_scan(xl, yl, xs.item(i), ys.item(i), False,
                                  span),
         lambda i: Point2(sign * xs.item(i), -ys.item(i)))
+
+
+def _solve_lists(xs: list, ys: list, sign: float = 1.0) -> Solution2:
+    """``_solve`` on the slopes ``xs`` and intercepts ``ys`` as lists of
+    Python floats: one pass over the slopes splits the indices into the
+    sides, and the start point comes from those lists, with no numpy
+    mask."""
+    n = len(xs)
+    left = []
+    right = []
+    for i, v in enumerate(xs):
+        (right if v > 0.0 else left).append(i)
+    nr = len(right)
+    if nr == n:
+        return Solution2(Status.UNBOUNDED)
+    if nr == 0:
+        if not any(xs):
+            # max gives the first largest, as argmax does
+            return Solution2(Status.OPTIMAL, x=0.0, t=max(ys), iterations=0)
+        return _solve_lists([-v for v in xs], ys, -1.0)
+    dpy = [-v for v in ys]
+    i_l = left[0]
+    ly = dpy[i_l]
+    lx = xs[i_l]
+    for i in left:
+        y = dpy[i]
+        if y < ly or (y == ly and xs[i] < lx):
+            i_l = i
+            ly = y
+            lx = xs[i]
+    # Both sides' fixed points are dual points too, so one set of images
+    # serves every scan of the solve.
+    dual = _ExactPoints(xs, dpy)
+    mirrored = _ExactPoints(xs, ys, dual)
+    return _pivot(
+        n, i_l,
+        lambda i: _scan(dual, right, i),
+        lambda i: _scan(mirrored, left, i),
+        lambda i: Point2(sign * xs[i], dpy[i]))
+
+
+def _solve_pairs(a: np.ndarray, c: np.ndarray) -> Solution2:
+    """``solve`` of the 2n constraints r, -r for the n rows r = (a, c) of
+    a pairs problem, with the answer, ``iterations`` and ``pivot_pairs``
+    of those constraints written out, bit for bit.
+
+    Below ``_COLUMNAR_MIN_N`` constraints they are written out, as lists,
+    for ``_solve_lists``.  From there on, each row with a != 0 has one
+    constraint on each side: the right one is (|a|, sgn(a) c), and the
+    left one its negation, whose dual point is the right one's reflected
+    through the origin.  One (2, m) buffer holds the right constraints,
+    in row order, filled a block at a time with no other copy.  A left
+    scan from right point f is then the scan of that buffer from -f:
+    negation is exact and rounding symmetric, so every difference and
+    slope is the same up to the sign of a zero, and a point reflection
+    keeps every orientation, so ``_filtered_scan`` and ``_scan`` pick the
+    same winner.  Left point k, the reflection of right point k, is
+    index ~k.
+
+    A row with a = +-0.0 gives two left constraints on x = +-0.0, (a, c)
+    and (-a, -c), and none on the right.  Seen from any right point, the
+    one with the larger intercept has the smaller slope, so of all of them
+    only the first with the largest intercept, Z, can win a scan or start
+    one: the others lose to it, or are identical to it and later.  The
+    buffer holds Z's reflection in its last column, which the left scans
+    read and the right scans do not.  Z is never identical to another
+    left point, and loses an exact tie to every one, as those lie farther
+    from the right side, so where it stands among them changes no
+    winner.  With every a zero, Z's intercept is the constant answer.
+
+    The start point is the lowest left point, ties to the smaller x and
+    then the first, as ``_solve``'s: in the buffer, the least intercept,
+    ties to the largest slope.  The range of all values is that of the
+    written-out constraints, max - -max with max the largest magnitude.
+    """
+    n = a.size
+    if 2 * n < _COLUMNAR_MIN_N:
+        return _solve_lists(_both_signs(a.tolist()), _both_signs(c.tolist()))
+    m = np.count_nonzero(a)
+    flat = m < n  # rows with a = +-0.0
+    buf = np.empty((2, m + flat))
+    xs = buf[0]
+    ys = buf[1]
+    if flat:
+        zero = (a == 0.0).nonzero()[0]
+        cz = c[zero]
+        high = max(cz.max(), -cz.min())
+        j = zero[(np.abs(cz) == high).argmax()].item()
+        xz, bz = a.item(j), c.item(j)
+        if bz != high:  # (-a, -c) is the first with the largest intercept
+            xz, bz = -xz, -bz
+        if not m:
+            return Solution2(Status.OPTIMAL, x=0.0, t=bz, iterations=0)
+        xs[m] = -xz
+        ys[m] = -bz
+    lo = 0
+    for s in range(0, n, _BLOCK):
+        ab = a[s:s + _BLOCK]
+        cb = c[s:s + _BLOCK]
+        if flat:
+            k = ab.nonzero()[0]
+            ab = ab[k]
+            cb = cb[k]
+        e = lo + ab.size
+        np.abs(ab, out=xs[lo:e])
+        # c times sgn(a), +-1.0: exact, and -c where a < 0
+        np.multiply(np.sign(ab, out=ys[lo:e]), cb, out=ys[lo:e])
+        lo = e
+    i = int(ys.argmin())
+    low = ys.item(i)
+    rest = ys[i + 1:]
+    if rest.size and rest.item(rest.argmin()) == low:
+        tied = (ys == low).nonzero()[0]
+        i = int(tied[xs[tied].argmax()])
+    high = max(buf.item(buf.argmax()), -buf.item(buf.argmin()))
+    span = high - -high
+    xr = xs[:m]
+    yr = ys[:m]
+    return _pivot(
+        2 * n, ~i,
+        lambda i: _filtered_scan(xr, yr, -xs.item(~i), ys.item(~i), True,
+                                 span),
+        lambda i: ~_filtered_scan(xs, ys, -xs.item(i), -ys.item(i), False,
+                                  span),
+        lambda i: (Point2(xs.item(i), -ys.item(i)) if i >= 0 else
+                   Point2(-xs.item(~i), ys.item(~i))))
 
 
 def _pivot(n: int, i_l: int, scan_right: Callable[[int], int],
@@ -476,17 +593,19 @@ def solve_boxed(cs: Sequence, lo: float, hi: float) -> Solution2:
     empty or not finite, and NonFiniteInput when the optimal t lies outside
     the double range.
     """
-    cols = columns(cs, 2)
+    cols, pairs = _held(cs, 2)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"invalid box: lo={lo!r}, hi={hi!r}")
     try:
-        sol = _solve(cols[0], cols[1])
+        sol = (_solve_pairs if pairs else _solve)(cols[0], cols[1])
     except NonFiniteInput:
         # The input is finite, and the unconstrained t lies between two
         # intercepts: only x is out of range, and so outside the box.
         sol = Solution2(Status.UNBOUNDED)
     if sol.status is Status.OPTIMAL and lo <= sol.x <= hi:
         return sol
+    if pairs:
+        cols = cs
     t_lo = objective(cols, lo)
     t_hi = objective(cols, hi)
     x, t = (lo, t_lo) if t_lo <= t_hi else (hi, t_hi)

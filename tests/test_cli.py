@@ -1233,11 +1233,12 @@ _ANSWER_FILES = {
 _ANSWERING = ("solve2d", "solve3d", "prune3d", "oracle")
 # SHA-256 of _transcript over every answering argv, as the four
 # subcommands had them when each had its own function, and over every
-# --help, with solve3d's help naming its working set.
+# --help, with solve3d's help naming its working set and the --mode help
+# of solve2d, solve3d and oracle naming the pairs held as one row.
 ANSWER_SHA256 = (
     "4a208f043d02e60dbef50e596c88fc62d254756627a55eb63b60c9f11be0a418")
 HELP_SHA256 = (
-    "10ba213368851c1680755d5a063ca918edc1372fdb9c180a0540142a2261fe84")
+    "9f51736ece3dd1acee5547b30c993b00f310c80119f872120fbf1aaed0d627fc")
 
 
 def _answer_argvs():

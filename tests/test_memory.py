@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from minmaxlp import (ContractViolation, GenSpec, Problem, Solution3,
-                      check2d, check3d, gen2d, gen3d, solve)
+                      check2d, check3d, expand_absolute, gen2d, gen3d, solve)
 from minmaxlp import cli
 from minmaxlp.model import columns, objective
 
@@ -137,6 +137,21 @@ def test_solve_holds_one_copy_of_its_input():
     cs = gen2d(GenSpec(n=10**6, seed=1))
     size = sum(col.nbytes for col in columns(cs, 2))
     assert _peak(solve, cs) <= 1.2 * size
+
+
+def test_pairs_solve_and_check_hold_one_copy_of_the_rows():
+    # A pairs problem holds its n rows once; the solve fills one (2, n)
+    # buffer of the right side's points, and the check reads the rows in
+    # blocks.  Pairs written out would hold 32 MB, and the solve's copy of
+    # them 32 MB more.
+    cs = gen2d(GenSpec(n=10**6, seed=1))
+    size = sum(col.nbytes for col in columns(cs, 2))
+
+    def fit():
+        pairs = expand_absolute(cs)
+        check2d(pairs, solve(pairs))
+
+    assert _peak(fit) <= 1.1 * size
 
 
 def _rejected(check, cs, sol):

@@ -7,13 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minmaxlp import (Constraint2, Constraint3, EmptyProblem, GenSpec,
-                      NonFiniteInput, Problem, Solution2, Solution3, Status,
-                      boundary_via_2d, brute2d, brute3d_box, check2d, check3d,
-                      expand_absolute, gen2d, gen3d, lower_hull, prune,
-                      solve, solve3d, solve_baseline, solve_boxed)
+from minmaxlp import (Constraint2, Constraint3, ContractViolation,
+                      EmptyProblem, GenSpec, NonFiniteInput, Problem,
+                      Solution2, Solution3, Status, boundary_via_2d, brute2d,
+                      brute3d_box, check2d, check3d, expand_absolute, gen2d,
+                      gen3d, lower_hull, prune, solve, solve3d,
+                      solve_baseline, solve_boxed)
 from conftest import assert_one_array, corpus2d, objective_corpus
-from minmaxlp import model, prune3d
+from minmaxlp import cli, model, prune3d
 from minmaxlp.model import columns, exact_objective, objective, signed_pairs
 
 ROWS = [Constraint2(1.0, -2.0), Constraint2(-0.0, 3.5), Constraint2(2.5, 0.0),
@@ -173,13 +174,62 @@ class TestLayout:
 
     @pytest.mark.parametrize("n", [1, 5, 31, 32, 1000])
     def test_expand_absolute_and_signed_pairs(self, n):
+        # A pairs problem holds its n rows, a problem's own array without a
+        # copy, and writes out its 2n constraints as one such array.
         cs = gen2d(GenSpec(n=n, seed=6))
+        box = gen3d(GenSpec(n=n, dim=3))
         rows = [tuple(r) for r in cs]  # the short-list path below 32 rows
-        for got in (expand_absolute(rows), expand_absolute(cs),
-                    signed_pairs(columns(cs, 2)),
-                    signed_pairs(columns(gen3d(GenSpec(n=n, dim=3)), 3))):
-            assert_one_array(got)
+        for got, k, held in ((expand_absolute(rows), 2, None),
+                             (expand_absolute(cs), 2, columns(cs, 2)),
+                             (signed_pairs(columns(cs, 2)), 2, columns(cs, 2)),
+                             (signed_pairs(columns(box, 3)), 3,
+                              columns(box, 3))):
+            assert got._pairs and len(got) == 2 * n
+            assert got._rows.shape == (k, n) and not got._rows.flags.writeable
+            assert got._rows.strides[1] == 8 or n == 1
+            assert held is None or got._rows is held
+            assert_one_array(Problem._of(columns(got, k)), k)
+            assert columns(got, k).tolist() == [
+                [w for v in col for w in (v, -v)]
+                for col in got._rows.tolist()]
         assert expand_absolute(rows) == expand_absolute(cs)
+
+    def test_every_reader_route_is_one_contiguous_array(self, tmp_path):
+        # the decimal pass, loadtxt and the line scan, from a path and
+        # from text
+        text2 = cli._format_constraints(gen2d(GenSpec(n=3000, seed=9)))
+        text3 = cli._format_constraints(
+            gen3d(GenSpec(n=3000, seed=9, dim=3)))
+        path = tmp_path / "rows.txt"
+        for text in (text2, text3, "1.5,-0.0\n", text3.replace(",", " "),
+                     "# \u00e9\n" + text2):
+            path.write_text(text, encoding="utf-8")
+            for got in (cli.parse_constraints(path),
+                        cli.parse_constraints(text)):
+                _assert_no_slack(got)
+                assert got == cli._parse_lines(text)
+
+    @pytest.mark.skipif(not cli._LONG_SIGNIFICAND,
+                        reason="the decimal pass needs x87 longdouble")
+    @pytest.mark.parametrize("size", [1, 10**7])
+    def test_decimal_rows_end_as_one_array(self, size):
+        # A file size far below the file's makes the array grow with every
+        # chunk; one far above leaves most of it spare.  Either way the
+        # rows end as one array with no capacity left over.
+        cs = gen3d(GenSpec(n=20_000, seed=9, dim=3))
+        text = cli._format_constraints(cs).encode()
+        rows = cli._DecimalRows(size)
+        step = cli._READ_CHUNK
+        assert all(rows.feed(text[i:i + step])
+                   for i in range(0, len(text), step))
+        got = rows.result()
+        _assert_no_slack(got)
+        assert got == cs
+
+    def test_pairs_problem_slices_and_reads_written_out(self):
+        pairs = expand_absolute(gen2d(GenSpec(n=40, seed=2)))
+        assert_one_array(pairs[3:70], 2)
+        assert np.asarray(pairs).shape == (80, 2)
 
     def test_pruned_rows_and_box_edges(self, monkeypatch):
         edges = []
@@ -252,6 +302,40 @@ _READERS = {
     "solve3d": (3, solve3d),
     "check3d": (3, lambda cs: check3d(cs, Solution3(0.0, 0.0, 0.0))),
 }
+
+
+def _assert_no_slack(p):
+    """``p`` is one C-contiguous array with no capacity left over."""
+    assert_one_array(p)
+    rows = p._rows
+    assert rows.flags.c_contiguous
+    assert rows.base is None or rows.base.nbytes == rows.nbytes
+
+
+class TestRequireFinite:
+    """``require_finite``'s verdicts, with the fast path for floats."""
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, 1.5, 5e-324, -1.7e308, 3,
+                                   True, np.float64(2.5), np.float32(0.5),
+                                   np.int64(-4), Fraction(1, 3)],
+                             ids=repr)
+    def test_finite_numbers_pass(self, v):
+        model.require_finite((v,), 1.0, "who")
+        model.require_finite((0.5, v), v, "who")
+
+    @pytest.mark.parametrize("v", [None, math.nan, math.inf, -math.inf,
+                                   np.float64(math.nan), np.float32(math.inf),
+                                   "1.0", 1j],
+                             ids=repr)
+    def test_others_raise(self, v):
+        for point, t in (((v,), 1.0), ((1.0,), v), ((1.0, v), 0.0)):
+            with pytest.raises(ContractViolation,
+                               match="who: the answer is not finite"):
+                model.require_finite(point, t, "who")
+
+    def test_an_int_beyond_the_double_range(self):
+        with pytest.raises(OverflowError):
+            model.require_finite((10**400,), 1.0, "who")
 
 
 class TestEmpty:
