@@ -18,13 +18,15 @@ handle, stdin from its binary stream, and a stream that is not a regular
 file (a pipe, a FIFO, ``<(...)``) once, whole, as bytes.  Its bytes are
 checked a chunk at a time.  A file of plain decimals, comma-separated
 ``[-]I.F`` fields as gen writes them, is converted in that same pass: the
-digits of each chunk are read as integers and divided by powers of ten in
-extended precision.  Any other input the checks pass is read by numpy's
-loadtxt from the same bytes.  Neither route holds a decoded copy of the
-text.  An input those checks or loadtxt turn down is decoded and parsed
-line by line, which names the first bad line.  ``gen`` writes its rows in
-blocks as it formats them, so it holds one block of text at a time, never
-the whole file.
+digits of each chunk's fields, up to 19 a field, are read as unsigned
+64-bit integers and divided by powers of ten in extended precision; a
+field of more digits, or one whose quotient lands on a midpoint of two
+doubles, is read by float().  Any other input the checks pass is read by
+numpy's loadtxt from the same bytes.  Neither route holds a decoded copy
+of the text.  An input those checks or loadtxt turn down is decoded and
+parsed line by line, which names the first bad line.  ``gen`` writes its
+rows in blocks as it formats them, so it holds one block of text at a
+time, never the whole file.
 
 Exit codes: 0 success (an unbounded verdict is a valid answer),
 1 stdout closed before the output was written (a broken pipe, as in
@@ -206,17 +208,21 @@ _STAMP = attrgetter("st_size", "st_mtime_ns")
 # only warns at a byte it cannot read, and returns the numbers before it.
 _TO_DIGITS = bytes(c if chr(c) in "0123456789," else ord(",") if c == 10
                    else ord("|") for c in range(256))
-# 10**m for m <= 18 is 2**m * 5**m with 5**m < 2**53: exact in a double.
+# 10**m for m <= 19 is 2**m * 5**m with 5**m < 2**53: exact in a double.
 # Built without a ufunc, and cast to longdouble by _DecimalRows: the first
 # call of np.power or of a longdouble loop pages in 132 KB of numpy's code,
 # which a process that reads no file need not hold.
-_POWERS_OF_TEN = np.array([float(10**m) for m in range(19)])
-# _DecimalRows needs a significand that holds every 18-digit integer and a
+_POWERS_OF_TEN = np.array([float(10**m) for m in range(20)])
+# _DecimalRows needs a significand that holds every 19-digit integer and a
 # correctly rounded division: x87's extended format, 64 bits, the one its
-# proof and its timings are for.  Elsewhere (a longdouble that is a double,
-# IBM double-double, whose division is not correctly rounded, or software
-# binary128) files take loadtxt's route.
-_LONG_SIGNIFICAND = np.finfo(np.longdouble).nmant == 63
+# proof and its timings are for, stored as it is on x86-64, in 16
+# little-endian bytes whose first two hold the significand's lowest 16
+# bits.  Elsewhere (a longdouble that is a double, IBM double-double, whose
+# division is not correctly rounded, software binary128, or x87's format
+# in 12 bytes) files take loadtxt's route.
+_LONG_SIGNIFICAND = (np.finfo(np.longdouble).nmant == 63
+                     and np.dtype(np.longdouble).itemsize == 16
+                     and sys.byteorder == "little")
 # Bytes of a line past which _DecimalRows turns a file down, so that a file
 # of one long line, or of lines not ended by '\n', is not held whole before
 # loadtxt reads it.  A line of the grammar is under 80 bytes unless a field
@@ -236,21 +242,25 @@ class _DecimalRows:
     one '.', and otherwise digits and a leading '-' (or the '+', 'e' and
     'E' of a field float() reads, below); blank lines, which hold no rows,
     are dropped, and a field with an exponent and no '.' is given one
-    before its exponent.  A field ``[-]I.F`` of 1 to 18 digits, m of them
-    in F, is N / 10**m for the integer N of its digits:
-    N < 10**18 < 2**63 and 10**m are exact in a 64-bit significand, and
+    before its exponent.  A field ``[-]I.F`` of 1 to 19 digits, m of them
+    in F, is N / 10**m for the integer N of its digits, read as a uint64:
+    N < 10**19 < 2**64 and 10**m are exact in a 64-bit significand, and
     their longdouble quotient, rounded once there and once more to a
     double, is the correctly rounded N / 10**m unless the first rounding
     lands on a midpoint of two doubles (W. D. Clinger, PLDI 1990; D.
     Lemire, *Number parsing at a gigabyte per second*, SPE 2021).  The
-    quotient lies in [1e-18, 1e18) or is 0, so neither rounding is
-    subnormal.  A field whose quotient is such a midpoint (about 1 in
-    2048), one with 'e', 'E' or '+', and one of more than 18 digits are
-    read by ``float(field)``.  The sign comes from the field's '-', so
-    "-0.0" is -0.0.  Once a line falls outside this grammar, or a field
-    does not read as a finite float, ``feed`` is False and the caller
-    reads the file another way; so it is at a '\\r', and at a line longer
-    than _LONG_LINE, before the line is held whole.
+    quotient lies in [1e-19, 1e19) or is 0, so neither rounding is
+    subnormal, and a double's 53-bit significand is the top 53 bits of
+    the 64: the quotient is a midpoint iff the 11 bits below them are
+    0x400, a one and ten zeros, which _DecimalRows reads in the
+    longdouble's bytes (the layout _LONG_SIGNIFICAND checks).  A field
+    whose quotient is such a midpoint (about 1 in 2048), one with 'e', 'E'
+    or '+', and one of more than 19 digits are read by ``float(field)``.
+    The sign comes from the field's '-': the value is multiplied by 1.0
+    or -1.0, which is exact, so "-0.0" is -0.0.  Once a line falls outside
+    this grammar, or a field does not read as a finite float, ``feed`` is
+    False and the caller reads the file another way; so it is at a '\\r',
+    and at a line longer than _LONG_LINE, before the line is held whole.
 
     The rows go into one (k, capacity) array, field j of each row into row
     j, the problem's own layout.  Its capacity comes from the file's size
@@ -302,14 +312,24 @@ class _DecimalRows:
                 for j in range(1, k):
                     at = j * capacity * rows.itemsize
                     b[j * size:(j + 1) * size] = b[at:at + size]
-            rows.resize((k, n))
-        return Problem(rows)
+            # No view of the array outlives the statement or block that
+            # made it, so only references to the array itself remain, and
+            # they see its new shape: a trace or profile hook holds them
+            # through frame locals, which numpy's refcheck counts.
+            rows.resize((k, n), refcheck=False)
+        # every quotient is finite, and _convert checks each float() field
+        return Problem._of(rows)
 
     def _convert(self, lines: bytes) -> bool:
         """Append the rows of ``lines``, whole lines of the grammar."""
         a = np.frombuffer(lines, np.uint8)
-        ends = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
+        ends = np.flatnonzero(a <= ord(","))
         dots = np.flatnonzero(a == ord("."))
+        if len(ends) != len(dots):
+            # '+', or a byte that turns the lines down, adds an end with no
+            # '.'; one that lines up with the '.'s anyway leaves the digits
+            # fewer numbers than fields, which turns them down too
+            ends = ends[(a[ends] == ord(",")) | (a[ends] == ord("\n"))]
         eol = a[ends] == ord("\n")
         k = self.k or int(eol.argmax()) + 1
         if not (k in (2, 3) and len(ends) % k == 0
@@ -323,7 +343,7 @@ class _DecimalRows:
         starts[1:] = ends[:-1] + 1
         neg = a[starts] == ord("-")
         digits = ends - starts - 1 - neg
-        odd = (digits < 1) | (digits > 18)
+        odd = (digits < 1) | (digits > 19)
         text = lines.translate(_TO_DIGITS, b".-+eE")
         if b"|" in text:
             return False
@@ -337,7 +357,9 @@ class _DecimalRows:
         try:
             for i in np.flatnonzero(odd).tolist():
                 exact[i] = float(lines[starts[i]:ends[i]])
-            n = np.fromstring(text, np.int64, sep=",")
+            # a field of more digits than a uint64 holds is a float()
+            # field, whatever number is read for it here
+            n = np.fromstring(text, np.uint64, sep=",")
         except ValueError:
             return False
         # every field holds a digit (one without is read by float(), which
@@ -346,15 +368,16 @@ class _DecimalRows:
                 or not all(map(math.isfinite, exact.values()))):
             return False
         q = n.astype(np.longdouble)
-        q /= self.powers[np.minimum(ends - dots - 1, 18)]
+        # a float() field's m may pass 19; its quotient is not used
+        q /= self.powers.take(ends - dots - 1, mode="clip")
+        # the lowest 16 bits of each quotient's significand; at a
+        # midpoint, the 11 below a double's 53 are 0x400
+        low = q.view(np.uint16)[::8]
+        for i in np.flatnonzero((low & 0x7FF) == 0x400).tolist():
+            if i not in exact:
+                exact[i] = float(lines[starts[i]:ends[i]])
         v = q.astype(np.float64)
-        # q - v is exact, and a double; q is a midpoint of two doubles iff
-        # v + 2 (q - v) is the other one, so exactly 2 (q - v) from v
-        r = (q - v).astype(np.float64)
-        r += r
-        for i in np.flatnonzero((r != 0) & (v + r - v == r) & ~odd).tolist():
-            exact[i] = float(lines[starts[i]:ends[i]])
-        np.negative(v, out=v, where=neg)
+        v *= 1.0 - 2.0 * neg
         if exact:
             v[list(exact)] = list(exact.values())
         self._append(v.reshape(-1, k), len(lines))

@@ -94,8 +94,10 @@ class Problem(Sequence):
     each stand for the pair r, -r, and it reads as the 2n constraints
     r0, -r0, r1, -r1, ...  Its mark, ``_pairs``, is what tells the kinds
     apart.  ``solve``, ``objective``, ``certify`` and ``check2d`` read its
-    n rows once; ``columns``, a slice, iteration and ``np.asarray`` write
-    out the 2n constraints, each time.
+    n rows once.  A slice with step 1 that starts and ends on a pair
+    boundary is a pairs problem on a view of its rows; ``columns``, any
+    other slice, iteration and ``np.asarray`` write out the 2n
+    constraints, each time.
     """
 
     __slots__ = ("_rows", "_pairs")
@@ -142,6 +144,12 @@ class Problem(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
+            if self._pairs:
+                start, stop, step = i.indices(len(self))
+                if step == 1 and not (start | stop) & 1:
+                    # whole pairs: rows start // 2 to stop // 2, as pairs
+                    return Problem._of(self._rows[:, start >> 1:stop >> 1],
+                                       True)
             return Problem._of(self._written_out()[:, i])
         if not self._pairs:
             return self._row._make(self._rows[:, index(i)].tolist())

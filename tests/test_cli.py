@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from fractions import Fraction
 from functools import cache, partial
 
 import numpy as np
@@ -340,9 +341,9 @@ def _decimal_fields(seed: int) -> list[str]:
       those below 1e-4 and from 1e16 with an exponent);
     - the exact expansions of such doubles cut to 17, 18 or 19 digits;
     - around midpoints of two doubles in 1..1e17, the exact midpoint and
-      the 17- and 18-digit decimals just below and just above it (within
-      1e-17 of it, relatively), where a quotient rounded to 64 bits can
-      land on the midpoint;
+      the 17-, 18- and 19-digit decimals just below and just above it
+      (within 1e-17 of it, relatively), where a quotient rounded to 64
+      bits can land on the midpoint;
     - zeros of either sign, an empty integer or fraction part, leading
       zeros, '+', exponents, 18 and 19 digits.
     """
@@ -377,12 +378,32 @@ def _decimal_fields(seed: int) -> list[str]:
         text += "" if "." in text else "."
         if i % 10 == 0:
             fields.append(text)
-        for digits in (17, 18):
+        for digits in (17, 18, 19):
             below = cut(text, digits)
             unit = decimal.Decimal(1).scaleb(-len(below.partition(".")[2]))
             above = format(exact.add(decimal.Decimal(below), unit), "f")
             fields += [below, above if "." in above else above + "."]
     return fields
+
+
+# 18- and 19-digit fields whose values are not midpoints of two doubles,
+# though rounded to a 64-bit significand they are (found by a seeded
+# search; test_near_midpoints_are_rounded_to_midpoints checks them).
+_NEAR_MIDPOINTS = ["452.1328010073404755", "21831047.66547476314",
+                   "815182644.3771561980", "495669317910.792511",
+                   "178192.440838739436", "7429614.77016125666"]
+
+
+def _round_to_64_bits(value: Fraction) -> Fraction:
+    """The positive ``value`` rounded to a 64-bit significand, ties to
+    even."""
+    shift = 63 - math.floor(math.log2(value))
+    s = value * Fraction(2) ** shift
+    while s >= 2**64:
+        s, shift = s / 2, shift - 1
+    while s < 2**63:
+        s, shift = s * 2, shift + 1
+    return Fraction(round(s)) / Fraction(2) ** shift
 
 
 class TestDecimalFiles:
@@ -454,10 +475,51 @@ class TestDecimalFiles:
         assert got == _outcome(_line_scan, data.decode("utf-8-sig"))
         assert read == route
 
+    @pytest.mark.parametrize("fields", [
+        # 19 digits, N >= 2**63; the second has 20 with its leading zero
+        ["9.999999999999999999", "-0.9223372036854775808",
+         "-.9223372036854775808", "9223372036854775808."],
+        # N = 10**19 - 1
+        ["9999999999999999999.", ".9999999999999999999",
+         "-999999999.9999999999", "1.0"],
+        # 20 digits and more, read by float(); the first three hold more
+        # than a uint64 does
+        ["99999999999999999999.", "-18446744073709551616.",
+         "12345678901234567890.5", "-1234567890123456789.0",
+         "0.00000000000000000001", "1.0"],
+        # exact midpoints of two doubles, 18 and 19 digits
+        ["2251799813685248.25", "-2251799813685248.75",
+         "9007199254740993.00", "1125899906842624.125",
+         "-4503599627370496.500", "1152921504606847104."],
+        # not midpoints, but their quotients rounded to 64 bits are: read
+        # by rounding twice, each would be one ulp off
+        _NEAR_MIDPOINTS,
+        ["-0.0", "-.5", "0.0", ".5"],
+    ])
+    @pytest.mark.parametrize("chunk", [1, 3, 8, 1 << 16])
+    def test_nineteen_digit_fields(self, read_route, monkeypatch, fields,
+                                   chunk):
+        monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
+        data = "".join(f"{a},{b}\n" for a, b in
+                       zip(fields[::2], fields[1::2])).encode()
+        got, route = read_route(data)
+        assert route == ("decimal" if cli._LONG_SIGNIFICAND else "loadtxt")
+        assert [v for row in got for v in row] == [
+            float(f).hex() for f in fields]
+
+    def test_near_midpoints_are_rounded_to_midpoints(self):
+        for field in _NEAR_MIDPOINTS:
+            whole, _, frac = field.partition(".")
+            value = Fraction(int(whole + frac), 10**len(frac))
+            twice = float(_round_to_64_bits(value))
+            assert twice != value and twice != float(field)
+
     def test_long_significand_gates_the_reader(self, read_route,
                                                monkeypatch):
-        assert cli._LONG_SIGNIFICAND == (np.finfo(np.longdouble).nmant
-                                         == 63)
+        assert cli._LONG_SIGNIFICAND == (
+            np.finfo(np.longdouble).nmant == 63
+            and np.dtype(np.longdouble).itemsize == 16
+            and sys.byteorder == "little")
         data = b"1.5,-2.25\n-0.0,.5\n0.1,0.30000000000000004\n"
         want = _outcome(_line_scan, data.decode())
         assert read_route(data) == (want, "decimal")
@@ -659,6 +721,30 @@ class TestInputKinds:
         assert got == _line_scan(text)
         assert took == (route if cli._LONG_SIGNIFICAND or route != "decimal"
                         else "loadtxt")
+
+    @pytest.mark.parametrize("hook", ["profile", "trace"])
+    @pytest.mark.parametrize("kind", ["str", "path", "redirected", "piped"])
+    def test_read_under_a_trace_or_profile_hook(self, read_route, hook,
+                                                kind):
+        # a hook holds references to the reader's arrays through frame
+        # locals, which numpy's resize counts unless told not to
+        def trace(frame, event, arg):
+            return trace
+
+        data = _format_constraints(gen2d(GenSpec(n=1000, seed=6))).encode()
+        want = read_route(data, kind)
+        assert want[1] == ("decimal" if cli._LONG_SIGNIFICAND
+                           else "loadtxt")
+        set_hook, get_hook = ((sys.setprofile, sys.getprofile)
+                              if hook == "profile"
+                              else (sys.settrace, sys.gettrace))
+        old = get_hook()
+        set_hook(trace)
+        try:
+            got = read_route(data, kind)
+        finally:
+            set_hook(old)
+        assert got == want
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_decimal_fields(self, read_route, kind):

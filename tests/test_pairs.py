@@ -11,6 +11,7 @@ and the verdicts and messages of the answer checks.
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,34 @@ class TestSequence:
         assert pairs == out and out == pairs
         assert pairs != Problem(columns(self.ROWS, 2))
         assert pairs == expand_absolute(Problem(columns(self.ROWS, 2)))
+
+    def test_whole_pair_slices_are_views(self):
+        pairs = expand_absolute(self.ROWS)
+        want = list(pairs)
+        for i in (slice(None), slice(2, 6), slice(-4, None), slice(0, 4, 1),
+                  slice(-2, 2), slice(4, 2), slice(6, 100)):
+            part = pairs[i]
+            assert part._pairs and part == want[i]
+            assert np.shares_memory(part._rows, pairs._rows) or not part
+        for i in (slice(1, 5), slice(0, 5), slice(None, None, 2),
+                  slice(None, None, -1), slice(-3, None)):
+            part = pairs[i]
+            assert not part._pairs and part == want[i]
+
+    def test_a_whole_pair_slice_of_a_large_fit_allocates_no_rows(self):
+        pairs = expand_absolute(gen2d(GenSpec(n=10**6, seed=8)))
+        tracemalloc.start()
+        try:
+            part = pairs[:10]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+        assert part._pairs and part._rows.base is not None
+        out = columns(pairs, 2)[:, :10]
+        assert part == Problem(out) and Problem(out) == part
+        got = np.asarray(part)
+        assert got.shape == (10, 2) and got.tobytes() == out.T.tobytes()
 
     def test_copies_keep_the_mark(self):
         pairs = expand_absolute(self.ROWS)
