@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -64,8 +65,7 @@ class TestParseConstraints:
             parse_constraints("# nothing here\n")
 
 
-# (text, whether loadtxt or the decimal pass reads it where '\n' alone
-# ends a line)
+# (text, whether the chunk pass reads it: the line scan reads none of it)
 PARSE_CASES = [
     ("1,0\n-1,2.5\n", True),
     ("0.1,-0.0\n5e-324,1e308\n-1.7976931348623157e308,+.5\n", True),
@@ -77,11 +77,11 @@ PARSE_CASES = [
     ("# head\n1,0\n", True),
     ("# head, with a comma\n1,0\n# tail\r\n2,3\n", True),
     ("  # head\n1 0\n", True),
-    ("  # head\n1,0\n", False),
-    ("1,0\n#\r2,3\n", False),
-    ("1,0\n   \n\t\n2,3\n", False),
-    ("1,0,\n2,3,\n", False),
-    ("1,,0\n", False),
+    ("  # head\n1,0\n", True),
+    ("1,0\n#\r2,3\n", True),
+    ("1,0\n   \n\t\n2,3\n", True),
+    ("1,0,\n2,3,\n", True),
+    ("1,,0\n", True),
     ("1,0\n,\n", False),
     ("1_0,2\n", False),
     ("0x1p3,2\n", False),
@@ -94,7 +94,7 @@ PARSE_CASES = [
     ("1 2 3\n4 5\n", False),
     ("1,2,3,4\n", False),
     ("5\n6\n", False),
-    ("1,2\r3,4\r", False),
+    ("1,2\r3,4\r", True),
     ("1\x0b2,3\n", False),
     ("1,2\x0c3,4\n", False),
     ("1,2\x1c3,4\n", False),
@@ -104,10 +104,6 @@ PARSE_CASES = [
     ("", False),
     ("\n \n", False),
 ]
-# Texts that loadtxt reads only because a lone '\r' ends a line: the reader
-# hands it the bytes in text mode, where '\r', '\r\n' and '\n' end a line as
-# they do for the line scan.
-_LONE_CR = {"1,0\n#\r2,3\n", "1,2\r3,4\r"}
 
 
 def _outcome(fn, text):
@@ -119,6 +115,15 @@ def _outcome(fn, text):
     return [tuple(v.hex() for v in row) for row in p]
 
 
+class _FromstringOnly:
+    """The tests of the class this one is mixed into, with every chunk
+    read by np.fromstring, as on hosts whose longdouble is not x87's."""
+
+    @pytest.fixture(autouse=True)
+    def _fromstring_only(self, monkeypatch):
+        monkeypatch.setattr(cli, "_LONG_SIGNIFICAND", False)
+
+
 class TestParsePaths:
     """The byte reader and the line scan read every text alike."""
 
@@ -126,13 +131,13 @@ class TestParsePaths:
     def test_same_as_line_scan(self, text, fast, monkeypatch):
         scans = []
 
-        def counted(t):
-            scans.append(t)
-            return _line_scan(t)
+        def counted(*args):
+            scans.append(args)
+            return _line_scan(*args)
 
         monkeypatch.setattr(cli, "_parse_lines", counted)
         assert _outcome(parse_constraints, text) == _outcome(_line_scan, text)
-        assert (not scans) == (fast or text in _LONE_CR)
+        assert (not scans) == fast
 
     @pytest.mark.parametrize("text,fast", PARSE_CASES)
     def test_leading_byte_order_mark_is_dropped(self, text, fast,
@@ -141,10 +146,10 @@ class TestParsePaths:
         # the route that reads it, are those without it.
         scans = []
         monkeypatch.setattr(cli, "_parse_lines",
-                            lambda t: scans.append(t) or _line_scan(t))
+                            lambda *a: scans.append(a) or _line_scan(*a))
         assert (_outcome(parse_constraints, "\ufeff" + text)
                 == _outcome(_line_scan, text))
-        assert (not scans) == (fast or text in _LONE_CR)
+        assert (not scans) == fast
 
     @pytest.mark.parametrize("text,line", [("\ufeff\ufeff1,0\n", 1),
                                            ("1,0\n\ufeff2,3\n", 2),
@@ -154,13 +159,7 @@ class TestParsePaths:
             parse_constraints(text)
 
     def test_random_texts(self):
-        rng = random.Random(5)
-        pieces = ["1", "-2.5", "0", "1e3", "+", ",", " ", ",", "\n", "\n",
-                  "\r\n", "\r", "\t", "#", "nan", "1_0", "\x0b", "\x1f",
-                  "\u2028", "e", "."]
-        for _ in range(3000):
-            text = "".join(rng.choice(pieces)
-                           for _ in range(rng.randint(0, 14)))
+        for text in _random_texts():
             assert (_outcome(parse_constraints, text)
                     == _outcome(_line_scan, text)), repr(text)
 
@@ -201,6 +200,10 @@ class TestParsePaths:
             assert got.tobytes() == old.tobytes()
 
 
+class TestParsePathsFromstring(_FromstringOnly, TestParsePaths):
+    pass
+
+
 def _random_texts():
     """test_random_texts' corpus."""
     rng = random.Random(5)
@@ -219,7 +222,7 @@ def read_from_path(monkeypatch, tmp_path):
     decoded = []
     decode = cli._decode
     monkeypatch.setattr(cli, "_decode",
-                        lambda data: decoded.append(1) or decode(data))
+                        lambda *args: decoded.append(1) or decode(*args))
     path = tmp_path / "c.txt"
 
     def read(data: bytes):
@@ -239,7 +242,7 @@ class TestParseFiles:
     def test_same_as_line_scan(self, read_from_path, text, fast, bom):
         got, from_path = read_from_path(bom + text.encode())
         assert got == _outcome(_line_scan, text)
-        assert from_path == (fast or text in _LONE_CR)
+        assert from_path == fast
 
     @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
     def test_random_texts(self, read_from_path, bom):
@@ -252,7 +255,7 @@ class TestParseFiles:
         (b"1,2\n3,4\n5,\xc3\xa96\n", False),
         (b"1,2\n3,4\n5\x0b6,7\n", False),
         (b"1,2\n3,4\n5,6 # note\n", False),
-        # a comment line across chunk boundaries, read by loadtxt
+        # a comment line across chunk boundaries, read by the chunk pass
         (b"1,2\n# one comment # and more\n3,4\n", True),
         (b"1 2\n \t# one comment\r3 4\n", True),
         (b"1 2\n \t# one comment\r3 4 # and more\n", False),
@@ -276,31 +279,9 @@ class TestParseFiles:
         got, _ = read_from_path(b"1,2\n3,4\n5,6\n7,inf\n")
         assert got == (ParseError, "line 4: non-finite value", 4)
 
-    def test_file_changed_after_its_checks_is_read_as_text(self, tmp_path,
-                                                           monkeypatch):
-        # A row appended once the checks have read the file, with a '#'
-        # they would have turned down: loadtxt takes it as a comment, the
-        # line scan names its line.  The rows are integers, without the '.'
-        # the decimal reader needs, so loadtxt reads the file.
-        path = tmp_path / "grow.txt"
-        path.write_bytes(b"1,0\n-1,2\n")
-        loadtxt = cli._loadtxt
-        appended = []
-
-        def append_then_load(source, *args, **kwargs):
-            with open(path, "ab") as f:
-                f.write(b"5,6 # note\n")
-            appended.append(source)
-            return loadtxt(source, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "_loadtxt", append_then_load)
-        with pytest.raises(ParseError) as err:
-            parse_constraints(path)
-        assert err.value.line == 3
-        assert len(appended) == 1
-
     def test_compressed_names_are_read_as_text(self, tmp_path):
-        # loadtxt reads the opened file, so a .gz name is not decompressed
+        # the reader reads the opened file, so a .gz name is not
+        # decompressed
         path = tmp_path / "p.txt.gz"
         path.write_text("1,0\n-1,2\n")
         assert parse_constraints(path) == [Constraint2(1, 0),
@@ -317,9 +298,9 @@ class TestParseFiles:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
     def test_fifo_is_read_once(self, tmp_path, capsys):
-        # A FIFO can be read only once, so it is read whole, as bytes:
-        # parse_constraints and solve2d read it as they read the same text
-        # from a regular file.
+        # A FIFO can be read only once, and it is: parse_constraints and
+        # solve2d read it as they read the same text from a regular
+        # file.
         text = _format_constraints(gen2d(GenSpec(n=2000, seed=6)))
         path = tmp_path / "p.txt"
         path.write_text(text)
@@ -334,6 +315,10 @@ class TestParseFiles:
         assert got == parse_constraints(path)
 
 
+class TestParseFilesFromstring(_FromstringOnly, TestParseFiles):
+    pass
+
+
 def _decimal_fields(seed: int) -> list[str]:
     """Over 10**6 fields with one '.' each, for the decimal reader.
 
@@ -344,6 +329,10 @@ def _decimal_fields(seed: int) -> list[str]:
       the 17-, 18- and 19-digit decimals just below and just above it
       (within 1e-17 of it, relatively), where a quotient rounded to 64
       bits can land on the midpoint;
+    - values in 1e-5..0.1 after leading zeros: reprs of up to 17
+      significant digits, and around midpoints of two doubles the 19
+      significant digits just below and just above it, with m of 20 to
+      23 digits after the '.';
     - zeros of either sign, an empty integer or fraction part, leading
       zeros, '+', exponents, 18 and 19 digits.
     """
@@ -383,6 +372,16 @@ def _decimal_fields(seed: int) -> list[str]:
             unit = decimal.Decimal(1).scaleb(-len(below.partition(".")[2]))
             above = format(exact.add(decimal.Decimal(below), unit), "f")
             fields += [below, above if "." in above else above + "."]
+    for _ in range(50_000):
+        x = 10 ** rng.uniform(-5, -1)
+        fields.append(format(decimal.Decimal(repr(x)), "f"))
+        mid = exact.add(decimal.Decimal(x),
+                        exact.divide(decimal.Decimal(math.ulp(x)), 2))
+        frac = format(mid, "f").partition(".")[2]
+        below = "0." + frac[:len(frac) - len(frac.lstrip("0")) + 19]
+        unit = decimal.Decimal(1).scaleb(2 - len(below))
+        fields += [below, format(exact.add(decimal.Decimal(below), unit),
+                                 "f")]
     return fields
 
 
@@ -407,8 +406,9 @@ def _round_to_64_bits(value: Fraction) -> Fraction:
 
 
 class TestDecimalFiles:
-    """Files of plain decimals are read by _DecimalRows as float() reads
-    each field, and every other file as before."""
+    """Files of decimals are read by _DecimalRows as float() reads each
+    field: plain decimals by division on x87, any other lines by
+    np.fromstring, and lines both turn down by the line scan."""
 
     def test_a_million_fields_read_as_float_reads_them(self):
         fields = _decimal_fields(7)
@@ -431,13 +431,15 @@ class TestDecimalFiles:
         (b"1.5,-2.25\n3.5,4.5", "decimal"),
         (b"+1.5,9.1e-05\n-9.1E-05,1234567890123456789.5\n", "decimal"),
         (b"123456789012345678.,.123456789012345678\n", "decimal"),
+        (b"0.000123456789012345678,-0.0000000000000000000000123\n",
+         "decimal"),
         (b"1e-05,2.5\n", "decimal"),
         (b"5e+16,-1E5\n+2e0,1.5\n", "decimal"),
         (b"1.5,2.5\n1e5e5,1.0\n", "text"),
         (b"1.5,2.5\ne5,1.0\n", "text"),
         (b"1.5,2.5\n1e,1.0\n", "text"),
         (b"1e400,1.0\n", "text"),
-        (b"1,0\n-1,2.5\n", "loadtxt"),
+        (b"1,0\n-1,2.5\n", "decimal"),
         (b"-.,1.0\n", "text"),
         (b".,1.0\n", "text"),
         (b"-,1.0\n", "text"),
@@ -446,14 +448,20 @@ class TestDecimalFiles:
         (b"1.5,2.5\n3.5,4.5,5.5\n", "text"),
         (b"1.0\n2.0\n", "text"),
         (b"1.0,2.0,3.0,4.0\n", "text"),
-        (b"1.5,2.5\r\n3.5,4.5\r\n", "loadtxt"),
-        (b"1.5, 2.5\n", "loadtxt"),
-        (b"1.5,2.5\n\n3.5,4.5\n", "decimal"),
-        (b"\n\n1.5,2.5\n3.5,4.5\n\n\n", "decimal"),
-        (b"\xef\xbb\xbf\n1.5,2.5\n\n\n\n\n3.5,4.5", "decimal"),
+        (b"1.5,2.5\r\n3.5,4.5\r\n", "decimal"),
+        (b"1.5, 2.5\n", "fromstring"),
+        (b"1.5\t2.5\n\x1f3.5  4.5 \n", "fromstring"),
+        (b"1.5,2.5\n\n3.5,4.5\n", "fromstring"),
+        (b"\n\n1.5,2.5\n3.5,4.5\n\n\n", "fromstring"),
+        (b"\xef\xbb\xbf\n1.5,2.5\n\n\n\n\n3.5,4.5", "fromstring"),
+        (b"# head\n1.5,2.5\n \t# note\n3.5,4.5\n", "fromstring"),
         (b"\n\n\n", "text"),
-        (b"1.5,2.5\n \n3.5,4.5\n", "text"),
-        (b"1.5,2.5,\n", "text"),
+        (b"# head\n", "text"),
+        (b"1.5,2.5\n \n3.5,4.5\n", "fromstring"),
+        (b"1.5,2.5,\n", "fromstring"),
+        (b"1.5,,2.5\n", "fromstring"),
+        (b"1.5,2.5\n,\n", "text"),
+        (b"1.5,2.5 # note\n", "text"),
         (b"1.5.5,2.5\n", "text"),
         (b"1.-5,2.5\n", "text"),
         (b"--1.5,2.5\n", "text"),
@@ -462,8 +470,8 @@ class TestDecimalFiles:
         (b"0x1.8p1,2.5\n", "text"),
         (b"1.5,2.5x\n", "text"),
         (b"1.5,2.5\n3.5,4.5x\n", "text"),
-        (b"1.5,2.5\r3.5,4.5\r", "loadtxt"),
-        (b"1.5,2.5\n3.5,4.5\r", "loadtxt"),
+        (b"1.5,2.5\r3.5,4.5\r", "decimal"),
+        (b"1.5,2.5\n3.5,4.5\r", "decimal"),
         (b"", "text"),
     ])
     @pytest.mark.parametrize("chunk", [1, 3, 8, 1 << 16])
@@ -473,20 +481,25 @@ class TestDecimalFiles:
         monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
         got, read = read_route(data)
         assert got == _outcome(_line_scan, data.decode("utf-8-sig"))
-        assert read == route
+        assert read == _on_this_host(route)
 
     @pytest.mark.parametrize("fields", [
-        # 19 digits, N >= 2**63; the second has 20 with its leading zero
+        # 19 digits, N >= 2**63, the second after a leading zero
         ["9.999999999999999999", "-0.9223372036854775808",
          "-.9223372036854775808", "9223372036854775808."],
         # N = 10**19 - 1
         ["9999999999999999999.", ".9999999999999999999",
          "-999999999.9999999999", "1.0"],
-        # 20 digits and more, read by float(); the first three hold more
-        # than a uint64 does
+        # 20 significant digits and more, read by float(); the first three
+        # hold more than a uint64 does
         ["99999999999999999999.", "-18446744073709551616.",
          "12345678901234567890.5", "-1234567890123456789.0",
-         "0.00000000000000000001", "1.0"],
+         "1.0000000000000000000", "1.0"],
+        # leading zeros: N of 1 and 19 digits, m of 20 to 23 (read by
+        # float() past 22)
+        ["0.00000000000000000001", "-0.0000000000000000000001",
+         "0.00000000000000000000001", "-000.0001234567890123456789",
+         "0.0009999999999999999999", "0.00009999999999999999999"],
         # exact midpoints of two doubles, 18 and 19 digits
         ["2251799813685248.25", "-2251799813685248.75",
          "9007199254740993.00", "1125899906842624.125",
@@ -503,9 +516,33 @@ class TestDecimalFiles:
         data = "".join(f"{a},{b}\n" for a, b in
                        zip(fields[::2], fields[1::2])).encode()
         got, route = read_route(data)
-        assert route == ("decimal" if cli._LONG_SIGNIFICAND else "loadtxt")
+        assert route == _on_this_host("decimal")
         assert [v for row in got for v in row] == [
             float(f).hex() for f in fields]
+
+    def test_leading_zeros_are_not_digits(self, monkeypatch):
+        # a gen file's values in [1e-4, 1e-2) are written after two or
+        # three zeros; with up to 17 significant digits they are divided
+        # out, not read by float() one at a time
+        text = _format_constraints(gen2d(GenSpec(n=100_000, seed=3)))
+        fields = text.replace("\n", ",").split(",")[:-1]
+        lead = [f for f in fields
+                if "e" not in f and len(f.replace("-", "").replace(".", ""))
+                > 19]
+        assert len(lead) > 100
+        read = []
+        float_ = float
+
+        class Counted(float):
+            def __new__(cls, field):
+                read.append(field)
+                return float_(field)
+
+        monkeypatch.setattr(cli, "float", Counted, raising=False)
+        got = cli.parse_constraints(text)
+        assert np.asarray(got).ravel().tolist() == list(map(float_, fields))
+        # only those whose quotients land on a midpoint (1 in 2048)
+        assert len(set(map(bytes.decode, read)) & set(lead)) * 50 < len(lead)
 
     def test_near_midpoints_are_rounded_to_midpoints(self):
         for field in _NEAR_MIDPOINTS:
@@ -522,20 +559,30 @@ class TestDecimalFiles:
             and sys.byteorder == "little")
         data = b"1.5,-2.25\n-0.0,.5\n0.1,0.30000000000000004\n"
         want = _outcome(_line_scan, data.decode())
-        assert read_route(data) == (want, "decimal")
+        assert read_route(data) == (want, _on_this_host("decimal"))
         monkeypatch.setattr(cli, "_LONG_SIGNIFICAND", False)
-        assert read_route(data) == (want, "loadtxt")
+        assert read_route(data) == (want, "fromstring")
 
     @pytest.mark.parametrize("data", [b"1.5,2.5x\n", b"1.5,2.5\n3.5,4.5x\n",
                                       b"1.5,2.5\n3.5,4x.5\n"])
     def test_bad_last_field_where_fromstring_reads_a_prefix(
             self, read_route, monkeypatch, data):
         # Older numpy's fromstring only warns at a byte it cannot read and
-        # returns the numbers before it; the reader turns the file down
-        # before it asks.
+        # returns the numbers before it, the first digits of that field
+        # among them; the reader turns the file down before it asks.
         def prefix(text, dtype, sep):
-            return np.array([int(t) for t in text.split(b"|")[0].split(
-                sep.encode()) if t], dtype)
+            number = re.compile(rb"[0-9]+" if np.dtype(dtype).kind == "u"
+                                else rb"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)"
+                                     rb"([eE][-+]?[0-9]+)?")
+            values = []
+            for token in text.replace(sep.encode(), b" ").split():
+                read = number.match(token)
+                if read:
+                    values.append(read[0])
+                if not read or read.end() < len(token):
+                    break
+            return np.array([(int if np.dtype(dtype).kind == "u"
+                              else float)(v) for v in values], dtype)
 
         monkeypatch.setattr(np, "fromstring", prefix)
         got, route = read_route(data)
@@ -545,25 +592,15 @@ class TestDecimalFiles:
     def test_exponent_field_in_the_last_chunk(self, read_route):
         # repr writes some round values with an exponent and no '.'; one
         # such field, in the last chunk of a 1e5-row file, is read by
-        # float() where the file would otherwise be turned down and read
-        # again by loadtxt
+        # float() where the chunk would otherwise go to np.fromstring
         lines = _format_constraints(
             gen2d(GenSpec(n=100_000, seed=5))).splitlines(keepends=True)
         lines[-3] = f"{1e-05!r},{5e16!r}\n"
         data = "".join(lines).encode()
         assert b"1e-05,5e+16\n" in data[-cli._READ_CHUNK:]
         got, route = read_route(data)
-        assert route == ("decimal" if cli._LONG_SIGNIFICAND else "loadtxt")
+        assert route == _on_this_host("decimal")
         assert got == _outcome(_line_scan, data.decode())
-
-    def test_no_line_is_held_past_the_long_line_bound(self, monkeypatch):
-        monkeypatch.setattr(cli, "_LONG_LINE", 100)
-        reader = cli._DecimalRows(1000)
-        assert reader.feed(b"1.5,2.5\n" + b"1" * 60)
-        assert reader.feed(b"1" * 40)
-        assert not reader.feed(b"1")
-        # a '\r' turns the file down in the chunk that holds it
-        assert not cli._DecimalRows(1000).feed(b"1.5,2.5\r")
 
     @pytest.mark.parametrize("dim,n", [(2, 1000), (2, 100_000), (3, 1000),
                                        (3, 10_000)])
@@ -574,12 +611,20 @@ class TestDecimalFiles:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             old = np.loadtxt(path, ndmin=2, delimiter=",")
-        monkeypatch.setattr(cli, "_loadtxt", None)
+        if cli._LONG_SIGNIFICAND:  # every chunk is divided out
+            monkeypatch.setattr(cli._DecimalRows, "_fromstring", None)
         monkeypatch.setattr(cli, "_decode", None)
         got = np.asarray(parse_constraints(path))
         want = np.asarray((gen2d if dim == 2 else gen3d)(
             GenSpec(n=n, seed=3, dim=dim)))
         assert got.tobytes() == want.tobytes() == old.tobytes()
+
+
+class TestDecimalFilesFromstring(_FromstringOnly, TestDecimalFiles):
+    # the division's own checks
+    test_near_midpoints_are_rounded_to_midpoints = None
+    test_long_significand_gates_the_reader = None
+    test_leading_zeros_are_not_digits = None
 
 
 # The kinds of input parse_constraints reads: text, a path, a FIFO, and
@@ -592,14 +637,19 @@ def read_route(monkeypatch, tmp_path):
     """A function of an input's bytes and a kind of input (a file's path by
     default): ``outcome(parse_constraints, source)`` (_outcome by default)
     on those bytes given as that kind, and the route that read them:
-    "decimal" (_DecimalRows), "loadtxt" or "text" (decoded, or non-ASCII
-    text, read by the line scan)."""
+    "decimal" (every chunk divided out by _DecimalRows), "fromstring"
+    (some chunk read by np.fromstring) or "text" (decoded, or non-ASCII
+    text, read by the line scan, from some line on)."""
     routes = []
-    scan, loadtxt = cli._parse_lines, cli._loadtxt
+    scan = cli._parse_lines
     monkeypatch.setattr(cli, "_parse_lines",
-                        lambda text: routes.append("text") or scan(text))
-    monkeypatch.setattr(cli, "_loadtxt", lambda *args, **kwargs:
-                        routes.append("loadtxt") or loadtxt(*args, **kwargs))
+                        lambda *args: routes.append("text") or scan(*args))
+    for name, route in (("_divide", "decimal"), ("_fromstring", "fromstring")):
+        def counted(self, lines, convert=getattr(cli._DecimalRows, name),
+                    route=route):
+            return convert(self, lines) and not routes.append(route)
+
+        monkeypatch.setattr(cli._DecimalRows, name, counted)
     path = tmp_path / "d.txt"
 
     def read(data: bytes, kind: str = "path", outcome=_outcome):
@@ -618,11 +668,17 @@ def read_route(monkeypatch, tmp_path):
             else:
                 with open(path, "rb") as f:
                     got = parse(f)
-        # loadtxt may turn the input down before the line scan reads it
         return got, ("text" if "text" in routes else
-                     "loadtxt" if routes else "decimal")
+                     "fromstring" if "fromstring" in routes else "decimal")
 
     return read
+
+
+def _on_this_host(route: str) -> str:
+    """``route`` as it is where _LONG_SIGNIFICAND is as it stands: without
+    it, np.fromstring reads what would be divided out."""
+    return ("fromstring" if route == "decimal" and not cli._LONG_SIGNIFICAND
+            else route)
 
 
 def _fifo_read(fifo, data: bytes, read, *args):
@@ -684,7 +740,7 @@ class TestInputKinds:
         got, route = read_route((bom + text).encode(), kind)
         assert got == _outcome(_line_scan, text)
         assert route == read_route(text.encode(), "str")[1]
-        assert (route != "text") == (fast or text in _LONE_CR)
+        assert (route != "text") == fast
 
     @pytest.mark.parametrize("kind", KINDS[1:])
     def test_random_texts(self, read_route, kind):
@@ -698,19 +754,18 @@ class TestInputKinds:
                                        (2, 1_000_000), (3, 1000),
                                        (3, 100_000)])
     def test_gen_files_read_bitwise(self, read_route, dim, n, kind):
-        cs = (gen2d if dim == 2 else gen3d)(GenSpec(n=n, seed=4, dim=dim))
-        got, route = read_route(_format_constraints(cs).encode(), kind,
-                                lambda parse, source:
+        rows, data = _gen_text(dim, n)
+        got, route = read_route(data, kind, lambda parse, source:
                                 np.asarray(parse(source)).tobytes())
-        assert route == ("decimal" if cli._LONG_SIGNIFICAND else "loadtxt")
-        assert got == np.asarray(cs).tobytes()
+        assert route == _on_this_host("decimal")
+        assert got == rows
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("text,route", [
         ("1.5,-2.25\n-3.0,4.125\n5.0,6.5\n", "decimal"),
         ("1.5,-2.25,0.5\n-3.0,4.125,1.0\n", "decimal"),
-        ("1.5 -2.25\n-3 4\n5 6\n", "loadtxt"),
-        ("1.5 -2.25 1\r\n-3 4 2\r\n", "loadtxt"),
+        ("1.5 -2.25\n-3 4\n5 6\n", "fromstring"),
+        ("1.5 -2.25 1\r\n-3 4 2\r\n", "fromstring"),
         ("# \u00e9\n1.5,-2.25\n-3,4\n5,6\n", "text"),
         ("# \u00e9\n1.5,-2.25,1\n-3,4,2\n", "text")])
     def test_every_route_builds_one_array(self, read_route, text, route,
@@ -719,8 +774,7 @@ class TestInputKinds:
                                lambda parse, source: parse(source))
         assert_one_array(got)
         assert got == _line_scan(text)
-        assert took == (route if cli._LONG_SIGNIFICAND or route != "decimal"
-                        else "loadtxt")
+        assert took == _on_this_host(route)
 
     @pytest.mark.parametrize("hook", ["profile", "trace"])
     @pytest.mark.parametrize("kind", ["str", "path", "redirected", "piped"])
@@ -733,8 +787,7 @@ class TestInputKinds:
 
         data = _format_constraints(gen2d(GenSpec(n=1000, seed=6))).encode()
         want = read_route(data, kind)
-        assert want[1] == ("decimal" if cli._LONG_SIGNIFICAND
-                           else "loadtxt")
+        assert want[1] == _on_this_host("decimal")
         set_hook, get_hook = ((sys.setprofile, sys.getprofile)
                               if hook == "profile"
                               else (sys.settrace, sys.gettrace))
@@ -750,9 +803,120 @@ class TestInputKinds:
     def test_decimal_fields(self, read_route, kind):
         fields, data = _decimal_rows()
         got, route = read_route(data, kind)
-        assert route == ("decimal" if cli._LONG_SIGNIFICAND else "loadtxt")
+        assert route == _on_this_host("decimal")
         assert [v for row in got for v in row] == [
             float(f).hex() for f in fields]
+
+
+@cache
+def _gen_text(dim: int, n: int) -> tuple[bytes, bytes]:
+    """The bytes of the rows of gen's instance of ``n`` rows in ``dim``
+    dimensions, seed 4, and its text."""
+    cs = (gen2d if dim == 2 else gen3d)(GenSpec(n=n, seed=4, dim=dim))
+    return np.asarray(cs).tobytes(), _format_constraints(cs).encode()
+
+
+class TestInputKindsFromstring(_FromstringOnly, TestInputKinds):
+    pass
+
+
+@pytest.fixture(params=["decimal", "fromstring"])
+def converter(request, monkeypatch):
+    """The route of plain decimals: divided out on x87, where the host has
+    it, or read by np.fromstring, as on every other host."""
+    if request.param == "decimal" and not cli._LONG_SIGNIFICAND:
+        pytest.skip("longdouble is not x87's extended format here")
+    monkeypatch.setattr(cli, "_LONG_SIGNIFICAND", request.param == "decimal")
+    return request.param
+
+
+@pytest.fixture
+def handed_over(monkeypatch):
+    """What the chunk pass hands the line scan: the calls of _decode and
+    _parse_lines, as (bytes or text, first line's number - 1)."""
+    calls = {"decode": [], "scan": []}
+    decode, scan = cli._decode, cli._parse_lines
+
+    def decoded(data, start=0):
+        calls["decode"].append((data, start))
+        return decode(data, start)
+
+    def scanned(text, start=0, *args):
+        calls["scan"].append((text, start))
+        return scan(text, start, *args)
+
+    monkeypatch.setattr(cli, "_decode", decoded)
+    monkeypatch.setattr(cli, "_parse_lines", scanned)
+    return calls
+
+
+def _first_line_of_chunk(data: bytes, at: int) -> int:
+    """Where the lines that the chunk holding byte ``at`` ends begin: past
+    the last '\n' before that chunk, read after the 3 bytes of a possible
+    byte-order mark."""
+    begin = 3 + (at - 3) // cli._READ_CHUNK * cli._READ_CHUNK
+    return data.rfind(b"\n", 0, begin) + 1
+
+
+def _scan_whole(data: bytes):
+    """The line scan's outcome on all of ``data``, decoded."""
+    return _outcome(lambda d: _line_scan(cli._decode(d)), data)
+
+
+class TestResumedScan:
+    """Where the chunk pass turns a chunk down, the line scan reads from
+    its first line on, and gives what a scan of the whole text gives."""
+
+    @pytest.mark.parametrize("bad", [b"1.5,zero", b"1.5,\xff2", b"1e999,1.0",
+                                     b"1_0,2.5", b"1.5,2.5,3.5"])
+    def test_a_bad_line_in_the_last_chunk(self, converter, handed_over,
+                                          tmp_path, bad):
+        data = bytearray(_gen_text(2, 100_000)[1])
+        at = data.rfind(b"\n", 0, len(data) - 100) + 1
+        data[at:data.index(b"\n", at)] = bad
+        data = bytes(data)
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        got = _outcome(parse_constraints, path)
+        assert got == _scan_whole(data)
+        if bad == b"1_0,2.5":  # float() reads it: the rows are whole
+            assert len(got) == 100_000
+            assert_one_array(parse_constraints(path))
+        else:
+            assert got[2] == data[:at].count(b"\n") + 1
+        first = _first_line_of_chunk(data, at)
+        assert first > 0.9 * len(data)
+        assert handed_over["decode"][0] == (data[first:],
+                                            data[:first].count(b"\n"))
+
+    def test_crlf_split_across_a_chunk_edge(self, converter, handed_over,
+                                            tmp_path):
+        lines = [f"{i}.5,-{i}.25\r\n" for i in range(20_000)]
+        data = "".join(lines).encode()
+        # the '\r' of some line made the last byte of the first chunk
+        edge = 3 + cli._READ_CHUNK
+        pad = edge - 1 - data.rfind(b"\r", 0, edge - 1)
+        lines[0] = "0.5" + "0" * pad + ",-0.25\r\n"
+        data = "".join(lines).encode()
+        assert data[edge - 1:edge + 1] == b"\r\n"
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(data)
+        assert _outcome(parse_constraints, path) == _scan_whole(data)
+        assert handed_over["scan"] == []
+        # a bad line after the edge is named by its number
+        lines[-2] = "1.5,zero\r\n"
+        data = "".join(lines).encode()
+        path.write_bytes(data)
+        got = _outcome(parse_constraints, path)
+        assert got == _scan_whole(data) and got[2] == len(lines) - 1
+
+    def test_comment_lines_only(self, converter, handed_over, tmp_path):
+        path = tmp_path / "comments.txt"
+        path.write_bytes(b"# head, 1\r\n  \t# 2,3\n\n#\r# 4 5")
+        with pytest.raises(EmptyProblem):
+            parse_constraints(path)
+        # read by the chunk pass: the line scan has no text left
+        assert handed_over["scan"] == [("", 5)]
 
 
 @cache

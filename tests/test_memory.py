@@ -1,6 +1,6 @@
 """Scratch memory, traced by tracemalloc: the formatter streams, the
-parser holds one byte copy of its text, the file reader one copy of its
-rows and a pipe's reader its bytes besides, neither a problem's build nor
+parser holds one byte copy of its text, the file and the pipe reader one
+copy of their rows and a few chunks, neither a problem's build nor
 the generator copies its columns more than once, the 2D solver holds one
 copy of its input, and the answer checks and the objective hold a few
 blocks of rows."""
@@ -46,13 +46,13 @@ def test_parse_holds_one_byte_copy():
 def test_file_reader_holds_its_rows_and_a_few_chunks(tmp_path,
                                                      monkeypatch):
     # A gen file is read by _DecimalRows into one array sized from the
-    # file's size, a sixteenth over, and grown in place; each chunk's
+    # file's size, a sixteenth over, and shrunk in place; each chunk's
     # scratch is a few times its size.  Rows gathered chunk by chunk and
     # joined at the end would hold them twice.
     path = tmp_path / "g.txt"
     assert cli.main(["gen", "--n", "100000", "--seed", "1",
                      "--out", str(path)]) == 0
-    monkeypatch.setattr(cli, "_loadtxt", None)  # the decimal reader only
+    monkeypatch.setattr(cli, "_parse_lines", None)  # the chunk pass only
     rows = 100_000 * 2 * 8
     assert (_peak(cli.parse_constraints, path)
             <= 17 / 16 * rows + 12 * cli._READ_CHUNK)
@@ -60,10 +60,11 @@ def test_file_reader_holds_its_rows_and_a_few_chunks(tmp_path,
 
 def test_stream_reader_holds_its_bytes_and_rows_and_a_few_chunks(
         monkeypatch):
-    # A pipe is read whole, as bytes, and then read as a file is: no
-    # decoded copy of its text is held.
+    # A pipe is read as its chunks arrive, as a file is, into one array
+    # grown in place a sixteenth over what it holds, since its size is not
+    # known: neither its bytes nor a decoded copy of its text are held.
     data = cli._format_constraints(gen2d(GenSpec(n=100_000, seed=1))).encode()
-    monkeypatch.setattr(cli, "_loadtxt", None)  # the decimal reader only
+    monkeypatch.setattr(cli, "_parse_lines", None)  # the chunk pass only
     r, w = os.pipe()
 
     def write():
@@ -77,31 +78,22 @@ def test_stream_reader_holds_its_bytes_and_rows_and_a_few_chunks(
     writer.join(30)
     assert not writer.is_alive()
     rows = 100_000 * 2 * 8
-    assert peak <= len(data) + 17 / 16 * rows + 12 * cli._READ_CHUNK
+    assert peak <= 17 / 16 * rows + 12 * cli._READ_CHUNK
 
 
-@pytest.mark.parametrize("end", [b"\r", b""])
+@pytest.mark.parametrize("end", [b"\r"])
 def test_file_reader_holds_no_unended_line(tmp_path, monkeypatch, end):
-    # A file with no '\n', of '\r'-ended lines or one long line, is turned
-    # down at its first '\r' or past _LONG_LINE bytes, before the decimal
-    # reader holds it whole; the peak is taken up to loadtxt's read.
+    # A file with no '\n', of '\r'-ended lines, is converted a chunk at a
+    # time as a '\n'-ended one is: no line of it is held past its chunk.
     path = tmp_path / "g.txt"
-    path.write_bytes(b"".join(f"{i}.5,-{i}.25".encode() + (end or b",")
-                              for i in range(100_000)))
-
-    class Loadtxt(Exception):
-        pass
-
-    def loadtxt(*args):
-        raise Loadtxt
-
-    def read():
-        with pytest.raises(Loadtxt):
-            cli.parse_constraints(path)
-
-    monkeypatch.setattr(cli, "_loadtxt", loadtxt)
-    assert path.stat().st_size > 1e6
-    assert _peak(read) <= 4 * cli._LONG_LINE
+    assert cli.main(["gen", "--n", "100000", "--seed", "1",
+                     "--out", str(path)]) == 0
+    path.write_bytes(path.read_bytes().replace(b"\n", end))
+    monkeypatch.setattr(cli, "_parse_lines", None)  # the chunk pass only
+    assert b"\n" not in path.read_bytes()
+    rows = 100_000 * 2 * 8
+    assert (_peak(cli.parse_constraints, path)
+            <= 17 / 16 * rows + 12 * cli._READ_CHUNK)
 
 
 def _held(fn, *args) -> tuple[int, int]:
