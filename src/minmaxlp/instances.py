@@ -28,6 +28,12 @@ __all__ = ["GenSpec", "gen2d", "gen3d"]
 
 _MASK64 = (1 << 64) - 1
 _TWO_PI = 2.0 * math.pi
+# Rows formed at a time: the generator's scratch is 4(k - 1) columns of
+# this many rows whatever n is, 256 KB for gen2d and 512 KB for gen3d.
+# In fresh processes on x86-64 with numpy 2.4, it took 0.67-0.77x the time
+# of blocks of 32768 rows for 1e5-row instances and for gen3d(1e6), and no
+# longer in a process that had generated before.
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -56,26 +62,31 @@ def _gaussians(seed: int, index: int, n: int, sigma: float,
     Row i takes pair i, sigma * (z0, z1), for k = 2, and pairs 2i and
     2i + 1, sigma * (z0, z1, z0'), for k = 3: each pair's two uniforms are
     read as strided views, so each column is formed apart, and z1' is never
-    formed.
+    formed.  The rows are formed ``_BLOCK`` at a time, from successive
+    draws of the one generator, which continue its stream: every value is
+    the one a single draw of all the uniforms would give.
     """
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
     step = 2 * (k - 1)  # uniforms a row
-    u = np.random.Generator(np.random.Philox(key=key)).random(step * n)
+    out = np.empty((k, n))
     # The steps of sigma * (r * cos(ang)), sigma * (r * sin(ang)), each on
     # the same operands as written, with the exactly rounded ones in place:
-    # at most 4(k - 1) columns of n are held at once, the uniforms counting
-    # as 2(k - 1), and the output is allocated once they are freed.
-    rs = [np.log1p(np.negative(u[i::step])) for i in range(0, step, 2)]
-    angs = [np.multiply(_TWO_PI, u[i::step]) for i in range(1, step, 2)]
-    del u
-    for r in rs:
-        np.multiply(-2.0, r, out=r)
-        np.sqrt(r, out=r)
-    out = np.empty((k, n))
-    for row, (p, f) in zip(out, ((0, np.cos), (0, np.sin), (1, np.cos))):
-        f(angs[p], out=row)
-        row *= rs[p]
-        row *= sigma
+    # besides the output, 4(k - 1) columns of one block are held at once,
+    # the uniforms counting as 2(k - 1).
+    for s in range(0, n, _BLOCK):
+        block = out[:, s:s + _BLOCK]
+        u = gen.random(step * block.shape[1])
+        rs = [np.log1p(np.negative(u[i::step])) for i in range(0, step, 2)]
+        angs = [np.multiply(_TWO_PI, u[i::step]) for i in range(1, step, 2)]
+        del u
+        for r in rs:
+            np.multiply(-2.0, r, out=r)
+            np.sqrt(r, out=r)
+        for row, (p, f) in zip(block, ((0, np.cos), (0, np.sin), (1, np.cos))):
+            f(angs[p], out=row)
+            row *= rs[p]
+            row *= sigma
     return out
 
 

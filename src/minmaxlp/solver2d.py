@@ -27,14 +27,18 @@ constraints so, and hands over its array without a copy).  Below
 as Python lists, and takes the sides, their counts and the start point
 from those lists, with no numpy mask; ``expand_absolute`` writes a short
 list of float rows straight into its problem's (2, n) array.  From there
-on ``_solve`` runs the start search and the scans in numpy, on one
-side-ordered copy of the columns: a (2, n) buffer of the left rows, then
-the right rows, each in input order, which the scans read as slices and
-the pivots index.  It is filled, and each scan reads it, in blocks of
-``_BLOCK`` rows, so a solve holds its input's size once and a few blocks
-besides.  Both decide the sides, UNBOUNDED, the constant answer and the
-x-mirror, which solves slopes all <= 0 as their negation and reports
-each dual point with its x times a sign of -1.0.
+on the start search and the scans run in numpy.  Up to two blocks of
+``_BLOCK`` rows, ``_solve`` copies the columns once, side by side: a
+(2, n) buffer of the left rows, then the right rows, each in input order,
+which the scans read as slices and the pivots index.  Larger problems are
+read where they lie (``_solve_blocks``): one pass over blocks of
+``_BLOCK`` rows records each side as offsets within their blocks, two
+bytes a row, and finds the start point and the range of all values; each
+scan of a side gathers it through those offsets a block at a time, in
+input order.  So a solve holds its input once, and its offsets and a few
+blocks besides.  Every path decides the sides, UNBOUNDED, the constant
+answer and the x-mirror, which solves slopes all <= 0 as their negation
+and reports each dual point with its x times a sign of -1.0.
 
 A pairs problem (``expand_absolute``, the residuals |a*x + c|) is solved
 on its n rows (``_solve_pairs``): the dual points of a row's pair are
@@ -90,10 +94,14 @@ __all__ = [
 # stays here, between the small fits of 8-12 residuals below it and
 # Gaussian problems of 1e3 constraints and more far above it.
 _COLUMNAR_MIN_N = 64
-# The numpy path's block of rows, at least _COLUMNAR_MIN_N: its setup fills
-# the side-ordered copy of the columns, and each scan of a larger side
-# forms its differences, this many rows at a time.  At 1e5 constraints
-# each side fits in one block: smaller blocks made that size 6% slower.
+# The numpy path's block of rows, at least _COLUMNAR_MIN_N: the index pass
+# of a problem larger than two blocks reads its rows, and each scan of an
+# indexed side or of a side larger than one block forms its differences,
+# this many rows at a time; an offset within a block fits 16 bits.  At 1e5
+# constraints each side fits in one block: smaller blocks made that size
+# 6% slower, and the index pass with each side gathered once made it
+# 1.2-1.3 times slower than the side-ordered copy, which up to two blocks
+# of rows still take.
 _BLOCK = 1 << 16
 
 
@@ -197,9 +205,11 @@ def _scan(pts: _ExactPoints, idxs: Sequence[int], f: int) -> int:
 
 
 def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
-                   flip: bool, span: float) -> int:
+                   flip: bool, span: float, blocks: list | None = None) -> int:
     """``_scan`` over the numpy columns of the points (xs, ys), or
-    (xs, -ys) when ``flip``, seen from (fx, fy).
+    (xs, -ys) when ``flip``, seen from (fx, fy); with ``blocks``, over the
+    rows of xs and ys that ``blocks`` names (``_solve_blocks``), in
+    their order, and the winner is given as its row of xs and ys.
 
     The slope prefilter: every rounded slope p = dy / dx is formed, and
     ``geometry._slope_threshold`` of the least one gives a T such that
@@ -219,15 +229,17 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
     floating-point warnings as they are; otherwise it runs with them off.
     A side of at most ``_BLOCK`` rows is one block, and the common case
     there, one survivor, is found by a second least slope above T; larger
-    sides, and scans that may overflow, take ``_survivors``' blocked pass.
+    sides, indexed ones, and scans that may overflow, take
+    ``_survivors``' blocked pass.
     """
     n = xs.size
     fb = -fy if flip else fy
     if not (fx and math.isfinite(span / fx)):
         with np.errstate(all="ignore"):
-            keep = _survivors(xs, ys, fx, fb, flip, not math.isfinite(span))
-    elif n > _BLOCK:
-        keep = _survivors(xs, ys, fx, fb, flip, False)
+            keep = _survivors(xs, ys, fx, fb, flip, not math.isfinite(span),
+                              blocks)
+    elif n > _BLOCK or blocks is not None:
+        keep = _survivors(xs, ys, fx, fb, flip, False, blocks)
     else:
         dx = xs - fx
         p = np.divide(np.subtract(fb, ys) if flip else ys - fb, dx, dx)
@@ -242,11 +254,12 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
         p[w] = least
         keep = (p <= t).nonzero()[0] if t == t else None
     if keep is None:
-        keep = np.arange(n)
+        keep = np.arange(n) if blocks is None else _rows(blocks)
     elif len(keep) == 1:
         return int(keep[0])
-    kx = xs[keep].tolist()
-    ky = (-ys[keep] if flip else ys[keep]).tolist()
+    kx = xs.take(keep).tolist()
+    ky = ys.take(keep)
+    ky = (-ky if flip else ky).tolist()
     kx.append(fx)
     ky.append(fy)
     k = _scan(_ExactPoints(kx, ky), range(len(keep)), len(keep))
@@ -254,34 +267,55 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
 
 
 def _survivors(xs: np.ndarray, ys: np.ndarray, fx: float, fb: float,
-               flip: bool, wide: bool):
+               flip: bool, wide: bool, blocks: list | None = None):
     """The ascending indices of the candidates that ``_filtered_scan``'s
     threshold keeps, seen from (fx, fb) in the frame of ``ys`` (dy is
     fb - ys with ``flip``, ys - fb without), or None when no threshold is
     proven.  With ``wide``, the candidates whose own dx or dy overflows are kept as
-    well, and the threshold comes from the others.
+    well, and the threshold comes from the others.  With ``blocks``, the
+    candidates are the rows of xs and ys that it names, and the indices
+    are those rows.
 
     One pass over blocks of ``_BLOCK`` rows, their differences formed in
     one reused (2, block) buffer, keeps the least slope so far, its
     threshold, and the candidates at or below that threshold with their
-    slopes.  ``_slope_threshold`` is monotone, so the threshold only
+    slopes.  A block of ``blocks``, one start row and its offsets, is
+    gathered into that buffer, in order, through one reused index array:
+    ``take`` would convert the offsets to a new one in each call.
+    ``_slope_threshold`` is monotone, so the threshold only
     falls, and a final filter against the last one leaves exactly the
     candidates that one pass over all of them would keep.  A block whose
     least slope lies above the threshold keeps nothing.
     """
-    n = xs.size
-    work = np.empty((2, min(n, _BLOCK)))
+    if blocks is None:
+        n = xs.size
+        work = np.empty((2, min(n, _BLOCK)))
+        blocks = [(s, None) for s in range(0, n, _BLOCK)]
+    else:
+        widest = max(off.size for _, off in blocks)
+        work = np.empty((2, widest))
+        at = np.empty(widest, np.intp)
     inf = math.inf
     least = t = inf  # no threshold yet: every candidate stays
     found = []
-    for s in range(0, n, _BLOCK):
-        e = min(n, s + _BLOCK)
-        dx = np.subtract(xs[s:e], fx, work[0, :e - s])
-        dy = work[1, :e - s]
-        if flip:
-            np.subtract(fb, ys[s:e], dy)
+    for s, off in blocks:
+        if off is None:
+            xb = xs[s:s + _BLOCK]
+            k = xb.size
+            dx = np.subtract(xb, fx, work[0, :k])
+            yb = ys[s:s + _BLOCK]
         else:
-            np.subtract(ys[s:e], fb, dy)
+            k = off.size
+            rows = at[:k]
+            np.copyto(rows, off)
+            dx = xs[s:s + _BLOCK].take(rows, None, work[0, :k], "clip")
+            dx -= fx
+            yb = ys[s:s + _BLOCK].take(rows, None, work[1, :k], "clip")
+        dy = work[1, :k]
+        if flip:
+            np.subtract(fb, yb, dy)
+        else:
+            np.subtract(yb, fb, dy)
         if wide:
             over = np.isinf(dx)
             over |= np.isinf(dy)
@@ -301,12 +335,18 @@ def _survivors(xs: np.ndarray, ys: np.ndarray, fx: float, fb: float,
             p[over] = -inf  # kept against every threshold
         elif pj > t:
             continue
-        k = (p <= t).nonzero()[0]
-        found.append((k + s, p[k]))
+        j = (p <= t).nonzero()[0]
+        found.append((j + s if off is None else rows.take(j) + s, p.take(j)))
     if t == inf:
         return None
     keep = np.concatenate([k for k, _ in found])
-    return keep[np.concatenate([q for _, q in found]) <= t]
+    return keep.compress(np.concatenate([q for _, q in found]) <= t)
+
+
+def _rows(blocks: list) -> np.ndarray:
+    """The rows that ``blocks``, pairs of a start row and the offsets from
+    it, name, in order."""
+    return np.concatenate([np.add(off, s, dtype=np.intp) for s, off in blocks])
 
 
 def solve(cs: Sequence) -> Solution2:
@@ -339,34 +379,30 @@ def _solve(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> Solution2:
     both x's negates the slope exactly and leaves m * x1 as it was.  The
     dual points are (a, -b); the left side's scans see them mirrored in y,
     (a, b).  Below ``_COLUMNAR_MIN_N`` constraints ``_solve_lists`` solves
-    them as Python lists.  The numpy path copies the columns once,
-    side by side, into a (2, n) buffer: a mask, its ``nonzero`` and
-    ``take`` into the buffer for each block of ``_BLOCK`` rows (one take a
-    side and column where one block holds them all), and no index array
-    outlives its block.  The side order keeps the tie rules, as each side
-    stays in input order.  The start point, and the range of all values
-    that tells the scans whether a difference may overflow, come from the
-    buffer.
+    them as Python lists, and above two blocks of ``_BLOCK`` rows
+    ``_solve_blocks`` solves them where they lie.  In between, the columns
+    are copied once, side by side, into a (2, n) buffer: a mask, its
+    ``nonzero`` and ``take`` into the buffer for each block of ``_BLOCK``
+    rows (one take a side and column where one block holds them all).
+    Both forks pay: at 1e5 rows one take a side made the copy 2% slower
+    than the blocked one, whose index arrays stay in cache, and at 1e4
+    rows the loop made the solve 4% slower than the one take.  The side
+    order keeps the tie rules, as each side stays in input order.  The
+    start point, and the range of all values that tells the scans whether
+    a difference may overflow, come from the buffer.
     """
     n = a.size
     if n < _COLUMNAR_MIN_N:
         return _solve_lists(a.tolist(), b.tolist(), sign)
+    if n > 2 * _BLOCK:
+        return _solve_blocks(a, b, sign)
     on_right = a > 0.0
     # A one-block copy takes the right rows' indices, and counts them by
     # those; more blocks count them alone.
     ir = on_right.nonzero()[0] if n <= _BLOCK else None
     nr = np.count_nonzero(on_right) if ir is None else ir.size
-    if nr == n:
-        return Solution2(Status.UNBOUNDED)
-    if nr == 0:
-        if not np.count_nonzero(a):
-            # Every slope is zero: the objective is the constant max b_i.
-            return Solution2(Status.OPTIMAL, x=0.0, t=b.item(b.argmax()),
-                             iterations=0)
-        # Slopes are all <= 0 with at least one negative: mirror x so the
-        # strictly negative slopes land on the right side; the reported
-        # points are mirrored back.
-        return _solve(-a, b, -1.0)
+    if nr == n or nr == 0:
+        return _unbounded_or_mirrored(a, b, nr == n)
     nl = n - nr
     buf = np.empty((2, n))
     xs = buf[0]
@@ -419,6 +455,93 @@ def _solve(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> Solution2:
         lambda i: _filtered_scan(xl, yl, xs.item(i), ys.item(i), False,
                                  span),
         lambda i: Point2(sign * xs.item(i), -ys.item(i)))
+
+
+def _unbounded_or_mirrored(a: np.ndarray, b: np.ndarray,
+                           all_right: bool) -> Solution2:
+    """``_solve`` of columns whose rows all lie on the right side
+    (``all_right``) or all on the left."""
+    if all_right:
+        return Solution2(Status.UNBOUNDED)
+    if not np.count_nonzero(a):
+        # Every slope is zero: the objective is the constant max b_i.
+        return Solution2(Status.OPTIMAL, x=0.0, t=b.item(b.argmax()),
+                         iterations=0)
+    # Slopes are all <= 0 with at least one negative: mirror x so the
+    # strictly negative slopes land on the right side; the reported
+    # points are mirrored back.
+    return _solve(-a, b, -1.0)
+
+
+def _solve_blocks(a: np.ndarray, b: np.ndarray, sign: float) -> Solution2:
+    """``_solve`` of more than two blocks of rows, with no copy of its
+    input.
+
+    One pass over blocks of ``_BLOCK`` rows writes each block's right
+    rows, then its left rows, into the block's slot of one array of
+    offsets from the block's first row, and records each side as a list
+    of (first row of the block, the side's offsets in it).  An offset lies
+    below ``_BLOCK``, so the least unsigned type that holds ``_BLOCK - 1``
+    holds it.  While each block is read, the same pass finds the start
+    point, the lowest left point, ties to the smaller x and then the first
+    row, by the block's least left one; and the range of all values.
+    Each scan reads its side through these offsets (``_filtered_scan``
+    with ``blocks``), in input order, so every winner and tie is the
+    side-ordered copy's.
+    """
+    n = a.size
+    offsets = np.empty(n, np.min_scalar_type(_BLOCK - 1))
+    mask = np.empty(_BLOCK, bool)
+    left = []
+    right = []
+    i_l = -1
+    top = hi = -math.inf  # the start point's intercept, the largest value
+    lo = math.inf
+    for s in range(0, n, _BLOCK):
+        ab = a[s:s + _BLOCK]
+        bb = b[s:s + _BLOCK]
+        m = np.greater(ab, 0.0, mask[:ab.size])
+        ir = m.nonzero()[0]
+        il = np.logical_not(m, m).nonzero()[0]
+        o = offsets[s:s + _BLOCK]
+        k = ir.size
+        o[:k] = ir
+        o[k:] = il
+        if k:
+            right.append((s, o[:k]))
+        if il.size:
+            left.append((s, o[k:]))
+        high = np.maximum.reduce(bb)
+        hi = max(hi, np.maximum.reduce(ab), high)
+        lo = min(lo, np.minimum.reduce(ab), np.minimum.reduce(bb))
+        if not il.size or high < top:
+            continue  # no left point here is as low as the start so far
+        yl = bb.take(il)
+        j = yl.argmax()
+        y = yl.item(j)
+        if y < top:
+            continue
+        rest = yl[j + 1:]
+        if rest.size and rest.item(rest.argmax()) == y:
+            tied = (yl == y).nonzero()[0]
+            j = tied[ab.take(il.take(tied)).argmin()]
+        i = s + il.item(j)
+        if y > top or a.item(i) < a.item(i_l):
+            top = y
+            i_l = i
+    if not (left and right):
+        return _unbounded_or_mirrored(a, b, not left)
+    # Every dx and dy of a scan is a difference of two slopes or of two
+    # intercepts, so the range of all values bounds its magnitude; inf
+    # where some difference may overflow.
+    span = float(hi) - float(lo)
+    return _pivot(
+        n, i_l,
+        lambda i: _filtered_scan(a, b, a.item(i), -b.item(i), True, span,
+                                 right),
+        lambda i: _filtered_scan(a, b, a.item(i), b.item(i), False, span,
+                                 left),
+        lambda i: Point2(sign * a.item(i), -b.item(i)))
 
 
 def _solve_lists(xs: list, ys: list, sign: float = 1.0) -> Solution2:

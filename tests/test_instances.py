@@ -4,7 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
-from minmaxlp import Constraint2, GenSpec, gen2d, gen3d
+from minmaxlp import Constraint2, GenSpec, gen2d, gen3d, instances
 from minmaxlp.model import columns
 
 
@@ -99,10 +99,17 @@ def _bits(col):
     return np.ascontiguousarray(col).view(np.uint64).tolist()
 
 
+# The generator forms instances._BLOCK rows at a time from one stream, so
+# the sizes at and around whole blocks read the stream across block edges.
+_B = instances._BLOCK
+
+
 @pytest.mark.parametrize("n,seed,index,sigma", [
     (1, 0, 0, math.sqrt(10.0)), (2, 1, 0, math.sqrt(10.0)),
     (7, 42, 3, 0.5), (1001, 2**64 + 5, 17, math.sqrt(10.0)),
-    (65_537, 9, 2**63, 3.0), (200_000, 1, 1, math.sqrt(10.0))])
+    (65_537, 9, 2**63, 3.0), (200_000, 1, 1, math.sqrt(10.0))] + [
+    (n, seed, 3, math.sqrt(10.0)) for n in (1, _B - 1, _B, _B + 1, 3 * _B + 1)
+    for seed in (0, 2**64 + 5)])
 def test_columns_bitwise_as_first_written(n, seed, index, sigma):
     z0, z1 = _box_muller(seed, index, n, sigma)
     got = gen2d(GenSpec(n=n, sigma=sigma, seed=seed), index=index)

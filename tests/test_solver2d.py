@@ -19,7 +19,7 @@ from minmaxlp import (Constraint2, ContractViolation, EmptyProblem, GenSpec,
                       orientation_exact, solve, solve3d, solve_baseline,
                       solve_boxed, solver2d, to_dual_points)
 from minmaxlp.geometry import _orient_sign
-from minmaxlp.model import columns, exact_objective, signed_pairs
+from minmaxlp.model import Problem, columns, exact_objective, signed_pairs
 
 # Coefficients on a coarse grid keep every pairwise crossing well
 # conditioned, so the oracle comparison tolerance is honest while ties and
@@ -1163,3 +1163,107 @@ class TestBlocks:
         one, blocks = _in_blocks(monkeypatch, lambda: _outcome(cs))
         assert one == blocks
         assert calls and min(calls) > 3
+
+
+# Blocks of 128 rows, at least _COLUMNAR_MIN_N, send problems of 1e3-2e4
+# rows through the index pass, and their sides through their offsets.
+_SMALL_BLOCK = 128
+
+
+def _gauss_columns(n, seed, index=0):
+    return np.array(columns(gen2d(GenSpec(n=n, seed=seed), index=index), 2))
+
+
+def _lowest_left_ties():
+    """Left rows tied for the largest intercept: in block 0 at a = -1; in
+    block 1 at a = -1.5, then twice at a = -2, the first of which starts
+    the pivot; and later at a = -0.5 and at a = -1.8."""
+    a, b = _gauss_columns(2000, 11)
+    top = float(b.max()) + 1.0
+    for row, slope in ((5, -1.0), (129, -1.5), (130, -2.0), (131, -2.0),
+                       (700, -0.5), (1200, -1.8)):
+        a[row] = slope
+        b[row] = top
+    return a, b
+
+
+def _one_sided_blocks():
+    """Blocks of 128 left rows and of 128 right rows, in turn."""
+    a, b = _gauss_columns(4096, 12)
+    right = (a > 0).nonzero()[0][:1024]
+    left = (a <= 0).nonzero()[0][:1024]
+    order = np.stack([left.reshape(-1, 128), right.reshape(-1, 128)], 1)
+    return a[order.ravel()], b[order.ravel()]
+
+
+def _indexed_cases():
+    cases = {}
+    for n in (1000, 5000, 20000):
+        for k in range(2):
+            cases[f"gauss/{n}/{k}"] = _gauss_columns(n, 20 + n, k)
+    a, b = _gauss_columns(3000, 13)
+    cases["mirrored"] = (-np.abs(a), b)
+    cases["lowest-left-ties"] = _lowest_left_ties()
+    cases["duplicates"] = (np.tile(a, 2), np.tile(b, 2))
+    cases["rounded"] = (np.round(a), np.round(b))
+    cases["exact-fit"] = (a, -(0.1 * a))
+    for k, far in enumerate(_FAR_ROWS):
+        fa, fb = np.array(far).T
+        cases[f"far/{k}"] = (np.concatenate([fa[:1], a, fa[1:]]),
+                             np.concatenate([fb[:1], b, fb[1:]]))
+    cases["one-sided-blocks"] = _one_sided_blocks()
+    cases["sorted-sides"] = (np.sort(a), b)
+    right = (a > 0).nonzero()[0]
+    few = np.concatenate([(a <= 0).nonzero()[0], right[:100]])
+    cases["small-right-side"] = (a[few], b[few])
+    cases["all-right"] = (np.abs(a) + 1.0, b)
+    cases["zero-slopes"] = (np.zeros_like(a), b)
+    return cases
+
+
+class TestIndexedSides:
+    """Problems of more than two blocks are read through each side's
+    offsets, block by block, with no side-ordered copy; in blocks of 128
+    rows, 1e3-2e4-row problems take that path, and its status, x, t,
+    iterations and pivot pairs are bitwise those of the default block,
+    under which the same problems are copied."""
+
+    @pytest.mark.parametrize("name", sorted(_indexed_cases()))
+    def test_bitwise_equal(self, monkeypatch, name):
+        cs = Problem(*_indexed_cases()[name])
+        want = _outcome(cs)
+        indexed = []
+        survivors = solver2d._survivors
+
+        def spy(*args):
+            indexed.append(args[6] is not None)  # read through offsets
+            return survivors(*args)
+
+        monkeypatch.setattr(solver2d, "_survivors", spy)
+        monkeypatch.setattr(solver2d, "_BLOCK", _SMALL_BLOCK)
+        assert _outcome(cs) == want
+        if want[0] is Status.OPTIMAL and name != "zero-slopes":
+            assert any(indexed)
+
+    def test_default_block_copies_these_problems(self):
+        # The reference is the copy: each case fits in two default blocks.
+        assert max(len(c[0]) for c in _indexed_cases().values()) <= (
+            2 * solver2d._BLOCK)
+
+    def test_offsets_fit_their_type(self, monkeypatch):
+        # Offsets are held in the least unsigned type that holds
+        # _BLOCK - 1: 16 bits at the default block, 8 at 128 rows.
+        kinds = []
+        survivors = solver2d._survivors
+
+        def spy(*args):
+            kinds.extend(off.dtype for _, off in args[6])
+            return survivors(*args)
+
+        monkeypatch.setattr(solver2d, "_survivors", spy)
+        for block, kind in ((solver2d._BLOCK, np.uint16),
+                            (_SMALL_BLOCK, np.uint8)):
+            monkeypatch.setattr(solver2d, "_BLOCK", block)
+            kinds.clear()
+            solve(Problem(*_gauss_columns(3 * block, 14)))
+            assert kinds and set(kinds) == {np.dtype(kind)}
