@@ -47,7 +47,8 @@ class Solution2:
     (left point, right point) pairs visited by the pivoting solver so that
     tests can verify the strictly decreasing intercept sequence; reference
     solvers leave it empty.  When every slope is <= 0 the solver pivots on
-    the problem mirrored in x and reports its points mirrored back, so each
+    the x-mirror of its sides, with the rows where they lie: the points with
+    x < 0 take the right side's place and those on x = 0 the left's, so each
     pair is (the point on x = 0, the point with x < 0): for example
     ((0.0, -0.5), (-3.0, -2.0)).
     """

@@ -36,9 +36,14 @@ read where they lie (``_solve_blocks``): one pass over blocks of
 bytes a row, and finds the start point and the range of all values; each
 scan of a side gathers it through those offsets a block at a time, in
 input order.  So a solve holds its input once, and its offsets and a few
-blocks besides.  Every path decides the sides, UNBOUNDED, the constant
-answer and the x-mirror, which solves slopes all <= 0 as their negation
-and reports each dual point with its x times a sign of -1.0.
+blocks besides.  Every setup leaves rows that all lie on one side to one
+rule (``_one_sided``): UNBOUNDED, the constant answer, or the x-mirror.
+The mirror solves slopes all <= 0, some negative, on the rows where they
+lie: its side test puts the negative slopes on the right, so the left
+side holds only the zero-slope rows, and each side's scans read the
+other side's frame.  That is the point reflection of the frames of the
+negated slopes' solve, which picks the same winners, and every dual point
+is reported as it is, (a, -b).
 
 A pairs problem (``expand_absolute``, the residuals |a*x + c|) is solved
 on its n rows (``_solve_pairs``): the dual points of a row's pair are
@@ -204,12 +209,13 @@ def _scan(pts: _ExactPoints, idxs: Sequence[int], f: int) -> int:
     return best
 
 
-def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
+def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fb: float,
                    flip: bool, span: float, blocks: list | None = None) -> int:
-    """``_scan`` over the numpy columns of the points (xs, ys), or
-    (xs, -ys) when ``flip``, seen from (fx, fy); with ``blocks``, over the
-    rows of xs and ys that ``blocks`` names (``_solve_blocks``), in
-    their order, and the winner is given as its row of xs and ys.
+    """``_scan`` over the numpy columns of the points (xs, ys), seen from
+    (fx, fb), or over (xs, -ys) from (fx, -fb) when ``flip``; with
+    ``blocks``, over the rows of xs and ys that ``blocks`` names
+    (``_solve_blocks``), in their order, and the winner is given as its
+    row of xs and ys.
 
     The slope prefilter: every rounded slope p = dy / dx is formed, and
     ``geometry._slope_threshold`` of the least one gives a T such that
@@ -233,7 +239,6 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
     ``_survivors``' blocked pass.
     """
     n = xs.size
-    fb = -fy if flip else fy
     if not (fx and math.isfinite(span / fx)):
         with np.errstate(all="ignore"):
             keep = _survivors(xs, ys, fx, fb, flip, not math.isfinite(span),
@@ -261,7 +266,7 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fy: float,
     ky = ys.take(keep)
     ky = (-ky if flip else ky).tolist()
     kx.append(fx)
-    ky.append(fy)
+    ky.append(-fb if flip else fb)
     k = _scan(_ExactPoints(kx, ky), range(len(keep)), len(keep))
     return int(keep[k])
 
@@ -366,43 +371,53 @@ def solve(cs: Sequence) -> Solution2:
     return (_solve_pairs if pairs else _solve)(cols[0], cols[1])
 
 
-def _solve(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> Solution2:
+def _solve(a: np.ndarray, b: np.ndarray, mirror: bool = False) -> Solution2:
     """``solve`` on finite float64 columns of slopes ``a`` and intercepts
-    ``b``.
+    ``b``; with ``mirror``, their x-mirror (``_one_sided``).
 
-    The sides, UNBOUNDED, the constant answer and the x-mirror are decided
-    first, as ``_solve_lists`` decides them.  Slopes all <= 0, some
-    negative, are solved as (-a, b), mirrored in x, by a recursion that
-    alone sets ``sign`` to -1.0: every reported dual point
-    has its x multiplied by ``sign``, which is exact, and the line through
-    two such points gives the unmirrored x and t bit for bit, as negating
-    both x's negates the slope exactly and leaves m * x1 as it was.  The
-    dual points are (a, -b); the left side's scans see them mirrored in y,
-    (a, b).  Below ``_COLUMNAR_MIN_N`` constraints ``_solve_lists`` solves
-    them as Python lists, and above two blocks of ``_BLOCK`` rows
+    The dual points are (a, -b); the left side's scans see them mirrored
+    in y, (a, b).  The sides are a > 0 on the right and a <= 0 on the
+    left, and rows that all lie on one side go to ``_one_sided``.  Slopes
+    all <= 0, some negative, are solved as their x-mirror, which
+    ``_one_sided`` alone asks for: the side test is a < 0 on the right, so
+    the left side holds only the zero-slope rows, and the right side's
+    scans see (a, b), the left side's (a, -b).  That is the point
+    reflection through the origin of what the scans of the negated slopes
+    (-a, b) would see: each difference is negated exactly and each slope
+    is the same up to the sign of a zero, and a point reflection keeps
+    every orientation, so every scan picks the same winner.  The points
+    are reported as they are, (a, -b), each pair (the point on x = 0, the
+    point with x < 0), and the line through them is the negated slopes'
+    answer mirrored back, bit for bit.
+
+    Below ``_COLUMNAR_MIN_N`` constraints ``_solve_lists`` solves them as
+    Python lists, and above two blocks of ``_BLOCK`` rows
     ``_solve_blocks`` solves them where they lie.  In between, the columns
     are copied once, side by side, into a (2, n) buffer: a mask, its
     ``nonzero`` and ``take`` into the buffer for each block of ``_BLOCK``
     rows (one take a side and column where one block holds them all).
-    Both forks pay: at 1e5 rows one take a side made the copy 2% slower
-    than the blocked one, whose index arrays stay in cache, and at 1e4
-    rows the loop made the solve 4% slower than the one take.  The side
-    order keeps the tie rules, as each side stays in input order.  The
-    start point, and the range of all values that tells the scans whether
+    Both forks pay.  On a 2-CPU x86-64 host with numpy 2.4, in a steady
+    loop of 1e5-row solves in each of 8 fresh processes, one take a side
+    cost 749 minor page faults an op and 2.0-3.2 ms, against none and
+    0.82-1.21 ms for the blocked loop; and the blocked loop at every size
+    made the solve 1.11 times slower at 1e3 rows and 1.04 times at 1e4
+    (medians of 15 interleaved rounds).  The side order keeps the tie
+    rules, as each side stays in input order.  The start point
+    (``_start``), and the range of all values that tells the scans whether
     a difference may overflow, come from the buffer.
     """
     n = a.size
     if n < _COLUMNAR_MIN_N:
-        return _solve_lists(a.tolist(), b.tolist(), sign)
+        return _solve_lists(a.tolist(), b.tolist(), mirror)
     if n > 2 * _BLOCK:
-        return _solve_blocks(a, b, sign)
-    on_right = a > 0.0
+        return _solve_blocks(a, b, mirror)
+    on_right = a < 0.0 if mirror else a > 0.0
     # A one-block copy takes the right rows' indices, and counts them by
     # those; more blocks count them alone.
     ir = on_right.nonzero()[0] if n <= _BLOCK else None
     nr = np.count_nonzero(on_right) if ir is None else ir.size
     if nr == n or nr == 0:
-        return _unbounded_or_mirrored(a, b, nr == n)
+        return _one_sided(a, b, nr == n, _solve)
     nl = n - nr
     buf = np.empty((2, n))
     xs = buf[0]
@@ -432,48 +447,52 @@ def _solve(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> Solution2:
             bb.take(ir, None, ys[hi:kr], "clip")
             lo = kl
             hi = kr
-    # Start from the lowest left point, ties to the smaller x and then the
-    # first index; any left point is a valid start, the lowest one just
-    # pivots less.
-    i_l = int(yl.argmax())
-    top = yl.item(i_l)
-    # argmax finds the first lowest point; a unique one skips the tie
-    # break, which C5's n = 1e3 point feels.
-    rest = yl[i_l + 1:]
-    if rest.size and rest.item(rest.argmax()) == top:
-        tied = (yl == top).nonzero()[0]
-        i_l = int(tied[xl[tied].argmin()])
     # Every dx and dy of a scan is a difference of two slopes or of two
     # intercepts, so the range of all values bounds its magnitude; inf
     # where some difference may overflow.
     span = buf.item(buf.argmax()) - buf.item(buf.argmin())
-    # The right side's scans form their dual differences -b - fy as -fy - b.
     return _pivot(
-        n, i_l,
-        lambda i: nl + _filtered_scan(xr, yr, xs.item(i), -ys.item(i), True,
-                                      span),
-        lambda i: _filtered_scan(xl, yl, xs.item(i), ys.item(i), False,
+        n, _start(yl, xl.take),
+        lambda i: nl + _filtered_scan(xr, yr, xs.item(i), ys.item(i),
+                                      not mirror, span),
+        lambda i: _filtered_scan(xl, yl, xs.item(i), ys.item(i), mirror,
                                  span),
-        lambda i: Point2(sign * xs.item(i), -ys.item(i)))
+        lambda i: Point2(xs.item(i), -ys.item(i)))
 
 
-def _unbounded_or_mirrored(a: np.ndarray, b: np.ndarray,
-                           all_right: bool) -> Solution2:
-    """``_solve`` of columns whose rows all lie on the right side
-    (``all_right``) or all on the left."""
+def _start(y: np.ndarray, x: Callable[[np.ndarray], np.ndarray]) -> int:
+    """Index of the first largest of ``y``, ties to the least x, where
+    ``x(k)`` gives the x's of the indices k of y (an array's ``take``):
+    of the left rows, the start point, the lowest left dual point, ties to
+    the smaller x and then the first row.  Any left point is a valid
+    start; the lowest one just pivots less.  Only a tie reads x."""
+    i = int(y.argmax())
+    top = y.item(i)
+    # argmax finds the first largest; a unique one skips the tie break,
+    # which C5's n = 1e3 point feels.
+    rest = y[i + 1:]
+    if rest.size and rest.item(rest.argmax()) == top:
+        tied = (y == top).nonzero()[0]
+        i = int(tied[x(tied).argmin()])
+    return i
+
+
+def _one_sided(a: np.ndarray | list, b: np.ndarray | list, all_right: bool,
+               solve: Callable[..., Solution2]) -> Solution2:
+    """The answer of the slopes ``a`` and intercepts ``b``, columns or
+    lists, whose rows all lie on the right side (``all_right``) or all on
+    the left: UNBOUNDED on the right; on the left, where every slope is
+    zero, the constant max b_i, the first largest; and otherwise, slopes
+    all <= 0 with some negative, ``solve(a, b, True)``, their x-mirror."""
     if all_right:
         return Solution2(Status.UNBOUNDED)
     if not np.count_nonzero(a):
-        # Every slope is zero: the objective is the constant max b_i.
-        return Solution2(Status.OPTIMAL, x=0.0, t=b.item(b.argmax()),
+        return Solution2(Status.OPTIMAL, x=0.0, t=float(b[np.argmax(b)]),
                          iterations=0)
-    # Slopes are all <= 0 with at least one negative: mirror x so the
-    # strictly negative slopes land on the right side; the reported
-    # points are mirrored back.
-    return _solve(-a, b, -1.0)
+    return solve(a, b, True)
 
 
-def _solve_blocks(a: np.ndarray, b: np.ndarray, sign: float) -> Solution2:
+def _solve_blocks(a: np.ndarray, b: np.ndarray, mirror: bool) -> Solution2:
     """``_solve`` of more than two blocks of rows, with no copy of its
     input.
 
@@ -483,15 +502,17 @@ def _solve_blocks(a: np.ndarray, b: np.ndarray, sign: float) -> Solution2:
     of (first row of the block, the side's offsets in it).  An offset lies
     below ``_BLOCK``, so the least unsigned type that holds ``_BLOCK - 1``
     holds it.  While each block is read, the same pass finds the start
-    point, the lowest left point, ties to the smaller x and then the first
-    row, by the block's least left one; and the range of all values.
-    Each scan reads its side through these offsets (``_filtered_scan``
-    with ``blocks``), in input order, so every winner and tie is the
-    side-ordered copy's.
+    point, ``_start`` of the block's left rows against the start so far,
+    which an earlier block keeps on a tie of both y and x; and the range
+    of all values.  Each scan reads its side through these offsets
+    (``_filtered_scan`` with ``blocks``), in input order, so every winner
+    and tie is the side-ordered copy's.  Rows on one side drop their
+    offsets before ``_one_sided``, whose mirror writes its own.
     """
     n = a.size
     offsets = np.empty(n, np.min_scalar_type(_BLOCK - 1))
     mask = np.empty(_BLOCK, bool)
+    on_right = np.less if mirror else np.greater
     left = []
     right = []
     i_l = -1
@@ -500,7 +521,7 @@ def _solve_blocks(a: np.ndarray, b: np.ndarray, sign: float) -> Solution2:
     for s in range(0, n, _BLOCK):
         ab = a[s:s + _BLOCK]
         bb = b[s:s + _BLOCK]
-        m = np.greater(ab, 0.0, mask[:ab.size])
+        m = on_right(ab, 0.0, mask[:ab.size])
         ir = m.nonzero()[0]
         il = np.logical_not(m, m).nonzero()[0]
         o = offsets[s:s + _BLOCK]
@@ -516,52 +537,42 @@ def _solve_blocks(a: np.ndarray, b: np.ndarray, sign: float) -> Solution2:
         lo = min(lo, np.minimum.reduce(ab), np.minimum.reduce(bb))
         if not il.size or high < top:
             continue  # no left point here is as low as the start so far
-        yl = bb.take(il)
-        j = yl.argmax()
-        y = yl.item(j)
-        if y < top:
-            continue
-        rest = yl[j + 1:]
-        if rest.size and rest.item(rest.argmax()) == y:
-            tied = (yl == y).nonzero()[0]
-            j = tied[ab.take(il.take(tied)).argmin()]
-        i = s + il.item(j)
-        if y > top or a.item(i) < a.item(i_l):
+        i = s + il.item(_start(bb.take(il), lambda k: ab.take(il.take(k))))
+        y = b.item(i)
+        if y > top or (y == top and a.item(i) < a.item(i_l)):
             top = y
             i_l = i
     if not (left and right):
-        return _unbounded_or_mirrored(a, b, not left)
+        all_right = not left
+        del offsets, o, left, right
+        return _one_sided(a, b, all_right, _solve)
     # Every dx and dy of a scan is a difference of two slopes or of two
     # intercepts, so the range of all values bounds its magnitude; inf
     # where some difference may overflow.
     span = float(hi) - float(lo)
     return _pivot(
         n, i_l,
-        lambda i: _filtered_scan(a, b, a.item(i), -b.item(i), True, span,
-                                 right),
-        lambda i: _filtered_scan(a, b, a.item(i), b.item(i), False, span,
+        lambda i: _filtered_scan(a, b, a.item(i), b.item(i), not mirror,
+                                 span, right),
+        lambda i: _filtered_scan(a, b, a.item(i), b.item(i), mirror, span,
                                  left),
-        lambda i: Point2(sign * a.item(i), -b.item(i)))
+        lambda i: Point2(a.item(i), -b.item(i)))
 
 
-def _solve_lists(xs: list, ys: list, sign: float = 1.0) -> Solution2:
+def _solve_lists(xs: list, ys: list, mirror: bool = False) -> Solution2:
     """``_solve`` on the slopes ``xs`` and intercepts ``ys`` as lists of
     Python floats: one pass over the slopes splits the indices into the
     sides, and the start point comes from those lists, with no numpy
-    mask."""
+    mask.  The dual points (xs, -ys) and their mirror in y, (xs, ys),
+    share one set of images; the x-mirror swaps the sides' frames."""
     n = len(xs)
     left = []
     right = []
     for i, v in enumerate(xs):
-        (right if v > 0.0 else left).append(i)
+        (right if (v < 0.0 if mirror else v > 0.0) else left).append(i)
     nr = len(right)
-    if nr == n:
-        return Solution2(Status.UNBOUNDED)
-    if nr == 0:
-        if not any(xs):
-            # max gives the first largest, as argmax does
-            return Solution2(Status.OPTIMAL, x=0.0, t=max(ys), iterations=0)
-        return _solve_lists([-v for v in xs], ys, -1.0)
+    if nr == n or nr == 0:
+        return _one_sided(xs, ys, nr == n, _solve_lists)
     dpy = [-v for v in ys]
     i_l = left[0]
     ly = dpy[i_l]
@@ -576,11 +587,12 @@ def _solve_lists(xs: list, ys: list, sign: float = 1.0) -> Solution2:
     # serves every scan of the solve.
     dual = _ExactPoints(xs, dpy)
     mirrored = _ExactPoints(xs, ys, dual)
+    on_r, on_l = (mirrored, dual) if mirror else (dual, mirrored)
     return _pivot(
         n, i_l,
-        lambda i: _scan(dual, right, i),
-        lambda i: _scan(mirrored, left, i),
-        lambda i: Point2(sign * xs[i], dpy[i]))
+        lambda i: _scan(on_r, right, i),
+        lambda i: _scan(on_l, left, i),
+        lambda i: Point2(xs[i], dpy[i]))
 
 
 def _solve_pairs(a: np.ndarray, c: np.ndarray) -> Solution2:
@@ -613,9 +625,11 @@ def _solve_pairs(a: np.ndarray, c: np.ndarray) -> Solution2:
     winner.  With every a zero, Z's intercept is the constant answer.
 
     The start point is the lowest left point, ties to the smaller x and
-    then the first, as ``_solve``'s: in the buffer, the least intercept,
-    ties to the largest slope.  The range of all values is that of the
-    written-out constraints, max - -max with max the largest magnitude.
+    then the first, as ``_start`` finds it: in the buffer, the least
+    intercept, ties to the largest slope.  It keeps its own argmin, as
+    ``_start`` would need a negated copy of the buffer.  The range of all
+    values is that of the written-out constraints, max - -max with max the
+    largest magnitude.
     """
     n = a.size
     if 2 * n < _COLUMNAR_MIN_N:
@@ -662,7 +676,7 @@ def _solve_pairs(a: np.ndarray, c: np.ndarray) -> Solution2:
     yr = ys[:m]
     return _pivot(
         2 * n, ~i,
-        lambda i: _filtered_scan(xr, yr, -xs.item(~i), ys.item(~i), True,
+        lambda i: _filtered_scan(xr, yr, -xs.item(~i), -ys.item(~i), True,
                                  span),
         lambda i: ~_filtered_scan(xs, ys, -xs.item(i), -ys.item(i), False,
                                   span),
@@ -683,7 +697,8 @@ def _pivot(n: int, i_l: int, scan_right: Callable[[int], int],
     side's current end.  The loop stops when the scan returns the end it
     would move; otherwise that end moves, its point is built once, and the
     pair (left end's point, right end's point) is recorded.  An x-mirrored
-    solve (``_solve``'s ``sign``) reports its points mirrored back, so
+    solve (``_one_sided``) puts the points with x < 0 on the right side and
+    those on x = 0 on the left, and its scans read the mirrored frame, so
     there each pair is (the point on x = 0, the point with x < 0).  Scans
     that never settle raise ContractViolation after 2n^2 + 65 of them.
     """

@@ -2,8 +2,8 @@
 parser holds one byte copy of its text, the file and the pipe reader one
 copy of their rows and a few chunks, a problem's build copies its columns
 at most once, the generator holds its output and a few blocks, the 2D
-solver holds a few blocks besides its input, and the answer checks and the
-objective hold a few blocks of rows."""
+solver holds a few blocks besides its input, its x-mirror too, and the
+answer checks and the objective hold a few blocks of rows."""
 
 import os
 import threading
@@ -134,6 +134,17 @@ def test_solve_holds_a_few_blocks_besides_its_input():
     # side-ordered copy of the 16 MB input would not fit
     cs = gen2d(GenSpec(n=10**6, seed=1))
     assert _peak(solve, cs) <= 5e6
+
+
+def test_nonpositive_solve_holds_no_mirrored_copy():
+    # Slopes all <= 0, a third of them zero, are solved as their x-mirror
+    # on the rows where they lie: the mirror's pass writes its own 2 MB of
+    # offsets once the first pass's are dropped.  A negated copy of the
+    # slopes would take 8 MB more.
+    a, b = columns(gen2d(GenSpec(n=10**6, seed=1)), 2)
+    a = -np.abs(a)
+    a[::3] = 0.0
+    assert _peak(solve, Problem(a, b)) <= 4e6
 
 
 def test_pairs_solve_and_check_hold_one_copy_of_the_rows():

@@ -824,13 +824,23 @@ class TestPivotRecord:
     slopes all <= 0, and the bound on its scans."""
 
     @pytest.mark.parametrize("far", [False, True])
-    @pytest.mark.parametrize("n", [2, SMALL, 63, 64, LARGE])
+    @pytest.mark.parametrize("n", [2, SMALL, 63, 64, LARGE,
+                                   2 * solver2d._BLOCK + 1])
     def test_nonpositive_slopes_solve_as_the_x_mirror(self, n, far):
-        # solve(a, b) is the mirror of solve(-a, b), pairs and all
+        # solve(a, b) is the mirror of solve(-a, b), pairs and all, on
+        # the list path, the side-ordered copy and the block offsets
         for seed in range(6):
             rows = _nonpositive_rows(n, seed, far)
             want = solve([(-a, b) for a, b in rows])
-            assert _bits(solve(rows)) == _x_mirror(_bits(want)), seed
+            sol = solve(rows)
+            assert _bits(sol) == _x_mirror(_bits(want)), seed
+            # one edge, from Z, the first zero-slope row of the largest
+            # intercept, to a point with x < 0: two scans
+            top = max(b for a, b in rows if not a)
+            z = next((a, -b) for a, b in rows if not a and b == top)
+            assert sol.iterations == 2, seed
+            assert len(sol.pivot_pairs) == 1, seed
+            assert sol.pivot_pairs[0][0] == z, seed
             if far:
                 # the answer's line is formed in Fractions
                 (x1, y1), (x2, y2) = want.pivot_pairs[-1]
@@ -972,12 +982,14 @@ def _numpy_scans(monkeypatch, scanned, cs):
 
 
 def _filtered_scan(xs, col, fx, fy, flip, ranged):
-    """``solver2d._filtered_scan`` over the candidates (xs, col) from
-    (fx, fy), told that no difference overflows when ``ranged``: the span
-    is then the largest |dy|, and inf otherwise."""
+    """``solver2d._filtered_scan`` over the candidates (xs, col), or
+    (xs, -col) when ``flip``, from (fx, fy), told that no difference
+    overflows when ``ranged``: the span is then the largest |dy|, and inf
+    otherwise.  The scan takes f's y in the frame of ``col``."""
     ys = -col if flip else col
     span = float(np.abs(ys - fy).max()) if ranged else math.inf
-    return solver2d._filtered_scan(np.array(xs), col, fx, fy, flip, span)
+    return solver2d._filtered_scan(np.array(xs), col, fx,
+                                   -fy if flip else fy, flip, span)
 
 
 class TestSlopePrefilter:
