@@ -4,8 +4,10 @@ Constraint files hold one constraint per line, fields comma- or
 whitespace-separated: two fields (a, b) for the one-variable problem,
 three (a, b, c) for the boxed two-variable problem.  Blank lines, lines
 starting with '#' and a leading byte-order mark are ignored; the field
-count must be uniform.  Floats are printed with Python's shortest round-trip
-representation, so emitted corpora re-parse to bit-identical values.
+count must be uniform.  Floats are printed as repr prints them, in the
+shortest form that reads back as the same double, so emitted corpora
+re-parse to bit-identical values; gen's writer (the shortest module) forms
+those digits with numpy and leaves to repr only the fields it cannot decide.
 
 The answering subcommands, solve2d, solve3d, prune3d and oracle, share one
 path: read the input, check its field count (2 for solve2d, 3 for solve3d
@@ -470,19 +472,19 @@ def emit_solution(sol, fmt: str = "json") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-# Rows formatted at once by _write_constraints: about 2.7 MB of floats and
-# their reprs at two fields, whatever the number of rows.
+# Rows formatted at once by _write_constraints: about 2.8 MB of layout,
+# masks and text at two fields, whatever the number of rows.
 _BLOCK_ROWS = 1 << 14
 
 
 def _write_constraints(cs, out) -> None:
     """Write the rows of ``cs`` to the text stream ``out``, one line each,
-    fields in shortest round-trip form and comma-separated, _BLOCK_ROWS
-    rows at a time."""
+    fields as repr writes them and comma-separated, _BLOCK_ROWS rows at a
+    time."""
+    from .shortest import rows_text  # compiled only where text is written
     cols = columns(cs, len(cs[0]))
     for i in range(0, len(cols[0]), _BLOCK_ROWS):
-        fields = [map(repr, col[i:i + _BLOCK_ROWS].tolist()) for col in cols]
-        out.write("\n".join(map(",".join, zip(*fields))) + "\n")
+        out.write(rows_text(cols[:, i:i + _BLOCK_ROWS]))
 
 
 def _format_constraints(cs) -> str:
