@@ -109,8 +109,4 @@ def fit_loglog_slope(results: Sequence[BenchResult]) -> float:
         raise ValueError("need at least two sizes to fit a slope")
     xs = [math.log(r.n) for r in results]
     ys = [math.log(r.mean_s) for r in results]
-    mx = statistics.fmean(xs)
-    my = statistics.fmean(ys)
-    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    den = sum((x - mx) ** 2 for x in xs)
-    return num / den
+    return statistics.linear_regression(xs, ys).slope

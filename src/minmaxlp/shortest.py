@@ -33,11 +33,18 @@ mode 0).  Per field:
 
 repr writes the rest, one ``%`` format over the block's leftover fields,
 padded with blanks that the same pass deletes, spliced in with one
-assignment: exponent-form values (zeros and subnormals among them) and
-non-finite ones; significands that are powers of two, whose interval is
-lopsided; and ties between two nearest multiples.  A decimal that would
-round up to 10^(d + 1) goes to repr as well, though none in range does:
-every power of ten from 1e-4 up has its nearest double at or above it.
+assignment: exponent-form values (zeros and subnormals among them),
+non-finite ones, and ties between two nearest multiples.
+
+Two cases need no route of their own.  A power of two has a lopsided
+interval, half as wide below it, which the symmetric H overstates; but
+each of the 67 in range, 2^-13 to 2^53, has at most 16 significant
+digits, so its own decimal lies in the interval, and no shorter one
+appears in the overstated part: the exhaustive test of every power of
+two in range, and of the ulps around it, gives repr's text.  No decimal
+rounds up to 10^(d + 1): that needs 10^(d + 1) within half an ulp above
+|v|, and every power of ten from 1e-4 up has its nearest double at or
+above it.
 """
 
 from __future__ import annotations
@@ -48,7 +55,6 @@ import numpy as np
 
 __all__ = ["rows_text"]
 
-_FRACTION = (1 << 52) - 1  # significand bits of a double
 _POW10 = np.array([10.0 ** k for k in range(23)])  # exact doubles
 _POW10_INT = np.array([10 ** j for j in range(17)], dtype=np.int64)
 
@@ -109,8 +115,8 @@ _MASKS = _masks()
 
 
 def _interval(a, bits):
-    """For |v| = ``a`` (1e-4 <= a < 1e16, bits ``bits``, not a power of
-    two): d = floor(log10 a), and P = a 10^(16 - d) in [1e16, 1e17) as
+    """For |v| = ``a`` (1e-4 <= a < 1e16, bits ``bits``): d =
+    floor(log10 a), and P = a 10^(16 - d) in [1e16, 1e17) as
     N + r, N an int64 and |r| <= 1/2 a double, with the least and the
     greatest integer that float() reads as a when scaled back."""
     e = bits >> 52
@@ -232,7 +238,6 @@ def rows_text(cols: np.ndarray) -> str:
     k, n = cols.shape
     a = np.abs(cols)
     fast = (a >= _CEIL10[0]) & (a < 1e16)
-    fast &= (cols.view(np.int64) & _FRACTION) != 0
     a[~fast] = 1.5
     # one column at a time, which halves the scratch a block holds
     c = np.empty((n, k), dtype=np.int64)
@@ -241,7 +246,7 @@ def rows_text(cols: np.ndarray) -> str:
     lo, hi, most = 16, -4, 1
     for f in range(k):
         c[:, f], digits, d, tie = _decimals(a[f], a[f].view(np.int64))
-        slow[:, f] |= tie | (c[:, f] >= 10 ** 17)
+        slow[:, f] |= tie
         keys[:, f] = (np.signbit(cols[f]) * 20 + d + 4) * 17 + digits - 1
         lo, hi = min(lo, int(d.min())), max(hi, int(d.max()))
         most = max(most, int(digits.max()))

@@ -48,10 +48,19 @@ is reported as it is, (a, -b).
 A pairs problem (``expand_absolute``, the residuals |a*x + c|) is solved
 on its n rows (``_solve_pairs``): the dual points of a row's pair are
 reflections of each other through the origin, so one (2, n) buffer of
-the right side's points serves both sides, and a left scan from right
-point f is the right side's scan from -f.  It runs the same ``_pivot``,
-``_filtered_scan`` and ``_scan``, and gives the answer, iterations and
-pivot points of its 2n constraints written out, bit for bit.
+the left side's constraints serves both sides, and a right scan from
+left point f is the left side's scan from -f.  It gives the answer,
+iterations and pivot points of its 2n constraints written out, bit for
+bit.
+
+The numpy setups end alike.  The start point is ``_start`` of the left
+side's rows (of each block's, and then of those, for the offsets); the
+range of all values, which tells the scans whether a difference may
+overflow, is ``_span``; and ``_pivot_on`` hands the sides, however they
+are held, to ``_pivot`` through ``_filtered_scan``.  The list path keeps
+its own start loop and scans its lists with ``_scan`` alone, as numpy's
+fixed cost per call outweighs the vectorised scan below
+``_COLUMNAR_MIN_N`` constraints.
 
 Each numpy pivot scan is the slope prefilter (``_filtered_scan``): it
 forms every candidate's rounded slope, and a threshold from
@@ -259,7 +268,8 @@ def _filtered_scan(xs: np.ndarray, ys: np.ndarray, fx: float, fb: float,
         p[w] = least
         keep = (p <= t).nonzero()[0] if t == t else None
     if keep is None:
-        keep = np.arange(n) if blocks is None else _rows(blocks)
+        keep = np.arange(n) if blocks is None else np.concatenate(
+            [np.add(off, s, dtype=np.intp) for s, off in blocks])
     elif len(keep) == 1:
         return int(keep[0])
     kx = xs.take(keep).tolist()
@@ -327,8 +337,7 @@ def _survivors(xs: np.ndarray, ys: np.ndarray, fx: float, fb: float,
         p = np.divide(dy, dx, dx)
         if wide:
             p[over] = inf
-        j = p.argmin()
-        pj = p.item(j)
+        pj = p.item(p.argmin())
         if pj < least:
             least = pj
             t = _slope_threshold(pj)
@@ -346,12 +355,6 @@ def _survivors(xs: np.ndarray, ys: np.ndarray, fx: float, fb: float,
         return None
     keep = np.concatenate([k for k, _ in found])
     return keep.compress(np.concatenate([q for _, q in found]) <= t)
-
-
-def _rows(blocks: list) -> np.ndarray:
-    """The rows that ``blocks``, pairs of a start row and the offsets from
-    it, name, in order."""
-    return np.concatenate([np.add(off, s, dtype=np.intp) for s, off in blocks])
 
 
 def solve(cs: Sequence) -> Solution2:
@@ -403,8 +406,8 @@ def _solve(a: np.ndarray, b: np.ndarray, mirror: bool = False) -> Solution2:
     made the solve 1.11 times slower at 1e3 rows and 1.04 times at 1e4
     (medians of 15 interleaved rounds).  The side order keeps the tie
     rules, as each side stays in input order.  The start point
-    (``_start``), and the range of all values that tells the scans whether
-    a difference may overflow, come from the buffer.
+    (``_start`` of the left rows) and the range of all values (``_span``)
+    come from the buffer, and ``_pivot_on`` scans its two slices.
     """
     n = a.size
     if n < _COLUMNAR_MIN_N:
@@ -420,8 +423,7 @@ def _solve(a: np.ndarray, b: np.ndarray, mirror: bool = False) -> Solution2:
         return _one_sided(a, b, nr == n, _solve)
     nl = n - nr
     buf = np.empty((2, n))
-    xs = buf[0]
-    ys = buf[1]
+    xs, ys = buf[0], buf[1]
     xl, yl, xr, yr = xs[:nl], ys[:nl], xs[nl:], ys[nl:]
     if n <= _BLOCK:
         # One block: each side in one take a column.
@@ -447,25 +449,19 @@ def _solve(a: np.ndarray, b: np.ndarray, mirror: bool = False) -> Solution2:
             bb.take(ir, None, ys[hi:kr], "clip")
             lo = kl
             hi = kr
-    # Every dx and dy of a scan is a difference of two slopes or of two
-    # intercepts, so the range of all values bounds its magnitude; inf
-    # where some difference may overflow.
-    span = buf.item(buf.argmax()) - buf.item(buf.argmin())
-    return _pivot(
-        n, _start(yl, xl.take),
-        lambda i: nl + _filtered_scan(xr, yr, xs.item(i), ys.item(i),
-                                      not mirror, span),
-        lambda i: _filtered_scan(xl, yl, xs.item(i), ys.item(i), mirror,
-                                 span),
-        lambda i: Point2(xs.item(i), -ys.item(i)))
+    return _pivot_on(n, xs, ys, _start(yl, xl.take), _span(buf), xl, yl, xr,
+                     yr, -nr, mirror)
 
 
 def _start(y: np.ndarray, x: Callable[[np.ndarray], np.ndarray]) -> int:
     """Index of the first largest of ``y``, ties to the least x, where
     ``x(k)`` gives the x's of the indices k of y (an array's ``take``):
-    of the left rows, the start point, the lowest left dual point, ties to
-    the smaller x and then the first row.  Any left point is a valid
-    start; the lowest one just pivots less.  Only a tie reads x."""
+    of the left rows' intercepts, the start point, the lowest left dual
+    point, ties to the smaller x and then the first row.  Every numpy
+    setup finds its start so: the side-ordered copy and the pairs buffer
+    on their left columns, and the offsets pass on each block's left rows
+    and then on the blocks' starts, in block order.  Any left point is a
+    valid start; the lowest one just pivots less.  Only a tie reads x."""
     i = int(y.argmax())
     top = y.item(i)
     # argmax finds the first largest; a unique one skips the tie break,
@@ -475,6 +471,51 @@ def _start(y: np.ndarray, x: Callable[[np.ndarray], np.ndarray]) -> int:
         tied = (y == top).nonzero()[0]
         i = int(tied[x(tied).argmin()])
     return i
+
+
+def _span(v: np.ndarray, both_signs: bool = False) -> float:
+    """The range of the values ``v``, or of v and -v with ``both_signs``.
+    Every dx and dy of a scan is a difference of two slopes or of two
+    intercepts, so the range of all values of a solve bounds its
+    magnitude; it is inf where some difference may overflow."""
+    hi = v.item(v.argmax())
+    lo = v.item(v.argmin())
+    if both_signs:
+        hi, lo = max(hi, -lo), min(lo, -hi)
+    return hi - lo
+
+
+def _pivot_on(n: int, xs, ys, i_l: int, span: float, xl, yl, xr, yr, r: int,
+              mirror: bool = False, s: float = 1.0,
+              blocks: tuple = (None, None)) -> Solution2:
+    """``_pivot`` from left point ``i_l`` over the rows (a, b) held as the
+    columns ``xs``, ``ys``, each side read by ``_filtered_scan``: the left
+    side's columns ``xl``, ``yl`` and the right side's ``xr``, ``yr``, with
+    ``blocks``, the sides' blocks as ``_filtered_scan`` takes them.
+
+    Left point i is column i.  Right point j < 0 is column j counted from
+    the end, as a negative index counts: a right scan's winner k, a
+    position in ``xr`` (a row of ``xs`` with blocks), is point r + k, r
+    being minus the columns from its own to the end of ``xs``.  So
+    ``_pivot``'s indices of the two sides never meet, and both are read
+    alike.  With ``s`` = -1.0 (a pairs buffer, ``_solve_pairs``)
+    the right side is the reflection of its columns through the origin,
+    and so is every right point: a scan of the reflected side from a point
+    is the scan of its columns from the point's reflection, and a scan of
+    the left side from a right point is from its column reflected back.
+    Negation is exact.  Each point is built by ``tuple.__new__``, which
+    skips NamedTuple's ``__new__``, a Python function.
+    """
+    bl, br = blocks
+    new = tuple.__new__
+    return _pivot(
+        n, i_l,
+        lambda i: r + _filtered_scan(xr, yr, s * xs.item(i), s * ys.item(i),
+                                     not mirror, span, br),
+        lambda i: _filtered_scan(xl, yl, s * xs.item(i), s * ys.item(i),
+                                 mirror, span, bl),
+        lambda i: new(Point2, (s * xs.item(i), -s * ys.item(i)) if i < 0 else
+                      (xs.item(i), -ys.item(i))))
 
 
 def _one_sided(a: np.ndarray | list, b: np.ndarray | list, all_right: bool,
@@ -501,13 +542,16 @@ def _solve_blocks(a: np.ndarray, b: np.ndarray, mirror: bool) -> Solution2:
     offsets from the block's first row, and records each side as a list
     of (first row of the block, the side's offsets in it).  An offset lies
     below ``_BLOCK``, so the least unsigned type that holds ``_BLOCK - 1``
-    holds it.  While each block is read, the same pass finds the start
-    point, ``_start`` of the block's left rows against the start so far,
-    which an earlier block keeps on a tie of both y and x; and the range
-    of all values.  Each scan reads its side through these offsets
-    (``_filtered_scan`` with ``blocks``), in input order, so every winner
-    and tie is the side-ordered copy's.  Rows on one side drop their
-    offsets before ``_one_sided``, whose mirror writes its own.
+    holds it.  While each block is read, the same pass finds the block's
+    start, ``_start`` of its left rows, where the block's largest
+    intercept reaches the lowest start so far, and the block's extreme
+    values.  The start point is then ``_start`` of the blocks' starts, in
+    block order, so an earlier block keeps a tie of both y and x, and the
+    range of all values is ``_span`` of the extremes.  Each scan reads its
+    side through these offsets (``_filtered_scan`` with ``blocks``), in
+    input order, so every winner and tie is the side-ordered copy's.  Rows
+    on one side drop their offsets before ``_one_sided``, whose mirror
+    writes its own.
     """
     n = a.size
     offsets = np.empty(n, np.min_scalar_type(_BLOCK - 1))
@@ -515,8 +559,8 @@ def _solve_blocks(a: np.ndarray, b: np.ndarray, mirror: bool) -> Solution2:
     on_right = np.less if mirror else np.greater
     left = []
     right = []
-    i_l = -1
-    top = hi = -math.inf  # the start point's intercept, the largest value
+    starts = []  # each block's start point, where it may be the lowest
+    top = hi = -math.inf  # the lowest start's intercept, the largest value
     lo = math.inf
     for s in range(0, n, _BLOCK):
         ab = a[s:s + _BLOCK]
@@ -535,28 +579,19 @@ def _solve_blocks(a: np.ndarray, b: np.ndarray, mirror: bool) -> Solution2:
         high = np.maximum.reduce(bb)
         hi = max(hi, np.maximum.reduce(ab), high)
         lo = min(lo, np.minimum.reduce(ab), np.minimum.reduce(bb))
-        if not il.size or high < top:
-            continue  # no left point here is as low as the start so far
-        i = s + il.item(_start(bb.take(il), lambda k: ab.take(il.take(k))))
-        y = b.item(i)
-        if y > top or (y == top and a.item(i) < a.item(i_l)):
-            top = y
-            i_l = i
+        if il.size and high >= top:
+            i = s + il.item(_start(bb.take(il), lambda k: ab.take(il.take(k))))
+            starts.append(i)
+            top = max(top, b.item(i))
     if not (left and right):
         all_right = not left
         del offsets, o, left, right
         return _one_sided(a, b, all_right, _solve)
-    # Every dx and dy of a scan is a difference of two slopes or of two
-    # intercepts, so the range of all values bounds its magnitude; inf
-    # where some difference may overflow.
-    span = float(hi) - float(lo)
-    return _pivot(
-        n, i_l,
-        lambda i: _filtered_scan(a, b, a.item(i), b.item(i), not mirror,
-                                 span, right),
-        lambda i: _filtered_scan(a, b, a.item(i), b.item(i), mirror, span,
-                                 left),
-        lambda i: Point2(a.item(i), -b.item(i)))
+    # the lowest of the blocks' starts, ties to the earlier block
+    starts = np.array(starts)
+    i_l = starts.item(_start(b.take(starts), lambda k: a.take(starts.take(k))))
+    return _pivot_on(n, a, b, i_l, _span(np.array([lo, hi])), a, b, a, b, -n,
+                     mirror, blocks=(left, right))
 
 
 def _solve_lists(xs: list, ys: list, mirror: bool = False) -> Solution2:
@@ -602,34 +637,33 @@ def _solve_pairs(a: np.ndarray, c: np.ndarray) -> Solution2:
 
     Below ``_COLUMNAR_MIN_N`` constraints they are written out, as lists,
     for ``_solve_lists``.  From there on, each row with a != 0 has one
-    constraint on each side: the right one is (|a|, sgn(a) c), and the
-    left one its negation, whose dual point is the right one's reflected
-    through the origin.  One (2, m) buffer holds the right constraints,
-    in row order, filled a block at a time with no other copy.  A left
-    scan from right point f is then the scan of that buffer from -f:
-    negation is exact and rounding symmetric, so every difference and
-    slope is the same up to the sign of a zero, and a point reflection
-    keeps every orientation, so ``_filtered_scan`` and ``_scan`` pick the
-    same winner.  Left point k, the reflection of right point k, is
-    index ~k.
+    constraint on each side: the left one is (-|a|, -sgn(a) c), and the
+    right one its negation, whose dual point is the left one's reflected
+    through the origin.  One (2, m) buffer holds the left constraints, in
+    row order, filled a block at a time with no other copy, and written
+    on the bits (sign bits set and flipped), so with no more passes than
+    the right constraints would take.  The buffer is read as the
+    side-ordered copy's left side is: ``_start`` finds the start point in
+    it, and the left scans read it.  A right scan from left point f is the
+    scan of the buffer from -f: negation is exact and rounding symmetric,
+    so every difference and slope is the same up to the sign of a zero,
+    and a point reflection keeps every orientation, so ``_filtered_scan``
+    and ``_scan`` pick the same winner (``_pivot_on`` with s = -1.0).
+    Right point k - w, w the buffer's width, is the reflection of left
+    point k.
 
     A row with a = +-0.0 gives two left constraints on x = +-0.0, (a, c)
     and (-a, -c), and none on the right.  Seen from any right point, the
     one with the larger intercept has the smaller slope, so of all of them
     only the first with the largest intercept, Z, can win a scan or start
     one: the others lose to it, or are identical to it and later.  The
-    buffer holds Z's reflection in its last column, which the left scans
+    buffer holds Z in its last column, which the left scans and the start
     read and the right scans do not.  Z is never identical to another
     left point, and loses an exact tie to every one, as those lie farther
     from the right side, so where it stands among them changes no
     winner.  With every a zero, Z's intercept is the constant answer.
-
-    The start point is the lowest left point, ties to the smaller x and
-    then the first, as ``_start`` finds it: in the buffer, the least
-    intercept, ties to the largest slope.  It keeps its own argmin, as
-    ``_start`` would need a negated copy of the buffer.  The range of all
-    values is that of the written-out constraints, max - -max with max the
-    largest magnitude.
+    The range of all values is that of the written-out constraints, the
+    buffer and its reflection (``_span`` with both signs).
     """
     n = a.size
     if 2 * n < _COLUMNAR_MIN_N:
@@ -637,51 +671,34 @@ def _solve_pairs(a: np.ndarray, c: np.ndarray) -> Solution2:
     m = np.count_nonzero(a)
     flat = m < n  # rows with a = +-0.0
     buf = np.empty((2, m + flat))
-    xs = buf[0]
-    ys = buf[1]
+    xs, ys = buf[0], buf[1]
     if flat:
         zero = (a == 0.0).nonzero()[0]
-        cz = c[zero]
-        high = max(cz.max(), -cz.min())
-        j = zero[(np.abs(cz) == high).argmax()].item()
+        j = zero[np.abs(c[zero]).argmax()].item()
         xz, bz = a.item(j), c.item(j)
-        if bz != high:  # (-a, -c) is the first with the largest intercept
+        if bz < 0.0:  # (-a, -c) is the first with the largest intercept
             xz, bz = -xz, -bz
         if not m:
             return Solution2(Status.OPTIMAL, x=0.0, t=bz, iterations=0)
-        xs[m] = -xz
-        ys[m] = -bz
+        buf[:, m] = xz, bz
+    bits = buf.view(np.int64)
     lo = 0
     for s in range(0, n, _BLOCK):
         ab = a[s:s + _BLOCK]
         cb = c[s:s + _BLOCK]
         if flat:
             k = ab.nonzero()[0]
-            ab = ab[k]
-            cb = cb[k]
-        e = lo + ab.size
-        np.abs(ab, out=xs[lo:e])
-        # c times sgn(a), +-1.0: exact, and -c where a < 0
-        np.multiply(np.sign(ab, out=ys[lo:e]), cb, out=ys[lo:e])
-        lo = e
-    i = int(ys.argmin())
-    low = ys.item(i)
-    rest = ys[i + 1:]
-    if rest.size and rest.item(rest.argmin()) == low:
-        tied = (ys == low).nonzero()[0]
-        i = int(tied[xs[tied].argmax()])
-    high = max(buf.item(buf.argmax()), -buf.item(buf.argmin()))
-    span = high - -high
-    xr = xs[:m]
-    yr = ys[:m]
-    return _pivot(
-        2 * n, ~i,
-        lambda i: _filtered_scan(xr, yr, -xs.item(~i), -ys.item(~i), True,
-                                 span),
-        lambda i: ~_filtered_scan(xs, ys, -xs.item(i), -ys.item(i), False,
-                                  span),
-        lambda i: (Point2(xs.item(i), -ys.item(i)) if i >= 0 else
-                   Point2(-xs.item(~i), ys.item(~i))))
+            ab, cb = ab[k], cb[k]
+        ab = ab.view(np.int64)
+        x, y = bits[0, lo:lo + ab.size], bits[1, lo:lo + ab.size]
+        # (-|a|, -sgn(a) c) on the bits, exactly: a with its sign bit set,
+        # and c with its sign bit flipped where a's was clear
+        np.bitwise_or(ab, -1 << 63, out=x)
+        np.bitwise_xor(x, ab, out=y)
+        y ^= cb.view(np.int64)
+        lo += ab.size
+    return _pivot_on(2 * n, xs, ys, _start(ys, xs.take), _span(buf, True), xs,
+                     ys, xs[:m], ys[:m], -m - flat, s=-1.0)
 
 
 def _pivot(n: int, i_l: int, scan_right: Callable[[int], int],
@@ -702,7 +719,7 @@ def _pivot(n: int, i_l: int, scan_right: Callable[[int], int],
     there each pair is (the point on x = 0, the point with x < 0).  Scans
     that never settle raise ContractViolation after 2n^2 + 65 of them.
     """
-    ends = [i_l, -1]  # left, right: no right end yet, so the first moves
+    ends = [i_l, None]  # left, right: no right end yet, so the first moves
     at = [point(i_l), None]
     pairs = []
     # Odd scans move the right end, even ones the left; scan 2n^2 + 65 is
@@ -731,21 +748,19 @@ def solve_boxed(cs: Sequence, lo: float, hi: float) -> Solution2:
     empty or not finite, and NonFiniteInput when the optimal t lies outside
     the double range.
     """
-    cols, pairs = _held(cs, 2)
+    p = cs if isinstance(cs, Problem) else Problem._of(columns(cs, 2))
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"invalid box: lo={lo!r}, hi={hi!r}")
     try:
-        sol = (_solve_pairs if pairs else _solve)(cols[0], cols[1])
+        sol = solve(p)
     except NonFiniteInput:
         # The input is finite, and the unconstrained t lies between two
         # intercepts: only x is out of range, and so outside the box.
         sol = Solution2(Status.UNBOUNDED)
     if sol.status is Status.OPTIMAL and lo <= sol.x <= hi:
         return sol
-    if pairs:
-        cols = cs
-    t_lo = objective(cols, lo)
-    t_hi = objective(cols, hi)
+    t_lo = objective(p, lo)
+    t_hi = objective(p, hi)
     x, t = (lo, t_lo) if t_lo <= t_hi else (hi, t_hi)
     if not math.isfinite(t):
         raise NonFiniteInput(

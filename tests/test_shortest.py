@@ -111,22 +111,33 @@ class TestSameAsRepr:
         _assert_repr(_short_decimals(np.random.default_rng(6))[:3000], k)
 
     def test_one_block_of_leftovers_alone(self):
-        # every field is left to repr: exponent form, zeros, powers of two
-        _assert_repr([1e-5, 0.0, -0.0, 2.0, 1e300, -4.0])
+        # every field is left to repr: exponent form, zeros, infinities
+        _assert_repr([1e-5, 0.0, -0.0, -1e-300, 1e300, math.inf])
         _assert_repr([1e-5, 0.5, 0.1, 1e17])
+
+    def test_every_power_of_two_and_ten(self):
+        # the two cases the module docstring proves need no route to repr:
+        # the lopsided interval of a power of two, and a decimal that
+        # would round up to the next power of ten
+        powers = [2.0 ** e for e in range(-13, 54)] + [
+            float(f"1e{j}") for j in range(-4, 16)]
+        assert min(powers) >= 1e-4 and max(powers) < 1e16
+        bits = np.array(powers).view(np.int64)
+        near = (bits[:, None] + np.arange(-3, 4)).ravel().view(np.float64)
+        _assert_repr(np.concatenate([near, -near]), k=1)
 
 
 def test_what_is_left_to_repr(monkeypatch):
     """repr writes the fields the exact test does not model: exponent
-    form, zeros, powers of two (a lopsided interval) and ties; numpy
-    writes the rest."""
+    form, zeros and ties; numpy writes the rest, powers of two too."""
     from minmaxlp import shortest
     seen = []
     monkeypatch.setattr(shortest, "repr", lambda x: seen.append(x) or repr(x),
                         raising=False)
-    left = [1e-5, 0.0, -0.0, 2.0, 0.25, 8 + 2 ** -16, 1e16]
-    text = rows_text(np.array([left + [1.5] * 7, [0.1] * 14]))
-    assert text == _repr_rows(np.array([left + [1.5] * 7, [0.1] * 14]))
+    left = [1e-5, 0.0, -0.0, 8 + 2 ** -16, 1e16]
+    row = left + [2.0, 0.25, 1.5, 2.0 ** 53, 2.0 ** -13, 1e15, 1e-4]
+    text = rows_text(np.array([row, [0.1] * 12]))
+    assert text == _repr_rows(np.array([row, [0.1] * 12]))
     assert [x.hex() for x in seen] == [x.hex() for x in left]
 
 
