@@ -8,7 +8,7 @@ provably safe constraint pruner and exhaustive oracles sit beside them
 as tools and references.
 """
 
-from .baseline import check2d, lower_hull, solve_baseline
+from .baseline import lower_hull, solve_baseline
 from .bench import BenchResult, fit_loglog_slope, run_scaling
 from .errors import (ContractViolation, EmptyProblem, MixedArity,
                      NonFiniteInput, ParseError)
@@ -17,9 +17,9 @@ from .geometry import (Line2, Plane3, Point2, Point3, Sign, dual_of_line,
                        exact_product_compare, orientation_exact)
 from .instances import GenSpec, gen2d, gen3d
 from .model import (Constraint2, Constraint3, Problem, Solution2, Solution3,
-                    Status)
+                    Status, check2d, check3d)
 from .oracle import brute2d, brute3d_box
-from .prune3d import PruneReport, boundary_via_2d, check3d, prune, solve3d
+from .prune3d import PruneReport, boundary_via_2d, prune, solve3d
 from .solver2d import expand_absolute, solve, solve_boxed, to_dual_points
 
 __version__ = "0.1.0"

@@ -4,23 +4,20 @@ O(n log n) by construction, exact thanks to the shared sign predicates.
 This module exists to cross-check the pivoting solver at sizes where the
 quadratic oracle is out of reach; it is deliberately simple, not fast.
 Points are read and sorted in numpy; the hull chain is built in Python,
-one exact turn decision at a time.  ``check2d``, the certificate check of
-a one-variable answer, lives here too; it calls no solver.
+one exact turn decision at a time (``geometry._chain``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractViolation
-from .geometry import Point2, _line_through, _orient
-from .model import (Solution2, Status, _constraints_at, _held, certify,
-                    columns)
+from .geometry import Point2, _chain, _line_through
+from .model import Solution2, Status, columns
 
-__all__ = ["lower_hull", "solve_baseline", "check2d"]
+__all__ = ["lower_hull", "solve_baseline"]
 
 
 def _sorted_unique_xy(xs: np.ndarray, ys: np.ndarray):
@@ -32,27 +29,6 @@ def _sorted_unique_xy(xs: np.ndarray, ys: np.ndarray):
     sx = xs[order]
     _, first = np.unique(sx, return_index=True)
     return sx[first].tolist(), ys[order[first]].tolist()
-
-
-def _chain(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
-    """Monotone-chain lower hull over (x, y)-sorted, distinct points
-    (Andrew, IPL 1979); over them in reverse, the upper hull.
-
-    Each turn is ``geometry._orient`` of the original points, so a
-    rounded or overflowing difference never decides a turn.
-    """
-    hx: list[float] = []
-    hy: list[float] = []
-    for px, py in zip(xs, ys):
-        # Pop while the middle point is not strictly convex (collinear
-        # points are dropped; the edge line is unchanged).
-        while len(hx) >= 2 and _orient(hx[-2], hy[-2], hx[-1], hy[-1],
-                                       px, py) <= 0:
-            hx.pop()
-            hy.pop()
-        hx.append(px)
-        hy.append(py)
-    return hx, hy
 
 
 def lower_hull(dp: Sequence[Point2]) -> list[Point2]:
@@ -87,47 +63,3 @@ def solve_baseline(cs: Sequence) -> Solution2:
                                  "solve_baseline")
             return Solution2(Status.OPTIMAL, x=m, t=t, iterations=0)
     raise ContractViolation("hull spans the axis but no crossing edge found")
-
-
-def check2d(cs: Sequence, sol: Solution2) -> None:
-    """Raise ContractViolation unless ``sol`` answers ``cs``, by an exact
-    weak-duality certificate.
-
-    UNBOUNDED holds iff every slope is > 0 or every slope is < 0.  For an
-    OPTIMAL answer, the best near-tight constraint at ``sol.x`` with a <= 0
-    and the best with a >= 0 get multipliers lambda >= 0, summing to 1,
-    with sum(lambda * a) = 0; the weighted intercept sum(lambda * b) is an
-    exact lower bound on the optimum (``model.certify`` has the rule).
-    Near-tight, not merely best: the best constraint at a rounded x can be
-    a shallow one whose crossing lies far below the optimum, where the
-    steep true support is still within its own rounding of the maximum.
-    O(n) numpy work and O(1) Fraction work; no reference solver.  A pairs
-    problem is read on its n rows: its slopes a, -a never share a strict
-    sign.
-    """
-    cols, pairs = _held(cs, 2)
-    a = cols[0]
-    unbounded = not pairs and bool(a.min() > 0.0 or a.max() < 0.0)
-    if (sol.status is Status.UNBOUNDED) is not unbounded:
-        raise ContractViolation(
-            f"check2d: status {sol.status.value}, but "
-            + ("every slope has one strict sign" if unbounded
-               else "the slopes do not all share a strict sign"))
-    if unbounded:
-        return
-
-    def lower_bound(idx, values):
-        ra, rb = _constraints_at(cols, pairs, idx)
-        on_left = ra <= 0.0
-        on_right = ra >= 0.0
-        if not (on_left.any() and on_right.any()):
-            return None
-        i = np.argmax(values[on_left])
-        j = np.argmax(values[on_right])
-        ai, bi, aj, bj = map(Fraction, (ra[on_left][i], rb[on_left][i],
-                                        ra[on_right][j], rb[on_right][j]))
-        if ai == aj:
-            return max(bi, bj)  # both slopes are 0
-        return (aj * bi - ai * bj) / (aj - ai)
-
-    certify(cs if pairs else cols, (sol.x,), sol.t, lower_bound, "check2d")

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Sequence
 
-from .baseline import check2d, solve_baseline
+from .baseline import solve_baseline
 from .instances import GenSpec, gen2d, gen3d
+from .model import check2d, check3d
 from .oracle import brute2d
-from .prune3d import check3d, solve3d
+from .prune3d import solve3d
 from .solver2d import solve
 
 __all__ = ["BenchResult", "run_scaling", "fit_loglog_slope"]

@@ -60,16 +60,15 @@ from typing import BinaryIO
 import numpy as np
 
 from . import bench as bench_mod
-from .baseline import check2d
 # Unused here, but perfbench/spans.py traces cli.solve_baseline by
 # rebinding it, so the name stays a module attribute.
 from .baseline import solve_baseline  # noqa: F401
 from .errors import ContractViolation, EmptyProblem, MixedArity, ParseError
 from .instances import GenSpec, gen2d, gen3d
-from .model import (Problem, Solution2, Solution3, Status, columns,
-                    objective, signed_pairs)
+from .model import (Problem, Solution2, Solution3, Status, check2d, check3d,
+                    columns, objective, signed_pairs)
 from .oracle import brute2d, brute3d_box
-from .prune3d import PruneReport, check3d, prune, solve3d
+from .prune3d import PruneReport, prune, solve3d
 from .solver2d import expand_absolute, solve
 
 __all__ = ["parse_constraints", "emit_solution", "main"]

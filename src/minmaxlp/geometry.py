@@ -151,6 +151,27 @@ def _orient(ax: float, ay: float, bx: float, by: float,
     return _slow_sign(ax, ay, bx, by, cx, cy)
 
 
+def _chain(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
+    """Monotone-chain lower hull over (x, y)-sorted, distinct points
+    (Andrew, IPL 1979); over them in reverse, the upper hull.
+
+    Each turn is ``_orient`` of the original points, so a rounded or
+    overflowing difference never decides a turn.
+    """
+    hx: list[float] = []
+    hy: list[float] = []
+    for px, py in zip(xs, ys):
+        # Pop while the middle point is not strictly convex (collinear
+        # points are dropped; the edge line is unchanged).
+        while len(hx) >= 2 and _orient(hx[-2], hy[-2], hx[-1], hy[-1],
+                                       px, py) <= 0:
+            hx.pop()
+            hy.pop()
+        hx.append(px)
+        hy.append(py)
+    return hx, hy
+
+
 def _slope_threshold(p: float) -> float:
     """A threshold T such that a candidate whose rounded slope exceeds T
     has a larger exact slope than the candidate whose rounded slope is

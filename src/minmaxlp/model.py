@@ -1,5 +1,13 @@
-"""Problem and solution value types, the constraint reader, and the one
-row evaluator, ``_evaluate``, behind every pass that forms row values."""
+"""Problem and solution value types, the constraint reader, the one row
+evaluator, ``_evaluate``, behind every pass that forms row values, and
+the answer certificate: ``certify``, and ``check2d`` and ``check3d``,
+which prove an answer of either problem by weak duality over the rows
+near-tight at it.
+
+The certificate is the checker of a certifying algorithm: it reads the
+rows and the answer alone.  This module imports no solver (only
+``errors`` and ``geometry`` of the package), so no check can reach one.
+"""
 
 from __future__ import annotations
 
@@ -15,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation, EmptyProblem, NonFiniteInput
-from .geometry import _EPS, _TINY, Point2
+from .geometry import _EPS, _TINY, Point2, _chain
 
 
 class Status(str, Enum):
@@ -94,7 +102,7 @@ class Problem(Sequence):
     ``signed_pairs`` builds the other kind of problem: its array's n rows
     each stand for the pair r, -r, and it reads as the 2n constraints
     r0, -r0, r1, -r1, ...  Its mark, ``_pairs``, is what tells the kinds
-    apart.  ``solve``, ``objective``, ``certify`` and ``check2d`` read its
+    apart.  ``solve``, ``objective``, ``check2d`` and ``check3d`` read its
     n rows once.  A slice with step 1 that starts and ends on a pair
     boundary is a pairs problem on a view of its rows; ``columns``, any
     other slice, iteration and ``np.asarray`` write out the 2n
@@ -253,9 +261,8 @@ def _held(cs, k: int) -> tuple[np.ndarray, bool]:
 
 
 def _rows_of(cols, k: int) -> tuple[np.ndarray, bool]:
-    """``objective``'s and ``certify``'s columns as they read them: a
-    ``Problem``'s ``_held`` rows and mark, and any other ``cols`` as given,
-    not pairs."""
+    """``objective``'s columns as it reads them: a ``Problem``'s ``_held``
+    rows and mark, and any other ``cols`` as given, not pairs."""
     return _held(cols, k) if isinstance(cols, Problem) else (cols, False)
 
 
@@ -432,10 +439,11 @@ def require_finite(point: tuple, t: float, who: str) -> None:
             raise ContractViolation(f"{who}: the answer is not finite")
 
 
-def certify(cols, point: tuple, t: float, lower_bound, who: str) -> None:
+def certify(rows: np.ndarray, pairs: bool, point: tuple, t: float,
+            lower_bound, who: str) -> None:
     """Raise ContractViolation unless ``t`` is the optimum up to rounding,
-    by weak duality, over the constraints of the (k, n) array ``cols``, or
-    of a ``Problem``.
+    by weak duality, over the constraints of the (k, n) array ``rows``
+    with the mark ``pairs``, as ``_held`` gives them.
 
     The constraints near-tight at ``point`` are those whose values there
     lie within _TIGHT times their own and the top constraint's magnitude
@@ -467,7 +475,6 @@ def certify(cols, point: tuple, t: float, lower_bound, who: str) -> None:
     """
     require_finite(point, t, who)
     F = Fraction
-    rows, pairs = _rows_of(cols, len(point) + 1)
     n = rows.shape[1]
     size = tuple(map(abs, point))
     # M', in Python floats, which round as numpy's do and overflow to inf
@@ -536,6 +543,128 @@ def certify(cols, point: tuple, t: float, lower_bound, who: str) -> None:
         raise ContractViolation(
             f"{who}: t={t} lies above the lower bound {_to_float(lower)!r} "
             f"by more than the rounding bound {_to_float(bound)!r}")
+
+
+def check2d(cs: Sequence, sol: Solution2) -> None:
+    """Raise ContractViolation unless ``sol`` answers ``cs``, by an exact
+    weak-duality certificate.
+
+    UNBOUNDED holds iff every slope is > 0 or every slope is < 0.  For an
+    OPTIMAL answer, the best near-tight constraint at ``sol.x`` with a <= 0
+    and the best with a >= 0 get multipliers lambda >= 0, summing to 1,
+    with sum(lambda * a) = 0; the weighted intercept sum(lambda * b) is an
+    exact lower bound on the optimum (``certify`` has the rule).
+    Near-tight, not merely best: the best constraint at a rounded x can be
+    a shallow one whose crossing lies far below the optimum, where the
+    steep true support is still within its own rounding of the maximum.
+    O(n) numpy work and O(1) Fraction work; no reference solver.  A pairs
+    problem is read on its n rows: its slopes a, -a never share a strict
+    sign.
+    """
+    rows, pairs = _held(cs, 2)
+    a = rows[0]
+    unbounded = not pairs and bool(a.min() > 0.0 or a.max() < 0.0)
+    if (sol.status is Status.UNBOUNDED) is not unbounded:
+        raise ContractViolation(
+            f"check2d: status {sol.status.value}, but "
+            + ("every slope has one strict sign" if unbounded
+               else "the slopes do not all share a strict sign"))
+    if unbounded:
+        return
+
+    def lower_bound(idx, values):
+        ra, rb = _constraints_at(rows, pairs, idx)
+        on_left = ra <= 0.0
+        on_right = ra >= 0.0
+        if not (on_left.any() and on_right.any()):
+            return None
+        i = np.argmax(values[on_left])
+        j = np.argmax(values[on_right])
+        ai, bi, aj, bj = map(Fraction, (ra[on_left][i], rb[on_left][i],
+                                        ra[on_right][j], rb[on_right][j]))
+        if ai == aj:
+            return max(bi, bj)  # both slopes are 0
+        return (aj * bi - ai * bj) / (aj - ai)
+
+    certify(rows, pairs, (sol.x,), sol.t, lower_bound, "check2d")
+
+
+def check3d(cs: Sequence, sol: Solution3) -> None:
+    """Raise ContractViolation unless ``sol`` answers the box problem ``cs``,
+    by an exact weak-duality certificate.
+
+    ``cs`` is read like ``prune3d.solve3d``'s, a pairs problem on its n
+    rows.  The status must be OPTIMAL, as the box problem always has an
+    optimum, and (x, y) must lie in the unit box.  Any multipliers
+    lambda >= 0 summing to 1 give the exact lower bound
+    sum(lambda * c) + min(0, sum(lambda * a)) + min(0, sum(lambda * b)) on
+    the optimum over the box; ``certify`` compares the best one found with
+    t and with the objective at (x, y).  The multipliers are
+    sought among the near-tight constraints: their gradients (a, b),
+    deduplicated to the largest c, and of those only the h vertices of the
+    convex hull, since the bound is concave in sum(lambda * (a, b)).  The
+    hull is one monotone chain over the gradients in (a, b) order, run
+    forward for its lower half and back for its upper half.  Each hull
+    vertex, each hull edge where sum(lambda * a) or sum(lambda * b) is 0,
+    and the fan triangle holding (0, 0) is tried.  O(n) numpy work, O(h)
+    Fraction work and no reference solver.
+    """
+    rows, pairs = _held(cs, 3)
+    x, y = sol.x, sol.y
+    if sol.status is not Status.OPTIMAL:
+        raise ContractViolation(
+            f"check3d: status {sol.status.value}, but the box problem "
+            "always has an optimum")
+    require_finite((x, y), sol.t, "check3d")
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise ContractViolation(f"check3d: ({x}, {y}) lies outside the box")
+    certify(rows, pairs, (x, y), sol.t, lambda idx, _: _box_lower_bound(
+        *_constraints_at(rows, pairs, idx)), "check3d")
+
+
+def _box_lower_bound(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Fraction:
+    """The best lower bound of the box problem over rows (a, b, c) that
+    the multipliers on hull vertices, hull edges and fan triangles of the
+    gradients give, in Fractions.
+
+    The hull is Andrew's monotone chain: ``geometry._chain`` over the
+    distinct gradients in (a, b) order gives the lower chain, and over
+    them in reverse the upper one.  Each chain ends where the other
+    starts, so the polygon, counter-clockwise from the least gradient, is
+    both without their last points, or the one gradient there is.
+    """
+    # in increasing c, so each gradient keeps its largest c
+    order = np.argsort(c)
+    best_c = dict(zip(zip(a[order].tolist(), b[order].tolist()),
+                      c[order].tolist()))
+    xs, ys = zip(*sorted(best_c))
+    lower, upper = (list(zip(*_chain(xs[::d], ys[::d]))) for d in (1, -1))
+    F = Fraction
+    poly = [(F(p), F(q), F(best_c[p, q]))
+            for p, q in lower[:-1] + upper[:-1] or lower]
+
+    def bound(rows, lams):
+        sa, sb, sc = (sum(lam * r[g] for lam, r in zip(lams, rows))
+                      for g in range(3))
+        return sc + min(0, sa) + min(0, sb)
+
+    best = max(bound((r,), (1,)) for r in poly)
+    h = len(poly)
+    for k in range(h if h > 2 else h - 1):
+        p, q = poly[k], poly[(k + 1) % h]
+        for g in (0, 1):
+            if p[g] != q[g] and min(p[g], q[g]) <= 0 <= max(p[g], q[g]):
+                lam = q[g] / (q[g] - p[g])
+                best = max(best, bound((p, q), (lam, 1 - lam)))
+    p = poly[0]
+    for q, r in zip(poly[1:], poly[2:]):
+        # barycentric coordinates of (0, 0) in the triangle p, q, r
+        det = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+        lq = (r[0] * p[1] - r[1] * p[0]) / det
+        lr = (p[0] * q[1] - p[1] * q[0]) / det
+        if lq >= 0 and lr >= 0 and lq + lr <= 1:
+            best = max(best, bound((p, q, r), (1 - lq - lr, lq, lr)))
+    return best
 
 
 def _fractions(cols) -> list[np.ndarray]:

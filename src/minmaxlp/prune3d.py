@@ -1,6 +1,6 @@
 """The box-constrained two-variable problem: an exact-decision LP solver,
-its certificate check, safe constraint discarding, and the four box-edge
-reductions.
+safe constraint discarding, and the four box-edge reductions.  Its
+answers are checked by ``model.check3d``.
 
 ``solve3d`` minimises max_i (a_i*x + b_i*y + c_i) over the unit box as the
 linear program min t subject to a_i*x + b_i*y + c_i <= t, by Seidel's
@@ -47,11 +47,9 @@ import numpy as np
 
 from .errors import ContractViolation, NonFiniteInput
 from . import model
-from .baseline import _chain
 from .geometry import _product_sign
-from .model import (_EVAL_ERR, Problem, Solution2, Solution3, Status,
-                    _constraints_at, _evaluate, _held, certify, columns,
-                    objective, require_finite)
+from .model import (_EVAL_ERR, Problem, Solution2, Solution3, _evaluate,
+                    columns, objective)
 # Unused here, but perfbench/spans.py traces prune3d.brute3d_box by
 # rebinding it, so the name stays a module attribute.
 from .oracle import brute3d_box  # noqa: F401
@@ -61,7 +59,6 @@ __all__ = [
     "PruneReport",
     "prune",
     "solve3d",
-    "check3d",
     "boundary_via_2d",
 ]
 
@@ -202,94 +199,14 @@ def solve3d(cs: Sequence) -> Solution3:
     ValueError for a row with fewer than three fields, NonFiniteInput for a
     non-finite coefficient, naming the first such constraint, and
     ContractViolation if a subproblem comes out empty by more than
-    rounding, which exact arithmetic rules out.  ``check3d`` checks the
-    answer.
+    rounding, which exact arithmetic rules out.  ``model.check3d``
+    checks the answer.
     """
     x, y, t = _box_point(columns(cs, 3))
     if not math.isfinite(t):
         raise NonFiniteInput(
             "solve3d: the optimal t lies outside the double range")
     return Solution3(x=x, y=y, t=t)
-
-
-def check3d(cs: Sequence, sol: Solution3) -> None:
-    """Raise ContractViolation unless ``sol`` answers the box problem ``cs``,
-    by an exact weak-duality certificate.
-
-    ``cs`` is read like ``solve3d``'s, a pairs problem on its n rows.
-    The status must be OPTIMAL, as the box problem always has an optimum,
-    and (x, y) must lie in the unit box.
-    Any multipliers lambda >= 0 summing to 1 give the exact lower bound
-    sum(lambda * c) + min(0, sum(lambda * a)) + min(0, sum(lambda * b)) on
-    the optimum over the box; ``model.certify`` compares the best one
-    found with t and with the objective at (x, y).  The multipliers are
-    sought among the near-tight constraints: their gradients (a, b),
-    deduplicated to the largest c, and of those only the h vertices of the
-    convex hull, since the bound is concave in sum(lambda * (a, b)).  The
-    hull is one monotone chain over the gradients in (a, b) order, run
-    forward for its lower half and back for its upper half.  Each hull
-    vertex, each hull edge where sum(lambda * a) or sum(lambda * b) is 0,
-    and the fan triangle holding (0, 0) is tried.  O(n) numpy work, O(h)
-    Fraction work and no reference solver.
-    """
-    cols, pairs = _held(cs, 3)
-    x, y = sol.x, sol.y
-    if sol.status is not Status.OPTIMAL:
-        raise ContractViolation(
-            f"check3d: status {sol.status.value}, but the box problem "
-            "always has an optimum")
-    require_finite((x, y), sol.t, "check3d")
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise ContractViolation(f"check3d: ({x}, {y}) lies outside the box")
-    certify(cs if pairs else cols, (x, y), sol.t,
-            lambda idx, _: _box_lower_bound(*_constraints_at(cols, pairs,
-                                                              idx)),
-            "check3d")
-
-
-def _box_lower_bound(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Fraction:
-    """The best lower bound of the box problem over rows (a, b, c) that
-    the multipliers on hull vertices, hull edges and fan triangles of the
-    gradients give, in Fractions.
-
-    The hull is Andrew's monotone chain: ``baseline._chain`` over the
-    distinct gradients in (a, b) order gives the lower chain, and over
-    them in reverse the upper one.  Each chain ends where the other
-    starts, so the polygon, counter-clockwise from the least gradient, is
-    both without their last points, or the one gradient there is.
-    """
-    # in increasing c, so each gradient keeps its largest c
-    order = np.argsort(c)
-    best_c = dict(zip(zip(a[order].tolist(), b[order].tolist()),
-                      c[order].tolist()))
-    xs, ys = zip(*sorted(best_c))
-    lower, upper = (list(zip(*_chain(xs[::d], ys[::d]))) for d in (1, -1))
-    F = Fraction
-    poly = [(F(p), F(q), F(best_c[p, q]))
-            for p, q in lower[:-1] + upper[:-1] or lower]
-
-    def bound(rows, lams):
-        sa, sb, sc = (sum(lam * r[g] for lam, r in zip(lams, rows))
-                      for g in range(3))
-        return sc + min(0, sa) + min(0, sb)
-
-    best = max(bound((r,), (1,)) for r in poly)
-    h = len(poly)
-    for k in range(h if h > 2 else h - 1):
-        p, q = poly[k], poly[(k + 1) % h]
-        for g in (0, 1):
-            if p[g] != q[g] and min(p[g], q[g]) <= 0 <= max(p[g], q[g]):
-                lam = q[g] / (q[g] - p[g])
-                best = max(best, bound((p, q), (lam, 1 - lam)))
-    p = poly[0]
-    for q, r in zip(poly[1:], poly[2:]):
-        # barycentric coordinates of (0, 0) in the triangle p, q, r
-        det = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-        lq = (r[0] * p[1] - r[1] * p[0]) / det
-        lr = (p[0] * q[1] - p[1] * q[0]) / det
-        if lq >= 0 and lr >= 0 and lq + lr <= 1:
-            best = max(best, bound((p, q, r), (1 - lq - lr, lq, lr)))
-    return best
 
 
 def _exceeds(a: float, b: float, c: float, x: float, y: float,

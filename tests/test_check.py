@@ -4,11 +4,19 @@ Every solver's answers on the corpora below must pass; answers with t
 raised by 1e-13 relative, or with the box point moved by 1e-3, must not.
 Where the constraint terms cancel to a t far below their magnitudes, the
 rounding bound of the certificate is wider than 1e-13 * |t|, so the
-mutant corpora hold no such cases.
+mutant corpora hold no such cases.  One digest pins the verdicts, and the
+messages with their rounded bounds, of every answer whose problem rests
+on IEEE arithmetic alone.  On small exact box problems, the multipliers
+on the rows tight at the optimum reach it with no slack, the paper's
+claim in 3D.
 """
 
+import ast
+import hashlib
 import math
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +26,7 @@ from minmaxlp import (ContractViolation, GenSpec, NonFiniteInput, Solution2,
                       check3d, expand_absolute, gen2d, gen3d, solve,
                       solve3d, solve_baseline)
 from minmaxlp import baseline, geometry, model, oracle, prune3d, solver2d
-from minmaxlp.model import columns, objective
+from minmaxlp.model import columns, objective, signed_pairs
 
 
 def _fit(family, m, seed):
@@ -238,27 +246,18 @@ def test_no_reference_solver_is_called(monkeypatch):
         check3d(cs, solve3d(cs))
 
 
-def _answers():
-    """(check, problem, answer): every solver answer of the corpora, with
+def _answers(cases2d, cases3d):
+    """(check, problem, answer): the solver's answer to each problem, with
     t raised by 1e-13 relative, and each box point moved by 1e-3."""
     out = []
-    for _, cs in CORPUS2D + CANCELLING2D:
+    for cs in cases2d:
         sol = solve(cs)
         out.append((check2d, cs, sol))
         if sol.status is Status.OPTIMAL:
             out.append((check2d, cs, Solution2(
                 Status.OPTIMAL, x=sol.x,
                 t=sol.t + 1e-13 * max(1.0, abs(sol.t)))))
-    # many planes through one point: rows near-tight at the answer by
-    # various small amounts
-    probes = []
-    for m in (300, 3000):
-        rng = np.random.default_rng(m)
-        for _ in range(3):
-            a, b = rng.normal(0.0, 3.0, m), rng.normal(0.0, 3.0, m)
-            probes.append(np.stack([a, b, 1.0 - a * 0.17925800707829326
-                                    - b * 0.5062426186871909], axis=1))
-    for cs in [cs for _, cs in CORPUS3D] + probes:
+    for cs in cases3d:
         sol = solve3d(cs)
         x = sol.x + 1e-3 if sol.x <= 0.5 else sol.x - 1e-3
         out += [(check3d, cs, sol),
@@ -270,7 +269,41 @@ def _answers():
     return out
 
 
-ANSWERS = _answers()
+def _probes():
+    """Many planes through one point: rows near-tight at the answer by
+    various small amounts."""
+    probes = []
+    for m in (300, 3000):
+        rng = np.random.default_rng(m)
+        for _ in range(3):
+            a, b = rng.normal(0.0, 3.0, m), rng.normal(0.0, 3.0, m)
+            probes.append(np.stack([a, b, 1.0 - a * 0.17925800707829326
+                                    - b * 0.5062426186871909], axis=1))
+    return probes
+
+
+def _pairs3d(rows):
+    """The box problem of the residuals |r| of the (n, 3) rows ``rows``."""
+    return signed_pairs(np.ascontiguousarray(np.asarray(rows).T))
+
+
+def _by_gen(name):
+    return name.startswith(("gauss/", "scaled/", "dup/"))
+
+
+# The answers to problems whose bits rest on PCG64 and IEEE arithmetic
+# alone: fits, cancelling and huge rows, grids, planes through one point,
+# and pairs problems in 2D and 3D, of more than one block of rows too.
+PINNED = _answers(
+    [cs for name, cs in CORPUS2D + CANCELLING2D if not _by_gen(name)]
+    + [_fit("noisy", 5000, 0)],
+    [cs for name, cs in CORPUS3D if not _by_gen(name)] + _probes()
+    + [_pairs3d(p) for m in (10, 300, 5000) for p in _points(m, 2, m)])
+# ``gen``'s bits rest on numpy's SIMD log1p, cos and sin as well.
+ANSWERS = PINNED + _answers(
+    [cs for name, cs in CORPUS2D if _by_gen(name)],
+    [cs for name, cs in CORPUS3D if _by_gen(name)]
+    + [_pairs3d(gen3d(GenSpec(n=n, seed=5, dim=3))) for n in (10, 60, 3000)])
 
 
 @pytest.fixture
@@ -278,21 +311,23 @@ def drawn(monkeypatch):
     """The near-tight rows each certificate draws on, as (indices,
     values) lists, one entry per check."""
     calls = []
+    certify = model.certify
 
-    def spy(cols, point, t, lower_bound, who):
+    def spy(rows, pairs, point, t, lower_bound, who):
         def recorded(idx, values):
             calls.append((idx.tolist(), values.tolist()))
             return lower_bound(idx, values)
-        return model.certify(cols, point, t, recorded, who)
+        return certify(rows, pairs, point, t, recorded, who)
 
-    monkeypatch.setattr(baseline, "certify", spy)
-    monkeypatch.setattr(prune3d, "certify", spy)
+    monkeypatch.setattr(model, "certify", spy)
     return calls
 
 
-def _verdicts():
+def _verdicts(answers=ANSWERS):
+    """The verdict of each check: "ok", or its ContractViolation's
+    message."""
     out = []
-    for check, cs, sol in ANSWERS:
+    for check, cs, sol in answers:
         try:
             check(cs, sol)
             out.append("ok")
@@ -311,6 +346,17 @@ def test_blocks_give_the_same_verdicts(monkeypatch, drawn):
         got.append((_verdicts(), list(drawn)))
     assert got[0] == got[1]
     assert sum(v == "ok" for v in got[0][0]) < len(ANSWERS)
+
+
+VERDICT_SHA256 = (
+    "f8a8eb7d6a282b5942c960e01f0911b623a2bdb57b20adf0fb37a0f6a2792614")
+
+
+def test_verdicts_as_pinned():
+    # Each message holds the rounded bounds, so the digest pins the float
+    # and Fraction paths bit for bit.
+    digest = hashlib.sha256("\n".join(_verdicts(PINNED)).encode())
+    assert digest.hexdigest() == VERDICT_SHA256
 
 
 def _near_rows(cols, point):
@@ -354,3 +400,104 @@ def test_near_rows_are_those_of_a_pass_over_every_row(monkeypatch, drawn,
         assert drawn[0][0] == want
         compared += 1
     assert compared > 200
+
+
+def test_the_checks_import_no_solver():
+    # model holds certify, check2d and check3d; of the package it imports
+    # errors and geometry alone, so no check can call a solver
+    tree = ast.parse(Path(model.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.add(node.module)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else [node.module])
+            assert not any(n.startswith("minmaxlp") for n in names)
+    assert imported == {"errors", "geometry"}
+    assert check2d is model.check2d and check3d is model.check3d
+
+
+def _box_optima(A, B, C):
+    """The exact optimum of the box problem on the integer rows (A, B, C)
+    as (top, q), t* = top / q, and the optimal points among the corners,
+    the crossings of two rows' planes on an edge and the crossings of
+    three rows' planes, as (px, py, q): the point (px / q, py / q), q > 0.
+    The objective is convex and piecewise linear, so it attains its least
+    value over the box at one of these points."""
+    rows = list(zip(A, B, C))
+    points = [(x, y, 1) for x in (0, 1) for y in (0, 1)]
+    for (ai, bi, ci), (aj, bj, cj) in combinations(rows, 2):
+        for fixed in (0, 1):
+            # on x = fixed, the planes cross where (bi - bj) y equals
+            # (cj - ci) + (aj - ai) fixed, and likewise on y = fixed
+            for d, num, on_x in ((bi - bj, cj - ci + (aj - ai) * fixed, 1),
+                                 (ai - aj, cj - ci + (bj - bi) * fixed, 0)):
+                if d:
+                    q, p = abs(d), num if d > 0 else -num
+                    points.append((fixed * q, p, q) if on_x
+                                  else (p, fixed * q, q))
+    for (ai, bi, ci), (aj, bj, cj), (ak, bk, ck) in combinations(rows, 3):
+        u1, v1, w1 = ai - aj, bi - bj, cj - ci
+        u2, v2, w2 = ai - ak, bi - bk, ck - ci
+        det = u1 * v2 - v1 * u2
+        if det:
+            s = 1 if det > 0 else -1
+            points.append((s * (w1 * v2 - v1 * w2), s * (u1 * w2 - w1 * u2),
+                           s * det))
+    best, optima = None, set()
+    for px, py, q in points:
+        if not (0 <= px <= q and 0 <= py <= q):
+            continue
+        top = max(a * px + b * py + c * q for a, b, c in rows)
+        if best is None or top * best[1] < best[0] * q:
+            best, optima = (top, q), set()
+        if top * best[1] == best[0] * q:
+            g = math.gcd(px, py, q)
+            optima.add((px // g, py // g, q // g))
+    return best, optima
+
+
+def _origin_in_hull(gradients):
+    """Whether (0, 0) lies in the convex hull of the integer points
+    ``gradients``: in that of one, two or three of them (Caratheodory)."""
+    def cross(p, q):
+        return p[0] * q[1] - p[1] * q[0]
+    g = set(gradients)
+    if (0, 0) in g:
+        return True
+    for p, q in combinations(g, 2):
+        if cross(p, q) == 0 and p[0] * q[0] + p[1] * q[1] < 0:
+            return True  # on the segment p, q
+    for p, q, r in combinations(g, 3):
+        s = (cross(p, q), cross(q, r), cross(r, p))
+        if cross((q[0] - p[0], q[1] - p[1]), (r[0] - p[0], r[1] - p[1])) \
+                and (min(s) >= 0 or max(s) <= 0):
+            return True
+    return False
+
+
+def test_the_tight_rows_multipliers_reach_the_box_optimum():
+    # The paper's claim in 3D: the optimum is the face of the dual points'
+    # lower hull over the rows tight there, so the multipliers on those
+    # rows alone bound the optimum with no slack; at an interior optimum
+    # (0, 0) lies in the hull of their gradients.  Coefficients are k / d
+    # with |k| <= 4 and d in {1, 2, 4}: 4 times each is an integer.
+    rng = np.random.default_rng(2011)
+    interior = 0
+    for _ in range(3000):
+        n = int(rng.integers(1, 9))
+        rows = rng.integers(-4, 5, (3, n)) / rng.choice([1.0, 2.0, 4.0],
+                                                         (3, n))
+        A, B, C = (4 * rows).astype(int).tolist()
+        (top, q), optima = _box_optima(A, B, C)
+        t = Fraction(top, 4 * q)
+        for px, py, qp in optima:
+            tight = [(a * px + b * py + c * qp) * q == top * qp
+                     for a, b, c in zip(A, B, C)]
+            assert model._box_lower_bound(*rows[:, tight]) == t
+            if 0 < px < qp and 0 < py < qp:
+                interior += 1
+                assert _origin_in_hull(
+                    [(a, b) for a, b, k in zip(A, B, tight) if k])
+    assert interior > 50
