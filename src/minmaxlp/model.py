@@ -1,8 +1,8 @@
-"""Problem and solution value types, the constraint reader, the one row
-evaluator, ``_evaluate``, behind every pass that forms row values, and
-the answer certificate: ``certify``, and ``check2d`` and ``check3d``,
-which prove an answer of either problem by weak duality over the rows
-near-tight at it.
+"""Problem and solution value types, the reader of in-memory rows, the
+one row evaluator, ``_evaluate``, behind every pass that forms row
+values, and the answer certificate: ``certify``, and ``check2d`` and
+``check3d``, which prove an answer of either problem by weak duality over
+the rows near-tight at it.
 
 The certificate is the checker of a certifying algorithm: it reads the
 rows and the answer alone.  This module imports no solver (only

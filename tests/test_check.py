@@ -25,7 +25,8 @@ from minmaxlp import (ContractViolation, GenSpec, NonFiniteInput, Solution2,
                       Solution3, Status, brute2d, brute3d_box, check2d,
                       check3d, expand_absolute, gen2d, gen3d, solve,
                       solve3d, solve_baseline)
-from minmaxlp import baseline, geometry, model, oracle, prune3d, solver2d
+from minmaxlp import (baseline, cli, geometry, model, oracle, prune3d, reader,
+                      solver2d)
 from minmaxlp.model import columns, objective, signed_pairs
 
 
@@ -402,20 +403,44 @@ def test_near_rows_are_those_of_a_pass_over_every_row(monkeypatch, drawn,
     assert compared > 200
 
 
-def test_the_checks_import_no_solver():
-    # model holds certify, check2d and check3d; of the package it imports
-    # errors and geometry alone, so no check can call a solver
-    tree = ast.parse(Path(model.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
+def _package_imports(module) -> dict:
+    """The package modules ``module`` imports, each with the names it takes
+    from it; it must import none by an absolute name."""
+    imported = {}
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.ImportFrom) and node.level:
-            imported.add(node.module)
+            imported[node.module] = [a.name for a in node.names]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = ([a.name for a in node.names]
                      if isinstance(node, ast.Import) else [node.module])
             assert not any(n.startswith("minmaxlp") for n in names)
-    assert imported == {"errors", "geometry"}
+    return imported
+
+
+def test_the_checks_import_no_solver():
+    # model holds certify, check2d and check3d; of the package it imports
+    # errors and geometry alone, so no check can call a solver.  The
+    # reader imports errors and model alone, and cli takes
+    # parse_constraints alone from it.
+    assert set(_package_imports(model)) == {"errors", "geometry"}
     assert check2d is model.check2d and check3d is model.check3d
+    assert set(_package_imports(reader)) == {"errors", "model"}
+    assert _package_imports(cli)["reader"] == ["parse_constraints"]
+
+
+@pytest.mark.parametrize("others", [[], [(0.5, -0.25, 0.875),
+                                         (-1.0, 2.0, -3.0)]],
+                         ids=["alone", "beside"])
+@pytest.mark.parametrize("order", [1, -1], ids=["higher", "lower"])
+def test_each_gradient_keeps_its_largest_c(order, others):
+    # Two near-tight rows share the gradient (0, 0).  The lower c lies 30u
+    # below the other: past certify's rounding width of 20u at t = 1, and
+    # inside its near-tight cut of 40u.  A bound from the lower c would
+    # reject the optimum.
+    cs = [(0.0, 0.0, 1.0), (0.0, 0.0, 1 - 30 * 2.0 ** -53)][::order] + others
+    sol = solve3d(cs)
+    assert (sol.x, sol.y, sol.t) == (0.0, 0.0, 1.0)
+    check3d(cs, sol)
 
 
 def _box_optima(A, B, C):

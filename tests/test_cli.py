@@ -21,11 +21,11 @@ from minmaxlp import (Constraint2, Constraint3, ContractViolation,
                       Solution2, Solution3, Status, brute3d_box, gen2d, gen3d,
                       prune)
 from conftest import assert_one_array
-from minmaxlp import cli
+from minmaxlp import cli, reader
 from minmaxlp.cli import (_apply_mode, _format_constraints, emit_solution,
                           main, parse_constraints)
 
-_line_scan = cli._parse_lines
+_line_scan = reader._parse_lines
 
 
 class TestParseConstraints:
@@ -121,7 +121,7 @@ class _FromstringOnly:
 
     @pytest.fixture(autouse=True)
     def _fromstring_only(self, monkeypatch):
-        monkeypatch.setattr(cli, "_LONG_SIGNIFICAND", False)
+        monkeypatch.setattr(reader, "_LONG_SIGNIFICAND", False)
 
 
 class TestParsePaths:
@@ -135,7 +135,7 @@ class TestParsePaths:
             scans.append(args)
             return _line_scan(*args)
 
-        monkeypatch.setattr(cli, "_parse_lines", counted)
+        monkeypatch.setattr(reader, "_parse_lines", counted)
         assert _outcome(parse_constraints, text) == _outcome(_line_scan, text)
         assert (not scans) == fast
 
@@ -145,7 +145,7 @@ class TestParsePaths:
         # Only parse_constraints drops it, so a text's line numbers, and
         # the route that reads it, are those without it.
         scans = []
-        monkeypatch.setattr(cli, "_parse_lines",
+        monkeypatch.setattr(reader, "_parse_lines",
                             lambda *a: scans.append(a) or _line_scan(*a))
         assert (_outcome(parse_constraints, "\ufeff" + text)
                 == _outcome(_line_scan, text))
@@ -165,7 +165,7 @@ class TestParsePaths:
 
     def test_generated_text_is_read_in_one_pass(self, monkeypatch):
         from minmaxlp import GenSpec, gen2d, gen3d
-        monkeypatch.setattr(cli, "_parse_lines", None)
+        monkeypatch.setattr(reader, "_parse_lines", None)
         for cs in (gen2d(GenSpec(n=300, seed=4)),
                    gen3d(GenSpec(n=300, seed=4, dim=3))):
             text = _format_constraints(cs)
@@ -188,7 +188,7 @@ class TestParsePaths:
         assert main(["gen", "--dim", str(dim), "--n", str(n), "--seed", "2",
                      "--out", str(path)]) == 0
         text = path.read_text(encoding="utf-8")
-        monkeypatch.setattr(cli, "_parse_lines", None)
+        monkeypatch.setattr(reader, "_parse_lines", None)
         got = np.asarray(parse_constraints(text))
         want = np.asarray((gen2d if dim == 2 else gen3d)(
             GenSpec(n=n, seed=2, dim=dim)))
@@ -220,8 +220,8 @@ def read_from_path(monkeypatch, tmp_path):
     file's path, and whether the decimal pass or loadtxt read it (no text
     was decoded for the line scan)."""
     decoded = []
-    decode = cli._decode
-    monkeypatch.setattr(cli, "_decode",
+    decode = reader._decode
+    monkeypatch.setattr(reader, "_decode",
                         lambda *args: decoded.append(1) or decode(*args))
     path = tmp_path / "c.txt"
 
@@ -268,14 +268,14 @@ class TestParseFiles:
     @pytest.mark.parametrize("chunk", [1, 3, 8])
     def test_checks_past_the_first_chunk(self, read_from_path, monkeypatch,
                                          data, from_path, chunk):
-        monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
+        monkeypatch.setattr(reader, "_READ_CHUNK", chunk)
         got, read = read_from_path(data)
         assert got == _outcome(_line_scan, data.decode())
         assert read == from_path
 
     def test_non_finite_last_row_names_its_line(self, read_from_path,
                                                 monkeypatch):
-        monkeypatch.setattr(cli, "_READ_CHUNK", 8)
+        monkeypatch.setattr(reader, "_READ_CHUNK", 8)
         got, _ = read_from_path(b"1,2\n3,4\n5,6\n7,inf\n")
         assert got == (ParseError, "line 4: non-finite value", 4)
 
@@ -291,7 +291,7 @@ class TestParseFiles:
         path = tmp_path / "g.txt"
         assert main(["gen", "--n", "3000", "--seed", "2",
                      "--out", str(path)]) == 0
-        monkeypatch.setattr(cli, "_decode", None)
+        monkeypatch.setattr(reader, "_decode", None)
         got = np.asarray(parse_constraints(path))
         want = np.asarray(gen2d(GenSpec(n=3000, seed=2)))
         assert got.tobytes() == want.tobytes()
@@ -416,10 +416,10 @@ class TestDecimalFiles:
         assert len(fields) >= 10**6
         data = "".join(f"{a},{b}\n" for a, b in
                        zip(fields[::2], fields[1::2])).encode()
-        reader = cli._DecimalRows(len(data))
-        for i in range(0, len(data), cli._READ_CHUNK):
-            assert reader.feed(data[i:i + cli._READ_CHUNK])
-        got = np.asarray(reader.result()).ravel()
+        rows = reader._DecimalRows(len(data))
+        for i in range(0, len(data), reader._READ_CHUNK):
+            assert rows.feed(data[i:i + reader._READ_CHUNK])
+        got = np.asarray(rows.result()).ravel()
         want = np.array([float(f) for f in fields])
         wrong = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
         assert [fields[i] for i in wrong[:5]] == []
@@ -478,7 +478,7 @@ class TestDecimalFiles:
     def test_same_as_line_scan(self, read_route, monkeypatch, data, route,
                                chunk):
         # fields straddle the chunk boundaries at chunks of 1, 3 and 8
-        monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
+        monkeypatch.setattr(reader, "_READ_CHUNK", chunk)
         got, read = read_route(data)
         assert got == _outcome(_line_scan, data.decode("utf-8-sig"))
         assert read == _on_this_host(route)
@@ -512,7 +512,7 @@ class TestDecimalFiles:
     @pytest.mark.parametrize("chunk", [1, 3, 8, 1 << 16])
     def test_nineteen_digit_fields(self, read_route, monkeypatch, fields,
                                    chunk):
-        monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
+        monkeypatch.setattr(reader, "_READ_CHUNK", chunk)
         data = "".join(f"{a},{b}\n" for a, b in
                        zip(fields[::2], fields[1::2])).encode()
         got, route = read_route(data)
@@ -538,8 +538,8 @@ class TestDecimalFiles:
                 read.append(field)
                 return float_(field)
 
-        monkeypatch.setattr(cli, "float", Counted, raising=False)
-        got = cli.parse_constraints(text)
+        monkeypatch.setattr(reader, "float", Counted, raising=False)
+        got = reader.parse_constraints(text)
         assert np.asarray(got).ravel().tolist() == list(map(float_, fields))
         # only those whose quotients land on a midpoint (1 in 2048)
         assert len(set(map(bytes.decode, read)) & set(lead)) * 50 < len(lead)
@@ -553,14 +553,14 @@ class TestDecimalFiles:
 
     def test_long_significand_gates_the_reader(self, read_route,
                                                monkeypatch):
-        assert cli._LONG_SIGNIFICAND == (
+        assert reader._LONG_SIGNIFICAND == (
             np.finfo(np.longdouble).nmant == 63
             and np.dtype(np.longdouble).itemsize == 16
             and sys.byteorder == "little")
         data = b"1.5,-2.25\n-0.0,.5\n0.1,0.30000000000000004\n"
         want = _outcome(_line_scan, data.decode())
         assert read_route(data) == (want, _on_this_host("decimal"))
-        monkeypatch.setattr(cli, "_LONG_SIGNIFICAND", False)
+        monkeypatch.setattr(reader, "_LONG_SIGNIFICAND", False)
         assert read_route(data) == (want, "fromstring")
 
     @pytest.mark.parametrize("data", [b"1.5,2.5x\n", b"1.5,2.5\n3.5,4.5x\n",
@@ -597,7 +597,7 @@ class TestDecimalFiles:
             gen2d(GenSpec(n=100_000, seed=5))).splitlines(keepends=True)
         lines[-3] = f"{1e-05!r},{5e16!r}\n"
         data = "".join(lines).encode()
-        assert b"1e-05,5e+16\n" in data[-cli._READ_CHUNK:]
+        assert b"1e-05,5e+16\n" in data[-reader._READ_CHUNK:]
         got, route = read_route(data)
         assert route == _on_this_host("decimal")
         assert got == _outcome(_line_scan, data.decode())
@@ -611,9 +611,9 @@ class TestDecimalFiles:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             old = np.loadtxt(path, ndmin=2, delimiter=",")
-        if cli._LONG_SIGNIFICAND:  # every chunk is divided out
-            monkeypatch.setattr(cli._DecimalRows, "_fromstring", None)
-        monkeypatch.setattr(cli, "_decode", None)
+        if reader._LONG_SIGNIFICAND:  # every chunk is divided out
+            monkeypatch.setattr(reader._DecimalRows, "_fromstring", None)
+        monkeypatch.setattr(reader, "_decode", None)
         got = np.asarray(parse_constraints(path))
         want = np.asarray((gen2d if dim == 2 else gen3d)(
             GenSpec(n=n, seed=3, dim=dim)))
@@ -641,15 +641,15 @@ def read_route(monkeypatch, tmp_path):
     (some chunk read by np.fromstring) or "text" (decoded, or non-ASCII
     text, read by the line scan, from some line on)."""
     routes = []
-    scan = cli._parse_lines
-    monkeypatch.setattr(cli, "_parse_lines",
+    scan = reader._parse_lines
+    monkeypatch.setattr(reader, "_parse_lines",
                         lambda *args: routes.append("text") or scan(*args))
     for name, route in (("_divide", "decimal"), ("_fromstring", "fromstring")):
-        def counted(self, lines, convert=getattr(cli._DecimalRows, name),
+        def counted(self, lines, convert=getattr(reader._DecimalRows, name),
                     route=route):
             return convert(self, lines) and not routes.append(route)
 
-        monkeypatch.setattr(cli._DecimalRows, name, counted)
+        monkeypatch.setattr(reader._DecimalRows, name, counted)
     path = tmp_path / "d.txt"
 
     def read(data: bytes, kind: str = "path", outcome=_outcome):
@@ -677,7 +677,7 @@ def read_route(monkeypatch, tmp_path):
 def _on_this_host(route: str) -> str:
     """``route`` as it is where _LONG_SIGNIFICAND is as it stands: without
     it, np.fromstring reads what would be divided out."""
-    return ("fromstring" if route == "decimal" and not cli._LONG_SIGNIFICAND
+    return ("fromstring" if route == "decimal" and not reader._LONG_SIGNIFICAND
             else route)
 
 
@@ -824,9 +824,10 @@ class TestInputKindsFromstring(_FromstringOnly, TestInputKinds):
 def converter(request, monkeypatch):
     """The route of plain decimals: divided out on x87, where the host has
     it, or read by np.fromstring, as on every other host."""
-    if request.param == "decimal" and not cli._LONG_SIGNIFICAND:
+    if request.param == "decimal" and not reader._LONG_SIGNIFICAND:
         pytest.skip("longdouble is not x87's extended format here")
-    monkeypatch.setattr(cli, "_LONG_SIGNIFICAND", request.param == "decimal")
+    monkeypatch.setattr(reader, "_LONG_SIGNIFICAND",
+                        request.param == "decimal")
     return request.param
 
 
@@ -835,7 +836,7 @@ def handed_over(monkeypatch):
     """What the chunk pass hands the line scan: the calls of _decode and
     _parse_lines, as (bytes or text, first line's number - 1)."""
     calls = {"decode": [], "scan": []}
-    decode, scan = cli._decode, cli._parse_lines
+    decode, scan = reader._decode, reader._parse_lines
 
     def decoded(data, start=0):
         calls["decode"].append((data, start))
@@ -845,8 +846,8 @@ def handed_over(monkeypatch):
         calls["scan"].append((text, start))
         return scan(text, start, *args)
 
-    monkeypatch.setattr(cli, "_decode", decoded)
-    monkeypatch.setattr(cli, "_parse_lines", scanned)
+    monkeypatch.setattr(reader, "_decode", decoded)
+    monkeypatch.setattr(reader, "_parse_lines", scanned)
     return calls
 
 
@@ -854,13 +855,13 @@ def _first_line_of_chunk(data: bytes, at: int) -> int:
     """Where the lines that the chunk holding byte ``at`` ends begin: past
     the last '\n' before that chunk, read after the 3 bytes of a possible
     byte-order mark."""
-    begin = 3 + (at - 3) // cli._READ_CHUNK * cli._READ_CHUNK
+    begin = 3 + (at - 3) // reader._READ_CHUNK * reader._READ_CHUNK
     return data.rfind(b"\n", 0, begin) + 1
 
 
 def _scan_whole(data: bytes):
     """The line scan's outcome on all of ``data``, decoded."""
-    return _outcome(lambda d: _line_scan(cli._decode(d)), data)
+    return _outcome(lambda d: _line_scan(reader._decode(d)), data)
 
 
 class TestResumedScan:
@@ -894,7 +895,7 @@ class TestResumedScan:
         lines = [f"{i}.5,-{i}.25\r\n" for i in range(20_000)]
         data = "".join(lines).encode()
         # the '\r' of some line made the last byte of the first chunk
-        edge = 3 + cli._READ_CHUNK
+        edge = 3 + reader._READ_CHUNK
         pad = edge - 1 - data.rfind(b"\r", 0, edge - 1)
         lines[0] = "0.5" + "0" * pad + ",-0.25\r\n"
         data = "".join(lines).encode()

@@ -14,7 +14,7 @@ import pytest
 
 from minmaxlp import (ContractViolation, GenSpec, Problem, Solution3,
                       check2d, check3d, expand_absolute, gen2d, gen3d, solve)
-from minmaxlp import cli
+from minmaxlp import cli, reader
 from minmaxlp.model import columns, objective
 
 
@@ -40,7 +40,7 @@ def test_writer_holds_one_block_whatever_the_rows():
 
 def test_parse_holds_one_byte_copy():
     text = cli._format_constraints(gen2d(GenSpec(n=100_000, seed=1)))
-    assert _peak(cli.parse_constraints, text) <= 2 * len(text)
+    assert _peak(reader.parse_constraints, text) <= 2 * len(text)
 
 
 def test_file_reader_holds_its_rows_and_a_few_chunks(tmp_path,
@@ -52,10 +52,10 @@ def test_file_reader_holds_its_rows_and_a_few_chunks(tmp_path,
     path = tmp_path / "g.txt"
     assert cli.main(["gen", "--n", "100000", "--seed", "1",
                      "--out", str(path)]) == 0
-    monkeypatch.setattr(cli, "_parse_lines", None)  # the chunk pass only
+    monkeypatch.setattr(reader, "_parse_lines", None)  # the chunk pass only
     rows = 100_000 * 2 * 8
-    assert (_peak(cli.parse_constraints, path)
-            <= 17 / 16 * rows + 12 * cli._READ_CHUNK)
+    assert (_peak(reader.parse_constraints, path)
+            <= 17 / 16 * rows + 12 * reader._READ_CHUNK)
 
 
 def test_stream_reader_holds_its_bytes_and_rows_and_a_few_chunks(
@@ -64,7 +64,7 @@ def test_stream_reader_holds_its_bytes_and_rows_and_a_few_chunks(
     # grown in place a sixteenth over what it holds, since its size is not
     # known: neither its bytes nor a decoded copy of its text are held.
     data = cli._format_constraints(gen2d(GenSpec(n=100_000, seed=1))).encode()
-    monkeypatch.setattr(cli, "_parse_lines", None)  # the chunk pass only
+    monkeypatch.setattr(reader, "_parse_lines", None)  # the chunk pass only
     r, w = os.pipe()
 
     def write():
@@ -74,11 +74,11 @@ def test_stream_reader_holds_its_bytes_and_rows_and_a_few_chunks(
     writer = threading.Thread(target=write, daemon=True)
     writer.start()
     with open(r, "rb") as f:
-        peak = _peak(cli.parse_constraints, f)
+        peak = _peak(reader.parse_constraints, f)
     writer.join(30)
     assert not writer.is_alive()
     rows = 100_000 * 2 * 8
-    assert peak <= 17 / 16 * rows + 12 * cli._READ_CHUNK
+    assert peak <= 17 / 16 * rows + 12 * reader._READ_CHUNK
 
 
 @pytest.mark.parametrize("end", [b"\r"])
@@ -89,11 +89,11 @@ def test_file_reader_holds_no_unended_line(tmp_path, monkeypatch, end):
     assert cli.main(["gen", "--n", "100000", "--seed", "1",
                      "--out", str(path)]) == 0
     path.write_bytes(path.read_bytes().replace(b"\n", end))
-    monkeypatch.setattr(cli, "_parse_lines", None)  # the chunk pass only
+    monkeypatch.setattr(reader, "_parse_lines", None)  # the chunk pass only
     assert b"\n" not in path.read_bytes()
     rows = 100_000 * 2 * 8
-    assert (_peak(cli.parse_constraints, path)
-            <= 17 / 16 * rows + 12 * cli._READ_CHUNK)
+    assert (_peak(reader.parse_constraints, path)
+            <= 17 / 16 * rows + 12 * reader._READ_CHUNK)
 
 
 def _held(fn, *args) -> tuple[int, int]:

@@ -14,7 +14,7 @@ from minmaxlp import (Constraint2, Constraint3, ContractViolation,
                       gen3d, lower_hull, prune, solve, solve3d,
                       solve_baseline, solve_boxed)
 from conftest import assert_one_array, corpus2d, objective_corpus
-from minmaxlp import cli, model, prune3d
+from minmaxlp import cli, model, prune3d, reader
 from minmaxlp.model import columns, exact_objective, objective, signed_pairs
 
 ROWS = [Constraint2(1.0, -2.0), Constraint2(-0.0, 3.5), Constraint2(2.5, 0.0),
@@ -204,12 +204,12 @@ class TestLayout:
         for text in (text2, text3, "1.5,-0.0\n", text3.replace(",", " "),
                      "# \u00e9\n" + text2):
             path.write_text(text, encoding="utf-8")
-            for got in (cli.parse_constraints(path),
-                        cli.parse_constraints(text)):
+            for got in (reader.parse_constraints(path),
+                        reader.parse_constraints(text)):
                 _assert_no_slack(got)
-                assert got == cli._parse_lines(text)
+                assert got == reader._parse_lines(text)
 
-    @pytest.mark.skipif(not cli._LONG_SIGNIFICAND,
+    @pytest.mark.skipif(not reader._LONG_SIGNIFICAND,
                         reason="the decimal pass needs x87 longdouble")
     @pytest.mark.parametrize("size", [1, 10**7])
     def test_decimal_rows_end_as_one_array(self, size):
@@ -218,8 +218,8 @@ class TestLayout:
         # rows end as one array with no capacity left over.
         cs = gen3d(GenSpec(n=20_000, seed=9, dim=3))
         text = cli._format_constraints(cs).encode()
-        rows = cli._DecimalRows(size)
-        step = cli._READ_CHUNK
+        rows = reader._DecimalRows(size)
+        step = reader._READ_CHUNK
         assert all(rows.feed(text[i:i + step])
                    for i in range(0, len(text), step))
         got = rows.result()
